@@ -1,11 +1,7 @@
 """lltwalk: exact and asymptotic laws of lattice walks whose exit
 probability from the origin is perturbed.
-
-Set ``LLTWALK_PURE_NUMPY=1`` to disable the numba-jitted kernels and run
-the pure-numpy fallback lane.
 """
 
-from ._kernels import using_numba
 from .asymptotics import (
     AsymptoticPrediction,
     asymptotic_prediction,
@@ -83,7 +79,6 @@ __all__ = [
     "perturbed_via_representation",
     "sign_expansion_partial",
     "simulate",
-    "using_numba",
     "validate_walk_spec",
     "within_horizon",
 ]

@@ -1,119 +1,28 @@
-"""Hot numeric kernels: numba-jitted with a pure-numpy fallback lane.
+"""Hot numeric kernels, in numpy.
 
-Set ``LLTWALK_PURE_NUMPY=1`` in the environment to force the numpy lane
-(also used automatically when numba is unavailable).  Both lanes implement
-the same arithmetic, and every reduction has a fixed order, so results do
-not depend on thread count.  ``benchmarks/bench_kernels.py`` times the two
-lanes against each other.
+Every reduction has a fixed order, so results are reproducible bit for bit.
+The walkbench benchmark (``walkbench/``) times each kernel as its own layer.
 
 Kernels:
 
-* dp_step_1d / dp_step_2d      one convolution step of the forward recursion
+* dp_step                      one convolution step of the forward recursion
 * origin_returns               k -> mean over a torus grid of phat^k, k < n
 * weighted_power_sum           sum_k r_k * phat^(n-1-k), Kahan compensated
+* pow_binary                   elementwise z^n by binary exponentiation
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_ENV_FLAG = "LLTWALK_PURE_NUMPY"
-
-_PURE_NUMPY = os.environ.get(_ENV_FLAG, "").strip().lower() in ("1", "true", "yes", "on")
-
-try:
-    if _PURE_NUMPY:
-        raise ImportError("numpy lane forced via " + _ENV_FLAG)
-    from numba import njit, prange
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - depends on environment
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def deco(f):
-            return f
-        return deco if not (args and callable(args[0])) else args[0]
-
-    prange = range
-
-
-def using_numba() -> bool:
-    """True when the jitted lane is active."""
-    return HAVE_NUMBA and not _PURE_NUMPY
-
-
-_BLOCK = 2048  # grid cells per partial block in origin_returns (fixed: determinism)
-
-
-# ---------------------------------------------------------------------------
-# forward DP convolution steps
-# ---------------------------------------------------------------------------
-
-def _dp_step_1d_numpy(cur, out, offs, ws):
-    out[:] = 0.0
-    w = cur.shape[0]
-    for k in range(offs.shape[0]):
-        s = int(offs[k])
-        lo_dst, hi_dst = max(0, s), w + min(0, s)
-        out[lo_dst:hi_dst] += ws[k] * cur[lo_dst - s:hi_dst - s]
-    return out
-
-
-def _dp_step_2d_numpy(cur, out, offs, ws):
-    out[:] = 0.0
-    w0, w1 = cur.shape
-    for k in range(offs.shape[0]):
-        s0, s1 = int(offs[k, 0]), int(offs[k, 1])
-        d0lo, d0hi = max(0, s0), w0 + min(0, s0)
-        d1lo, d1hi = max(0, s1), w1 + min(0, s1)
-        out[d0lo:d0hi, d1lo:d1hi] += ws[k] * cur[d0lo - s0:d0hi - s0, d1lo - s1:d1hi - s1]
-    return out
-
-
-@njit(cache=True)
-def _dp_step_1d_numba(cur, out, offs, ws):
-    w = cur.shape[0]
-    for i in range(w):
-        acc = 0.0
-        for k in range(offs.shape[0]):
-            j = i - offs[k]
-            if 0 <= j < w:
-                acc += ws[k] * cur[j]
-        out[i] = acc
-    return out
-
-
-@njit(cache=True, parallel=True)
-def _dp_step_2d_numba(cur, out, offs, ws):
-    w0, w1 = cur.shape
-    for i in prange(w0):
-        for j in range(w1):
-            acc = 0.0
-            for k in range(offs.shape[0]):
-                i2 = i - offs[k, 0]
-                j2 = j - offs[k, 1]
-                if 0 <= i2 < w0 and 0 <= j2 < w1:
-                    acc += ws[k] * cur[i2, j2]
-            out[i, j] = acc
-    return out
 
 
 def dp_step(cur: np.ndarray, out: np.ndarray, offs: np.ndarray, ws: np.ndarray) -> np.ndarray:
-    """out(x) = sum_k ws[k] * cur(x - offs[k]) on a fixed box (zero outside)."""
-    if cur.ndim == 1:
-        f = _dp_step_1d_numba if using_numba() else _dp_step_1d_numpy
-        return f(cur, out, offs.reshape(-1), ws)
-    if cur.ndim == 2:
-        f = _dp_step_2d_numba if using_numba() else _dp_step_2d_numpy
-        return f(cur, out, offs, ws)
-    return _dp_step_nd_numpy(cur, out, offs, ws)
+    """out(x) = sum_k ws[k] * cur(x - offs[k]) on a fixed box (zero outside).
 
-
-def _dp_step_nd_numpy(cur, out, offs, ws):
-    # generic-rank fallback; exact nu >= 3 computations are small-n only
+    Works in any rank; ``offs`` has one row of integer offsets per weight
+    (a flat array of offsets also serves in rank 1).
+    """
+    offs = offs.reshape(len(ws), cur.ndim)
     out[:] = 0.0
     shape = cur.shape
     for k in range(offs.shape[0]):
@@ -127,82 +36,15 @@ def _dp_step_nd_numpy(cur, out, offs, ws):
     return out
 
 
-# ---------------------------------------------------------------------------
-# frequency-domain k-sum passes
-# ---------------------------------------------------------------------------
-
-def _origin_returns_numpy(z, n):
+def origin_returns(z: np.ndarray, n: int) -> np.ndarray:
+    """Grid means of z^k for k = 0..n-1 (z = charfn samples, flattened)."""
+    z = np.ascontiguousarray(z.reshape(-1), dtype=np.complex128)
     r = np.empty(n, dtype=np.complex128)
     g = np.ones_like(z)
     for k in range(n):
         r[k] = g.mean()
         g *= z
     return r
-
-
-@njit(cache=True, parallel=True)
-def _origin_returns_numba(z, n):
-    m = z.shape[0]
-    nblocks = (m + _BLOCK - 1) // _BLOCK
-    part = np.zeros((nblocks, n), dtype=np.complex128)
-    for b in prange(nblocks):
-        lo = b * _BLOCK
-        hi = min(lo + _BLOCK, m)
-        for j in range(lo, hi):
-            zj = z[j]
-            w = complex(1.0, 0.0)
-            for k in range(n):
-                part[b, k] += w
-                w *= zj
-    r = np.zeros(n, dtype=np.complex128)
-    for b in range(nblocks):  # fixed merge order
-        for k in range(n):
-            r[k] += part[b, k]
-    return r / m
-
-
-def origin_returns(z: np.ndarray, n: int) -> np.ndarray:
-    """Grid means of z^k for k = 0..n-1 (z = charfn samples, flattened)."""
-    z = np.ascontiguousarray(z.reshape(-1), dtype=np.complex128)
-    if using_numba():
-        return _origin_returns_numba(z, n)
-    return _origin_returns_numpy(z, n)
-
-
-def _weighted_power_sum_numpy(z, r):
-    n = r.shape[0]
-    s = np.zeros_like(z)
-    c = np.zeros_like(z)
-    h = np.ones_like(z)
-    for k in range(n - 1, -1, -1):  # ascending powers of z
-        term = r[k] * h
-        y = term - c
-        t = s + y
-        c = (t - s) - y
-        s = t
-        h = h * z
-    return s
-
-
-@njit(cache=True, parallel=True)
-def _weighted_power_sum_numba(z, r):
-    n = r.shape[0]
-    m = z.shape[0]
-    out = np.empty(m, dtype=np.complex128)
-    for j in prange(m):
-        zj = z[j]
-        s = complex(0.0, 0.0)
-        c = complex(0.0, 0.0)
-        h = complex(1.0, 0.0)
-        for k in range(n - 1, -1, -1):
-            term = r[k] * h
-            y = term - c
-            t = s + y
-            c = (t - s) - y
-            s = t
-            h *= zj
-        out[j] = s
-    return out
 
 
 def weighted_power_sum(z: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -214,9 +56,17 @@ def weighted_power_sum(z: np.ndarray, r: np.ndarray) -> np.ndarray:
     shape = z.shape
     z = np.ascontiguousarray(z.reshape(-1), dtype=np.complex128)
     r = np.ascontiguousarray(r, dtype=np.complex128)
-    if using_numba():
-        return _weighted_power_sum_numba(z, r).reshape(shape)
-    return _weighted_power_sum_numpy(z, r).reshape(shape)
+    s = np.zeros_like(z)
+    c = np.zeros_like(z)
+    h = np.ones_like(z)
+    for k in range(r.shape[0] - 1, -1, -1):  # ascending powers of z
+        term = r[k] * h
+        y = term - c
+        t = s + y
+        c = (t - s) - y
+        s = t
+        h = h * z
+    return s.reshape(shape)
 
 
 def pow_binary(z: np.ndarray, n: int) -> np.ndarray:

@@ -37,12 +37,25 @@ def _parse_n_list(s: str):
         raise ValidationError(f"bad n list {s!r}") from None
 
 
+def _check_counts(args):
+    """Reject out-of-range step and trial counts before any work starts."""
+    least = {"n": 1 if args.cmd == "asymptotic" else 0, "trials": 1, "n_max": 1}
+    for name, lo in least.items():
+        value = getattr(args, name, None)
+        if value is not None and value < lo:
+            raise ValidationError(f"--{name.replace('_', '-')} must be >= {lo}, got {value}")
+    if args.cmd == "compare":
+        ns = _parse_n_list(args.n_list)
+        if not ns or ns[0] < 1 or sorted(ns) != ns:
+            raise ValidationError(f"--n-list must be ascending values >= 1, got {args.n_list!r}")
+
+
 def _add_common(sub, spec_required=True):
     sub.add_argument("--spec", required=spec_required, help="walk config file")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
     sub.add_argument("--format", choices=("csv", "json", "tsv"), default="csv")
     sub.add_argument("--mem-limit-mb", type=int, default=2048,
-                     help="memory cap for exact engines (MiB)")
+                     help="memory cap for exact engines and the simulator (MiB)")
     sub.add_argument("--order", type=int, default=None, help="expansion order L")
 
 
@@ -167,7 +180,8 @@ def _cmd_compare(args) -> int:
 
 def _cmd_simulate(args) -> int:
     spec = load_walk_spec(args.spec)
-    emp = harness.simulate(spec, args.n, args.trials, args.seed)
+    emp = harness.simulate(spec, args.n, args.trials, args.seed,
+                           mem_limit=args.mem_limit_mb << 20)
     _emit(io_text.empirical_text(emp, args.format), args.out)
     return 0
 
@@ -212,6 +226,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_counts(args)
         return _COMMANDS[args.cmd](args)
     except (ValidationError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

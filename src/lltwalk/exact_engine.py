@@ -25,7 +25,7 @@ import numpy as np
 
 from ._kernels import dp_step, origin_returns, pow_binary, weighted_power_sum
 from .errors import CrossCheckError, ResourceLimit
-from .spectral import TorusGrid, charfn_grid, invert_charfn, lambda_axis, odd_smooth_size
+from .spectral import TorusGrid, charfn_grid, invert_charfn, odd_smooth_size
 from .walk_model import LatticeFn, LatticePMF, WalkSpec
 
 DEFAULT_MEM_LIMIT = 2 << 30  # bytes; generous but finite
@@ -54,19 +54,8 @@ class ExactDistribution:
 
 
 # ---------------------------------------------------------------------------
-# boxes and memory guards
+# boxes, memory guards and the reachable-window stepper
 # ---------------------------------------------------------------------------
-
-def _hull_box(*fns: LatticeFn):
-    dim = fns[0].dim
-    lo = [min(f.box[ax][0] for f in fns) for ax in range(dim)]
-    hi = [max(f.box[ax][1] for f in fns) for ax in range(dim)]
-    return lo, hi
-
-
-def _scaled_box(lo, hi, n: int):
-    return [n * l for l in lo], [n * h for h in hi]
-
 
 def _guard_cells(shape, itemsize: int, mem_limit: int):
     cells = math.prod(shape)
@@ -77,12 +66,67 @@ def _guard_cells(shape, itemsize: int, mem_limit: int):
         )
 
 
+def _box(fns, n: int, cell_bytes: int, mem_limit: int):
+    """Box holding max(n, 1) steps of the hull of ``fns``, guarded at ``cell_bytes``.
+
+    Returns (lower corner, shape, index of the origin).
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    m = max(n, 1)
+    lo = [m * min(f.box[ax][0] for f in fns) for ax in range(fns[0].dim)]
+    hi = [m * max(f.box[ax][1] for f in fns) for ax in range(fns[0].dim)]
+    shape = tuple(h - l + 1 for l, h in zip(lo, hi))
+    _guard_cells(shape, cell_bytes, mem_limit)
+    return lo, shape, tuple(-l for l in lo)
+
+
+def _window(org, rad: int):
+    """Slice of the box within sup-distance ``rad`` of the origin index."""
+    return tuple(slice(max(0, o - rad), o + rad + 1) for o in org)
+
+
+def _walk(shape, org, reach: int, start: LatticeFn, offs, ws, n: int):
+    """Step ``start`` n times by the kernel (offs, ws) on a zero-padded box.
+
+    Yields (k, cur, win) for k = 0..n: ``cur`` is the state after k steps
+    and ``win`` the slice within start.radius + k * reach of the origin,
+    outside which ``cur`` is exactly zero.  Changes the caller makes to
+    ``cur`` inside ``win`` before resuming are kept.  Each step convolves
+    only the next window; the cells it skips hold exact zeros, so every sum
+    drops only +0.0 terms and keeps its order.
+    """
+    cur = np.zeros(shape)
+    for pt, w in start.points():
+        cur[tuple(o + c for o, c in zip(org, pt))] = w
+    out = np.zeros(shape)
+    rad = start.radius
+    win = _window(org, rad)
+    for k in range(n + 1):
+        yield k, cur, win
+        if k < n:
+            win = _window(org, rad + (k + 1) * reach)
+            dp_step(cur[win], out[win], offs, ws)
+            cur, out = out, cur
+
+
+def _delta(dim: int) -> LatticePMF:
+    return LatticePMF.from_points(dim, {(0,) * dim: 1})
+
+
 def _clamp_tiny_negatives(w: np.ndarray) -> np.ndarray:
-    """Zero out roundoff negatives from the frequency route; reject real ones."""
+    """Zero the frequency route's roundoff; reject real negative mass.
+
+    When the smallest weight is negative, every cell no larger in size than
+    it is roundoff, positive or negative, and is zeroed: dropping only the
+    negative half would add mass.
+    """
     worst = w.min()
     if worst < -NEGATIVE_CLAMP:
         raise CrossCheckError(f"inverted mass has negative weight {worst!r}")
-    return np.where(w < 0, 0.0, w)
+    if worst >= 0:
+        return w
+    return np.where(w <= -worst, 0.0, w)
 
 
 def _kernel_arrays(f: LatticeFn):
@@ -112,35 +156,29 @@ def convolve_power(
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
-        return LatticePMF.from_points(p.dim, {(0,) * p.dim: 1})
+        return _delta(p.dim)
     if n == 1:
         return p
 
-    lo, hi = _hull_box(p)
-    out_lo, out_hi = _scaled_box(lo, hi, n)
-    shape = tuple(h - l + 1 for l, h in zip(out_lo, out_hi))
-
     if method == "direct":
-        _guard_cells(shape, 8, mem_limit)
+        lo, shape, org = _box((p,), n, 24, mem_limit)  # two buffers + one product
         offs, ws = _kernel_arrays(p)
-        cur = np.zeros(shape)
-        cur[tuple(-l for l in out_lo)] = 1.0
-        out = np.empty_like(cur)
-        for _ in range(n):
-            cur, out = dp_step(cur, out, offs, ws), cur
-        return LatticePMF(dim=p.dim, offset=np.array(out_lo, dtype=np.int64), weights=cur)
+        for _, cur, _ in _walk(shape, org, p.radius, _delta(p.dim), offs, ws, n):
+            pass
+        return LatticePMF(dim=p.dim, offset=np.array(lo, dtype=np.int64), weights=cur)
 
     if method != "fft":
         raise ValueError(f"unknown method {method!r}")
+    lo, shape, _ = _box((p,), n, 16, mem_limit)  # inverted weights + clamped copy
     m = odd_smooth_size(max(shape))
     _guard_cells((m,) * p.dim, 16 * 3, mem_limit)  # grid + powers + inversion
     grid = charfn_grid(p, m)
     powered = pow_binary(grid.values, n)
     spatial = invert_charfn(
-        TorusGrid(dim=p.dim, m=m, values=powered), offset=out_lo, shape=shape
+        TorusGrid(dim=p.dim, m=m, values=powered), offset=lo, shape=shape
     )
-    w = _clamp_tiny_negatives(spatial.weights.copy())
-    return LatticePMF(dim=p.dim, offset=np.array(out_lo, dtype=np.int64), weights=w)
+    w = _clamp_tiny_negatives(spatial.weights)
+    return LatticePMF(dim=p.dim, offset=np.array(lo, dtype=np.int64), weights=w)
 
 
 # ---------------------------------------------------------------------------
@@ -151,29 +189,20 @@ def perturbed_forward(
     spec: WalkSpec, n: int, mem_limit: int = DEFAULT_MEM_LIMIT
 ) -> ExactDistribution:
     """Forward recursion: origin mass exits by q, the rest steps by p."""
-    lo, hi = _hull_box(spec.p, spec.q)
-    out_lo, out_hi = _scaled_box(lo, hi, max(n, 1))
-    shape = tuple(h - l + 1 for l, h in zip(out_lo, out_hi))
-    _guard_cells(shape, 8, mem_limit)
-
+    lo, shape, org = _box((spec.p, spec.q), n, 24, mem_limit)
     p_offs, p_ws = _kernel_arrays(spec.p)
     a_pts = list(spec.a.points())
-    org = tuple(-l for l in out_lo)
 
-    cur = np.zeros(shape)
-    cur[org] = 1.0
-    out = np.empty_like(cur)
-    for _ in range(n):
-        m0 = cur[org]
-        cur, out = dp_step(cur, out, p_offs, p_ws), cur
+    m0 = 0.0
+    for _, cur, _ in _walk(shape, org, spec.radius, _delta(spec.nu), p_offs, p_ws, n):
         # transition from the origin differs from p by exactly a = q - p
         if m0 != 0.0:
             for pt, w in a_pts:
-                idx = tuple(o + c for o, c in zip(org, pt))
-                cur[idx] += m0 * w
+                cur[tuple(o + c for o, c in zip(org, pt))] += m0 * w
+        m0 = cur[org]
     return ExactDistribution(
         n=n,
-        pmf=LatticePMF(dim=spec.nu, offset=np.array(out_lo, dtype=np.int64), weights=cur),
+        pmf=LatticePMF(dim=spec.nu, offset=np.array(lo, dtype=np.int64), weights=cur),
         route="dp",
     )
 
@@ -190,41 +219,29 @@ def perturbed_via_representation(
     WalkSpec guarantees): paths revisiting the origin then contribute
     nothing to the correction.
     """
-    lo, hi = _hull_box(spec.p, spec.q)
-    out_lo, out_hi = _scaled_box(lo, hi, max(n, 1))
-    shape = tuple(h - l + 1 for l, h in zip(out_lo, out_hi))
-    _guard_cells(shape, 8 * 4, mem_limit)
-
+    lo, shape, org = _box((spec.p, spec.q), n, 72, mem_limit)
     p_offs, p_ws = _kernel_arrays(spec.p)
-    a_offs, a_ws = _kernel_arrays(spec.a) if spec.a.as_dict() else (None, None)
-    org = tuple(-l for l in out_lo)
+    delta = _delta(spec.nu)
 
     # pass 1: r_k = p^{*k}(0) for k < n, and u = p^{*n}
     r = np.empty(n)
-    cur = np.zeros(shape)
-    cur[org] = 1.0
-    out = np.empty_like(cur)
-    for k in range(n):
-        r[k] = cur[org]
-        cur, out = dp_step(cur, out, p_offs, p_ws), cur
-    pn = cur
+    for k, cur, _ in _walk(shape, org, spec.radius, delta, p_offs, p_ws, n):
+        if k < n:
+            r[k] = cur[org]
+    result = cur
 
-    result = pn.copy()
-    if a_offs is not None:
+    if spec.a.as_dict():
         # pass 2: W = sum_{j=0}^{n-1} r_{n-1-j} p^{*j}, Kahan compensated
         w_acc = np.zeros(shape)
         comp = np.zeros(shape)
-        cur = np.zeros(shape)
-        cur[org] = 1.0
-        out = np.empty_like(cur)
-        for j in range(n):
-            term = r[n - 1 - j] * cur
-            y = term - comp
-            t = w_acc + y
-            comp = (t - w_acc) - y
-            w_acc = t
-            if j != n - 1:
-                cur, out = dp_step(cur, out, p_offs, p_ws), cur
+        for j, cur, win in _walk(shape, org, spec.radius, delta, p_offs, p_ws, n - 1):
+            y = r[n - 1 - j] * cur[win]
+            y -= comp[win]
+            t = w_acc[win] + y
+            comp[win] = t - w_acc[win]
+            comp[win] -= y
+            w_acc[win] = t
+        a_offs, a_ws = _kernel_arrays(spec.a)
         corr = np.empty_like(w_acc)
         dp_step(w_acc, corr, a_offs, a_ws)
         result += corr
@@ -232,7 +249,7 @@ def perturbed_via_representation(
 
     return ExactDistribution(
         n=n,
-        pmf=LatticePMF(dim=spec.nu, offset=np.array(out_lo, dtype=np.int64), weights=result),
+        pmf=LatticePMF(dim=spec.nu, offset=np.array(lo, dtype=np.int64), weights=result),
         route="repr",
     )
 
@@ -241,9 +258,7 @@ def perturbed_fourier(
     spec: WalkSpec, n: int, mem_limit: int = DEFAULT_MEM_LIMIT
 ) -> ExactDistribution:
     """Frequency-domain assembly of the same decomposition, inverted exactly."""
-    lo, hi = _hull_box(spec.p, spec.q)
-    out_lo, out_hi = _scaled_box(lo, hi, max(n, 1))
-    shape = tuple(h - l + 1 for l, h in zip(out_lo, out_hi))
+    lo, shape, _ = _box((spec.p, spec.q), n, 16, mem_limit)  # weights + clamped copy
     m = odd_smooth_size(max(shape))
     _guard_cells((m,) * spec.nu, 16 * 5, mem_limit)  # phat/ahat/powers/sum/result
 
@@ -261,11 +276,11 @@ def perturbed_fourier(
     else:
         total = pn_hat
     spatial = invert_charfn(TorusGrid(dim=spec.nu, m=m, values=total),
-                            offset=out_lo, shape=shape)
-    w = _clamp_tiny_negatives(spatial.weights.copy())
+                            offset=lo, shape=shape)
+    w = _clamp_tiny_negatives(spatial.weights)
     return ExactDistribution(
         n=n,
-        pmf=LatticePMF(dim=spec.nu, offset=np.array(out_lo, dtype=np.int64), weights=w),
+        pmf=LatticePMF(dim=spec.nu, offset=np.array(lo, dtype=np.int64), weights=w),
         route="fourier",
     )
 
@@ -347,34 +362,14 @@ def first_return_probs(
     theory (the antisymmetric part of the exit law integrates to zero
     against symmetric return paths); the suite checks 1e-12.
     """
-    lo, hi = _hull_box(spec.p, spec.q)
-    out_lo, out_hi = _scaled_box(lo, hi, max(n_max, 1))
-    shape = tuple(h - l + 1 for l, h in zip(out_lo, out_hi))
-    _guard_cells(shape, 8 * 2, mem_limit)
-
+    _, shape, org = _box((spec.p, spec.q), n_max, 24, mem_limit)
     p_offs, p_ws = _kernel_arrays(spec.p)
-    org = tuple(-l for l in out_lo)
 
     def taboo(first_step: LatticeFn) -> np.ndarray:
         f = np.empty(n_max)
-        cur = np.zeros(shape)
-        for pt, w in first_step.points():
-            cur[tuple(o + c for o, c in zip(org, pt))] = w
-        f[0] = cur[org]
-        cur[org] = 0.0
-        out = np.empty_like(cur)
-        for m in range(1, n_max):
-            cur, out = dp_step(cur, out, p_offs, p_ws), cur
+        for m, cur, _ in _walk(shape, org, spec.radius, first_step, p_offs, p_ws, n_max - 1):
             f[m] = cur[org]
             cur[org] = 0.0
         return f
 
     return taboo(spec.q), taboo(spec.p)
-
-
-def unperturbed_charfn_samples(spec: WalkSpec, n: int):
-    """(lambda axis, phat samples) used by diagnostics; grid sized for p^{*n}."""
-    lo, hi = _hull_box(spec.p)
-    shape = tuple(n * (h - l) + 1 for l, h in zip(lo, hi))
-    m = odd_smooth_size(max(shape))
-    return lambda_axis(m), charfn_grid(spec.p, m)

@@ -16,7 +16,6 @@ import numpy as np
 from scipy.stats import chi2 as chi2_dist
 
 from . import exact_engine
-from ._kernels import using_numba
 from .asymptotics import (
     edgeworth_factor_many,
     gaussian_leading_many,
@@ -67,18 +66,27 @@ def _law_tables(pmf: LatticePMF):
     return sup, cdf
 
 
-def simulate(spec: WalkSpec, n: int, trials: int, seed: int) -> EmpiricalPMF:
+def simulate(
+    spec: WalkSpec,
+    n: int,
+    trials: int,
+    seed: int,
+    mem_limit: int = exact_engine.DEFAULT_MEM_LIMIT,
+) -> EmpiricalPMF:
     """Sample ``trials`` independent trajectories of n steps from the origin.
 
     Identical (seed, n, trials) give bitwise-identical counts.  Steps taken
     while sitting at the origin use the exit law q, all others the step law
-    p; one uniform draw is consumed per (trial, step) in chunk order.
+    p; one uniform draw is consumed per (trial, step) in chunk order.  The
+    dense counts and each chunk's bincount take 16 bytes per cell of the
+    reachable box, which ``mem_limit`` caps.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     nu = spec.nu
     rad = max(n, 1) * spec.radius
     shape = (2 * rad + 1,) * nu
+    exact_engine._guard_cells(shape, 16, mem_limit)
     counts = np.zeros(shape, dtype=np.int64)
     p_sup, p_cdf = _law_tables(spec.p)
     q_sup, q_cdf = _law_tables(spec.q)
@@ -265,7 +273,6 @@ def compare(
         n_list=n_list,
         flavors=flavors,
         meta={
-            "engine": "numba" if using_numba() else "numpy",
             "route": route,
             "order": L if spec.unperturbed else None,
             "window_rule": "4*sqrt(lambda_max(B)*n)" if window is None else window,

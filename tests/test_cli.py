@@ -46,6 +46,32 @@ def test_resource_limit_exit_code(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["compare", "--n-list", "64,16"],
+    ["compare", "--n-list", "0,4"],
+    ["simulate", "--n", "5", "--trials", "0"],
+    ["simulate", "--n", "-2", "--trials", "10"],
+    ["exact", "--n", "-3"],
+    ["asymptotic", "--n", "0"],
+    ["returns", "--n-max", "0"],
+])
+def test_bad_counts_exit_code(capsys, argv):
+    rc = main(argv + ["--spec", config_path("lazy_pert_1d.cfg")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValidationError:")
+    assert "Traceback" not in err
+
+
+def test_simulate_resource_limit_exit_code(capsys):
+    rc = main([
+        "simulate", "--spec", config_path("unit_cov_2d.cfg"), "--n", "200",
+        "--trials", "10", "--mem-limit-mb", "1",
+    ])
+    assert rc == 2
+    assert "resource limit" in capsys.readouterr().err
+
+
 def test_compare_cli(tmp_path, capsys):
     out = tmp_path / "report.json"
     rc = main([

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -39,6 +42,12 @@ def test_zero_steps_all_routes(lazy_pert):
     for route in ("dp", "repr", "fourier"):
         d0 = exact_engine.perturbed_distribution(lazy_pert, 0, route=route)
         assert d0.pmf.as_dict() == {(0,): 1.0}
+
+
+@pytest.mark.parametrize("route", ["dp", "repr", "fourier"])
+def test_negative_steps_rejected(lazy_pert, route):
+    with pytest.raises(ValueError):
+        exact_engine.perturbed_distribution(lazy_pert, -3, route=route)
 
 
 def test_first_returns_single_step(lazy_pert):
@@ -145,6 +154,70 @@ def test_resource_limit(lazy_pert):
         perturbed_forward(lazy_pert, 10**7, mem_limit=1 << 20)
     with pytest.raises(ResourceLimit):
         convolve_power(lazy_pert.p, 10**7, mem_limit=1 << 20)
+
+
+@pytest.mark.parametrize("n", [6000, 8192])
+def test_convolve_power_normalized_at_large_n(lazy_p, n):
+    # the clamp zeroes positive and negative roundoff alike, so no mass is added
+    pn = convolve_power(lazy_p, n)
+    assert pn.weights.min() >= 0.0
+    assert pn.value_at([0]) == pytest.approx(math.comb(2 * n, n) / 4**n, rel=1e-12)
+
+
+def test_fourier_matches_forward_at_large_n(lazy_pert):
+    n = 6000
+    d = perturbed_fourier(lazy_pert, n)
+    assert max_abs_difference(d.pmf, perturbed_forward(lazy_pert, n).pmf) < 1e-12
+
+
+def test_walk_matches_full_box_stepping(unit_cov_2d):
+    # the reachable-window stepper reproduces whole-box stepping bit for bit
+    n = 12
+    _, shape, org = exact_engine._box((unit_cov_2d.p,), n, 24, exact_engine.DEFAULT_MEM_LIMIT)
+    offs, ws = exact_engine._kernel_arrays(unit_cov_2d.p)
+    full = np.zeros(shape)
+    full[org] = 1.0
+    delta = exact_engine._delta(2)
+    reach = unit_cov_2d.p.radius
+    for k, cur, win in exact_engine._walk(shape, org, reach, delta, offs, ws, n):
+        assert np.array_equal(cur, full)
+        outside = cur.copy()
+        outside[win] = 0.0
+        assert not outside.any()
+        full = exact_engine.dp_step(full, np.empty_like(full), offs, ws)
+
+
+# numpy's ufunc buffers for strided operands (8192 elements each, about
+# 128 KiB) and small Python objects come on top of the arrays; that memory
+# does not grow with the box.
+_FIXED_SLACK = 256 << 10
+
+
+@pytest.mark.parametrize("route", ["dp", "repr", "first_return", "direct"])
+def test_stepper_route_memory_within_guard(unit_cov_2d, monkeypatch, route):
+    n = 96
+    budgets = []
+    guard = exact_engine._guard_cells
+
+    def recording_guard(shape, itemsize, mem_limit):
+        budgets.append(math.prod(shape) * itemsize)
+        guard(shape, itemsize, mem_limit)
+
+    monkeypatch.setattr(exact_engine, "_guard_cells", recording_guard)
+    run = {
+        "dp": lambda: perturbed_forward(unit_cov_2d, n),
+        "repr": lambda: perturbed_via_representation(unit_cov_2d, n),
+        "first_return": lambda: first_return_probs(unit_cov_2d, n),
+        "direct": lambda: convolve_power(unit_cov_2d.p, n, method="direct"),
+    }[route]
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(budgets) == 1
+    assert 0.8 * budgets[0] < peak <= budgets[0] + _FIXED_SLACK
 
 
 def test_fourier_weights_clamped_nonnegative(lazy_pert):

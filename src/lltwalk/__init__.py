@@ -3,8 +3,6 @@ probability from the origin is perturbed.
 """
 
 from .asymptotics import (
-    AsymptoticPrediction,
-    asymptotic_prediction,
     llt_edgeworth,
     llt_gaussian_leading,
     perturbation_correction,
@@ -21,7 +19,15 @@ from .exact_engine import (
     perturbed_fourier,
     perturbed_via_representation,
 )
-from .harness import ConvergenceReport, EmpiricalPMF, chi_squared_check, compare, simulate
+from .harness import (
+    AsymptoticPrediction,
+    ConvergenceReport,
+    EmpiricalPMF,
+    asymptotic_prediction,
+    chi_squared_check,
+    compare,
+    simulate,
+)
 from .spectral import EdgeworthCoeffs, TorusGrid, charfn_grid, edgeworth_coeffs, invert_charfn
 from .special_fn import (
     IdentityReport,

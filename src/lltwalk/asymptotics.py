@@ -23,27 +23,13 @@ the L = 4 truncation accurate to O(n^{-2}) relative for symmetric laws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CoeffOrderMismatch, DimensionMismatch, OriginUndefined, SingularCovariance
 from .spectral import EdgeworthCoeffs, unit_frame_terms
 from .special_fn import hermite_table
-from .walk_model import LatticePMF, WalkSpec, exact_moment
-
-
-@dataclass(frozen=True)
-class AsymptoticPrediction:
-    """One evaluated prediction; total = gaussian + corrections."""
-
-    n: int
-    x: tuple
-    gaussian_leading: float
-    perturbation_correction: float
-    edgeworth_terms: float
-    total: float
-    within_horizon: bool
+from .walk_model import LatticePMF, WalkSpec, second_moments
 
 
 def _as_matrix(B) -> np.ndarray:
@@ -62,6 +48,8 @@ def gaussian_leading_many(B, n: int, X: np.ndarray) -> np.ndarray:
         raise SingularCovariance("covariance must be positive definite")
     Binv = np.linalg.inv(B)
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape[1] != nu:
+        raise DimensionMismatch(f"x has dim {X.shape[1]}, covariance has {nu}")
     quad = np.einsum("ij,jk,ik->i", X, Binv, X)
     return (2.0 * math.pi * n) ** (-nu / 2.0) / math.sqrt(det) * np.exp(-quad / (2.0 * n))
 
@@ -98,11 +86,10 @@ def perturbation_correction(spec: WalkSpec, n: int, x) -> float:
 
     sign(0) is 0, so the origin receives no correction in one dimension
     (consistent with the exact origin identity); x = 0 raises
-    OriginUndefined in two dimensions.
+    OriginUndefined in two dimensions, where the reports use
+    :func:`lltwalk.harness.predict` and its correction of 0.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape[0] != spec.nu:
-        raise DimensionMismatch(f"x has dim {x.shape[0]}, walk has {spec.nu}")
     return float(perturbation_correction_many(spec, n, x[np.newaxis, :])[0])
 
 
@@ -182,15 +169,7 @@ def llt_edgeworth(p: LatticePMF, coeffs: EdgeworthCoeffs, n: int, x) -> float:
     dropped; outside |x| <= n^{1 - 1/L} the expansion stops being
     informative, use :func:`within_horizon` to flag that.
     """
-    nu = p.dim
-    B = np.empty((nu, nu))
-    for i in range(nu):
-        for j in range(nu):
-            alpha = [0] * nu
-            alpha[i] += 1
-            alpha[j] += 1
-            B[i, j] = float(exact_moment(p, alpha)) if p.exact else 0.0
-    if p.exact and float(np.abs(B - coeffs.B).max()) > 1e-12:
+    if p.exact and float(np.abs(second_moments(p) - coeffs.B).max()) > 1e-12:
         raise CoeffOrderMismatch("coefficients were computed for a different law")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     gauss = llt_gaussian_leading(coeffs.B, n, x)
@@ -203,34 +182,3 @@ def within_horizon(n: int, x, L: int) -> bool:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     return bool(np.linalg.norm(x) <= float(n) ** (1.0 - 1.0 / L))
 
-
-def asymptotic_prediction(
-    spec: WalkSpec,
-    n: int,
-    x,
-    coeffs: EdgeworthCoeffs | None = None,
-) -> AsymptoticPrediction:
-    """Assembled prediction at one point.
-
-    total = gaussian + perturbation correction (+ Hermite refinement terms
-    when coefficients are supplied; for an unperturbed spec that makes the
-    total the refined expansion value).
-    """
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    gauss = llt_gaussian_leading(spec.B, n, x_arr)
-    # an unperturbed spec has d = 0: every correction vanishes identically,
-    # including at the two-dimensional origin where the formula is singular
-    pert = 0.0 if spec.unperturbed else perturbation_correction(spec, n, x_arr)
-    edge = 0.0
-    if coeffs is not None:
-        edge = gauss * (float(edgeworth_factor_many(coeffs, n, x_arr[np.newaxis, :])[0]) - 1.0)
-    L = coeffs.L if coeffs is not None else spec.L
-    return AsymptoticPrediction(
-        n=n,
-        x=tuple(int(c) for c in x_arr),
-        gaussian_leading=gauss,
-        perturbation_correction=pert,
-        edgeworth_terms=edge,
-        total=gauss + pert + edge,
-        within_horizon=within_horizon(n, x_arr, L),
-    )

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: exact, asymptotic, compare, simulate, coeffs, identities,
-returns.  Exit codes: 0 success, 1 validation error, 2 resource limit,
+returns.  Exit codes: 0 success, 1 validation or usage error, 2 resource limit,
 3 failed internal cross-check.  Diagnostics go to stderr; data goes to
 --out or stdout and is byte-identical across runs for identical inputs.
 """
@@ -15,7 +15,6 @@ import time
 import numpy as np
 
 from . import exact_engine, harness, io_text
-from .asymptotics import asymptotic_prediction
 from .errors import CrossCheckError, NoConvergence, ResourceLimit, ValidationError
 from .spectral import edgeworth_coeffs
 from .special_fn import identity_suite
@@ -50,17 +49,27 @@ def _check_counts(args):
             raise ValidationError(f"--n-list must be ascending values >= 1, got {args.n_list!r}")
 
 
-def _add_common(sub, spec_required=True):
-    sub.add_argument("--spec", required=spec_required, help="walk config file")
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValidationError, so they exit 1 like any bad input."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
+def _add_common(sub, formats=("csv", "json", "tsv"), mem=True, order=False):
+    """--spec, --out and --format, and --mem-limit-mb / --order where they are read."""
+    sub.add_argument("--spec", required=True, help="walk config file")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
-    sub.add_argument("--format", choices=("csv", "json", "tsv"), default="csv")
-    sub.add_argument("--mem-limit-mb", type=int, default=2048,
-                     help="memory cap for exact engines and the simulator (MiB)")
-    sub.add_argument("--order", type=int, default=None, help="expansion order L")
+    sub.add_argument("--format", choices=formats, default="csv")
+    if mem:
+        sub.add_argument("--mem-limit-mb", type=int, default=2048,
+                         help="memory cap for exact engines and the simulator (MiB)")
+    if order:
+        sub.add_argument("--order", type=int, default=None, help="expansion order L")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="lltwalk",
         description="Exact and asymptotic laws of lattice walks with a perturbed exit law at the origin.",
     )
@@ -75,13 +84,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help="max pairwise route deviation allowed with --route all")
 
     p_asym = sp.add_parser("asymptotic", help="export asymptotic predictions over the window")
-    _add_common(p_asym)
+    _add_common(p_asym, mem=False, order=True)
     p_asym.add_argument("--n", type=int, required=True)
     p_asym.add_argument("--window", type=float, default=None,
                         help="euclidean radius (default 4*sqrt(lambda_max(B)*n))")
 
     p_cmp = sp.add_parser("compare", help="exact vs asymptotic over several n, with decay slopes")
-    _add_common(p_cmp)
+    _add_common(p_cmp, formats=("csv", "json"), order=True)
     p_cmp.add_argument("--n-list", required=True, help="comma separated, ascending")
     p_cmp.add_argument("--route", choices=exact_engine.ROUTES, default="fourier")
     p_cmp.add_argument("--window", type=float, default=None)
@@ -94,10 +103,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=0)
 
     p_coef = sp.add_parser("coeffs", help="print the expansion coefficient table")
-    _add_common(p_coef)
+    _add_common(p_coef, mem=False, order=True)
 
     p_id = sp.add_parser("identities", help="run the special-function identity suite")
-    _add_common(p_id, spec_required=False)
+    p_id.add_argument("--out", default=None, help="output path (default stdout)")
     p_id.add_argument("--x", type=float, default=1.0)
     p_id.add_argument("--eps", type=float, default=0.01)
     p_id.add_argument("--tol", type=float, default=1e-3)
@@ -111,14 +120,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_exact(args) -> int:
-    spec = load_walk_spec(args.spec, L=args.order or 4)
+    spec = load_walk_spec(args.spec)
     mem = args.mem_limit_mb << 20
     if args.law == "unperturbed":
         pmf = exact_engine.convolve_power(spec.p, args.n, mem_limit=mem)
         dist = exact_engine.ExactDistribution(n=args.n, pmf=pmf, route="fourier")
-        _emit(io_text.distribution_text(dist, args.format), args.out)
-        return 0
-    if args.route == "all":
+    elif args.route == "all":
         t0 = time.perf_counter()
         dists, worst = exact_engine.cross_check(
             spec, args.n, tol=args.check_tol, mem_limit=mem
@@ -129,28 +136,16 @@ def _cmd_exact(args) -> int:
             f"(tol {args.check_tol:.1e}, {dt:.2f}s)",
             file=sys.stderr,
         )
-        _emit(io_text.distribution_text(dists["fourier"], args.format), args.out)
-        return 0
-    dist = exact_engine.perturbed_distribution(spec, args.n, route=args.route, mem_limit=mem)
+        dist = dists["fourier"]
+    else:
+        dist = exact_engine.perturbed_distribution(spec, args.n, route=args.route, mem_limit=mem)
     _emit(io_text.distribution_text(dist, args.format), args.out)
     return 0
 
 
 def _cmd_asymptotic(args) -> int:
     spec = load_walk_spec(args.spec, L=args.order or 4)
-    coeffs = edgeworth_coeffs(spec.p, args.order or spec.L) if spec.unperturbed else None
-    rad = args.window if args.window is not None else harness.default_window(spec, args.n)
-    lo = [-int(rad) for _ in range(spec.nu)]
-    hi = [int(rad) for _ in range(spec.nu)]
-    preds = []
-    from itertools import product as iproduct
-
-    for pt in iproduct(*[range(l, h + 1) for l, h in zip(lo, hi)]):
-        if sum(c * c for c in pt) > rad * rad:
-            continue
-        if spec.nu == 2 and not any(pt) and not spec.unperturbed:
-            continue  # correction singular at the origin
-        preds.append(asymptotic_prediction(spec, args.n, pt, coeffs=coeffs))
+    preds = harness.window_predictions(spec, args.n, args.window)
     _emit(io_text.predictions_text(preds, spec.nu, args.format), args.out)
     return 0
 
@@ -163,13 +158,11 @@ def _cmd_compare(args) -> int:
         window=args.window,
         route=args.route,
         crosscheck=not args.no_crosscheck,
-        order=args.order,
         mem_limit=args.mem_limit_mb << 20,
     )
     text = rep.to_json() if args.format == "json" else rep.to_csv()
     _emit(text, args.out)
-    summary = rep.summary()
-    print(f"slopes: {summary['slopes']}", file=sys.stderr)
+    print(f"slopes: {rep.slopes}", file=sys.stderr)
     if rep.route_deviation:
         worst = max(rep.route_deviation.values())
         print(f"route cross-check worst deviation: {worst:.3e}", file=sys.stderr)
@@ -188,7 +181,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_coeffs(args) -> int:
     spec = load_walk_spec(args.spec, L=args.order or 4)
-    coeffs = edgeworth_coeffs(spec.p, args.order or spec.L)
+    coeffs = edgeworth_coeffs(spec.p, spec.L)
     _emit(io_text.coeffs_text(coeffs, args.format), args.out)
     return 0
 
@@ -224,8 +217,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_counts(args)
         return _COMMANDS[args.cmd](args)
     except (ValidationError, OSError) as exc:

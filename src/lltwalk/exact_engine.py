@@ -161,7 +161,8 @@ def convolve_power(
         return p
 
     if method == "direct":
-        lo, shape, org = _box((p,), n, 24, mem_limit)  # two buffers + one product
+        # the walk starts at the origin, which the hull of p may miss
+        lo, shape, org = _box((p, _delta(p.dim)), n, 24, mem_limit)  # two buffers + one product
         offs, ws = _kernel_arrays(p)
         for _, cur, _ in _walk(shape, org, p.radius, _delta(p.dim), offs, ws, n):
             pass

@@ -8,14 +8,13 @@ only and never on how work might be partitioned.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.stats import chi2 as chi2_dist
 
-from . import exact_engine
+from . import exact_engine, io_text
 from .asymptotics import (
     edgeworth_factor_many,
     gaussian_leading_many,
@@ -25,8 +24,6 @@ from .spectral import EdgeworthCoeffs, edgeworth_coeffs
 from .walk_model import LatticePMF, WalkSpec
 
 SIM_CHUNK = 1 << 17  # trials per chunk; fixed so results are partition independent
-
-SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -153,7 +150,7 @@ def chi_squared_check(
 
 
 # ---------------------------------------------------------------------------
-# comparison pipeline
+# predictions and the comparison pipeline
 # ---------------------------------------------------------------------------
 
 def default_window(spec: WalkSpec, n: int) -> float:
@@ -162,13 +159,82 @@ def default_window(spec: WalkSpec, n: int) -> float:
     return 4.0 * math.sqrt(lam * n)
 
 
-def _window_points(dist: exact_engine.ExactDistribution, radius: float) -> np.ndarray:
-    box = dist.pmf.box
-    axes = [np.arange(lo, hi + 1) for lo, hi in box]
-    grids = np.meshgrid(*axes, indexing="ij")
+def _window_points(box, radius: float) -> np.ndarray:
+    """Points of the box (per-axis inclusive bounds) within ``radius`` of 0, lexicographic."""
+    grids = np.meshgrid(*[np.arange(lo, hi + 1) for lo, hi in box], indexing="ij")
     X = np.stack([g.ravel() for g in grids], axis=1)
     keep = (X.astype(float) ** 2).sum(axis=1) <= radius**2
     return X[keep]
+
+
+def predict(spec: WalkSpec, n: int, X, coeffs: EdgeworthCoeffs | None = None):
+    """Gaussian term, perturbation correction and refinement factor over rows of X.
+
+    The two-dimensional correction is singular at the origin; it is 0
+    there, the one rule every report uses.  An unperturbed spec (d = 0)
+    gets no correction anywhere, and without ``coeffs`` the factor is 1.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    gauss = gaussian_leading_many(spec.B, n, X)
+    corr = np.zeros(len(X))
+    if not spec.unperturbed:
+        defined = X.any(axis=1) if spec.nu == 2 else np.ones(len(X), dtype=bool)
+        corr[defined] = perturbation_correction_many(spec, n, X[defined])
+    factor = np.ones(len(X)) if coeffs is None else edgeworth_factor_many(coeffs, n, X)
+    return gauss, corr, factor
+
+
+@dataclass(frozen=True)
+class AsymptoticPrediction:
+    """One evaluated prediction; total = gaussian + corrections."""
+
+    n: int
+    x: tuple
+    gaussian_leading: float
+    perturbation_correction: float
+    edgeworth_terms: float
+    total: float
+    within_horizon: bool
+
+
+def _prediction_rows(spec: WalkSpec, n: int, X, coeffs: EdgeworthCoeffs | None):
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    gauss, corr, factor = predict(spec, n, X, coeffs)
+    edge = gauss * (factor - 1.0)
+    L = coeffs.L if coeffs is not None else spec.L
+    inside = np.linalg.norm(X, axis=1) <= float(n) ** (1.0 - 1.0 / L)
+    cols = (gauss, corr, edge, gauss + corr + edge, inside)
+    return [
+        AsymptoticPrediction(n, tuple(int(c) for c in x), *vals)
+        for x, *vals in zip(X, *(c.tolist() for c in cols))
+    ]
+
+
+def asymptotic_prediction(
+    spec: WalkSpec,
+    n: int,
+    x,
+    coeffs: EdgeworthCoeffs | None = None,
+) -> AsymptoticPrediction:
+    """Assembled prediction at one point: one row of :func:`predict`.
+
+    total = gaussian + perturbation correction (+ Hermite refinement terms
+    when coefficients are supplied; for an unperturbed spec that makes the
+    total the refined expansion value).
+    """
+    return _prediction_rows(spec, n, [x], coeffs)[0]
+
+
+def window_predictions(spec: WalkSpec, n: int, window: float | None = None) -> list:
+    """Predictions at every lattice point within the window, lexicographic.
+
+    The window defaults to :func:`default_window`; an unperturbed spec gets
+    the refined expansion at order spec.L.
+    """
+    coeffs = edgeworth_coeffs(spec.p, spec.L) if spec.unperturbed else None
+    rad = window if window is not None else default_window(spec, n)
+    X = _window_points([(-int(rad), int(rad))] * spec.nu, rad)
+    return _prediction_rows(spec, n, X, coeffs)
 
 
 @dataclass
@@ -192,39 +258,10 @@ class ConvergenceReport:
     meta: dict = field(default_factory=dict)
 
     def to_csv(self) -> str:
-        cols = ["n"] + [f"x{i+1}" for i in range(self.nu)] + ["exact"]
-        for f in self.flavors:
-            cols += [f, f"{f}_abs_err", f"{f}_scaled_err"]
-        lines = [",".join(cols)]
-        for row in self.rows:
-            vals = [str(row["n"])] + [str(c) for c in row["x"]]
-            vals.append(f"{row['exact']:.17g}")
-            for f in self.flavors:
-                vals += [
-                    f"{row[f]:.17g}",
-                    f"{row[f + '_abs_err']:.17g}",
-                    f"{row[f + '_scaled_err']:.17g}",
-                ]
-            lines.append(",".join(vals))
-        return "\n".join(lines) + "\n"
-
-    def summary(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "spec": self.spec_summary,
-            "nu": self.nu,
-            "n_list": list(self.n_list),
-            "flavors": list(self.flavors),
-            "max_scaled_err": {f: {str(n): v for n, v in d.items()} for f, d in self.max_scaled_err.items()},
-            "slopes": self.slopes,
-            "route_deviation": {str(n): v for n, v in self.route_deviation.items()},
-            "meta": self.meta,
-        }
+        return io_text.report_text(self, "csv")
 
     def to_json(self) -> str:
-        payload = self.summary()
-        payload["rows"] = self.rows
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return io_text.report_text(self, "json")
 
 
 def _fit_slope(ns, errs):
@@ -259,13 +296,8 @@ def compare(
         raise ValueError("n_list must be ascending")
 
     L = order or spec.L
-    coeffs: EdgeworthCoeffs | None = None
-    flavors = ["gaussian"]
-    if spec.unperturbed:
-        coeffs = edgeworth_coeffs(spec.p, L)
-        flavors.append("edgeworth")
-    else:
-        flavors.append("corrected")
+    coeffs = edgeworth_coeffs(spec.p, L) if spec.unperturbed else None
+    flavors = ["gaussian", "edgeworth" if spec.unperturbed else "corrected"]
 
     rep = ConvergenceReport(
         spec_summary=f"nu={spec.nu} d={spec.d.tolist()} unperturbed={spec.unperturbed}",
@@ -286,32 +318,21 @@ def compare(
             alt = exact_engine.perturbed_distribution(spec, n, route=other, mem_limit=mem_limit)
             rep.route_deviation[n] = exact_engine.max_abs_difference(dist.pmf, alt.pmf)
         rad = window if window is not None else default_window(spec, n)
-        X = _window_points(dist, rad)
-        exact_vals = np.array([dist.pmf.value_at(tuple(pt)) for pt in X])
-        Xf = X.astype(float)
-
-        preds = {"gaussian": gaussian_leading_many(spec.B, n, Xf)}
-        if "corrected" in flavors:
-            nonzero = Xf.any(axis=1) if spec.nu == 2 else np.ones(len(Xf), dtype=bool)
-            corr = np.zeros(len(Xf))
-            if nonzero.any():
-                corr[nonzero] = perturbation_correction_many(spec, n, Xf[nonzero])
-            preds["corrected"] = preds["gaussian"] + corr
-        if "edgeworth" in flavors:
-            preds["edgeworth"] = preds["gaussian"] * edgeworth_factor_many(coeffs, n, Xf)
+        X = _window_points(dist.pmf.box, rad)
+        exact_vals = dist.pmf.weights[tuple((X - dist.pmf.offset).T)]
+        gauss, corr, factor = predict(spec, n, X, coeffs)
+        refined = gauss * factor if spec.unperturbed else gauss + corr
 
         scale = float(n) ** (spec.nu / 2.0)
-        for i, pt in enumerate(X):
-            row = {"n": n, "x": [int(c) for c in pt], "exact": float(exact_vals[i])}
-            for f in flavors:
-                err = abs(float(exact_vals[i]) - float(preds[f][i]))
-                row[f] = float(preds[f][i])
-                row[f + "_abs_err"] = err
-                row[f + "_scaled_err"] = scale * err
-            rep.rows.append(row)
-        for f in flavors:
-            errs = np.abs(exact_vals - preds[f])
-            rep.max_scaled_err.setdefault(f, {})[n] = scale * float(errs.max())
+        cols = {"exact": exact_vals}
+        for f, pred in zip(flavors, (gauss, refined)):
+            err = np.abs(exact_vals - pred)
+            cols.update({f: pred, f"{f}_abs_err": err, f"{f}_scaled_err": scale * err})
+            rep.max_scaled_err.setdefault(f, {})[n] = scale * float(err.max())
+        cols = {k: v.tolist() for k, v in cols.items()}
+        rep.rows += [
+            {"n": n, "x": x, **{k: v[i] for k, v in cols.items()}} for i, x in enumerate(X.tolist())
+        ]
 
     for f in flavors:
         table = rep.max_scaled_err[f]

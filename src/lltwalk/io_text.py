@@ -1,154 +1,118 @@
-"""Columnar text, CSV and JSON renderers for the exportable objects.
+"""CSV, TSV and JSON renderers for every report the CLI writes.
 
-All floats are written with repr precision (%.17g) and no timestamps, so a
-given input always produces byte-identical files.
+Each renderer builds only its rows and its payload; ``_table`` and
+``_json`` write them.  All floats are written with repr precision (%.17g)
+and no timestamps, so a given input always produces byte-identical files.
 """
 
 from __future__ import annotations
 
 import json
 
-from .exact_engine import ExactDistribution
-from .harness import SCHEMA_VERSION, EmpiricalPMF
+SCHEMA_VERSION = 1
 
 
-def _rows_text(header: str, colnames, rows, sep: str) -> str:
-    lines = [header, sep.join(colnames)]
-    for row in rows:
-        lines.append(sep.join(row))
+def _json(**payload) -> str:
+    return json.dumps({"schema_version": SCHEMA_VERSION, **payload}, indent=2, sort_keys=True) + "\n"
+
+
+def _table(fmt: str, header: str | None, columns, rows) -> str:
+    """A '# ...' header line (if any), the column names, then one line per row."""
+    sep = "," if fmt == "csv" else "\t"
+    lines = [header] if header else []
+    lines.append(sep.join(columns))
+    lines.extend(sep.join(row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
-def distribution_text(dist: ExactDistribution, fmt: str = "csv") -> str:
+def _coords(nu: int) -> list:
+    return [f"x{i+1}" for i in range(nu)]
+
+
+def distribution_text(dist, fmt: str = "csv") -> str:
     """One row per support point, coordinates then mass, lexicographic order."""
     nu = dist.pmf.dim
-    colnames = [f"x{i+1}" for i in range(nu)] + ["mass"]
-    rows = [
-        [str(c) for c in pt] + [f"{w:.17g}"] for pt, w in dist.pmf.points()
-    ]
+    points = list(dist.pmf.points())
     if fmt == "json":
-        return json.dumps(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "n": dist.n,
-                "nu": nu,
-                "route": dist.route,
-                "points": [[*pt, w] for pt, w in dist.pmf.points()],
-            },
-            indent=2,
-            sort_keys=True,
-        ) + "\n"
-    sep = "," if fmt == "csv" else "\t"
-    header = f"# n={dist.n} nu={nu} route={dist.route}"
-    return _rows_text(header, colnames, rows, sep)
+        return _json(n=dist.n, nu=nu, route=dist.route, points=[[*pt, w] for pt, w in points])
+    rows = ([str(c) for c in pt] + [f"{w:.17g}"] for pt, w in points)
+    return _table(fmt, f"# n={dist.n} nu={nu} route={dist.route}", _coords(nu) + ["mass"], rows)
 
 
-def empirical_text(emp: EmpiricalPMF, fmt: str = "csv") -> str:
+def empirical_text(emp, fmt: str = "csv") -> str:
     nu = emp.counts.ndim
-    colnames = [f"x{i+1}" for i in range(nu)] + ["count"]
-    rows = [[str(c) for c in pt] + [str(cnt)] for pt, cnt in emp.points()]
+    points = list(emp.points())
     if fmt == "json":
-        return json.dumps(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "n": emp.n,
-                "nu": nu,
-                "trials": emp.trials,
-                "seed": emp.seed,
-                "counts": [[*pt, cnt] for pt, cnt in emp.points()],
-            },
-            indent=2,
-            sort_keys=True,
-        ) + "\n"
-    sep = "," if fmt == "csv" else "\t"
+        return _json(n=emp.n, nu=nu, trials=emp.trials, seed=emp.seed,
+                     counts=[[*pt, cnt] for pt, cnt in points])
+    rows = ([str(c) for c in pt] + [str(cnt)] for pt, cnt in points)
     header = f"# n={emp.n} nu={nu} trials={emp.trials} seed={emp.seed}"
-    return _rows_text(header, colnames, rows, sep)
+    return _table(fmt, header, _coords(nu) + ["count"], rows)
+
+
+_TERMS = ("gaussian_leading", "perturbation_correction", "edgeworth_terms", "total")
 
 
 def predictions_text(preds, nu: int, fmt: str = "csv") -> str:
     """Rows of AsymptoticPrediction with one column per term."""
-    colnames = (
-        [f"x{i+1}" for i in range(nu)]
-        + ["gaussian_leading", "perturbation_correction", "edgeworth_terms", "total", "within_horizon"]
-    )
     if fmt == "json":
-        return json.dumps(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "predictions": [
-                    {
-                        "x": list(p.x),
-                        "n": p.n,
-                        "gaussian_leading": p.gaussian_leading,
-                        "perturbation_correction": p.perturbation_correction,
-                        "edgeworth_terms": p.edgeworth_terms,
-                        "total": p.total,
-                        "within_horizon": p.within_horizon,
-                    }
-                    for p in preds
-                ],
-            },
-            indent=2,
-            sort_keys=True,
-        ) + "\n"
-    sep = "," if fmt == "csv" else "\t"
-    rows = []
+        return _json(predictions=[
+            {"x": list(p.x), "n": p.n, "within_horizon": p.within_horizon,
+             **{t: getattr(p, t) for t in _TERMS}}
+            for p in preds
+        ])
+    rows = (
+        [str(c) for c in p.x]
+        + [f"{getattr(p, t):.17g}" for t in _TERMS]
+        + ["1" if p.within_horizon else "0"]
+        for p in preds
+    )
     n = preds[0].n if preds else 0
-    for p in preds:
-        rows.append(
-            [str(c) for c in p.x]
-            + [
-                f"{p.gaussian_leading:.17g}",
-                f"{p.perturbation_correction:.17g}",
-                f"{p.edgeworth_terms:.17g}",
-                f"{p.total:.17g}",
-                "1" if p.within_horizon else "0",
-            ]
-        )
-    return _rows_text(f"# n={n} nu={nu}", colnames, rows, sep)
+    return _table(fmt, f"# n={n} nu={nu}", _coords(nu) + [*_TERMS, "within_horizon"], rows)
 
 
 def coeffs_text(coeffs, fmt: str = "csv") -> str:
     entries = sorted(coeffs.m.items())
     if fmt == "json":
-        return json.dumps(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "L": coeffs.L,
-                "B": coeffs.B.tolist(),
-                "exact": coeffs.exact,
-                "m": [
-                    {"alpha": list(a), "value": float(v), "exact": str(v) if coeffs.exact else None}
-                    for a, v in entries
-                ],
-            },
-            indent=2,
-            sort_keys=True,
-        ) + "\n"
-    sep = "," if fmt == "csv" else "\t"
-    rows = []
-    for a, v in entries:
-        exact_str = str(v) if coeffs.exact else ""
-        rows.append([" ".join(str(i) for i in a), f"{float(v):.17g}", exact_str])
-    return _rows_text(f"# L={coeffs.L} exact={int(coeffs.exact)}", ["alpha", "m", "m_exact"], rows, sep)
+        return _json(L=coeffs.L, B=coeffs.B.tolist(), exact=coeffs.exact, m=[
+            {"alpha": list(a), "value": float(v), "exact": str(v) if coeffs.exact else None}
+            for a, v in entries
+        ])
+    rows = (
+        [" ".join(str(i) for i in a), f"{float(v):.17g}", str(v) if coeffs.exact else ""]
+        for a, v in entries
+    )
+    return _table(fmt, f"# L={coeffs.L} exact={int(coeffs.exact)}", ["alpha", "m", "m_exact"], rows)
 
 
 def returns_text(f_pert, f_unpert, fmt: str = "csv") -> str:
+    pairs = list(enumerate(zip(f_pert, f_unpert), start=1))
     if fmt == "json":
-        return json.dumps(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "rows": [
-                    {"n": i + 1, "f": float(a), "f_unperturbed": float(b), "abs_diff": abs(float(a) - float(b))}
-                    for i, (a, b) in enumerate(zip(f_pert, f_unpert))
-                ],
-            },
-            indent=2,
-            sort_keys=True,
-        ) + "\n"
-    sep = "," if fmt == "csv" else "\t"
-    rows = [
-        [str(i + 1), f"{a:.17g}", f"{b:.17g}", f"{abs(a - b):.3e}"]
-        for i, (a, b) in enumerate(zip(f_pert, f_unpert))
-    ]
-    return _rows_text("# first-return probabilities", ["n", "f", "f_unperturbed", "abs_diff"], rows, sep)
+        return _json(rows=[
+            {"n": i, "f": float(a), "f_unperturbed": float(b), "abs_diff": abs(float(a) - float(b))}
+            for i, (a, b) in pairs
+        ])
+    rows = ([str(i), f"{a:.17g}", f"{b:.17g}", f"{abs(a - b):.3e}"] for i, (a, b) in pairs)
+    return _table(fmt, "# first-return probabilities", ["n", "f", "f_unperturbed", "abs_diff"], rows)
+
+
+def report_text(rep, fmt: str = "csv") -> str:
+    """A ConvergenceReport: its summary and rows, or one line per (n, x)."""
+    if fmt == "json":
+        return _json(
+            spec=rep.spec_summary,
+            nu=rep.nu,
+            n_list=list(rep.n_list),
+            flavors=list(rep.flavors),
+            max_scaled_err={f: {str(n): v for n, v in d.items()} for f, d in rep.max_scaled_err.items()},
+            slopes=rep.slopes,
+            route_deviation={str(n): v for n, v in rep.route_deviation.items()},
+            meta=rep.meta,
+            rows=rep.rows,
+        )
+    keys = ["exact"] + [k for f in rep.flavors for k in (f, f"{f}_abs_err", f"{f}_scaled_err")]
+    rows = (
+        [str(row["n"])] + [str(c) for c in row["x"]] + [f"{row[k]:.17g}" for k in keys]
+        for row in rep.rows
+    )
+    return _table(fmt, None, ["n", *_coords(rep.nu), *keys], rows)

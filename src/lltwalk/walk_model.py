@@ -218,6 +218,15 @@ def exact_moment(f: LatticeFn, alpha: Sequence[int]) -> Fraction:
     )
 
 
+def second_moments(f: LatticeFn) -> np.ndarray:
+    """Matrix of the exact second moments sum_x x_i x_j f(x), each rounded once."""
+    axes = range(f.dim)
+    return np.array([
+        [float(exact_moment(f, [(k == i) + (k == j) for k in axes])) for j in axes]
+        for i in axes
+    ])
+
+
 def perturbation(p: LatticePMF, q: LatticePMF) -> SignedLatticeFn:
     """q - p as a signed lattice function (exact arithmetic)."""
     if p.dim != q.dim:
@@ -362,13 +371,7 @@ def validate_walk_spec(
     if g != 1:
         raise Periodic(f"return times to the origin share the factor {g}")
 
-    B = np.empty((nu, nu))
-    for i in range(nu):
-        for j in range(nu):
-            alpha = [0] * nu
-            alpha[i] += 1
-            alpha[j] += 1
-            B[i, j] = float(exact_moment(p, alpha))
+    B = second_moments(p)
     eig = np.linalg.eigvalsh(B)
     if eig.min() <= 0:
         raise SingularCovariance(f"step covariance not positive definite: eigenvalues {eig}")

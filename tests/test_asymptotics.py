@@ -178,6 +178,13 @@ def test_unperturbed_2d_origin_prediction_is_defined(unit_cov_2d, lazy_p):
     assert pred.perturbation_correction == 0.0
 
 
+def test_perturbed_2d_origin_prediction_has_zero_correction(unit_cov_2d):
+    # the one origin rule: the singular 2-D correction is 0 at x = 0
+    pred = asymptotic_prediction(unit_cov_2d, 50, [0, 0])
+    assert pred.perturbation_correction == 0.0
+    assert pred.total == pred.gaussian_leading
+
+
 def test_prediction_mass_sums_to_one(lazy_pert):
     # correction is odd in x, so it cancels in the sum; the Gaussian sums to
     # 1 up to Poisson-summation corrections

@@ -160,3 +160,86 @@ def test_exact_unperturbed_law(tmp_path):
     rows = out.read_text().splitlines()[2:]
     masses = {int(r.split(",")[0]): float(r.split(",")[1]) for r in rows}
     assert masses[0] == pytest.approx(0.2734375, abs=1e-12)  # central mass of the 4-step law
+
+
+CFG = config_path("lazy_pert_1d.cfg")
+
+
+@pytest.mark.parametrize("argv", [
+    ["exact", "--spec", CFG],
+    ["exact", "--spec", CFG, "--n", "5", "--route", "bogus"],
+])
+def test_usage_error_exit_code(capsys, argv):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValidationError: lltwalk exact:")
+    assert "Traceback" not in err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["exact", "--help"])
+    assert exc.value.code == 0
+    assert "--route" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["identities", "--spec", CFG],
+    ["identities", "--format", "json"],
+    ["identities", "--mem-limit-mb", "64"],
+    ["identities", "--order", "4"],
+    ["coeffs", "--spec", CFG, "--mem-limit-mb", "64"],
+    ["asymptotic", "--spec", CFG, "--n", "8", "--mem-limit-mb", "64"],
+    ["exact", "--spec", CFG, "--n", "8", "--order", "4"],
+    ["simulate", "--spec", CFG, "--n", "8", "--trials", "10", "--order", "4"],
+    ["returns", "--spec", CFG, "--order", "4"],
+    ["compare", "--spec", CFG, "--n-list", "8", "--format", "tsv"],
+])
+def test_unread_option_rejected(capsys, argv):
+    # a subcommand accepts only the options it reads
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ValidationError:")
+
+
+_REPORT_ARGS = {
+    "exact": ["--n", "6"],
+    "simulate": ["--n", "6", "--trials", "100"],
+    "returns": ["--n-max", "6"],
+    "coeffs": [],
+    "asymptotic": ["--n", "16"],
+    "compare": ["--n-list", "4,8"],
+}
+
+
+@pytest.mark.parametrize("cmd,fmt", [
+    (cmd, fmt) for cmd in _REPORT_ARGS
+    for fmt in (("csv", "json") if cmd == "compare" else ("csv", "tsv", "json"))
+])
+def test_report_formats(tmp_path, capsys, cmd, fmt):
+    out = tmp_path / f"report.{fmt}"
+    argv = [cmd, "--spec", config_path("unit_cov_2d.cfg"), *_REPORT_ARGS[cmd]]
+    assert main(argv + ["--format", fmt, "--out", str(out)]) == 0
+    text = out.read_text()
+    if fmt == "json":
+        assert json.loads(text)["schema_version"] == 1
+        return
+    sep, other = (",", "\t") if fmt == "csv" else ("\t", ",")
+    lines = [line for line in text.splitlines() if not line.startswith("#")]
+    width = len(lines[0].split(sep))
+    assert width > 1 and len(lines) > 1
+    for line in lines:
+        assert len(line.split(sep)) == width and other not in line
+
+
+def test_asymptotic_2d_origin_row_has_zero_correction(tmp_path):
+    out = tmp_path / "asym.csv"
+    rc = main([
+        "asymptotic", "--spec", config_path("unit_cov_2d.cfg"), "--n", "16",
+        "--out", str(out),
+    ])
+    assert rc == 0
+    lines = out.read_text().splitlines()
+    assert lines[1].split(",")[3] == "perturbation_correction"
+    origin = [line.split(",") for line in lines[2:] if line.startswith("0,0,")]
+    assert len(origin) == 1
+    assert float(origin[0][3]) == 0.0

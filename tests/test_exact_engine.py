@@ -68,6 +68,17 @@ def test_convolve_power_methods_agree_2d(unit_cov_2d):
     assert max_abs_difference(a, b) < 1e-14
 
 
+@pytest.mark.parametrize("points", [{2: 1}, {1: "1/2", 2: "1/2"}])
+def test_convolve_power_methods_agree_off_origin_hull(points):
+    # the hull of p misses the origin; the stepper's box must still hold it
+    from lltwalk import LatticePMF
+
+    p = LatticePMF.from_points(1, points)
+    a = convolve_power(p, 3, method="fft")
+    b = convolve_power(p, 3, method="direct")
+    assert max_abs_difference(a, b) < 1e-14
+
+
 def test_forward_one_step_is_exit_law(lazy_pert):
     d = perturbed_forward(lazy_pert, 1)
     for pt, w in lazy_pert.q.points():

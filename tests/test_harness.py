@@ -4,7 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from lltwalk import chi_squared_check, compare, convolve_power, perturbed_fourier, simulate
+from lltwalk import (
+    asymptotic_prediction,
+    chi_squared_check,
+    compare,
+    convolve_power,
+    perturbed_fourier,
+    simulate,
+)
 from lltwalk.harness import default_window
 
 
@@ -127,6 +134,17 @@ def test_report_serialization(lazy_pert):
     assert "rows" in payload
     # deterministic output
     assert rep.to_csv() == csv
+
+
+def test_compare_and_asymptotic_share_predictions(unit_cov_2d):
+    # both evaluate harness.predict, so the values agree bit for bit,
+    # the 2-D origin included
+    rep = compare(unit_cov_2d, [8], route="dp", crosscheck=False)
+    assert any(row["x"] == [0, 0] for row in rep.rows)
+    for row in rep.rows:
+        pred = asymptotic_prediction(unit_cov_2d, 8, row["x"])
+        assert row["gaussian"] == pred.gaussian_leading
+        assert row["corrected"] == pred.total
 
 
 def test_default_window(lazy_pert):

@@ -13,7 +13,13 @@ from lltwalk.errors import (
     Periodic,
     Reducible,
 )
-from lltwalk.walk_model import SignedLatticeFn, exact_moment, is_antisymmetric, perturbation
+from lltwalk.walk_model import (
+    SignedLatticeFn,
+    exact_moment,
+    is_antisymmetric,
+    perturbation,
+    second_moments,
+)
 
 
 def lazy():
@@ -155,3 +161,11 @@ def test_perturbation_exact_arithmetic():
     assert a.exact_at(1) == Fraction(1, 20)
     assert a.exact_at(-1) == -Fraction(1, 20)
     assert a.is_balanced()
+
+
+def test_second_moments_matrix(unit_cov_2d):
+    p = LatticePMF.from_points(1, {0: "1/2", 1: "1/4", -1: "1/4"})
+    assert second_moments(p).tolist() == [[0.5]]
+    assert second_moments(unit_cov_2d.p).tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    skew = LatticePMF.from_points(2, {(1, 1): "1/2", (-1, -1): "1/2"})
+    assert second_moments(skew).tolist() == [[1.0, 1.0], [1.0, 1.0]]

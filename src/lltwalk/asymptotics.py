@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .errors import CoeffOrderMismatch, DimensionMismatch, OriginUndefined, SingularCovariance
-from .spectral import EdgeworthCoeffs, unit_frame_terms
+from .spectral import EdgeworthCoeffs, _series_expm1, unit_frame_terms
 from .special_fn import hermite_table
 from .walk_model import LatticePMF, WalkSpec, second_moments
 
@@ -97,44 +97,17 @@ def perturbation_correction(spec: WalkSpec, n: int, x) -> float:
 # Hermite-corrected expansion for the unperturbed walk
 # ---------------------------------------------------------------------------
 
-def _order_collected_terms(coeffs: EdgeworthCoeffs):
+def _order_collected_terms(unit_terms: dict, L: int) -> dict:
     """exp of the non-Gaussian log part, collected by half-integer n-order.
 
-    Returns {(alpha, j): c}: the relative correction is
+    Returns {alpha + (j,): c}: the relative correction is
     sum c * (-1)^{|alpha|/2} H_alpha(x'/sqrt(n)) / n^{j/2} with j <= L - 2.
     A term built from log coefficients alpha_1..alpha_r carries
     j = sum (|alpha_i| - 2), so products enter at their true order instead
     of being misfiled under |alpha| - 2.
     """
-    jcap = coeffs.L - 2
-    _, _, unit_terms = unit_frame_terms(coeffs)
-    base = {}
-    for alpha, v in unit_terms.items():
-        j = sum(alpha) - 2
-        if 1 <= j <= jcap:
-            base[(alpha, j)] = float(v)
-
-    def mul(a, b):
-        out = {}
-        for (ka, ja), va in a.items():
-            for (kb, jb), vb in b.items():
-                if ja + jb > jcap:
-                    continue
-                key = (tuple(x + y for x, y in zip(ka, kb)), ja + jb)
-                out[key] = out.get(key, 0.0) + va * vb
-        return out
-
-    total = {}
-    term = dict(base)
-    k = 1
-    while term:
-        for key, v in term.items():
-            total[key] = total.get(key, 0.0) + v
-        k += 1
-        term = {key: v / k for key, v in mul(term, base).items()}
-        if k > jcap + 1:
-            break
-    return total
+    base = {alpha + (sum(alpha) - 2,): float(v) for alpha, v in unit_terms.items()}
+    return _series_expm1(base, L - 2, deg=lambda key: key[-1])
 
 
 def edgeworth_factor_many(coeffs: EdgeworthCoeffs, n: int, X: np.ndarray) -> np.ndarray:
@@ -143,15 +116,15 @@ def edgeworth_factor_many(coeffs: EdgeworthCoeffs, n: int, X: np.ndarray) -> np.
     nu = coeffs.B.shape[0]
     if X.shape[1] != nu:
         raise DimensionMismatch(f"x has dim {X.shape[1]}, coefficients have {nu}")
-    O, sig, _ = unit_frame_terms(coeffs)
+    O, sig, unit_terms = unit_frame_terms(coeffs)
     U = (X @ O) / sig / math.sqrt(n)
-    collected = _order_collected_terms(coeffs)
+    collected = _order_collected_terms(unit_terms, coeffs.L)
     if not collected:
         return np.ones(X.shape[0])
-    max_deg = max(max(alpha) for (alpha, _) in collected)
+    max_deg = max(max(key[:-1]) for key in collected)
     tables = [hermite_table(max_deg, U[:, i]) for i in range(nu)]
     factor = np.ones(X.shape[0])
-    for (alpha, j), c in sorted(collected.items()):
+    for (*alpha, j), c in sorted(collected.items()):
         herm = np.ones(X.shape[0])
         for i, a in enumerate(alpha):
             if a:

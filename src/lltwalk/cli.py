@@ -9,6 +9,7 @@ returns.  Exit codes: 0 success, 1 validation or usage error, 2 resource limit,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -37,12 +38,23 @@ def _parse_n_list(s: str):
 
 
 def _check_counts(args):
-    """Reject out-of-range step and trial counts before any work starts."""
-    least = {"n": 1 if args.cmd == "asymptotic" else 0, "trials": 1, "n_max": 1}
-    for name, lo in least.items():
+    """Reject out-of-range counts, windows and tolerances before any work starts."""
+    first_n = 1 if args.cmd == "asymptotic" else 0
+    positive = (lambda v: 0 < v < math.inf, "finite and > 0")
+    rules = {
+        "n": (lambda v: v >= first_n, f">= {first_n}"),
+        "trials": (lambda v: v >= 1, ">= 1"),
+        "n_max": (lambda v: v >= 1, ">= 1"),
+        "window": (lambda v: 0 <= v < math.inf, "finite and >= 0"),
+        "x": positive,
+        "eps": (lambda v: 0 < v < 0.5, "in (0, 0.5)"),
+        "tol": positive,
+        "check_tol": positive,
+    }
+    for name, (ok, rule) in rules.items():
         value = getattr(args, name, None)
-        if value is not None and value < lo:
-            raise ValidationError(f"--{name.replace('_', '-')} must be >= {lo}, got {value}")
+        if value is not None and not ok(value):
+            raise ValidationError(f"--{name.replace('_', '-')} must be {rule}, got {value}")
     if args.cmd == "compare":
         ns = _parse_n_list(args.n_list)
         if not ns or ns[0] < 1 or sorted(ns) != ns:
@@ -80,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exact.add_argument("--n", type=int, required=True)
     p_exact.add_argument("--route", choices=exact_engine.ROUTES + ("all",), default="fourier")
     p_exact.add_argument("--law", choices=("perturbed", "unperturbed"), default="perturbed")
-    p_exact.add_argument("--check-tol", type=float, default=1e-12,
+    p_exact.add_argument("--check-tol", type=float, default=exact_engine.ROUTE_TOL,
                          help="max pairwise route deviation allowed with --route all")
 
     p_asym = sp.add_parser("asymptotic", help="export asymptotic predictions over the window")
@@ -114,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ret = sp.add_parser("returns", help="first-return probabilities, perturbed vs unperturbed")
     _add_common(p_ret)
     p_ret.add_argument("--n-max", type=int, default=50)
-    p_ret.add_argument("--check-tol", type=float, default=1e-12)
+    p_ret.add_argument("--check-tol", type=float, default=exact_engine.ROUTE_TOL)
 
     return ap
 
@@ -146,7 +158,7 @@ def _cmd_exact(args) -> int:
 def _cmd_asymptotic(args) -> int:
     spec = load_walk_spec(args.spec, L=args.order or 4)
     preds = harness.window_predictions(spec, args.n, args.window)
-    _emit(io_text.predictions_text(preds, spec.nu, args.format), args.out)
+    _emit(io_text.predictions_text(preds, args.n, spec.nu, args.format), args.out)
     return 0
 
 
@@ -166,8 +178,10 @@ def _cmd_compare(args) -> int:
     if rep.route_deviation:
         worst = max(rep.route_deviation.values())
         print(f"route cross-check worst deviation: {worst:.3e}", file=sys.stderr)
-        if worst > 1e-12:
-            raise CrossCheckError(f"route deviation {worst:.3e} exceeds 1e-12")
+        if worst > exact_engine.ROUTE_TOL:
+            raise CrossCheckError(
+                f"route deviation {worst:.3e} exceeds {exact_engine.ROUTE_TOL:.0e}"
+            )
     return 0
 
 

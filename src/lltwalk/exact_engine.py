@@ -10,7 +10,7 @@ Routes:
 * ``fourier`` the same decomposition assembled on a torus grid from powers
               of the characteristic function and inverted exactly.
 
-All three must agree to ~1e-12 pointwise; ``cross_check`` enforces that.
+All three must agree to ROUTE_TOL (1e-12) pointwise; ``cross_check`` enforces that.
 Convolution powers use pointwise powers of characteristic-function samples
 on a grid wide enough that the result is recovered exactly (the sampled
 transform is a trigonometric polynomial below the grid bandwidth).
@@ -30,6 +30,7 @@ from .walk_model import LatticeFn, LatticePMF, WalkSpec
 
 DEFAULT_MEM_LIMIT = 2 << 30  # bytes; generous but finite
 NEGATIVE_CLAMP = 1e-14       # frequency-route roundoff threshold
+ROUTE_TOL = 1e-12            # largest pointwise deviation allowed between routes
 
 ROUTES = ("dp", "repr", "fourier")
 
@@ -57,11 +58,12 @@ class ExactDistribution:
 # boxes, memory guards and the reachable-window stepper
 # ---------------------------------------------------------------------------
 
-def _guard_cells(shape, itemsize: int, mem_limit: int):
-    cells = math.prod(shape)
-    if cells * itemsize > mem_limit:
+def _guard_cells(shape, itemsize: int, mem_limit: int, extra: int = 0):
+    """Raise ResourceLimit if ``shape`` cells of ``itemsize`` bytes plus ``extra`` pass the cap."""
+    need = math.prod(shape) * itemsize + extra
+    if need > mem_limit:
         raise ResourceLimit(
-            f"needs {cells * itemsize / 2**20:.0f} MiB for shape {tuple(shape)}, "
+            f"needs {need / 2**20:.0f} MiB for shape {tuple(shape)}, "
             f"cap is {mem_limit / 2**20:.0f} MiB"
         )
 
@@ -69,7 +71,8 @@ def _guard_cells(shape, itemsize: int, mem_limit: int):
 def _box(fns, n: int, cell_bytes: int, mem_limit: int):
     """Box holding max(n, 1) steps of the hull of ``fns``, guarded at ``cell_bytes``.
 
-    Returns (lower corner, shape, index of the origin).
+    Returns (lower corner, shape, index of the origin).  ``cell_bytes = 0``
+    leaves the guard to the caller.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -77,7 +80,8 @@ def _box(fns, n: int, cell_bytes: int, mem_limit: int):
     lo = [m * min(f.box[ax][0] for f in fns) for ax in range(fns[0].dim)]
     hi = [m * max(f.box[ax][1] for f in fns) for ax in range(fns[0].dim)]
     shape = tuple(h - l + 1 for l, h in zip(lo, hi))
-    _guard_cells(shape, cell_bytes, mem_limit)
+    if cell_bytes:
+        _guard_cells(shape, cell_bytes, mem_limit)
     return lo, shape, tuple(-l for l in lo)
 
 
@@ -137,8 +141,58 @@ def _kernel_arrays(f: LatticeFn):
 
 
 # ---------------------------------------------------------------------------
-# convolution powers
+# the two pipelines: forward stepping and the torus grid
 # ---------------------------------------------------------------------------
+
+def _forward(p: LatticePMF, a: LatticeFn | None, hull, n: int, mem_limit: int) -> LatticePMF:
+    """Step from the origin n times by p; mass at the origin also moves by a.
+
+    The box holds n steps of ``hull`` and the origin, where the walk starts.
+    """
+    lo, shape, org = _box((*hull, _delta(p.dim)), n, 24, mem_limit)  # two buffers + one product
+    offs, ws = _kernel_arrays(p)
+    a_pts = list(a.points()) if a is not None else []
+    reach = max(f.radius for f in hull)
+
+    m0 = 0.0
+    for _, cur, _ in _walk(shape, org, reach, _delta(p.dim), offs, ws, n):
+        # transition from the origin differs from p by exactly a = q - p
+        if m0 != 0.0:
+            for pt, w in a_pts:
+                cur[tuple(o + c for o, c in zip(org, pt))] += m0 * w
+        m0 = cur[org]
+    return LatticePMF(dim=p.dim, offset=np.array(lo, dtype=np.int64), weights=cur)
+
+
+def _fourier(p: LatticePMF, a: LatticeFn | None, hull, n: int, mem_limit: int) -> LatticePMF:
+    """p^{*n} + a * sum_k r_k p^{*(n-1-k)} on a torus grid, inverted exactly.
+
+    r_k = p^{*k}(0) are the unperturbed origin returns; without ``a`` (or
+    with a = 0) this is the convolution power p^{*n}.  The grid is the
+    smallest fast odd size covering the box of n steps of ``hull``.
+    """
+    perturbed = a is not None and n > 0 and bool(a.as_dict())
+    lo, shape, _ = _box(hull, n, 0, mem_limit)
+    m = odd_smooth_size(max(shape))
+    # the peak, in complex grids: z and p^n, plus a^ and the seven of
+    # weighted_power_sum (s, c, h, four temporaries) when perturbed, or the
+    # inversion's three otherwise; r_k and its real copy add 32 n bytes
+    grids, extra = (10, 32 * n) if perturbed else (5, 0)
+    _guard_cells((m,) * p.dim, 16 * grids, mem_limit, extra)
+
+    z = charfn_grid(p, m).values
+    total = pow_binary(z, n)
+    if perturbed:
+        ahat = charfn_grid(a, m).values
+        r = origin_returns(z, n)
+        drift = float(np.abs(r.imag).max())
+        if drift > 1e-9:
+            raise CrossCheckError(f"origin returns acquired imaginary mass {drift!r}")
+        total = total + ahat * weighted_power_sum(z, r.real.astype(np.complex128))
+    spatial = invert_charfn(TorusGrid(dim=p.dim, m=m, values=total), offset=lo, shape=shape)
+    w = _clamp_tiny_negatives(spatial.weights)
+    return LatticePMF(dim=p.dim, offset=np.array(lo, dtype=np.int64), weights=w)
+
 
 def convolve_power(
     p: LatticePMF,
@@ -146,7 +200,7 @@ def convolve_power(
     method: str = "fft",
     mem_limit: int = DEFAULT_MEM_LIMIT,
 ) -> LatticePMF:
-    """n-fold self-convolution of a pmf.
+    """n-fold self-convolution of a pmf: the a = 0 case of both pipelines.
 
     ``method="fft"`` takes a pointwise n-th power of charfn samples on a
     sufficiently fine grid (exact; O(M^nu log n) via binary exponentiation);
@@ -159,27 +213,11 @@ def convolve_power(
         return _delta(p.dim)
     if n == 1:
         return p
-
-    if method == "direct":
-        # the walk starts at the origin, which the hull of p may miss
-        lo, shape, org = _box((p, _delta(p.dim)), n, 24, mem_limit)  # two buffers + one product
-        offs, ws = _kernel_arrays(p)
-        for _, cur, _ in _walk(shape, org, p.radius, _delta(p.dim), offs, ws, n):
-            pass
-        return LatticePMF(dim=p.dim, offset=np.array(lo, dtype=np.int64), weights=cur)
-
-    if method != "fft":
-        raise ValueError(f"unknown method {method!r}")
-    lo, shape, _ = _box((p,), n, 16, mem_limit)  # inverted weights + clamped copy
-    m = odd_smooth_size(max(shape))
-    _guard_cells((m,) * p.dim, 16 * 3, mem_limit)  # grid + powers + inversion
-    grid = charfn_grid(p, m)
-    powered = pow_binary(grid.values, n)
-    spatial = invert_charfn(
-        TorusGrid(dim=p.dim, m=m, values=powered), offset=lo, shape=shape
-    )
-    w = _clamp_tiny_negatives(spatial.weights)
-    return LatticePMF(dim=p.dim, offset=np.array(lo, dtype=np.int64), weights=w)
+    try:
+        pipeline = {"fft": _fourier, "direct": _forward}[method]
+    except KeyError:
+        raise ValueError(f"unknown method {method!r}") from None
+    return pipeline(p, None, (p,), n, mem_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -190,22 +228,8 @@ def perturbed_forward(
     spec: WalkSpec, n: int, mem_limit: int = DEFAULT_MEM_LIMIT
 ) -> ExactDistribution:
     """Forward recursion: origin mass exits by q, the rest steps by p."""
-    lo, shape, org = _box((spec.p, spec.q), n, 24, mem_limit)
-    p_offs, p_ws = _kernel_arrays(spec.p)
-    a_pts = list(spec.a.points())
-
-    m0 = 0.0
-    for _, cur, _ in _walk(shape, org, spec.radius, _delta(spec.nu), p_offs, p_ws, n):
-        # transition from the origin differs from p by exactly a = q - p
-        if m0 != 0.0:
-            for pt, w in a_pts:
-                cur[tuple(o + c for o, c in zip(org, pt))] += m0 * w
-        m0 = cur[org]
-    return ExactDistribution(
-        n=n,
-        pmf=LatticePMF(dim=spec.nu, offset=np.array(lo, dtype=np.int64), weights=cur),
-        route="dp",
-    )
+    pmf = _forward(spec.p, spec.a, (spec.p, spec.q), n, mem_limit)
+    return ExactDistribution(n=n, pmf=pmf, route="dp")
 
 
 def perturbed_via_representation(
@@ -259,31 +283,8 @@ def perturbed_fourier(
     spec: WalkSpec, n: int, mem_limit: int = DEFAULT_MEM_LIMIT
 ) -> ExactDistribution:
     """Frequency-domain assembly of the same decomposition, inverted exactly."""
-    lo, shape, _ = _box((spec.p, spec.q), n, 16, mem_limit)  # weights + clamped copy
-    m = odd_smooth_size(max(shape))
-    _guard_cells((m,) * spec.nu, 16 * 5, mem_limit)  # phat/ahat/powers/sum/result
-
-    phat = charfn_grid(spec.p, m)
-    z = phat.values
-    pn_hat = pow_binary(z, n)
-    if n > 0 and spec.a.as_dict():
-        ahat = charfn_grid(spec.a, m).values
-        r = origin_returns(z, n)
-        drift = float(np.abs(r.imag).max())
-        if drift > 1e-9:
-            raise CrossCheckError(f"origin returns acquired imaginary mass {drift!r}")
-        s = weighted_power_sum(z, r.real.astype(np.complex128))
-        total = pn_hat + ahat * s
-    else:
-        total = pn_hat
-    spatial = invert_charfn(TorusGrid(dim=spec.nu, m=m, values=total),
-                            offset=lo, shape=shape)
-    w = _clamp_tiny_negatives(spatial.weights)
-    return ExactDistribution(
-        n=n,
-        pmf=LatticePMF(dim=spec.nu, offset=np.array(lo, dtype=np.int64), weights=w),
-        route="fourier",
-    )
+    pmf = _fourier(spec.p, spec.a, (spec.p, spec.q), n, mem_limit)
+    return ExactDistribution(n=n, pmf=pmf, route="fourier")
 
 
 _ROUTE_FNS = {
@@ -332,7 +333,7 @@ def cross_check(
     spec: WalkSpec,
     n: int,
     routes=ROUTES,
-    tol: float = 1e-12,
+    tol: float = ROUTE_TOL,
     mem_limit: int = DEFAULT_MEM_LIMIT,
 ):
     """Run several routes and compare pointwise.

@@ -159,6 +159,15 @@ def default_window(spec: WalkSpec, n: int) -> float:
     return 4.0 * math.sqrt(lam * n)
 
 
+def _window_radius(spec: WalkSpec, n: int, window: float | None) -> float:
+    """``window``, or :func:`default_window` when None; ValueError unless finite and >= 0."""
+    if window is None:
+        return default_window(spec, n)
+    if not 0 <= window < math.inf:
+        raise ValueError(f"window must be finite and >= 0, got {window!r}")
+    return window
+
+
 def _window_points(box, radius: float) -> np.ndarray:
     """Points of the box (per-axis inclusive bounds) within ``radius`` of 0, lexicographic."""
     grids = np.meshgrid(*[np.arange(lo, hi + 1) for lo, hi in box], indexing="ij")
@@ -231,8 +240,8 @@ def window_predictions(spec: WalkSpec, n: int, window: float | None = None) -> l
     The window defaults to :func:`default_window`; an unperturbed spec gets
     the refined expansion at order spec.L.
     """
+    rad = _window_radius(spec, n, window)
     coeffs = edgeworth_coeffs(spec.p, spec.L) if spec.unperturbed else None
-    rad = window if window is not None else default_window(spec, n)
     X = _window_points([(-int(rad), int(rad))] * spec.nu, rad)
     return _prediction_rows(spec, n, X, coeffs)
 
@@ -312,12 +321,12 @@ def compare(
     )
 
     for n in n_list:
+        rad = _window_radius(spec, n, window)  # raises before the first exact law
         dist = exact_engine.perturbed_distribution(spec, n, route=route, mem_limit=mem_limit)
         if crosscheck and n <= crosscheck_max_n:
             other = "dp" if route != "dp" else "fourier"
             alt = exact_engine.perturbed_distribution(spec, n, route=other, mem_limit=mem_limit)
             rep.route_deviation[n] = exact_engine.max_abs_difference(dist.pmf, alt.pmf)
-        rad = window if window is not None else default_window(spec, n)
         X = _window_points(dist.pmf.box, rad)
         exact_vals = dist.pmf.weights[tuple((X - dist.pmf.offset).T)]
         gauss, corr, factor = predict(spec, n, X, coeffs)

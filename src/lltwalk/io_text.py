@@ -53,8 +53,8 @@ def empirical_text(emp, fmt: str = "csv") -> str:
 _TERMS = ("gaussian_leading", "perturbation_correction", "edgeworth_terms", "total")
 
 
-def predictions_text(preds, nu: int, fmt: str = "csv") -> str:
-    """Rows of AsymptoticPrediction with one column per term."""
+def predictions_text(preds, n: int, nu: int, fmt: str = "csv") -> str:
+    """Rows of AsymptoticPrediction at step count n, with one column per term."""
     if fmt == "json":
         return _json(predictions=[
             {"x": list(p.x), "n": p.n, "within_horizon": p.within_horizon,
@@ -67,7 +67,6 @@ def predictions_text(preds, nu: int, fmt: str = "csv") -> str:
         + ["1" if p.within_horizon else "0"]
         for p in preds
     )
-    n = preds[0].n if preds else 0
     return _table(fmt, f"# n={n} nu={nu}", _coords(nu) + [*_TERMS, "within_horizon"], rows)
 
 

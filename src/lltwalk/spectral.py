@@ -19,7 +19,7 @@ from itertools import product
 import numpy as np
 
 from .errors import GridTooSmall, NotSymmetric, OrderTooHigh
-from .walk_model import LatticeFn, LatticePMF, SignedLatticeFn, is_symmetric
+from .walk_model import LatticeFn, LatticePMF, SignedLatticeFn, exact_moment, is_symmetric, moments
 
 # ---------------------------------------------------------------------------
 # grids
@@ -178,12 +178,13 @@ MultiIndex = tuple[int, ...]
 Series = dict  # MultiIndex -> Fraction | float
 
 
-def _series_mul(a: Series, b: Series, cap: int) -> Series:
+def _series_mul(a: Series, b: Series, cap: int, deg=sum) -> Series:
+    """Product truncated to grade ``deg(key) <= cap`` (total degree by default)."""
     out: Series = {}
     for ka, va in a.items():
-        da = sum(ka)
+        da = deg(ka)
         for kb, vb in b.items():
-            if da + sum(kb) > cap:
+            if da + deg(kb) > cap:
                 continue
             key = tuple(x + y for x, y in zip(ka, kb))
             out[key] = out.get(key, 0) + va * vb
@@ -207,8 +208,8 @@ def _series_log1p(t: Series, cap: int) -> Series:
     return {key: v for key, v in out.items() if v != 0}
 
 
-def _series_expm1(g: Series, cap: int) -> Series:
-    """exp(g) - 1 for a series g with no constant term, truncated at cap."""
+def _series_expm1(g: Series, cap: int, deg=sum) -> Series:
+    """exp(g) - 1 for a series g with no constant term, truncated at grade cap."""
     out: Series = {}
     term = dict(g)
     k = 1
@@ -216,7 +217,7 @@ def _series_expm1(g: Series, cap: int) -> Series:
         for key, v in term.items():
             out[key] = out.get(key, 0) + v
         k += 1
-        term = {key: v / k for key, v in _series_mul(term, g, cap).items()}
+        term = {key: v / k for key, v in _series_mul(term, g, cap, deg).items()}
     return {key: v for key, v in out.items() if v != 0}
 
 
@@ -239,9 +240,6 @@ class EdgeworthCoeffs:
 
     def __post_init__(self):
         self.B.flags.writeable = False
-
-    def m_at(self, alpha: MultiIndex) -> float:
-        return float(self.m.get(tuple(alpha), 0))
 
 
 _MAX_ORDER = 12
@@ -267,14 +265,11 @@ def edgeworth_coeffs(p: LatticePMF, L: int = 4) -> EdgeworthCoeffs:
     # Taylor series of charfn(lambda) - 1: sum over even 2 <= |alpha| <= L of
     # (-1)^(|alpha|/2) mu_alpha / alpha! * lambda^alpha  (odd moments vanish)
     t: Series = {}
-    support = list(p.exact.items()) if exact else list(p.points())
+    moment = exact_moment if exact else moments
     for alpha in _multi_indices(nu, 2, L):
         if sum(alpha) % 2 == 1:
             continue
-        if exact:
-            mu = sum((w * _ipow(pt, alpha) for pt, w in support), Fraction(0))
-        else:
-            mu = math.fsum(w * _ipow(pt, alpha) for pt, w in support)
+        mu = moment(p, alpha)
         if mu == 0:
             continue
         fact = math.prod(math.factorial(a) for a in alpha)
@@ -310,10 +305,6 @@ def _compositions(total: int, nu: int):
     for first in range(total + 1):
         for rest in _compositions(total - first, nu - 1):
             yield (first,) + rest
-
-
-def _ipow(pt, alpha) -> int:
-    return math.prod(c ** a for c, a in zip(pt, alpha))
 
 
 def unit_frame_terms(coeffs: EdgeworthCoeffs):

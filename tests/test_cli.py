@@ -3,6 +3,7 @@ import json
 import pytest
 
 from lltwalk.cli import main
+from lltwalk.io_text import predictions_text
 
 from conftest import config_path
 
@@ -54,6 +55,16 @@ def test_resource_limit_exit_code(capsys):
     ["exact", "--n", "-3"],
     ["asymptotic", "--n", "0"],
     ["returns", "--n-max", "0"],
+    ["asymptotic", "--n", "64", "--window", "-1"],
+    ["asymptotic", "--n", "64", "--window", "nan"],
+    ["asymptotic", "--n", "64", "--window", "inf"],
+    ["compare", "--n-list", "16", "--window", "-1"],
+    ["compare", "--n-list", "16", "--window", "nan"],
+    ["compare", "--n-list", "16", "--window", "inf"],
+    ["exact", "--n", "4", "--route", "all", "--check-tol", "0"],
+    ["exact", "--n", "4", "--route", "all", "--check-tol", "nan"],
+    ["returns", "--check-tol", "-1"],
+    ["returns", "--check-tol", "inf"],
 ])
 def test_bad_counts_exit_code(capsys, argv):
     rc = main(argv + ["--spec", config_path("lazy_pert_1d.cfg")])
@@ -61,6 +72,27 @@ def test_bad_counts_exit_code(capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ValidationError:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--x", "0"],
+    ["--x", "nan"],
+    ["--eps", "0"],
+    ["--eps", "0.5"],
+    ["--tol", "0"],
+    ["--tol", "inf"],
+])
+def test_bad_identity_parameters_exit_code(capsys, argv):
+    # identities takes no --spec, so these fail on their values alone
+    rc = main(["identities"] + argv)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValidationError: --")
+    assert "Traceback" not in err
+
+
+def test_predictions_header_names_the_callers_n():
+    assert predictions_text([], 64, 2).splitlines()[0] == "# n=64 nu=2"
 
 
 def test_simulate_resource_limit_exit_code(capsys):

@@ -204,15 +204,17 @@ def test_walk_matches_full_box_stepping(unit_cov_2d):
 _FIXED_SLACK = 256 << 10
 
 
-@pytest.mark.parametrize("route", ["dp", "repr", "first_return", "direct"])
-def test_stepper_route_memory_within_guard(unit_cov_2d, monkeypatch, route):
+@pytest.mark.parametrize(
+    "route", ["dp", "repr", "first_return", "direct", "fourier", "fft", "fourier_1d"]
+)
+def test_stepper_route_memory_within_guard(unit_cov_2d, lazy_pert, monkeypatch, route):
     n = 96
     budgets = []
     guard = exact_engine._guard_cells
 
-    def recording_guard(shape, itemsize, mem_limit):
-        budgets.append(math.prod(shape) * itemsize)
-        guard(shape, itemsize, mem_limit)
+    def recording_guard(shape, itemsize, mem_limit, extra=0):
+        budgets.append(math.prod(shape) * itemsize + extra)
+        guard(shape, itemsize, mem_limit, extra)
 
     monkeypatch.setattr(exact_engine, "_guard_cells", recording_guard)
     run = {
@@ -220,6 +222,10 @@ def test_stepper_route_memory_within_guard(unit_cov_2d, monkeypatch, route):
         "repr": lambda: perturbed_via_representation(unit_cov_2d, n),
         "first_return": lambda: first_return_probs(unit_cov_2d, n),
         "direct": lambda: convolve_power(unit_cov_2d.p, n, method="direct"),
+        "fourier": lambda: perturbed_fourier(unit_cov_2d, n),
+        "fft": lambda: convolve_power(unit_cov_2d.p, n, method="fft"),
+        # in 1-D the length-n return probabilities weigh against the grid
+        "fourier_1d": lambda: perturbed_fourier(lazy_pert, 4096),
     }[route]
     tracemalloc.start()
     try:

@@ -12,7 +12,7 @@ from lltwalk import (
     perturbed_fourier,
     simulate,
 )
-from lltwalk.harness import default_window
+from lltwalk.harness import default_window, window_predictions
 
 
 def test_simulate_deterministic(lazy_pert):
@@ -109,6 +109,14 @@ def test_compare_report_integrity(lazy_pert):
 def test_compare_requires_ascending(lazy_pert):
     with pytest.raises(ValueError):
         compare(lazy_pert, [32, 8])
+
+
+@pytest.mark.parametrize("window", [-1.0, math.nan, math.inf])
+def test_window_out_of_range_rejected(lazy_pert, window):
+    with pytest.raises(ValueError):
+        window_predictions(lazy_pert, 64, window)
+    with pytest.raises(ValueError):
+        compare(lazy_pert, [8, 16], window=window)
 
 
 def test_compare_unperturbed_uses_refined_flavor(lazy_sym):

@@ -6,7 +6,6 @@ from .asymptotics import (
     llt_edgeworth,
     llt_gaussian_leading,
     perturbation_correction,
-    within_horizon,
 )
 from .exact_engine import (
     ExactDistribution,
@@ -86,5 +85,4 @@ __all__ = [
     "sign_expansion_partial",
     "simulate",
     "validate_walk_spec",
-    "within_horizon",
 ]

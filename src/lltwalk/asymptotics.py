@@ -140,7 +140,7 @@ def llt_edgeworth(p: LatticePMF, coeffs: EdgeworthCoeffs, n: int, x) -> float:
     ``p`` must be the law the coefficients came from (the covariance is
     compared as a guard).  Remainder terms beyond the truncation order are
     dropped; outside |x| <= n^{1 - 1/L} the expansion stops being
-    informative, use :func:`within_horizon` to flag that.
+    informative, which :class:`lltwalk.harness.AsymptoticPrediction` flags.
     """
     if p.exact and float(np.abs(second_moments(p) - coeffs.B).max()) > 1e-12:
         raise CoeffOrderMismatch("coefficients were computed for a different law")
@@ -148,10 +148,4 @@ def llt_edgeworth(p: LatticePMF, coeffs: EdgeworthCoeffs, n: int, x) -> float:
     gauss = llt_gaussian_leading(coeffs.B, n, x)
     factor = float(edgeworth_factor_many(coeffs, n, x[np.newaxis, :])[0])
     return gauss * factor
-
-
-def within_horizon(n: int, x, L: int) -> bool:
-    """Is |x| within the informative range n^(1 - 1/L) of the expansion?"""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return bool(np.linalg.norm(x) <= float(n) ** (1.0 - 1.0 / L))
 

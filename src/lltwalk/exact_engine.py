@@ -62,8 +62,9 @@ def _guard_cells(shape, itemsize: int, mem_limit: int, extra: int = 0):
     """Raise ResourceLimit if ``shape`` cells of ``itemsize`` bytes plus ``extra`` pass the cap."""
     need = math.prod(shape) * itemsize + extra
     if need > mem_limit:
+        mib = need / 2**20 if need < 2**1000 else math.inf  # a float division would overflow
         raise ResourceLimit(
-            f"needs {need / 2**20:.0f} MiB for shape {tuple(shape)}, "
+            f"needs {mib:.0f} MiB for shape {tuple(shape)}, "
             f"cap is {mem_limit / 2**20:.0f} MiB"
         )
 
@@ -332,16 +333,15 @@ def max_abs_difference(f: LatticeFn, g: LatticeFn) -> float:
 def cross_check(
     spec: WalkSpec,
     n: int,
-    routes=ROUTES,
     tol: float = ROUTE_TOL,
     mem_limit: int = DEFAULT_MEM_LIMIT,
 ):
-    """Run several routes and compare pointwise.
+    """Run all three routes and compare pointwise.
 
     Returns (dists, max_pairwise_deviation); raises CrossCheckError when the
     deviation exceeds tol.
     """
-    dists = {r: perturbed_distribution(spec, n, route=r, mem_limit=mem_limit) for r in routes}
+    dists = {r: perturbed_distribution(spec, n, route=r, mem_limit=mem_limit) for r in ROUTES}
     worst = 0.0
     names = list(dists)
     for i in range(len(names)):

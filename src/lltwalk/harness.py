@@ -24,6 +24,10 @@ from .spectral import EdgeworthCoeffs, edgeworth_coeffs
 from .walk_model import LatticePMF, WalkSpec
 
 SIM_CHUNK = 1 << 17  # trials per chunk; fixed so results are partition independent
+CROSSCHECK_MAX_N = 512  # compare cross-checks its route against a second one up to this n
+# tracemalloc peak of window_predictions plus predictions_text per cell of the
+# window's box, in JSON (the largest format): 2.3 KB in 1-D, 1.9 KB in 2-D
+WINDOW_CELL_BYTES = 2400
 
 
 @dataclass(frozen=True)
@@ -46,13 +50,6 @@ class EmpiricalPMF:
         for idx in np.argwhere(self.counts):
             pt = tuple(int(i + o) for i, o in zip(idx, self.offset))
             yield pt, int(self.counts[tuple(idx)])
-
-    def to_pmf(self) -> LatticePMF:
-        return LatticePMF(
-            dim=self.counts.ndim,
-            offset=self.offset.copy(),
-            weights=self.counts / self.trials,
-        )
 
 
 def _law_tables(pmf: LatticePMF):
@@ -238,9 +235,13 @@ def window_predictions(spec: WalkSpec, n: int, window: float | None = None) -> l
     """Predictions at every lattice point within the window, lexicographic.
 
     The window defaults to :func:`default_window`; an unperturbed spec gets
-    the refined expansion at order spec.L.
+    the refined expansion at order spec.L.  ResourceLimit is raised before
+    anything is built when the window's box, at WINDOW_CELL_BYTES a cell,
+    passes the default memory cap.
     """
     rad = _window_radius(spec, n, window)
+    side = 2 * int(rad) + 1
+    exact_engine._guard_cells((side,) * spec.nu, WINDOW_CELL_BYTES, exact_engine.DEFAULT_MEM_LIMIT)
     coeffs = edgeworth_coeffs(spec.p, spec.L) if spec.unperturbed else None
     X = _window_points([(-int(rad), int(rad))] * spec.nu, rad)
     return _prediction_rows(spec, n, X, coeffs)
@@ -288,24 +289,22 @@ def compare(
     window: float | None = None,
     route: str = "fourier",
     crosscheck: bool = True,
-    crosscheck_max_n: int = 512,
-    order: int | None = None,
     mem_limit: int = exact_engine.DEFAULT_MEM_LIMIT,
 ) -> ConvergenceReport:
     """Exact laws vs asymptotic predictions over a list of n values.
 
     Flavors compared: plain Gaussian, Gaussian plus perturbation correction
     (for perturbed specs), Hermite-refined expansion (for unperturbed
-    specs, at expansion order ``order`` or spec.L).  The scaled error column
-    is n^{nu/2} * abs_err, whose decay in n is the measurable content of
-    the limit theorems.
+    specs, at expansion order spec.L).  The scaled error column is
+    n^{nu/2} * abs_err, whose decay in n is the measurable content of the
+    limit theorems.  With ``crosscheck``, each n up to CROSSCHECK_MAX_N is
+    also computed by a second route and the deviation recorded.
     """
     n_list = [int(n) for n in n_list]
     if sorted(n_list) != n_list:
         raise ValueError("n_list must be ascending")
 
-    L = order or spec.L
-    coeffs = edgeworth_coeffs(spec.p, L) if spec.unperturbed else None
+    coeffs = edgeworth_coeffs(spec.p, spec.L) if spec.unperturbed else None
     flavors = ["gaussian", "edgeworth" if spec.unperturbed else "corrected"]
 
     rep = ConvergenceReport(
@@ -315,7 +314,7 @@ def compare(
         flavors=flavors,
         meta={
             "route": route,
-            "order": L if spec.unperturbed else None,
+            "order": spec.L if spec.unperturbed else None,
             "window_rule": "4*sqrt(lambda_max(B)*n)" if window is None else window,
         },
     )
@@ -323,7 +322,7 @@ def compare(
     for n in n_list:
         rad = _window_radius(spec, n, window)  # raises before the first exact law
         dist = exact_engine.perturbed_distribution(spec, n, route=route, mem_limit=mem_limit)
-        if crosscheck and n <= crosscheck_max_n:
+        if crosscheck and n <= CROSSCHECK_MAX_N:
             other = "dp" if route != "dp" else "fourier"
             alt = exact_engine.perturbed_distribution(spec, n, route=other, mem_limit=mem_limit)
             rep.route_deviation[n] = exact_engine.max_abs_difference(dist.pmf, alt.pmf)

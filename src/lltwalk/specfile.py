@@ -92,14 +92,3 @@ def load_walk_spec(path, L: int = 4) -> WalkSpec:
     p, q, unperturbed, _ = parse_spec_text(path.read_text(), name=str(path))
     return validate_walk_spec(p, q, unperturbed=unperturbed, L=L)
 
-
-def dump_spec_text(spec: WalkSpec) -> str:
-    """Serialize a WalkSpec back to config text (round-trip aid)."""
-    lines = [f"dim = {spec.nu}"]
-    if spec.unperturbed:
-        lines.append("unperturbed = true")
-    for name, pmf in (("p", spec.p), ("q", spec.q)):
-        for pt, _ in pmf.points():
-            frac = pmf.exact_at(pt)
-            lines.append(f"{name} {' '.join(str(c) for c in pt)} = {frac}")
-    return "\n".join(lines) + "\n"

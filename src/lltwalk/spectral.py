@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
@@ -76,22 +75,6 @@ class TorusGrid:
     def center(self) -> tuple[int, ...]:
         return ((self.m - 1) // 2,) * self.dim
 
-    def value_at_zero(self) -> complex:
-        return complex(self.values[self.center])
-
-    def axis(self) -> np.ndarray:
-        return lambda_axis(self.m)
-
-    def export_text(self) -> str:
-        """Columnar debug dump: lambda coordinates, real part, imag part."""
-        ax = self.axis()
-        lines = ["\t".join([f"lambda{i+1}" for i in range(self.dim)] + ["re", "im"])]
-        for idx in product(range(self.m), repeat=self.dim):
-            v = self.values[idx]
-            coords = "\t".join(f"{ax[i]:.17g}" for i in idx)
-            lines.append(f"{coords}\t{v.real:.17g}\t{v.imag:.17g}")
-        return "\n".join(lines) + "\n"
-
 
 def charfn_grid(f: LatticeFn, m: int) -> TorusGrid:
     """Sample sum_x f(x) e^{i lambda.x} on the m^nu grid (m odd).
@@ -134,40 +117,6 @@ def invert_charfn(g: TorusGrid, offset=None, shape=None) -> SignedLatticeFn:
         idx = np.ix_(*[(np.arange(s) + int(o)) % m for s, o in zip(shp, off)])
         out = spatial[idx]
     return SignedLatticeFn(dim=g.dim, offset=off, weights=np.ascontiguousarray(out))
-
-
-def subgaussian_fit(grid: TorusGrid) -> dict:
-    """Fit A in (0,1), b > 0 with |phat(lambda)| <= A exp(-b |lambda|^2).
-
-    Returns the fitted pair plus the largest off-zero modulus.  Existence of
-    such an envelope (not its particular values) is the asserted property of
-    any validated step law.
-    """
-    ax = grid.axis()
-    lam2 = np.zeros(grid.values.shape)
-    for axis_idx in range(grid.dim):
-        shape = [1] * grid.dim
-        shape[axis_idx] = grid.m
-        lam2 = lam2 + (ax.reshape(shape)) ** 2
-    mod = np.abs(grid.values)
-    center = grid.center
-    mask = np.ones(mod.shape, dtype=bool)
-    mask[center] = False
-    max_offzero = float(mod[mask].max())
-    # curvature near 0 sets the admissible decay rate; take half of the
-    # smallest observed -log|phat| / |lambda|^2 as b, then make A sharp
-    with np.errstate(divide="ignore"):
-        ratio = -np.log(np.maximum(mod[mask], 1e-300)) / lam2[mask]
-    b = 0.5 * float(ratio.min())
-    if b <= 0:
-        return {"ok": False, "A": 1.0, "b": 0.0, "max_offzero_abs": max_offzero}
-    A = float(np.max(mod[mask] * np.exp(b * lam2[mask])))
-    return {
-        "ok": 0 < A < 1 and b > 0 and max_offzero < 1,
-        "A": A,
-        "b": b,
-        "max_offzero_abs": max_offzero,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -185,10 +185,6 @@ class LatticePMF(LatticeFn):
 class SignedLatticeFn(LatticeFn):
     """Like LatticePMF but weights may be negative (houses q - p)."""
 
-    def is_balanced(self) -> bool:
-        """True when the total signed mass is exactly zero."""
-        return self.exact_total() == 0
-
 
 def is_symmetric(f: LatticeFn) -> bool:
     """f(x) == f(-x) for every x, checked exactly on the support."""

@@ -12,7 +12,6 @@ from lltwalk import (
     llt_gaussian_leading,
     perturbation_correction,
     perturbed_forward,
-    within_horizon,
 )
 from lltwalk.asymptotics import edgeworth_factor_many, gaussian_leading_many
 from lltwalk.errors import CoeffOrderMismatch, OriginUndefined, SingularCovariance
@@ -151,9 +150,10 @@ def test_coeff_mismatch_guard(lazy_p):
         llt_edgeworth(lazy_p, c, 10, [0])
 
 
-def test_within_horizon_flag():
-    assert within_horizon(100, [20], 4)       # 20 < 100^(3/4) ~ 31.6
-    assert not within_horizon(100, [40], 4)
+def test_within_horizon_flag(lazy_pert):
+    # lazy_pert has the default order L = 4, so the horizon is 100^(3/4) ~ 31.6
+    assert asymptotic_prediction(lazy_pert, 100, [20]).within_horizon
+    assert not asymptotic_prediction(lazy_pert, 100, [40]).within_horizon
 
 
 def test_prediction_assembly(lazy_pert, lazy_sym, lazy_p):

@@ -91,6 +91,30 @@ def test_bad_identity_parameters_exit_code(capsys, argv):
     assert "Traceback" not in err
 
 
+def test_identities_eps_beyond_abel_series_guard(capsys):
+    # eps = 1e-9 needs ~8e10 Abel-series terms; laguerre_table's degree
+    # guard refuses them before anything is allocated
+    rc = main(["identities", "--eps", "1e-9"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: DegreeTooLarge: degree")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["asymptotic", "--spec", config_path("unit_cov_2d.cfg"), "--n", "64", "--window", "1000000"],
+    ["asymptotic", "--spec", config_path("lazy_pert_1d.cfg"), "--n", "64", "--window", "1e300"],
+    ["exact", "--spec", config_path("lazy_pert_1d.cfg"), "--n", str(10**200)],
+])
+def test_oversized_box_exit_code(capsys, argv):
+    # the window's box is guarded before it is built, and a box too large
+    # for a float byte count still gets a message
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit: needs")
+    assert "Traceback" not in err
+
+
 def test_predictions_header_names_the_callers_n():
     assert predictions_text([], 64, 2).splitlines()[0] == "# n=64 nu=2"
 

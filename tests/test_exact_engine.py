@@ -1,10 +1,13 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from lltwalk import (
+    LatticePMF,
     convolve_power,
     cross_check,
     first_return_probs,
@@ -12,6 +15,7 @@ from lltwalk import (
     perturbed_forward,
     perturbed_fourier,
     perturbed_via_representation,
+    validate_walk_spec,
 )
 from lltwalk import exact_engine
 from lltwalk.errors import ResourceLimit
@@ -32,8 +36,6 @@ def test_convolve_power_trivial_cases(lazy_p):
 
 
 def test_convolve_power_offcenter_point_mass():
-    from lltwalk import LatticePMF
-
     d2 = LatticePMF.from_points(1, {2: 1})
     assert convolve_power(d2, 3).as_dict() == {(6,): 1.0}
 
@@ -71,8 +73,6 @@ def test_convolve_power_methods_agree_2d(unit_cov_2d):
 @pytest.mark.parametrize("points", [{2: 1}, {1: "1/2", 2: "1/2"}])
 def test_convolve_power_methods_agree_off_origin_hull(points):
     # the hull of p misses the origin; the stepper's box must still hold it
-    from lltwalk import LatticePMF
-
     p = LatticePMF.from_points(1, points)
     a = convolve_power(p, 3, method="fft")
     b = convolve_power(p, 3, method="direct")
@@ -129,6 +129,45 @@ def test_origin_identity(lazy_pert):
         d = perturbed_fourier(lazy_pert, n)
         pn = convolve_power(lazy_pert.p, n)
         assert d.value_at([0]) == pytest.approx(pn.value_at([0]), abs=1e-12)
+
+
+def _check_nearest_neighbour_identity(spec, n):
+    # last exit from the origin: for a nearest-neighbour walk with q(0) = p(0),
+    # P_n(x) = p^{*n}(x) * q(sign x) / p(sign x) at every x != 0
+    pn = convolve_power(spec.p, n, method="direct")
+    xs = [x for x in range(-n, n + 1) if x]
+    base = np.array([pn.value_at([x]) for x in xs])
+    ratio = {s: float(spec.q.exact_at([s]) / spec.p.exact_at([s])) for s in (1, -1)}
+    want = base * np.array([ratio[1 if x > 0 else -1] for x in xs])
+    for route in exact_engine.ROUTES:
+        d = exact_engine.perturbed_distribution(spec, n, route=route)
+        got = np.array([d.value_at([x]) for x in xs])
+        if route == "fourier":  # roundoff sets its relative error in the far tail
+            assert np.abs(got - want).max() <= exact_engine.ROUTE_TOL
+        else:
+            tested = base >= 1e-300
+            assert np.all(np.abs(got - want)[tested] <= 1e-12 * want[tested])
+
+
+@pytest.mark.parametrize("n", [7, 100, 1000])
+def test_nearest_neighbour_identity(lazy_pert, n):
+    _check_nearest_neighbour_identity(lazy_pert, n)
+
+
+@given(
+    st.fractions(min_value=Fraction(1, 50), max_value=Fraction(49, 50), max_denominator=50),
+    st.fractions(min_value=Fraction(-49, 50), max_value=Fraction(49, 50), max_denominator=50),
+    st.integers(min_value=1, max_value=80),
+)
+@settings(max_examples=25, deadline=None)
+def test_nearest_neighbour_identity_random_spec(p0, delta_frac, n):
+    # a lazy nearest-neighbour walk; delta is a nonzero fraction of p(1)
+    assume(delta_frac != 0)
+    p1 = (1 - p0) / 2
+    delta = delta_frac * p1
+    p = LatticePMF.from_points(1, {0: p0, 1: p1, -1: p1})
+    q = LatticePMF.from_points(1, {0: p0, 1: p1 + delta, -1: p1 - delta})
+    _check_nearest_neighbour_identity(validate_walk_spec(p, q), n)
 
 
 def test_mass_conservation_and_support(lazy_pert):

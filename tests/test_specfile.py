@@ -2,8 +2,6 @@ import pytest
 
 from lltwalk import load_walk_spec, parse_spec_text
 from lltwalk.errors import SpecFileError
-from lltwalk.specfile import dump_spec_text
-from lltwalk.walk_model import validate_walk_spec
 
 from conftest import config_path
 
@@ -60,11 +58,3 @@ unperturbed = true
     assert dim == 1 and unperturbed
     assert p.value_at(0) == 0.5
 
-
-def test_round_trip():
-    spec = load_walk_spec(config_path("lazy_pert_1d.cfg"))
-    text = dump_spec_text(spec)
-    p, q, unperturbed, _ = parse_spec_text(text)
-    spec2 = validate_walk_spec(p, q, unperturbed=unperturbed)
-    assert spec2.p.as_dict() == spec.p.as_dict()
-    assert spec2.q.as_dict() == spec.q.as_dict()

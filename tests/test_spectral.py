@@ -6,7 +6,7 @@ import pytest
 
 from lltwalk import LatticePMF, charfn_grid, edgeworth_coeffs, invert_charfn
 from lltwalk.errors import GridTooSmall, NotSymmetric, OrderTooHigh
-from lltwalk.spectral import TorusGrid, lambda_axis, odd_smooth_size, subgaussian_fit, unit_frame_terms
+from lltwalk.spectral import TorusGrid, lambda_axis, odd_smooth_size, unit_frame_terms
 from lltwalk.walk_model import SignedLatticeFn
 
 
@@ -14,7 +14,6 @@ def test_charfn_lazy_values(lazy_p):
     g = charfn_grid(lazy_p, 9)
     lam = lambda_axis(9)
     assert np.allclose(g.values, 0.5 + 0.5 * np.cos(lam), atol=1e-15)
-    assert g.value_at_zero() == pytest.approx(1.0, abs=1e-15)
     # the function itself vanishes at the zone edge
     edge = sum(w * math.cos(math.pi * pt[0]) for pt, w in lazy_p.points())
     assert edge == pytest.approx(0.0, abs=1e-15)
@@ -26,7 +25,6 @@ def test_charfn_antisymmetric_is_imaginary():
     lam = lambda_axis(11)
     assert np.abs(g.values.real).max() < 1e-16
     assert np.allclose(g.values.imag, 0.1 * np.sin(lam), atol=1e-15)
-    assert g.value_at_zero() == pytest.approx(0.0, abs=1e-15)
 
 
 def test_conjugate_symmetry(unit_cov_2d):
@@ -153,13 +151,6 @@ def test_modulus_below_one_off_zero(lazy_pert, unit_cov_2d):
         assert mod[mask].max() < 1.0
 
 
-def test_subgaussian_envelope(lazy_pert, unit_cov_2d):
-    for spec, m in ((lazy_pert, 41), (unit_cov_2d, 25)):
-        fit = subgaussian_fit(charfn_grid(spec.p, m))
-        assert fit["ok"]
-        assert 0 < fit["A"] < 1 and fit["b"] > 0
-
-
 def test_tail_region_is_exponentially_small(lazy_p):
     # mass of |phat|^n outside a fixed neighbourhood of 0 decays geometrically
     m = 201
@@ -182,14 +173,6 @@ def test_unit_frame_rotation_matches_scaling():
     for alpha, v in c.log_m.items():
         scaled = float(v) * float(np.prod(sig ** (-np.array(alpha))))
         assert terms[alpha] == pytest.approx(scaled, rel=1e-12)
-
-
-def test_grid_export_text(lazy_p):
-    g = charfn_grid(lazy_p, 5)
-    text = g.export_text()
-    lines = text.strip().split("\n")
-    assert lines[0].split("\t") == ["lambda1", "re", "im"]
-    assert len(lines) == 6
 
 
 from hypothesis import given, settings, strategies as st

@@ -160,7 +160,7 @@ def test_perturbation_exact_arithmetic():
     a = perturbation(p, q)
     assert a.exact_at(1) == Fraction(1, 20)
     assert a.exact_at(-1) == -Fraction(1, 20)
-    assert a.is_balanced()
+    assert a.exact_total() == 0
 
 
 def test_second_moments_matrix(unit_cov_2d):

@@ -1,13 +1,14 @@
 """Hot numeric kernels, in numpy.
 
-Every reduction has a fixed order, so results are reproducible bit for bit.
+Every reduction has a fixed order, so results are reproducible bit for bit,
+and every kernel computes in the dtype of its input.
 The walkbench benchmark (``walkbench/``) times each kernel as its own layer.
 
 Kernels:
 
 * dp_step                      one convolution step of the forward recursion
 * origin_returns               k -> mean over a torus grid of phat^k, k < n
-* weighted_power_sum           sum_k r_k * phat^(n-1-k), Kahan compensated
+* weighted_power_sum           sum_k r_k * phat^(n-1-k), by Horner's rule
 * pow_binary                   elementwise z^n by binary exponentiation
 """
 
@@ -37,9 +38,8 @@ def dp_step(cur: np.ndarray, out: np.ndarray, offs: np.ndarray, ws: np.ndarray) 
 
 
 def origin_returns(z: np.ndarray, n: int) -> np.ndarray:
-    """Grid means of z^k for k = 0..n-1 (z = charfn samples, flattened)."""
-    z = np.ascontiguousarray(z.reshape(-1), dtype=np.complex128)
-    r = np.empty(n, dtype=np.complex128)
+    """Grid means of z^k for k = 0..n-1 (z = charfn samples), in z's dtype."""
+    r = np.empty(n, dtype=z.dtype)
     g = np.ones_like(z)
     for k in range(n):
         r[k] = g.mean()
@@ -50,23 +50,15 @@ def origin_returns(z: np.ndarray, n: int) -> np.ndarray:
 def weighted_power_sum(z: np.ndarray, r: np.ndarray) -> np.ndarray:
     """sum_{k=0}^{n-1} r[k] * z^(n-1-k), elementwise over the grid.
 
-    Kahan-compensated accumulation: the sum mixes n ~ 1e4 terms of very
-    different magnitude when n is large.
+    Horner's rule, k ascending, on one working grid.  With |z| <= 1 every
+    earlier rounding error is multiplied by a power of |z|, so the sum
+    needs no compensation.
     """
-    shape = z.shape
-    z = np.ascontiguousarray(z.reshape(-1), dtype=np.complex128)
-    r = np.ascontiguousarray(r, dtype=np.complex128)
-    s = np.zeros_like(z)
-    c = np.zeros_like(z)
-    h = np.ones_like(z)
-    for k in range(r.shape[0] - 1, -1, -1):  # ascending powers of z
-        term = r[k] * h
-        y = term - c
-        t = s + y
-        c = (t - s) - y
-        s = t
-        h = h * z
-    return s.reshape(shape)
+    s = np.zeros(z.shape, dtype=np.result_type(z, r))
+    for rk in r:
+        s *= z
+        s += rk
+    return s
 
 
 def pow_binary(z: np.ndarray, n: int) -> np.ndarray:

@@ -142,7 +142,7 @@ def llt_edgeworth(p: LatticePMF, coeffs: EdgeworthCoeffs, n: int, x) -> float:
     dropped; outside |x| <= n^{1 - 1/L} the expansion stops being
     informative, which :class:`lltwalk.harness.AsymptoticPrediction` flags.
     """
-    if p.exact and float(np.abs(second_moments(p) - coeffs.B).max()) > 1e-12:
+    if float(np.abs(second_moments(p) - coeffs.B).max()) > 1e-12:
         raise CoeffOrderMismatch("coefficients were computed for a different law")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     gauss = llt_gaussian_leading(coeffs.B, n, x)

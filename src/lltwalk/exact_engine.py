@@ -25,7 +25,7 @@ import numpy as np
 
 from ._kernels import dp_step, origin_returns, pow_binary, weighted_power_sum
 from .errors import CrossCheckError, ResourceLimit
-from .spectral import TorusGrid, charfn_grid, invert_charfn, odd_smooth_size
+from .spectral import TorusGrid, charfn_grid, invert_charfn
 from .walk_model import LatticeFn, LatticePMF, WalkSpec
 
 DEFAULT_MEM_LIMIT = 2 << 30  # bytes; generous but finite
@@ -170,26 +170,26 @@ def _fourier(p: LatticePMF, a: LatticeFn | None, hull, n: int, mem_limit: int) -
 
     r_k = p^{*k}(0) are the unperturbed origin returns; without ``a`` (or
     with a = 0) this is the convolution power p^{*n}.  The grid is the
-    smallest fast odd size covering the box of n steps of ``hull``.
+    smallest odd size covering the box of n steps of ``hull``.
     """
     perturbed = a is not None and n > 0 and bool(a.as_dict())
     lo, shape, _ = _box(hull, n, 0, mem_limit)
-    m = odd_smooth_size(max(shape))
-    # the peak, in complex grids: z and p^n, plus a^ and the seven of
-    # weighted_power_sum (s, c, h, four temporaries) when perturbed, or the
-    # inversion's three otherwise; r_k and its real copy add 32 n bytes
-    grids, extra = (10, 32 * n) if perturbed else (5, 0)
-    _guard_cells((m,) * p.dim, 16 * grids, mem_limit, extra)
+    m = max(shape) | 1
+    # the peak, in bytes per grid cell, is the inversion's three complex grids
+    # on top of the power and z, which is complex (16) or, when perturbed,
+    # real (8); the real r_k add 8 n bytes
+    cell_bytes, extra = (72, 8 * n) if perturbed else (80, 0)
+    _guard_cells((m,) * p.dim, cell_bytes, mem_limit, extra)
 
     z = charfn_grid(p, m).values
     total = pow_binary(z, n)
     if perturbed:
-        ahat = charfn_grid(a, m).values
-        r = origin_returns(z, n)
-        drift = float(np.abs(r.imag).max())
-        if drift > 1e-9:
-            raise CrossCheckError(f"origin returns acquired imaginary mass {drift!r}")
-        total = total + ahat * weighted_power_sum(z, r.real.astype(np.complex128))
+        # p is symmetric, so its transform is real up to the FFT's roundoff
+        drift = float(np.abs(z.imag).max())
+        if drift > 1e-12:
+            raise CrossCheckError(f"transform of p has imaginary part {drift!r}")
+        z = np.ascontiguousarray(z.real)
+        total += charfn_grid(a, m).values * weighted_power_sum(z, origin_returns(z, n))
     spatial = invert_charfn(TorusGrid(dim=p.dim, m=m, values=total), offset=lo, shape=shape)
     w = _clamp_tiny_negatives(spatial.weights)
     return LatticePMF(dim=p.dim, offset=np.array(lo, dtype=np.int64), weights=w)

@@ -25,25 +25,6 @@ from .walk_model import LatticeFn, LatticePMF, SignedLatticeFn, exact_moment, is
 # ---------------------------------------------------------------------------
 
 
-def odd_smooth_size(m: int) -> int:
-    """Smallest odd {3,5,7}-smooth integer >= m (fast FFT sizes, odd for a
-    symmetric frequency grid containing lambda = 0)."""
-    m = max(1, int(m))
-    best = None
-    p7 = 1
-    while p7 < 8 * m:
-        p57 = p7
-        while p57 < 8 * m:
-            p357 = p57
-            while p357 < m:
-                p357 *= 3
-            if best is None or p357 < best:
-                best = p357
-            p57 *= 5
-        p7 *= 7
-    return best
-
-
 def lambda_axis(m: int) -> np.ndarray:
     """Grid frequencies 2*pi*j/m for j = -(m-1)/2 .. (m-1)/2 (ascending)."""
     h = (m - 1) // 2

@@ -186,14 +186,21 @@ class SignedLatticeFn(LatticeFn):
     """Like LatticePMF but weights may be negative (houses q - p)."""
 
 
+def exact_weights(f: LatticeFn) -> dict[Point, Fraction]:
+    """The exact weights of f; a law built from float weights reads them as decimals."""
+    return f.exact or {pt: _to_fraction(v) for pt, v in f.points()}
+
+
 def is_symmetric(f: LatticeFn) -> bool:
     """f(x) == f(-x) for every x, checked exactly on the support."""
-    return all(f.exact_at(tuple(-c for c in pt)) == v for pt, v in f.exact.items())
+    w = exact_weights(f)
+    return all(w.get(tuple(-c for c in pt), 0) == v for pt, v in w.items())
 
 
 def is_antisymmetric(f: LatticeFn) -> bool:
     """f(x) == -f(-x) for every x, checked exactly on the support."""
-    return all(f.exact_at(tuple(-c for c in pt)) == -v for pt, v in f.exact.items())
+    w = exact_weights(f)
+    return all(w.get(tuple(-c for c in pt), 0) == -v for pt, v in w.items())
 
 
 def moments(f: LatticeFn, alpha) -> float:
@@ -209,7 +216,7 @@ def moments(f: LatticeFn, alpha) -> float:
 def exact_moment(f: LatticeFn, alpha: Sequence[int]) -> Fraction:
     alpha = tuple(int(a) for a in alpha)
     return sum(
-        (v * math.prod(c ** a for c, a in zip(pt, alpha)) for pt, v in f.exact.items()),
+        (v * math.prod(c ** a for c, a in zip(pt, alpha)) for pt, v in exact_weights(f).items()),
         Fraction(0),
     )
 
@@ -227,8 +234,8 @@ def perturbation(p: LatticePMF, q: LatticePMF) -> SignedLatticeFn:
     """q - p as a signed lattice function (exact arithmetic)."""
     if p.dim != q.dim:
         raise DimensionMismatch("p and q must share a dimension")
-    diff: dict[Point, Fraction] = dict(q.exact)
-    for pt, v in p.exact.items():
+    diff: dict[Point, Fraction] = dict(exact_weights(q))
+    for pt, v in exact_weights(p).items():
         diff[pt] = diff.get(pt, Fraction(0)) - v
     diff = {pt: v for pt, v in diff.items() if v != 0}
     return SignedLatticeFn.from_points(p.dim, diff)
@@ -237,17 +244,16 @@ def perturbation(p: LatticePMF, q: LatticePMF) -> SignedLatticeFn:
 # -- structural checks on the step law --------------------------------------
 
 
-def _generates_full_lattice(support: Iterable[Point], dim: int) -> bool:
-    """Does the (symmetric) support additively generate all of Z^dim?
+def _lattice_index(support: Iterable[Point], dim: int) -> int:
+    """Index in Z^dim of the lattice the support vectors generate (0: rank deficient).
 
-    The subgroup generated by the support equals Z^dim iff the integer row
-    lattice of the support vectors has index 1; for a symmetric support the
-    reachable semigroup is that subgroup, so no separate closure walk is
-    needed.  Index is read off a Hermite-style integer elimination.
+    For a symmetric support the reachable semigroup is that subgroup, so
+    index 1 means the walk reaches all of Z^dim.  The index is read off a
+    Hermite-style integer elimination.
     """
     rows = [list(pt) for pt in support if any(pt)]
     if not rows:
-        return False
+        return 0
     mat = [row[:] for row in rows]
     ncols = dim
     pivot_rows = []
@@ -255,7 +261,7 @@ def _generates_full_lattice(support: Iterable[Point], dim: int) -> bool:
     while col < ncols and mat:
         nonzero = [r for r in mat if r[col] != 0]
         if not nonzero:
-            return False  # no support component along this axis: rank deficient
+            return 0  # no support component along this axis: rank deficient
         while True:
             nonzero.sort(key=lambda r: abs(r[col]))
             piv = nonzero[0]
@@ -273,30 +279,8 @@ def _generates_full_lattice(support: Iterable[Point], dim: int) -> bool:
         mat = [r for r in mat if r is not piv and any(r[col:])]
         col += 1
     if len(pivot_rows) < ncols:
-        return False
-    index = 1
-    for i, row in enumerate(pivot_rows):
-        index *= abs(row[i])
-    return index == 1
-
-
-def _return_time_gcd(p: LatticePMF, nu: int) -> int:
-    """gcd of {n <= 2*nu + 2 : n-step return to 0 has positive probability}."""
-    support = [pt for pt, _ in p.points()]
-    reach = {(0,) * nu: True}
-    g = 0
-    cur = {(0,) * nu}
-    for n in range(1, 2 * nu + 3):
-        nxt = set()
-        for x in cur:
-            for s in support:
-                nxt.add(tuple(a + b for a, b in zip(x, s)))
-        cur = nxt
-        if (0,) * nu in cur:
-            g = math.gcd(g, n)
-            if g == 1:
-                return 1
-    return g if g else 0
+        return 0
+    return math.prod(abs(row[i]) for i, row in enumerate(pivot_rows))
 
 
 @dataclass(frozen=True)
@@ -360,10 +344,13 @@ def validate_walk_spec(
             "q - p must be antisymmetric: q(x) + q(-x) = 2 p(x) fails"
         )
 
-    if not _generates_full_lattice((pt for pt, _ in p.points()), nu):
+    support = [pt for pt, _ in p.points()]
+    if _lattice_index(support, nu) != 1:
         raise Reducible("support of p does not additively generate Z^nu")
 
-    g = _return_time_gcd(p, nu)
+    # a k-step return is a sum of k lifted steps (s, 1) equal to (0, k); for a
+    # symmetric irreducible walk the lifted lattice's index is the period
+    g = _lattice_index([(*pt, 1) for pt in support], nu + 1)
     if g != 1:
         raise Periodic(f"return times to the origin share the factor {g}")
 

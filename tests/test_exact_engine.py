@@ -18,8 +18,9 @@ from lltwalk import (
     validate_walk_spec,
 )
 from lltwalk import exact_engine
-from lltwalk.errors import ResourceLimit
+from lltwalk.errors import CrossCheckError, ResourceLimit
 from lltwalk.io_text import distribution_text
+from lltwalk.walk_model import SignedLatticeFn
 
 
 def test_convolve_power_lazy_n2(lazy_p):
@@ -214,10 +215,19 @@ def test_convolve_power_normalized_at_large_n(lazy_p, n):
     assert pn.value_at([0]) == pytest.approx(math.comb(2 * n, n) / 4**n, rel=1e-12)
 
 
-def test_fourier_matches_forward_at_large_n(lazy_pert):
-    n = 6000
-    d = perturbed_fourier(lazy_pert, n)
-    assert max_abs_difference(d.pmf, perturbed_forward(lazy_pert, n).pmf) < 1e-12
+@pytest.mark.parametrize("name, n", [("lazy_pert", 6000), ("unit_cov_2d", 256)])
+def test_fourier_matches_forward_at_large_n(request, name, n):
+    spec = request.getfixturevalue(name)
+    d = perturbed_fourier(spec, n)
+    assert max_abs_difference(d.pmf, perturbed_forward(spec, n).pmf) < 1e-12
+
+
+def test_fourier_rejects_complex_transform_of_p():
+    # the k-sums run on the real part of p^, so an asymmetric p must not reach them
+    p = LatticePMF.from_points(1, {0: "1/2", 1: "1/2"})
+    a = SignedLatticeFn.from_points(1, {1: "1/10", -1: "-1/10"})
+    with pytest.raises(CrossCheckError, match="imaginary"):
+        exact_engine._fourier(p, a, (p,), 4, exact_engine.DEFAULT_MEM_LIMIT)
 
 
 def test_walk_matches_full_box_stepping(unit_cov_2d):

@@ -51,9 +51,9 @@ def test_pow_binary_matches_npower(rng):
 
 def test_weighted_power_sum_is_polynomial_eval(rng):
     # sum_k r_k z^(n-1-k) == polyval with the same coefficients
-    z = np.array([0.3 + 0.1j, -0.9 + 0j, 0.99 + 0j])
-    r = rng.random(50).astype(np.complex128)
+    z = np.array([0.3, -0.9, 0.99, -1.0, 1.0])
+    r = rng.random(50)
     expect = np.array([np.polyval(r, zz) for zz in z])
     got = K.weighted_power_sum(z, r)
+    assert got.dtype == np.float64
     assert np.abs(got - expect).max() < 1e-12
-

@@ -6,7 +6,7 @@ import pytest
 
 from lltwalk import LatticePMF, charfn_grid, edgeworth_coeffs, invert_charfn
 from lltwalk.errors import GridTooSmall, NotSymmetric, OrderTooHigh
-from lltwalk.spectral import TorusGrid, lambda_axis, odd_smooth_size, unit_frame_terms
+from lltwalk.spectral import TorusGrid, lambda_axis, unit_frame_terms
 from lltwalk.walk_model import SignedLatticeFn
 
 
@@ -61,18 +61,6 @@ def test_grid_too_small(lazy_p):
         charfn_grid(lazy_p, 1)
     with pytest.raises(GridTooSmall):
         charfn_grid(lazy_p, 8)  # even
-
-
-def test_odd_smooth_size():
-    for m in (1, 2, 10, 100, 1000, 8193):
-        s = odd_smooth_size(m)
-        assert s >= m and s % 2 == 1
-        r = s
-        for f in (3, 5, 7):
-            while r % f == 0:
-                r //= f
-        assert r == 1
-    assert odd_smooth_size(9) == 9
 
 
 def test_edgeworth_lazy_exact(lazy_p):

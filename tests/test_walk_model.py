@@ -3,7 +3,7 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
-from lltwalk import LatticePMF, moments, validate_walk_spec
+from lltwalk import LatticePMF, edgeworth_coeffs, moments, validate_walk_spec
 from lltwalk.errors import (
     DimensionMismatch,
     MissingUnperturbedFlag,
@@ -17,6 +17,7 @@ from lltwalk.walk_model import (
     SignedLatticeFn,
     exact_moment,
     is_antisymmetric,
+    is_symmetric,
     perturbation,
     second_moments,
 )
@@ -45,8 +46,19 @@ def test_unperturbed_needs_flag():
 
 def test_simple_walk_is_periodic():
     p = LatticePMF.from_points(1, {1: "1/2", -1: "1/2"})
-    with pytest.raises(Periodic):
+    with pytest.raises(Periodic, match="factor 2"):
         validate_walk_spec(p, p, unperturbed=True)
+    p2 = LatticePMF.from_points(2, {(1, 0): "1/4", (-1, 0): "1/4", (0, 1): "1/4", (0, -1): "1/4"})
+    with pytest.raises(Periodic, match="factor 2"):
+        validate_walk_spec(p2, p2, unperturbed=True)
+
+
+@pytest.mark.parametrize("steps", [(2, 3), (2, 5)])
+def test_long_odd_return_is_aperiodic(steps):
+    # 2+2+2-3-3 = 0 and 2+2+2+2-5-5+2 = 0 are odd returns past 2 nu + 2 steps
+    p = LatticePMF.from_points(1, {s * x: "1/4" for x in steps for s in (1, -1)})
+    spec = validate_walk_spec(p, p, unperturbed=True)
+    assert spec.B[0, 0] == pytest.approx(sum(x * x for x in steps) / 2)
 
 
 def test_symmetric_part_mismatch_rejected():
@@ -161,6 +173,20 @@ def test_perturbation_exact_arithmetic():
     assert a.exact_at(1) == Fraction(1, 20)
     assert a.exact_at(-1) == -Fraction(1, 20)
     assert a.exact_total() == 0
+
+
+def test_float_built_laws_get_exact_checks():
+    # a law built from a weights array has no exact dict; its floats read as decimals
+    skew = LatticePMF(dim=1, offset=np.array([0]), weights=np.array([0.25, 0.75]))
+    assert not is_symmetric(skew)
+    with pytest.raises(NotSymmetric):
+        edgeworth_coeffs(skew)
+    p = LatticePMF(dim=1, offset=np.array([-1]), weights=np.array([0.25, 0.5, 0.25]))
+    q = LatticePMF(dim=1, offset=np.array([-1]), weights=np.array([0.2, 0.5, 0.3]))
+    spec = validate_walk_spec(p, q)
+    assert spec.B.tolist() == [[0.5]]
+    assert spec.a.exact_at(1) == Fraction(1, 20)
+    assert spec.d[0] == pytest.approx(0.1, abs=1e-15)
 
 
 def test_second_moments_matrix(unit_cov_2d):

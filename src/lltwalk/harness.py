@@ -24,6 +24,8 @@ from .spectral import EdgeworthCoeffs, edgeworth_coeffs
 from .walk_model import LatticePMF, WalkSpec
 
 SIM_CHUNK = 1 << 17  # trials per chunk; fixed so results are partition independent
+GUIDE_BINS = 1 << 12  # bins of each step law's guide table; a power of 2, so u * K is exact
+_SPLIT = np.iinfo(np.int64).min  # guide entry of a bin that holds a CDF edge
 CROSSCHECK_MAX_N = 512  # compare cross-checks its route against a second one up to this n
 # tracemalloc peak of window_predictions plus predictions_text per cell of the
 # window's box, in JSON (the largest format): 2.3 KB in 1-D, 1.9 KB in 2-D
@@ -52,12 +54,42 @@ class EmpiricalPMF:
             yield pt, int(self.counts[tuple(idx)])
 
 
-def _law_tables(pmf: LatticePMF):
+@dataclass(frozen=True)
+class _LawTable:
+    """Inverse CDF of one step law, as flat offsets into the counts box.
+
+    A guide table (Chen & Asau's indexed search) splits [0, 1) into
+    K = ``GUIDE_BINS`` bins; ``u * K`` is exact, so bin b = floor(u * K)
+    holds exactly the draws in [b/K, (b+1)/K).  A bin that holds no CDF edge maps every
+    draw to one step, ``guide[b]``; draws in the few bins that do hold an
+    edge (marked ``_SPLIT``) fall back to ``searchsorted``.  Either way the
+    step taken is ``steps[searchsorted(cdf, u, side="right")]``.
+    """
+
+    steps: np.ndarray
+    cdf: np.ndarray
+    guide: np.ndarray
+
+    def __call__(self, u: np.ndarray, bins: np.ndarray, out=None) -> np.ndarray:
+        """Steps for draws u, whose guide bins are ``bins = floor(u * GUIDE_BINS)``."""
+        # bins lie in [0, GUIDE_BINS), so "clip" never acts; unlike the default
+        # "raise", it writes to out without an intermediate copy
+        out = np.take(self.guide, bins, out=out, mode="clip")
+        hit = np.flatnonzero(out == _SPLIT)
+        out[hit] = self.steps[np.searchsorted(self.cdf, u[hit], side="right")]
+        return out
+
+
+def _law_tables(pmf: LatticePMF, strides: np.ndarray) -> _LawTable:
     pts = list(pmf.points())
-    sup = np.array([pt for pt, _ in pts], dtype=np.int64)
+    steps = np.array([pt for pt, _ in pts], dtype=np.int64) @ strides
     cdf = np.cumsum(np.array([w for _, w in pts]))
     cdf[-1] = 1.0  # guard the top edge against float-sum shortfall
-    return sup, cdf
+    lo = np.arange(GUIDE_BINS) / GUIDE_BINS
+    hi = np.nextafter(lo + 1.0 / GUIDE_BINS, 0.0)  # largest draw in each bin
+    first = np.searchsorted(cdf, lo, side="right")
+    last = np.searchsorted(cdf, hi, side="right")
+    return _LawTable(steps, cdf, np.where(first == last, steps[first], _SPLIT))
 
 
 def simulate(
@@ -71,9 +103,13 @@ def simulate(
 
     Identical (seed, n, trials) give bitwise-identical counts.  Steps taken
     while sitting at the origin use the exit law q, all others the step law
-    p; one uniform draw is consumed per (trial, step) in chunk order.  The
-    dense counts and each chunk's bincount take 16 bytes per cell of the
-    reachable box, which ``mem_limit`` caps.
+    p; one uniform draw u is consumed per (trial, step) in chunk order, and
+    the step is the one at ``searchsorted(cdf, u, side="right")`` of the law
+    in force.  Each trial's position is one flat index into the dense counts
+    box: every trial takes p's step for u by guide table, then the trials at
+    the origin retake theirs from q with the same u.  The dense counts and
+    each chunk's bincount take 16 bytes per cell of the reachable box, which
+    ``mem_limit`` caps.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -81,30 +117,37 @@ def simulate(
     rad = max(n, 1) * spec.radius
     shape = (2 * rad + 1,) * nu
     exact_engine._guard_cells(shape, 16, mem_limit)
-    counts = np.zeros(shape, dtype=np.int64)
-    p_sup, p_cdf = _law_tables(spec.p)
-    q_sup, q_cdf = _law_tables(spec.q)
+    cells = math.prod(shape)
+    strides = (2 * rad + 1) ** np.arange(nu - 1, -1, -1, dtype=np.int64)
+    origin = rad * int(strides.sum())
+    p_law = _law_tables(spec.p, strides)
+    q_law = _law_tables(spec.q, strides)
 
+    counts = np.zeros(cells, dtype=np.int64)
     rng = np.random.Generator(np.random.Philox(key=seed))
     done = 0
     while done < trials:
         csize = min(SIM_CHUNK, trials - done)
-        pos = np.zeros((csize, nu), dtype=np.int64)
+        pos = np.full(csize, origin, dtype=np.int64)
+        # per-step buffers, reused: fresh megabyte temporaries cost page faults
+        u = np.empty(csize)
+        bins = np.empty(csize, dtype=np.intp)
+        step = np.empty(csize, dtype=np.int64)
         for _ in range(n):
-            u = rng.random(csize)
-            at0 = ~pos.any(axis=1)
-            idx_p = np.searchsorted(p_cdf, u, side="right")
-            idx_q = np.searchsorted(q_cdf, u, side="right")
-            pos += np.where(at0[:, None], q_sup[idx_q], p_sup[idx_p])
-        flat = np.ravel_multi_index((pos + rad).T, shape)
-        counts += np.bincount(flat, minlength=counts.size).reshape(shape)
+            rng.random(out=u)
+            np.multiply(u, GUIDE_BINS, out=bins, casting="unsafe")  # exact, then floor
+            p_law(u, bins, out=step)
+            at0 = np.flatnonzero(pos == origin)
+            step[at0] = q_law(u[at0], bins[at0])
+            pos += step
+        counts += np.bincount(pos, minlength=cells)
         done += csize
     return EmpiricalPMF(
         n=n,
         trials=trials,
         seed=seed,
         offset=np.full(nu, -rad, dtype=np.int64),
-        counts=counts,
+        counts=counts.reshape(shape),
     )
 
 

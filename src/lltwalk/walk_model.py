@@ -119,7 +119,7 @@ class LatticeFn:
         return float(self.weights[idx])
 
     def exact_at(self, x) -> Fraction:
-        return self.exact.get(_as_point(x, self.dim), Fraction(0))
+        return exact_weights(self).get(_as_point(x, self.dim), Fraction(0))
 
     def as_dict(self) -> dict[Point, float]:
         return dict(self.points())
@@ -143,7 +143,7 @@ class LatticeFn:
         return float(self.weights.sum())
 
     def exact_total(self) -> Fraction:
-        return sum(self.exact.values(), Fraction(0))
+        return sum(exact_weights(self).values(), Fraction(0))
 
 
 @dataclass(frozen=True)

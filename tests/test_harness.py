@@ -1,11 +1,13 @@
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from lltwalk import (
+    LatticePMF,
     asymptotic_prediction,
     chi_squared_check,
     compare,
@@ -13,8 +15,18 @@ from lltwalk import (
     perturbed_fourier,
     simulate,
 )
-from lltwalk.harness import WINDOW_CELL_BYTES, default_window, window_predictions
+from lltwalk.harness import (
+    GUIDE_BINS,
+    WINDOW_CELL_BYTES,
+    _SPLIT,
+    _law_tables,
+    default_window,
+    window_predictions,
+)
 from lltwalk.io_text import predictions_text
+from lltwalk.specfile import parse_spec_text
+
+from conftest import CONFIGS
 
 
 def test_simulate_deterministic(lazy_pert):
@@ -49,6 +61,94 @@ def test_simulate_multichunk_deterministic(lazy_pert, monkeypatch):
     b = hz.simulate(lazy_pert, 5, 1300, seed=9)
     assert np.array_equal(a.counts, b.counts)
     assert int(a.counts.sum()) == 1300
+
+
+def _reference_simulate(spec, n, trials, seed, chunk):
+    """The step loop simulate ran before flat positions and guide tables:
+    (N, nu) positions, a searchsorted of each draw against both laws' CDFs
+    and a broadcast np.where.  Returns (offset, counts)."""
+
+    def law(pmf):
+        pts = list(pmf.points())
+        cdf = np.cumsum([w for _, w in pts])
+        cdf[-1] = 1.0
+        return np.array([pt for pt, _ in pts], dtype=np.int64), cdf
+
+    (p_sup, p_cdf), (q_sup, q_cdf) = law(spec.p), law(spec.q)
+    rad = max(n, 1) * spec.radius
+    shape = (2 * rad + 1,) * spec.nu
+    counts = np.zeros(shape, dtype=np.int64)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    for done in range(0, trials, chunk):
+        csize = min(chunk, trials - done)
+        pos = np.zeros((csize, spec.nu), dtype=np.int64)
+        for _ in range(n):
+            u = rng.random(csize)
+            at0 = ~pos.any(axis=1)
+            idx_p = np.searchsorted(p_cdf, u, side="right")
+            idx_q = np.searchsorted(q_cdf, u, side="right")
+            pos += np.where(at0[:, None], q_sup[idx_q], p_sup[idx_p])
+        flat = np.ravel_multi_index((pos + rad).T, shape)
+        counts += np.bincount(flat, minlength=counts.size).reshape(shape)
+    return np.full(spec.nu, -rad), counts
+
+
+@pytest.mark.parametrize("fixture,n", [("lazy_pert", 10), ("unit_cov_2d", 12), ("spec3d", 6)])
+def test_simulate_matches_reference_sampler(request, monkeypatch, fixture, n):
+    # 1300 trials in chunks of 512 cross two chunk boundaries
+    import lltwalk.harness as hz
+
+    monkeypatch.setattr(hz, "SIM_CHUNK", 512)
+    spec = request.getfixturevalue(fixture)
+    emp = hz.simulate(spec, n, 1300, seed=31)
+    offset, counts = _reference_simulate(spec, n, 1300, 31, 512)
+    assert np.array_equal(emp.offset, offset)
+    assert np.array_equal(emp.counts, counts)
+
+
+def _step_law(request, name):
+    if name == "rare":  # a 1/1000 weight between two large ones
+        return LatticePMF.from_points(1, {-1: "999/2000", 0: "1/1000", 1: "999/2000"})
+    if name == "near-edge":  # CDF edges 2^-45 below 1/4 and above 3/4, both bin edges
+        a = Fraction(1, 4) - Fraction(1, 2**45)
+        return LatticePMF.from_points(1, {-1: a, 0: 1 - 2 * a, 1: a})
+    source, which = name.rsplit("-", 1)
+    if source == "spec3d":
+        return getattr(request.getfixturevalue("spec3d"), which)
+    p, q, _, _ = parse_spec_text((CONFIGS / f"{source}.cfg").read_text())
+    return {"p": p, "q": q}[which]
+
+
+@pytest.mark.parametrize(
+    "name",
+    [f"{path.stem}-{w}" for path in sorted(CONFIGS.glob("*.cfg")) for w in "pq"]
+    + ["spec3d-p", "spec3d-q", "rare", "near-edge"],
+)
+def test_guide_table_lookup_is_searchsorted(request, name):
+    law = _step_law(request, name)
+    r = law.radius
+    strides = (2 * r + 1) ** np.arange(law.dim - 1, -1, -1, dtype=np.int64)
+    table = _law_tables(law, strides)
+    assert len(np.unique(table.steps)) == len(table.steps)  # offset equality is index equality
+    # only a CDF edge below 1 can split a bin, and it splits at most one
+    assert np.count_nonzero(table.guide == _SPLIT) <= len(table.cdf) - 1
+    cdf = table.cdf
+    edges = np.arange(GUIDE_BINS) / GUIDE_BINS
+    u = np.concatenate(
+        [
+            cdf,
+            np.nextafter(cdf, 0.0),
+            np.nextafter(cdf, 1.0),
+            edges,
+            np.nextafter(edges, 0.0),
+            [0.0, np.nextafter(1.0, 0.0)],
+            np.random.Generator(np.random.Philox(key=5)).random(10**5),
+        ]
+    )
+    u = u[(u >= 0.0) & (u < 1.0)]  # the range of a uniform draw
+    bins = (u * GUIDE_BINS).astype(np.intp)
+    expect = table.steps[np.searchsorted(cdf, u, side="right")]
+    assert np.array_equal(table(u, bins), expect)
 
 
 def test_unperturbed_simulation_total_variation(lazy_sym):

@@ -189,6 +189,13 @@ def test_float_built_laws_get_exact_checks():
     assert spec.d[0] == pytest.approx(0.1, abs=1e-15)
 
 
+def test_float_built_law_exact_access():
+    pmf = LatticePMF(dim=1, offset=np.array([-1]), weights=np.array([0.25, 0.5, 0.25]))
+    assert pmf.exact_at(1) == Fraction(1, 4)
+    assert pmf.exact_at(2) == 0
+    assert pmf.exact_total() == 1
+
+
 def test_second_moments_matrix(unit_cov_2d):
     p = LatticePMF.from_points(1, {0: "1/2", 1: "1/4", -1: "1/4"})
     assert second_moments(p).tolist() == [[0.5]]

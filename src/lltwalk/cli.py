@@ -17,9 +17,10 @@ import numpy as np
 
 from . import exact_engine, harness, io_text
 from .errors import CrossCheckError, NoConvergence, ResourceLimit, ValidationError
-from .spectral import edgeworth_coeffs
+from .spectral import _MAX_ORDER, edgeworth_coeffs
 from .special_fn import identity_suite
 from .specfile import load_walk_spec
+from .walk_model import validate_walk_spec
 
 
 def _emit(text: str, out: str | None):
@@ -50,6 +51,7 @@ def _check_counts(args):
         "eps": (lambda v: 0 < v < 0.5, "in (0, 0.5)"),
         "tol": positive,
         "check_tol": positive,
+        "order": (lambda v: 3 <= v <= _MAX_ORDER, f"in [3, {_MAX_ORDER}]"),
     }
     for name, (ok, rule) in rules.items():
         value = getattr(args, name, None)
@@ -77,7 +79,7 @@ def _add_common(sub, formats=("csv", "json", "tsv"), mem=True, order=False):
         sub.add_argument("--mem-limit-mb", type=int, default=2048,
                          help="memory cap for exact engines and the simulator (MiB)")
     if order:
-        sub.add_argument("--order", type=int, default=None, help="expansion order L")
+        sub.add_argument("--order", type=int, default=4, help="expansion order L")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -133,11 +135,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_exact(args) -> int:
     spec = load_walk_spec(args.spec)
-    mem = args.mem_limit_mb << 20
     if args.law == "unperturbed":
-        pmf = exact_engine.convolve_power(spec.p, args.n, mem_limit=mem)
-        dist = exact_engine.ExactDistribution(n=args.n, pmf=pmf, route="fourier")
-    elif args.route == "all":
+        spec = validate_walk_spec(spec.p, spec.p, unperturbed=True, L=spec.L)
+    mem = args.mem_limit_mb << 20
+    if args.route == "all":
         t0 = time.perf_counter()
         dists, worst = exact_engine.cross_check(
             spec, args.n, tol=args.check_tol, mem_limit=mem
@@ -156,14 +157,14 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_asymptotic(args) -> int:
-    spec = load_walk_spec(args.spec, L=args.order or 4)
+    spec = load_walk_spec(args.spec, L=args.order)
     preds = harness.window_predictions(spec, args.n, args.window)
     _emit(io_text.predictions_text(preds, args.n, spec.nu, args.format), args.out)
     return 0
 
 
 def _cmd_compare(args) -> int:
-    spec = load_walk_spec(args.spec, L=args.order or 4)
+    spec = load_walk_spec(args.spec, L=args.order)
     rep = harness.compare(
         spec,
         _parse_n_list(args.n_list),
@@ -194,7 +195,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_coeffs(args) -> int:
-    spec = load_walk_spec(args.spec, L=args.order or 4)
+    spec = load_walk_spec(args.spec, L=args.order)
     coeffs = edgeworth_coeffs(spec.p, spec.L)
     _emit(io_text.coeffs_text(coeffs, args.format), args.out)
     return 0

@@ -6,7 +6,7 @@ Routes:
               steps by the exit law, everything else by the step law);
 * ``repr``    the closed-form decomposition of the perturbed law into the
               unperturbed convolution power plus an origin-return-weighted
-              correction sum, evaluated with spatial convolutions;
+              correction sum, evaluated by Horner's rule in space;
 * ``fourier`` the same decomposition assembled on a torus grid from powers
               of the characteristic function and inverted exactly.
 
@@ -238,44 +238,38 @@ def perturbed_via_representation(
 ) -> ExactDistribution:
     """Unperturbed power plus origin-return-weighted correction, in space.
 
-    Two passes of spatial convolutions: the first collects the origin
-    returns r_k of the unperturbed walk (and its n-th power), the second
-    accumulates W = sum_k r_k * p^{*(n-1-k)} with compensated addition;
-    the result is p^{*n} + a * W.  Requires the antisymmetry of a (which
-    WalkSpec guarantees): paths revisiting the origin then contribute
-    nothing to the correction.
+    One pass steps u = p^{*k} and, in lockstep, the Horner accumulator
+    S <- p * S + r_k, where r_k = u(0) and S starts at delta (r_0 = 1).
+    After n - 1 steps S = W = sum_k r_k * p^{*(n-1-k)}, and the result is
+    p^{*n} + a * W.  Every term is nonnegative and p averages, so each
+    rounding is carried forward without growth and the sum needs no
+    compensation.  Requires the antisymmetry of a (which WalkSpec
+    guarantees): paths revisiting the origin then contribute nothing to
+    the correction.
     """
-    lo, shape, org = _box((spec.p, spec.q), n, 72, mem_limit)
-    p_offs, p_ws = _kernel_arrays(spec.p)
+    # four stepping buffers + one product
+    lo, shape, org = _box((spec.p, spec.q), n, 40, mem_limit)
+    offs, ws = _kernel_arrays(spec.p)
     delta = _delta(spec.nu)
+    perturbed = n > 0 and bool(spec.a.as_dict())
 
-    # pass 1: r_k = p^{*k}(0) for k < n, and u = p^{*n}
-    r = np.empty(n)
-    for k, cur, _ in _walk(shape, org, spec.radius, delta, p_offs, p_ws, n):
-        if k < n:
-            r[k] = cur[org]
-    result = cur
+    u_steps = _walk(shape, org, spec.radius, delta, offs, ws, n)
+    s_steps = _walk(shape, org, spec.radius, delta, offs, ws, n - 1) if perturbed else ()
+    # S first: zip stops when it runs out, before taking u's last step
+    for (k, s, _), (_, u, _) in zip(s_steps, u_steps):
+        if k:
+            s[org] += u[org]
+    for _, u, _ in u_steps:
+        pass
 
-    if spec.a.as_dict():
-        # pass 2: W = sum_{j=0}^{n-1} r_{n-1-j} p^{*j}, Kahan compensated
-        w_acc = np.zeros(shape)
-        comp = np.zeros(shape)
-        for j, cur, win in _walk(shape, org, spec.radius, delta, p_offs, p_ws, n - 1):
-            y = r[n - 1 - j] * cur[win]
-            y -= comp[win]
-            t = w_acc[win] + y
-            comp[win] = t - w_acc[win]
-            comp[win] -= y
-            w_acc[win] = t
+    if perturbed:
         a_offs, a_ws = _kernel_arrays(spec.a)
-        corr = np.empty_like(w_acc)
-        dp_step(w_acc, corr, a_offs, a_ws)
-        result += corr
-        result = _clamp_tiny_negatives(result)
+        u += dp_step(s, np.empty(shape), a_offs, a_ws)
+        u = _clamp_tiny_negatives(u)
 
     return ExactDistribution(
         n=n,
-        pmf=LatticePMF(dim=spec.nu, offset=np.array(lo, dtype=np.int64), weights=result),
+        pmf=LatticePMF(dim=spec.nu, offset=np.array(lo, dtype=np.int64), weights=u),
         route="repr",
     )
 

@@ -21,7 +21,7 @@ from .asymptotics import (
     perturbation_correction_many,
 )
 from .spectral import EdgeworthCoeffs, edgeworth_coeffs
-from .walk_model import LatticePMF, WalkSpec
+from .walk_model import LatticePMF, WalkSpec, nonzero_points
 
 SIM_CHUNK = 1 << 17  # trials per chunk; fixed so results are partition independent
 GUIDE_BINS = 1 << 12  # bins of each step law's guide table; a power of 2, so u * K is exact
@@ -49,9 +49,7 @@ class EmpiricalPMF:
             raise ValueError("counts must sum to trials")
 
     def points(self):
-        for idx in np.argwhere(self.counts):
-            pt = tuple(int(i + o) for i, o in zip(idx, self.offset))
-            yield pt, int(self.counts[tuple(idx)])
+        return nonzero_points(self.counts, self.offset)
 
 
 @dataclass(frozen=True)

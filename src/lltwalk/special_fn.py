@@ -38,15 +38,7 @@ def hermite_univariate(n: int, x):
     """H_n(x), probabilists' normalization, stable three-term recurrence."""
     if n < 0:
         raise DegreeTooLarge("degree must be nonnegative")
-    if n > _MAX_HERMITE:
-        raise DegreeTooLarge(f"degree {n} beyond guard {_MAX_HERMITE}")
-    x = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(x)
-    if n == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
-    h = x.copy()
-    for k in range(1, n):
-        h_prev, h = h, x * h - k * h_prev
+    h = hermite_table(n, x)[n]
     return h if h.ndim else float(h)
 
 
@@ -86,16 +78,8 @@ def laguerre(m: int, a: float, x):
     """Generalized Laguerre L_m^a(x) by the standard recurrence."""
     if m < 0:
         raise DegreeTooLarge("degree must be nonnegative")
-    if m > _MAX_LAGUERRE:
-        raise DegreeTooLarge(f"degree {m} beyond guard {_MAX_LAGUERRE}")
-    x = np.asarray(x, dtype=float)
-    l_prev = np.ones_like(x)
-    if m == 0:
-        return l_prev if l_prev.ndim else float(l_prev)
-    l = 1.0 + a - x
-    for k in range(1, m):
-        l_prev, l = l, ((2 * k + 1 + a - x) * l - (k + a) * l_prev) / (k + 1)
-    return l if np.ndim(l) else float(l)
+    l = laguerre_table(m, a, x)[m]
+    return l if l.ndim else float(l)
 
 
 def laguerre_table(mmax: int, a: float, x) -> np.ndarray:

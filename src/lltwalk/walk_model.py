@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
@@ -59,6 +58,16 @@ def _as_point(x, dim: int) -> Point:
     if len(pt) != dim:
         raise DimensionMismatch(f"point {pt} does not have dimension {dim}")
     return pt
+
+
+def nonzero_points(values: np.ndarray, offset) -> Iterator[tuple[Point, float | int]]:
+    """(point, value) over the nonzero cells of a box whose lower corner is ``offset``.
+
+    C order, which is lexicographic in the points.
+    """
+    idx = np.nonzero(values)
+    axes = [(i + int(o)).tolist() for i, o in zip(idx, offset)]
+    return zip(zip(*axes), values[idx].tolist())
 
 
 @dataclass(frozen=True)
@@ -106,10 +115,7 @@ class LatticeFn:
 
     def points(self) -> Iterator[tuple[Point, float]]:
         """Iterate (point, weight) over nonzero entries, lexicographic order."""
-        for idx in product(*(range(s) for s in self.weights.shape)):
-            v = self.weights[idx]
-            if v != 0.0:
-                yield tuple(int(i + o) for i, o in zip(idx, self.offset)), float(v)
+        return nonzero_points(self.weights, self.offset)
 
     def value_at(self, x) -> float:
         pt = _as_point(x, self.dim)

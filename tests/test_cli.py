@@ -65,6 +65,12 @@ def test_resource_limit_exit_code(capsys):
     ["exact", "--n", "4", "--route", "all", "--check-tol", "nan"],
     ["returns", "--check-tol", "-1"],
     ["returns", "--check-tol", "inf"],
+    ["coeffs", "--order", "0"],
+    ["asymptotic", "--n", "64", "--order", "-1"],
+    ["asymptotic", "--n", "64", "--order", "1"],
+    ["asymptotic", "--n", "64", "--order", "2"],
+    ["asymptotic", "--n", "64", "--order", "13"],
+    ["compare", "--n-list", "16", "--order", "2"],
 ])
 def test_bad_counts_exit_code(capsys, argv):
     rc = main(argv + ["--spec", config_path("lazy_pert_1d.cfg")])
@@ -216,6 +222,18 @@ def test_exact_unperturbed_law(tmp_path):
     rows = out.read_text().splitlines()[2:]
     masses = {int(r.split(",")[0]): float(r.split(",")[1]) for r in rows}
     assert masses[0] == pytest.approx(0.2734375, abs=1e-12)  # central mass of the 4-step law
+
+
+def test_exact_unperturbed_law_honours_route(tmp_path, capsys):
+    out = tmp_path / "power.csv"
+    argv = ["exact", "--spec", config_path("lazy_pert_1d.cfg"), "--n", "6",
+            "--law", "unperturbed", "--out", str(out)]
+    assert main(argv + ["--route", "dp"]) == 0
+    assert out.read_text().startswith("# n=6 nu=1 route=dp\n")
+    assert main(argv + ["--route", "all"]) == 0
+    assert "max pairwise deviation" in capsys.readouterr().err
+    # --check-tol is honoured: the FFT route's roundoff alone passes 1e-30
+    assert main(argv + ["--route", "all", "--check-tol", "1e-30"]) == 3
 
 
 CFG = config_path("lazy_pert_1d.cfg")

@@ -218,8 +218,9 @@ def test_convolve_power_normalized_at_large_n(lazy_p, n):
 @pytest.mark.parametrize("name, n", [("lazy_pert", 6000), ("unit_cov_2d", 256)])
 def test_fourier_matches_forward_at_large_n(request, name, n):
     spec = request.getfixturevalue(name)
-    d = perturbed_fourier(spec, n)
-    assert max_abs_difference(d.pmf, perturbed_forward(spec, n).pmf) < 1e-12
+    dp = perturbed_forward(spec, n).pmf
+    assert max_abs_difference(perturbed_fourier(spec, n).pmf, dp) < 1e-12
+    assert max_abs_difference(perturbed_via_representation(spec, n).pmf, dp) < 1e-12
 
 
 def test_fourier_rejects_complex_transform_of_p():

@@ -10,11 +10,21 @@ Kernels:
 * origin_returns               k -> mean over a torus grid of phat^k, k < n
 * weighted_power_sum           sum_k r_k * phat^(n-1-k), by Horner's rule
 * pow_binary                   elementwise z^n by binary exponentiation
+
+The two k-sums take the grid as a flat array sorted by |z|, descending
+(``np.argsort(-np.abs(z), kind="stable")``), and raise ValueError on any
+other input: the order is what lets them cut each cell's sum off.  A cell
+takes part in power k while |z|^k >= KSUM_TOL / n.  The cells that do form
+a prefix of the array, so each power works on one contiguous slice, each
+dropped term is below KSUM_TOL / n in size, and no power steps a subnormal
+number.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+KSUM_TOL = 1e-16  # the k-sums drop every term r_k z^j with |z|^j < KSUM_TOL / n
 
 
 def dp_step(cur: np.ndarray, out: np.ndarray, offs: np.ndarray, ws: np.ndarray) -> np.ndarray:
@@ -37,13 +47,36 @@ def dp_step(cur: np.ndarray, out: np.ndarray, offs: np.ndarray, ws: np.ndarray) 
     return out
 
 
+def _active_prefix(z: np.ndarray, n: int) -> np.ndarray:
+    """Lengths L[k], k = 0..n-1, of the prefixes ``z[:L[k]]`` kept for power k.
+
+    ``z`` must be flat and sorted by |z|, descending.  A cell is kept while
+    |z| is at least the k-th root of KSUM_TOL / n, lowered by a relative
+    margin of 1e-9 that covers the root's rounding (a few ulps, times k
+    once raised to the k-th power).  So every cell with |z|^k >= KSUM_TOL / n
+    is kept, and every cell dropped has |z|^k < KSUM_TOL / n.
+    """
+    mod = np.abs(z)
+    if z.ndim != 1 or np.any(mod[1:] > mod[:-1]):
+        raise ValueError("z must be a flat array sorted by |z|, descending")
+    tol = KSUM_TOL / max(n, 1) * (1.0 - 1e-9)
+    roots = tol ** (1.0 / np.arange(1, n))
+    return np.concatenate(([z.size], z.size - np.searchsorted(mod[::-1], roots)))[:n]
+
+
 def origin_returns(z: np.ndarray, n: int) -> np.ndarray:
-    """Grid means of z^k for k = 0..n-1 (z = charfn samples), in z's dtype."""
+    """Grid means of z^k for k = 0..n-1 (z = charfn samples), in z's dtype.
+
+    Each power steps only the cells where it is at least KSUM_TOL / n, and
+    the mean still divides by the full cell count, so r_k is off by less
+    than KSUM_TOL / n.
+    """
     r = np.empty(n, dtype=z.dtype)
     g = np.ones_like(z)
-    for k in range(n):
-        r[k] = g.mean()
-        g *= z
+    for k, lk in enumerate(_active_prefix(z, n)):
+        g = g[:lk]
+        r[k] = g.sum() / z.size
+        g *= z[:lk]
     return r
 
 
@@ -52,12 +85,16 @@ def weighted_power_sum(z: np.ndarray, r: np.ndarray) -> np.ndarray:
 
     Horner's rule, k ascending, on one working grid.  With |z| <= 1 every
     earlier rounding error is multiplied by a power of |z|, so the sum
-    needs no compensation.
+    needs no compensation.  Step k runs only on the cells where
+    |z|^(n-1-k) >= KSUM_TOL / n; that prefix grows with k, and a cell
+    joins at 0, which is the exact value of the terms it left out.  With
+    |r_k| <= 1 each cell is off by less than KSUM_TOL.
     """
     s = np.zeros(z.shape, dtype=np.result_type(z, r))
-    for rk in r:
-        s *= z
-        s += rk
+    for rk, lk in zip(r, _active_prefix(z, len(r))[::-1]):
+        head = s[:lk]
+        head *= z[:lk]
+        head += rk
     return s
 
 

@@ -165,6 +165,20 @@ def _forward(p: LatticePMF, a: LatticeFn | None, hull, n: int, mem_limit: int) -
     return LatticePMF(dim=p.dim, offset=np.array(lo, dtype=np.int64), weights=cur)
 
 
+def _correction_sum(z: np.ndarray, n: int) -> np.ndarray:
+    """W = sum_k r_k z^(n-1-k) per cell of the real grid z, k-sums cut off.
+
+    The kernels take the cells sorted by |z|, descending; W is scattered
+    back to the grid's order.  Each r_k is off by less than KSUM_TOL / n
+    and W by less than 2 KSUM_TOL (see ``_kernels``).
+    """
+    order = np.argsort(-np.abs(z), axis=None, kind="stable")
+    cells = z.ravel()[order]
+    # W goes back to grid order in the sorted copy's buffer
+    cells[order] = weighted_power_sum(cells, origin_returns(cells, n))
+    return cells.reshape(z.shape)
+
+
 def _fourier(p: LatticePMF, a: LatticeFn | None, hull, n: int, mem_limit: int) -> LatticePMF:
     """p^{*n} + a * sum_k r_k p^{*(n-1-k)} on a torus grid, inverted exactly.
 
@@ -188,8 +202,9 @@ def _fourier(p: LatticePMF, a: LatticeFn | None, hull, n: int, mem_limit: int) -
         drift = float(np.abs(z.imag).max())
         if drift > 1e-12:
             raise CrossCheckError(f"transform of p has imaginary part {drift!r}")
-        z = np.ascontiguousarray(z.real)
-        total += charfn_grid(a, m).values * weighted_power_sum(z, origin_returns(z, n))
+        z = np.ascontiguousarray(z.real)  # drops the complex samples
+        # W first: its sort buffers are gone before the transform of a exists
+        total += _correction_sum(z, n) * charfn_grid(a, m).values
     spatial = invert_charfn(TorusGrid(dim=p.dim, m=m, values=total), offset=lo, shape=shape)
     w = _clamp_tiny_negatives(spatial.weights)
     return LatticePMF(dim=p.dim, offset=np.array(lo, dtype=np.int64), weights=w)

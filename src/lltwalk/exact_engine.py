@@ -179,6 +179,18 @@ def _correction_sum(z: np.ndarray, n: int) -> np.ndarray:
     return cells.reshape(z.shape)
 
 
+def _transform(f: LatticeFn, m: int) -> np.ndarray:
+    """Samples of f's transform on the m-grid, the centre pinned to f's exact total.
+
+    The centre is the transform at theta = 0.  The FFT can miss it by an
+    ulp, and the law's mass, the n-th power there, would then drift by n ulps.
+    """
+    grid = charfn_grid(f, m)
+    values = np.array(grid.values)  # a writable copy
+    values[grid.center] = float(f.exact_total())
+    return values
+
+
 def _fourier(p: LatticePMF, a: LatticeFn | None, hull, n: int, mem_limit: int) -> LatticePMF:
     """p^{*n} + a * sum_k r_k p^{*(n-1-k)} on a torus grid, inverted exactly.
 
@@ -189,13 +201,12 @@ def _fourier(p: LatticePMF, a: LatticeFn | None, hull, n: int, mem_limit: int) -
     perturbed = a is not None and n > 0 and bool(a.as_dict())
     lo, shape, _ = _box(hull, n, 0, mem_limit)
     m = max(shape) | 1
-    # the peak, in bytes per grid cell, is the inversion's three complex grids
-    # on top of the power and z, which is complex (16) or, when perturbed,
-    # real (8); the real r_k add 8 n bytes
-    cell_bytes, extra = (72, 8 * n) if perturbed else (80, 0)
-    _guard_cells((m,) * p.dim, cell_bytes, mem_limit, extra)
+    # the peak, 64 bytes per grid cell, is binary exponentiation's four complex
+    # grids or the inversion's three on top of the power; the real r_k add
+    # 8 n bytes when perturbed
+    _guard_cells((m,) * p.dim, 64, mem_limit, 8 * n if perturbed else 0)
 
-    z = charfn_grid(p, m).values
+    z = _transform(p, m)
     total = pow_binary(z, n)
     if perturbed:
         # p is symmetric, so its transform is real up to the FFT's roundoff
@@ -203,8 +214,14 @@ def _fourier(p: LatticePMF, a: LatticeFn | None, hull, n: int, mem_limit: int) -
         if drift > 1e-12:
             raise CrossCheckError(f"transform of p has imaginary part {drift!r}")
         z = np.ascontiguousarray(z.real)  # drops the complex samples
-        # W first: its sort buffers are gone before the transform of a exists
-        total += _correction_sum(z, n) * charfn_grid(a, m).values
+        # W first: its sort buffers and z are gone before the transform of a exists
+        w = _correction_sum(z, n)
+        del z
+        total += w * _transform(a, m)
+        del w
+    else:
+        del z
+    # only the law's transform is left for the inversion, where the peak is
     spatial = invert_charfn(TorusGrid(dim=p.dim, m=m, values=total), offset=lo, shape=shape)
     w = _clamp_tiny_negatives(spatial.weights)
     return LatticePMF(dim=p.dim, offset=np.array(lo, dtype=np.int64), weights=w)

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import chi2 as chi2_dist
 
 from . import exact_engine, io_text
 from .asymptotics import (
@@ -160,6 +159,8 @@ def chi_squared_check(
     Cells with expected count below ``min_expected`` are pooled into one
     bin.  Returns dict(stat, dof, threshold, ok).
     """
+    from scipy.stats import chi2 as chi2_dist  # scipy loads on first use, not on import
+
     exp_w = exact.pmf
     cells = []
     pooled_exp = 0.0

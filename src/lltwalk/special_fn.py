@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import digamma
 
 from .errors import DegreeTooLarge, NoConvergence
 
@@ -178,6 +176,8 @@ def exp_integral_series(z: float, w: float, n: int, lmax: int = 120) -> float:
 
 def exp_integral_quadrature(z: float, w: float, n: int) -> float:
     """Quadrature side of the same identity (independent oracle)."""
+    from scipy.integrate import quad  # scipy loads on first use, not on import
+
     val, _ = quad(lambda t: math.exp(t) * t ** (-z), w, w * (n - 1), limit=400)
     return w ** (z - 1) * val
 
@@ -233,6 +233,8 @@ def identity_suite(x: float = 1.0, eps: float = 0.01, tol: float = 1e-3) -> Iden
     """
     if x <= 0:
         raise ValueError("x must be positive")
+    from scipy.integrate import quad  # scipy loads on first use, not on import
+
     rep = IdentityReport()
 
     # Hermite/Laguerre bridges at a few sample points
@@ -267,7 +269,8 @@ def identity_suite(x: float = 1.0, eps: float = 0.01, tol: float = 1e-3) -> Iden
     log_coefs = np.zeros(nterms + 1)
     log_coefs[1:] = table[1:] / (ell[1:] * (ell[1:] + 1.0))
     limit, _ = abel_richardson(log_coefs, eps_list, tol)
-    rep.add(f"log series at x={x}", limit, float(digamma(2.0)) - math.log(x), tol)
+    # psi(2) = 1 - gamma, exactly
+    rep.add(f"log series at x={x}", limit, (1.0 - np.euler_gamma) - math.log(x), tol)
 
     # half-line Hermite integrals against H_{2n}(0)
     for nn in range(0, 6):

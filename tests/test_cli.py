@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -317,3 +321,35 @@ def test_asymptotic_2d_origin_row_has_zero_correction(tmp_path):
     origin = [line.split(",") for line in lines[2:] if line.startswith("0,0,")]
     assert len(origin) == 1
     assert float(origin[0][3]) == 0.0
+
+
+# the test process has imported scipy itself, so start-up is checked in a
+# fresh interpreter that finds lltwalk where this suite does
+_SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(filter(None, [str(_SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_cli_import_loads_no_scipy():
+    proc = _fresh_python(
+        "import sys, lltwalk.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_identities_in_fresh_interpreter():
+    # scipy loads inside identity_suite; a fresh process proves those imports resolve
+    proc = _fresh_python("import sys; from lltwalk.cli import main; sys.exit(main(['identities']))")
+    assert proc.returncode == 0, proc.stderr
+    assert "FAIL" not in proc.stdout and "PASS" in proc.stdout

@@ -20,6 +20,7 @@ from lltwalk import (
 from lltwalk import exact_engine
 from lltwalk.errors import CrossCheckError, ResourceLimit
 from lltwalk.io_text import distribution_text
+from lltwalk.spectral import TorusGrid
 from lltwalk.walk_model import SignedLatticeFn
 
 
@@ -221,6 +222,30 @@ def test_fourier_matches_forward_at_large_n(request, name, n):
     dp = perturbed_forward(spec, n).pmf
     assert max_abs_difference(perturbed_fourier(spec, n).pmf, dp) < 1e-12
     assert max_abs_difference(perturbed_via_representation(spec, n).pmf, dp) < 1e-12
+
+
+def test_fourier_mass_immune_to_transform_roundoff_at_zero(lazy_pert, monkeypatch):
+    # the mass is the n-th power of p^(0): an FFT error of 1e-15 there would
+    # move it by n * 1e-15 = 4e-12 at n = 4096, past LatticePMF's 1e-12
+    charfn_grid, invert_charfn = exact_engine.charfn_grid, exact_engine.invert_charfn
+    masses = []
+
+    def off_at_zero(f, m):
+        g = charfn_grid(f, m)
+        values = g.values.copy()
+        values[g.center] += 1e-15
+        return TorusGrid(dim=g.dim, m=g.m, values=values)
+
+    def recording_inverse(g, **kw):
+        spatial = invert_charfn(g, **kw)
+        masses.append(math.fsum(spatial.weights.ravel()))
+        return spatial
+
+    monkeypatch.setattr(exact_engine, "charfn_grid", off_at_zero)
+    monkeypatch.setattr(exact_engine, "invert_charfn", recording_inverse)
+    perturbed_fourier(lazy_pert, 4096)
+    assert len(masses) == 1
+    assert abs(masses[0] - 1.0) <= 1e-13
 
 
 def test_fourier_rejects_complex_transform_of_p():

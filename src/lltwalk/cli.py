@@ -144,9 +144,10 @@ def _cmd_exact(args) -> int:
             spec, args.n, tol=args.check_tol, mem_limit=mem
         )
         dt = time.perf_counter() - t0
+        bound = max(d.tail_bound for d in dists.values())
         print(
             f"routes {list(dists)}: max pairwise deviation {worst:.3e} "
-            f"(tol {args.check_tol:.1e}, {dt:.2f}s)",
+            f"(tol {args.check_tol:.1e}, {dt:.2f}s), tail bound {bound:.1e}",
             file=sys.stderr,
         )
         dist = dists["fourier"]

@@ -14,6 +14,11 @@ All three must agree to ROUTE_TOL (1e-12) pointwise; ``cross_check`` enforces th
 Convolution powers use pointwise powers of characteristic-function samples
 on a grid wide enough that the result is recovered exactly (the sampled
 transform is a trigonometric polynomial below the grid bandwidth).
+
+Every route, the first-return recursion and both convolution powers work
+on one box per (laws, n): the n-step support cut at a certified tail box
+(``_box``), past which the law holds at most TAIL_TOL per cut axis.  The
+cut moves the law by at most the reported ``tail_bound``.
 """
 
 from __future__ import annotations
@@ -31,17 +36,25 @@ from .walk_model import LatticeFn, LatticePMF, WalkSpec
 DEFAULT_MEM_LIMIT = 2 << 30  # bytes; generous but finite
 NEGATIVE_CLAMP = 1e-14       # frequency-route roundoff threshold
 ROUTE_TOL = 1e-12            # largest pointwise deviation allowed between routes
+TAIL_TOL = 1e-20             # mass bound past each cut axis of the tail box
+# Chernoff exponents t, in units of 1 / (the largest step along the axis)
+_T_GRID = np.geomspace(1e-8, 64.0, 1024)
 
 ROUTES = ("dp", "repr", "fourier")
 
 
 @dataclass(frozen=True)
 class ExactDistribution:
-    """Law of the walk after n steps, with the route that produced it."""
+    """Law of the walk after n steps, with the route that produced it.
+
+    ``tail_bound`` bounds, pointwise, how far the law on its tail box is
+    from the law on the full support (0.0 when the box is the full support).
+    """
 
     n: int
     pmf: LatticePMF
     route: str
+    tail_bound: float = 0.0
 
     def __post_init__(self):
         if self.route not in ROUTES:
@@ -69,21 +82,70 @@ def _guard_cells(shape, itemsize: int, mem_limit: int, extra: int = 0):
         )
 
 
-def _box(fns, n: int, cell_bytes: int, mem_limit: int):
-    """Box holding max(n, 1) steps of the hull of ``fns``, guarded at ``cell_bytes``.
+def _tail(p: LatticePMF, reach: int, n: int):
+    """Per axis, (s, bound): the tail box's half-width and the mass it may lose.
 
-    Returns (lower corner, shape, index of the origin).  ``cell_bytes = 0``
-    leaves the guard to the caller.
+    s is the least integer with 2 (2n+1) phi(t)^n e^{-t (s - reach)} <= TAIL_TOL
+    for some t on the grid, where phi(t) is the larger of p's moment
+    generating functions at +t and -t along the axis; ``bound`` is the
+    smallest value of that left side at s.  Any t > 0 gives a valid bound,
+    so a fixed grid of t needs no optimizer.  With TAIL_TOL = 0, or an n
+    past float range (no box that wide passes a guard), s is infinite and
+    no axis is cut.
     """
+    if not TAIL_TOL or n > 1e300:
+        return [(math.inf, 0.0)] * p.dim
+    offs, ws = _kernel_arrays(p)
+    log_c = math.log(2 * (2 * n + 1))
+    out = []
+    for x in offs.T:
+        t = _T_GRID / max(np.abs(x).max(), 1)  # keeps t x within [-64, 64]
+        # ln phi as log1p of sum p (e^{tx} - 1), exact to an ulp at small t
+        up, down = np.zeros_like(t), np.zeros_like(t)
+        for c, w in zip(x, ws):
+            up += w * np.expm1(c * t)
+            down += w * np.expm1(-c * t)
+        log_phi = np.log1p(np.maximum(up, down))
+        s = math.ceil(reach + ((log_c - math.log(TAIL_TOL) + n * log_phi) / t).min())
+        out.append((s, math.exp((log_c + n * log_phi - t * (s - reach)).min())))
+    return out
+
+
+def _hull_box(fns, n: int):
+    """Per-axis (lo, hi) bounds of max(n, 1) steps of the hull of ``fns``: the full support."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     m = max(n, 1)
-    lo = [m * min(f.box[ax][0] for f in fns) for ax in range(fns[0].dim)]
-    hi = [m * max(f.box[ax][1] for f in fns) for ax in range(fns[0].dim)]
+    return [(m * min(f.box[ax][0] for f in fns), m * max(f.box[ax][1] for f in fns))
+            for ax in range(fns[0].dim)]
+
+
+def _box(fns, n: int, cell_bytes: int, mem_limit: int):
+    """Box holding max(n, 1) steps of the hull of ``fns``, cut at the tail box.
+
+    ``fns[0]`` is the step law p, and each axis keeps the hull's extent
+    within the half-width s of ``_tail``.  Why the cut costs at most the
+    bound, pointwise, on every route: by Doob's maximal inequality a p-walk
+    passes s - reach along an axis within n steps with probability at most
+    phi(t)^n e^{-t (s - reach)} per side; a path of the perturbed chain,
+    split at its last origin visit before it passes s (P_j(0) = r_j <= 1),
+    is one jump of at most ``reach`` and then a p-walk; and by Poisson
+    summation the torus aliases onto the box only mass from past s.  The
+    factor 2 (2n + 1) counts both sides and every split.  Returns (lower
+    corner, shape, index of the origin, tail bound), the bound summed over
+    the cut axes (0.0 when none is cut).  ``cell_bytes = 0`` leaves the
+    guard to the caller.
+    """
+    lo, hi = map(list, zip(*_hull_box(fns, n)))
+    bound = 0.0
+    for ax, (s, b) in enumerate(_tail(fns[0], max(f.radius for f in fns), n)):
+        if s < max(hi[ax], -lo[ax]):
+            lo[ax], hi[ax] = max(lo[ax], -s), min(hi[ax], s)
+            bound += b
     shape = tuple(h - l + 1 for l, h in zip(lo, hi))
     if cell_bytes:
         _guard_cells(shape, cell_bytes, mem_limit)
-    return lo, shape, tuple(-l for l in lo)
+    return lo, shape, tuple(-l for l in lo), bound
 
 
 def _window(org, rad: int):
@@ -145,12 +207,20 @@ def _kernel_arrays(f: LatticeFn):
 # the two pipelines: forward stepping and the torus grid
 # ---------------------------------------------------------------------------
 
-def _forward(p: LatticePMF, a: LatticeFn | None, hull, n: int, mem_limit: int) -> LatticePMF:
+def _add_at_origin(cur: np.ndarray, org, a_pts, scale: float):
+    """cur += scale * a, with a's points taken relative to the origin index."""
+    for pt, w in a_pts:
+        cur[tuple(o + c for o, c in zip(org, pt))] += scale * w
+
+
+def _forward(p: LatticePMF, a: LatticeFn | None, hull, n: int, mem_limit: int):
     """Step from the origin n times by p; mass at the origin also moves by a.
 
-    The box holds n steps of ``hull`` and the origin, where the walk starts.
+    The box holds n steps of ``hull`` and the origin, where the walk starts,
+    cut at the tail box; mass stepped past it is dropped.  Returns the law
+    and the box's tail bound.
     """
-    lo, shape, org = _box((*hull, _delta(p.dim)), n, 24, mem_limit)  # two buffers + one product
+    lo, shape, org, bound = _box((*hull, _delta(p.dim)), n, 24, mem_limit)  # two buffers + one product
     offs, ws = _kernel_arrays(p)
     a_pts = list(a.points()) if a is not None else []
     reach = max(f.radius for f in hull)
@@ -159,10 +229,9 @@ def _forward(p: LatticePMF, a: LatticeFn | None, hull, n: int, mem_limit: int) -
     for _, cur, _ in _walk(shape, org, reach, _delta(p.dim), offs, ws, n):
         # transition from the origin differs from p by exactly a = q - p
         if m0 != 0.0:
-            for pt, w in a_pts:
-                cur[tuple(o + c for o, c in zip(org, pt))] += m0 * w
+            _add_at_origin(cur, org, a_pts, m0)
         m0 = cur[org]
-    return LatticePMF(dim=p.dim, offset=np.array(lo, dtype=np.int64), weights=cur)
+    return LatticePMF(dim=p.dim, offset=np.array(lo, dtype=np.int64), weights=cur), bound
 
 
 def _correction_sum(z: np.ndarray, n: int) -> np.ndarray:
@@ -191,20 +260,24 @@ def _transform(f: LatticeFn, m: int) -> np.ndarray:
     return values
 
 
-def _fourier(p: LatticePMF, a: LatticeFn | None, hull, n: int, mem_limit: int) -> LatticePMF:
+def _fourier(p: LatticePMF, a: LatticeFn | None, hull, n: int, mem_limit: int):
     """p^{*n} + a * sum_k r_k p^{*(n-1-k)} on a torus grid, inverted exactly.
 
     r_k = p^{*k}(0) are the unperturbed origin returns; without ``a`` (or
     with a = 0) this is the convolution power p^{*n}.  The grid is the
-    smallest odd size covering the box of n steps of ``hull``.
+    smallest odd size covering the box of n steps of ``hull`` cut at the
+    tail box, so the law's mass past the box aliases onto it; the box's
+    tail bound, returned with the law, covers that.
     """
     perturbed = a is not None and n > 0 and bool(a.as_dict())
-    lo, shape, _ = _box(hull, n, 0, mem_limit)
+    lo, shape, _, bound = _box(hull, n, 0, mem_limit)
     m = max(shape) | 1
     # the peak, 64 bytes per grid cell, is binary exponentiation's four complex
-    # grids or the inversion's three on top of the power; the real r_k add
-    # 8 n bytes when perturbed
-    _guard_cells((m,) * p.dim, 64, mem_limit, 8 * n if perturbed else 0)
+    # grids or the inversion's three on top of the power.  When perturbed, the
+    # k-sums add 32 n bytes: r_k and, in _kernels._active_prefix, the roots,
+    # their prefix lengths and the concatenated result, all of length n.  On
+    # a tail grid they outweigh the grid in 1-D (m is about 960 at n = 4096).
+    _guard_cells((m,) * p.dim, 64, mem_limit, 32 * n if perturbed else 0)
 
     z = _transform(p, m)
     total = pow_binary(z, n)
@@ -224,7 +297,7 @@ def _fourier(p: LatticePMF, a: LatticeFn | None, hull, n: int, mem_limit: int) -
     # only the law's transform is left for the inversion, where the peak is
     spatial = invert_charfn(TorusGrid(dim=p.dim, m=m, values=total), offset=lo, shape=shape)
     w = _clamp_tiny_negatives(spatial.weights)
-    return LatticePMF(dim=p.dim, offset=np.array(lo, dtype=np.int64), weights=w)
+    return LatticePMF(dim=p.dim, offset=np.array(lo, dtype=np.int64), weights=w), bound
 
 
 def convolve_power(
@@ -250,7 +323,7 @@ def convolve_power(
         pipeline = {"fft": _fourier, "direct": _forward}[method]
     except KeyError:
         raise ValueError(f"unknown method {method!r}") from None
-    return pipeline(p, None, (p,), n, mem_limit)
+    return pipeline(p, None, (p,), n, mem_limit)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +334,8 @@ def perturbed_forward(
     spec: WalkSpec, n: int, mem_limit: int = DEFAULT_MEM_LIMIT
 ) -> ExactDistribution:
     """Forward recursion: origin mass exits by q, the rest steps by p."""
-    pmf = _forward(spec.p, spec.a, (spec.p, spec.q), n, mem_limit)
-    return ExactDistribution(n=n, pmf=pmf, route="dp")
+    pmf, bound = _forward(spec.p, spec.a, (spec.p, spec.q), n, mem_limit)
+    return ExactDistribution(n=n, pmf=pmf, route="dp", tail_bound=bound)
 
 
 def perturbed_via_representation(
@@ -271,38 +344,39 @@ def perturbed_via_representation(
     """Unperturbed power plus origin-return-weighted correction, in space.
 
     One pass steps u = p^{*k} and, in lockstep, the Horner accumulator
-    S <- p * S + r_k, where r_k = u(0) and S starts at delta (r_0 = 1).
-    After n - 1 steps S = W = sum_k r_k * p^{*(n-1-k)}, and the result is
-    p^{*n} + a * W.  Every term is nonnegative and p averages, so each
-    rounding is carried forward without growth and the sum needs no
-    compensation.  Requires the antisymmetry of a (which WalkSpec
-    guarantees): paths revisiting the origin then contribute nothing to
-    the correction.
+    S <- p * S + r_k * a, where r_k = u(0) and S starts at a (r_0 = 1).
+    After n - 1 steps S = a * W with W = sum_k r_k * p^{*(n-1-k)}, and the
+    result is p^{*n} + S.  Stepping a inside S keeps the decomposition
+    exact on the tail box too: mass stepped past it is dropped as the
+    ``dp`` route drops it.  p averages, so each rounding is carried forward
+    without growth and the sum needs no compensation.  Requires the
+    antisymmetry of a (which WalkSpec guarantees): paths revisiting the
+    origin then contribute nothing to the correction.
     """
     # four stepping buffers + one product
-    lo, shape, org = _box((spec.p, spec.q), n, 40, mem_limit)
+    lo, shape, org, bound = _box((spec.p, spec.q), n, 40, mem_limit)
     offs, ws = _kernel_arrays(spec.p)
-    delta = _delta(spec.nu)
     perturbed = n > 0 and bool(spec.a.as_dict())
+    a_pts = list(spec.a.points())
 
-    u_steps = _walk(shape, org, spec.radius, delta, offs, ws, n)
-    s_steps = _walk(shape, org, spec.radius, delta, offs, ws, n - 1) if perturbed else ()
+    u_steps = _walk(shape, org, spec.radius, _delta(spec.nu), offs, ws, n)
+    s_steps = _walk(shape, org, spec.radius, spec.a, offs, ws, n - 1) if perturbed else ()
     # S first: zip stops when it runs out, before taking u's last step
     for (k, s, _), (_, u, _) in zip(s_steps, u_steps):
         if k:
-            s[org] += u[org]
+            _add_at_origin(s, org, a_pts, u[org])
     for _, u, _ in u_steps:
         pass
 
     if perturbed:
-        a_offs, a_ws = _kernel_arrays(spec.a)
-        u += dp_step(s, np.empty(shape), a_offs, a_ws)
+        u += s
         u = _clamp_tiny_negatives(u)
 
     return ExactDistribution(
         n=n,
         pmf=LatticePMF(dim=spec.nu, offset=np.array(lo, dtype=np.int64), weights=u),
         route="repr",
+        tail_bound=bound,
     )
 
 
@@ -310,8 +384,8 @@ def perturbed_fourier(
     spec: WalkSpec, n: int, mem_limit: int = DEFAULT_MEM_LIMIT
 ) -> ExactDistribution:
     """Frequency-domain assembly of the same decomposition, inverted exactly."""
-    pmf = _fourier(spec.p, spec.a, (spec.p, spec.q), n, mem_limit)
-    return ExactDistribution(n=n, pmf=pmf, route="fourier")
+    pmf, bound = _fourier(spec.p, spec.a, (spec.p, spec.q), n, mem_limit)
+    return ExactDistribution(n=n, pmf=pmf, route="fourier", tail_bound=bound)
 
 
 _ROUTE_FNS = {
@@ -388,9 +462,11 @@ def first_return_probs(
     Taboo recursion: mass reaching the origin is recorded and removed, so
     what survives never revisited it.  The two sequences agree exactly in
     theory (the antisymmetric part of the exit law integrates to zero
-    against symmetric return paths); the suite checks 1e-12.
+    against symmetric return paths); the suite checks 1e-12.  The recursion
+    runs on the tail box of n_max steps, so each value is within that box's
+    tail bound of its full-support value.
     """
-    _, shape, org = _box((spec.p, spec.q), n_max, 24, mem_limit)
+    _, shape, org, _ = _box((spec.p, spec.q), n_max, 24, mem_limit)
     p_offs, p_ws = _kernel_arrays(spec.p)
 
     def taboo(first_step: LatticeFn) -> np.ndarray:

@@ -208,8 +208,14 @@ def _window_radius(spec: WalkSpec, n: int, window: float | None) -> float:
 
 
 def _window_points(box, radius: float) -> np.ndarray:
-    """Points of the box (per-axis inclusive bounds) within ``radius`` of 0, lexicographic."""
-    grids = np.meshgrid(*[np.arange(lo, hi + 1) for lo, hi in box], indexing="ij")
+    """Points of the box (per-axis inclusive bounds) within ``radius`` of 0, lexicographic.
+
+    Only the part of the box within ``radius`` per axis is enumerated, so a
+    small window in a large box costs the window's cells.
+    """
+    r = math.floor(radius)
+    grids = np.meshgrid(*[np.arange(max(lo, -r), min(hi, r) + 1) for lo, hi in box],
+                        indexing="ij")
     X = np.stack([g.ravel() for g in grids], axis=1)
     keep = (X.astype(float) ** 2).sum(axis=1) <= radius**2
     return X[keep]
@@ -368,8 +374,13 @@ def compare(
             other = "dp" if route != "dp" else "fourier"
             alt = exact_engine.perturbed_distribution(spec, n, route=other, mem_limit=mem_limit)
             rep.route_deviation[n] = exact_engine.max_abs_difference(dist.pmf, alt.pmf)
-        X = _window_points(dist.pmf.box, rad)
-        exact_vals = dist.pmf.weights[tuple((X - dist.pmf.offset).T)]
+        # rows cover the window within n steps' reach, whatever the tail box;
+        # past the box the exact law reads 0, within dist.tail_bound of the truth
+        X = _window_points(exact_engine._hull_box((spec.p, spec.q), n), rad)
+        idx = X - dist.pmf.offset
+        inside = np.all((idx >= 0) & (idx < dist.pmf.weights.shape), axis=1)
+        exact_vals = np.zeros(len(X))
+        exact_vals[inside] = dist.pmf.weights[tuple(idx[inside].T)]
         gauss, corr, factor = predict(spec, n, X, coeffs)
         refined = gauss * factor if spec.unperturbed else gauss + corr
 

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -30,6 +31,18 @@ def test_exact_route_all(tmp_path, capsys):
     assert rc == 0
     err = capsys.readouterr().err
     assert "max pairwise deviation" in err
+
+
+def test_exact_all_reports_tail_bound(capsys):
+    # the bound follows the deviation text, which scripts parse
+    argv = ["exact", "--spec", config_path("lazy_pert_1d.cfg"), "--route", "all",
+            "--out", os.devnull, "--n"]
+    assert main(argv + ["20"]) == 0
+    assert capsys.readouterr().err.rstrip().endswith("), tail bound 0.0e+00")
+    assert main(argv + ["1000"]) == 0
+    err = capsys.readouterr().err
+    assert re.search(r"max pairwise deviation [0-9.e+-]+ \(tol", err)
+    assert 0.0 < float(err.rsplit("tail bound ", 1)[1]) <= 1e-20
 
 
 def test_validation_error_names_periodic(capsys):
@@ -115,6 +128,8 @@ def test_identities_eps_beyond_abel_series_guard(capsys):
     ["asymptotic", "--spec", config_path("unit_cov_2d.cfg"), "--n", "64", "--window", "1000000"],
     ["asymptotic", "--spec", config_path("lazy_pert_1d.cfg"), "--n", "64", "--window", "1e300"],
     ["exact", "--spec", config_path("lazy_pert_1d.cfg"), "--n", str(10**200)],
+    # past float range: the tail box is not computed, the full support is refused
+    ["exact", "--spec", config_path("lazy_pert_1d.cfg"), "--n", str(10**400)],
 ])
 def test_oversized_box_exit_code(capsys, argv):
     # the window's box is guarded before it is built, and a box too large

@@ -256,10 +256,75 @@ def test_fourier_rejects_complex_transform_of_p():
         exact_engine._fourier(p, a, (p,), 4, exact_engine.DEFAULT_MEM_LIMIT)
 
 
+# Sizes where every axis of the box is cut at the tail box.
+TAIL_CASES = [("lazy_pert", 1000), ("unit_cov_2d", 96), ("spec3d", 40)]
+
+
+def _on_full_support(monkeypatch, fn):
+    """fn() with the tail box off: TAIL_TOL = 0 leaves every box the full support."""
+    with monkeypatch.context() as m:
+        m.setattr(exact_engine, "TAIL_TOL", 0.0)
+        return fn()
+
+
+def _allowance(n, ref, torus):
+    # Roundoff beside the bound.  The spatial routes differ from their
+    # full-support runs by the dropped mass and its rounding (3.5e-18, one
+    # ulp, at most in the measured cases).
+    # On the torus, binary exponentiation leaves p^n up to about n ulps off,
+    # and the inversion averages that with weights |p^n| whose mean is about
+    # the law's largest value, so the torus routes also get n ulps of it.
+    return 1e-16 + (n * np.finfo(float).eps * ref.max() if torus else 0.0)
+
+
+@pytest.mark.parametrize("name, n", TAIL_CASES)
+@pytest.mark.parametrize("route", exact_engine.ROUTES)
+def test_route_within_tail_bound_of_full_support(request, monkeypatch, name, n, route):
+    spec = request.getfixturevalue(name)
+    got = exact_engine.perturbed_distribution(spec, n, route=route)
+    ref = _on_full_support(monkeypatch, lambda: exact_engine.perturbed_distribution(spec, n, route=route))
+    assert ref.tail_bound == 0.0
+    assert 0.0 < got.tail_bound <= spec.nu * exact_engine.TAIL_TOL
+    assert all(a < b for a, b in zip(got.pmf.weights.shape, ref.pmf.weights.shape))
+    allowed = got.tail_bound + _allowance(n, ref.pmf.weights, route == "fourier")
+    assert max_abs_difference(got.pmf, ref.pmf) <= allowed
+
+
+@pytest.mark.parametrize("name, n", TAIL_CASES)
+def test_first_returns_within_tail_bound_of_full_support(request, monkeypatch, name, n):
+    spec = request.getfixturevalue(name)
+    bound = exact_engine._box((spec.p, spec.q), n, 0, exact_engine.DEFAULT_MEM_LIMIT)[3]
+    assert 0.0 < bound <= spec.nu * exact_engine.TAIL_TOL
+    got = first_return_probs(spec, n)
+    ref = _on_full_support(monkeypatch, lambda: first_return_probs(spec, n))
+    for g, r in zip(got, ref):
+        assert np.abs(g - r).max() <= bound + _allowance(n, r, False)
+
+
+@pytest.mark.parametrize("name, n", TAIL_CASES)
+@pytest.mark.parametrize("method", ["fft", "direct"])
+def test_convolve_power_within_tail_bound_of_full_support(request, monkeypatch, name, n, method):
+    p = request.getfixturevalue(name).p
+    bound = exact_engine._box((p,), n, 0, exact_engine.DEFAULT_MEM_LIMIT)[3]
+    assert 0.0 < bound <= p.dim * exact_engine.TAIL_TOL
+    got = convolve_power(p, n, method=method)
+    ref = _on_full_support(monkeypatch, lambda: convolve_power(p, n, method=method))
+    assert got.weights.size < ref.weights.size
+    assert max_abs_difference(got, ref) <= bound + _allowance(n, ref.weights, method == "fft")
+
+
+@pytest.mark.parametrize("route", exact_engine.ROUTES)
+def test_tail_bound_zero_on_full_support(lazy_pert, route):
+    # at small n the tail box holds the whole support, which stays bit for bit
+    d = exact_engine.perturbed_distribution(lazy_pert, 10, route=route)
+    assert d.tail_bound == 0.0
+    assert d.pmf.box == ((-10, 10),)
+
+
 def test_walk_matches_full_box_stepping(unit_cov_2d):
     # the reachable-window stepper reproduces whole-box stepping bit for bit
     n = 12
-    _, shape, org = exact_engine._box((unit_cov_2d.p,), n, 24, exact_engine.DEFAULT_MEM_LIMIT)
+    _, shape, org, _ = exact_engine._box((unit_cov_2d.p,), n, 24, exact_engine.DEFAULT_MEM_LIMIT)
     offs, ws = exact_engine._kernel_arrays(unit_cov_2d.p)
     full = np.zeros(shape)
     full[org] = 1.0

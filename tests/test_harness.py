@@ -12,6 +12,7 @@ from lltwalk import (
     chi_squared_check,
     compare,
     convolve_power,
+    exact_engine,
     perturbed_fourier,
     simulate,
 )
@@ -20,6 +21,7 @@ from lltwalk.harness import (
     WINDOW_CELL_BYTES,
     _SPLIT,
     _law_tables,
+    _window_points,
     default_window,
     window_predictions,
 )
@@ -205,6 +207,41 @@ def test_compare_report_integrity(lazy_pert):
     assert scale_ok
     assert all(dev < 1e-12 for dev in rep.route_deviation.values())
     assert set(rep.slopes) == {"gaussian", "corrected"}
+
+
+@pytest.mark.parametrize("route", ["fourier", "dp"])
+def test_compare_rows_independent_of_tail_box(lazy_pert, monkeypatch, route):
+    # a window past the tail box keeps its rows over window and full support;
+    # the exact column reads 0 past the box, within the bound of the truth
+    n = 1000
+    got = compare(lazy_pert, [n], window=2.0 * n, route=route, crosscheck=False)
+    with monkeypatch.context() as m:
+        m.setattr(exact_engine, "TAIL_TOL", 0.0)
+        ref = compare(lazy_pert, [n], window=2.0 * n, route=route, crosscheck=False)
+    assert [row["x"] for row in got.rows] == [[x] for x in range(-n, n + 1)]
+    assert [row["x"] for row in ref.rows] == [[x] for x in range(-n, n + 1)]
+    lo, shape, _, bound = exact_engine._box((lazy_pert.p, lazy_pert.q), n, 0, 1 << 62)
+    assert shape[0] < 2 * n + 1 and 0.0 < bound <= exact_engine.TAIL_TOL
+    assert all(row["exact"] == 0.0 for row in got.rows
+               if not lo[0] <= row["x"][0] < lo[0] + shape[0])
+    exact = np.array([row["exact"] for row in got.rows])
+    want = np.array([row["exact"] for row in ref.rows])
+    # the fourier route's roundoff, as in test_route_within_tail_bound_of_full_support
+    roundoff = n * np.finfo(float).eps * want.max() if route == "fourier" else 0.0
+    assert np.abs(exact - want).max() <= bound + 1e-16 + roundoff
+
+
+def test_window_points_cost_the_window_not_the_box():
+    # compare passes the full n-step support, 16385 a side at 2-D n = 4096
+    box = [(-10**6, 10**6)]
+    tracemalloc.start()
+    try:
+        pts = _window_points(box, 3.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pts.ravel().tolist() == [-3, -2, -1, 0, 1, 2, 3]
+    assert peak < 1 << 16
 
 
 def test_compare_requires_ascending(lazy_pert):

@@ -80,10 +80,12 @@ def reference_weighted_power_sum(z, r):
     return s
 
 
-def sorted_phat(spec, n):
-    """The real transform of p on the fourier route's grid for n steps, sorted."""
-    _, shape, _ = _box((spec.p, spec.q), n, 0, 1 << 62)
-    z = charfn_grid(spec.p, max(shape) | 1).values.real.ravel()
+def sorted_phat(spec, n, m=None):
+    """The real transform of p on an m-grid, sorted; m defaults to the fourier route's grid for n steps."""
+    if m is None:
+        _, shape, _, _ = _box((spec.p, spec.q), n, 0, 1 << 62)
+        m = max(shape) | 1
+    z = charfn_grid(spec.p, m).values.real.ravel()
     return z[np.argsort(-np.abs(z), kind="stable")]
 
 
@@ -109,11 +111,14 @@ def test_ksum_cutoff_within_bound_of_full_grid(request, fixture, n):
 
 
 def test_ksums_step_no_subnormals(lazy_pert):
+    # on the full support's grid (2n + 1 cells) and on the route's tail grid
     n = 8192
-    z = sorted_phat(lazy_pert, n)
-    assert z.size == 16385
+    full = sorted_phat(lazy_pert, n, m=2 * n + 1)
+    tail = sorted_phat(lazy_pert, n)
+    assert full.size == 16385 and tail.size < full.size
     with np.errstate(under="raise"):
-        K.weighted_power_sum(z, K.origin_returns(z, n))
+        for z in (full, tail):
+            K.weighted_power_sum(z, K.origin_returns(z, n))
 
 
 @pytest.mark.parametrize("kernel", ["origin_returns", "weighted_power_sum"])

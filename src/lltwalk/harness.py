@@ -27,8 +27,10 @@ GUIDE_BINS = 1 << 12  # bins of each step law's guide table; a power of 2, so u 
 _SPLIT = np.iinfo(np.int64).min  # guide entry of a bin that holds a CDF edge
 CROSSCHECK_MAX_N = 512  # compare cross-checks its route against a second one up to this n
 # tracemalloc peak of window_predictions plus predictions_text per cell of the
-# window's box, in JSON (the largest format): 2.3 KB in 1-D, 1.9 KB in 2-D
-WINDOW_CELL_BYTES = 2400
+# window's box at n = 10^6, in JSON (the larger format), with 6% to spare:
+# about 1.05 KB in 1-D on Python 3.10, 1.03 KB on 3.12 and 1.0 KB on 3.11
+# (0.8 to 0.86 KB in 2-D, at most 0.66 KB in CSV)
+WINDOW_CELL_BYTES = 1120
 
 
 @dataclass(frozen=True)

@@ -1,28 +1,82 @@
 """CSV, TSV and JSON renderers for every report the CLI writes.
 
-Each renderer builds only its rows and its payload; ``_table`` and
-``_json`` write them.  All floats are written with repr precision (%.17g)
-and no timestamps, so a given input always produces byte-identical files.
+Each renderer hands its small payload and its rows, as columns, to
+``_json`` or ``_table``; both write the rows through ``_records``, one
+template per row shape filled column by column.  JSON is byte for byte what
+``json.dumps(indent=2, sort_keys=True)`` writes: floats in shortest repr
+form, with ``NaN``, ``Infinity`` and ``-Infinity`` for the non-finite ones.
+CSV and TSV write floats as ``%.17g``.  No format writes a timestamp, so a
+given input always produces byte-identical files.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import re
+from operator import attrgetter, itemgetter, sub
+
+from .walk_model import nonzero_columns
 
 SCHEMA_VERSION = 1
+_SLOT = "\x00rows"  # the row list's place in the payload's dump
+_LEAF = re.compile(r'"\\u0000(\d+)"')  # a leaf of the sample row's dump: its column's index
 
 
-def _json(**payload) -> str:
-    return json.dumps({"schema_version": SCHEMA_VERSION, **payload}, indent=2, sort_keys=True) + "\n"
+def _records(template: str, columns, sep: str) -> str:
+    """``template % row`` for each row of the columns, joined by ``sep``."""
+    return sep.join(map(template.__mod__, zip(*columns)))
 
 
-def _table(fmt: str, header: str | None, columns, rows) -> str:
-    """A '# ...' header line (if any), the column names, then one line per row."""
+def _leaves(col):
+    """A %-format and the column it fills, writing each value as the json encoder does.
+
+    ``%r`` is ``int.__repr__`` or ``float.__repr__`` on exact ints and finite
+    exact floats; every other column goes through ``json.dumps`` value by value.
+    """
+    kinds = set(map(type, col))
+    if kinds <= {int} or kinds <= {float} and all(map(math.isfinite, col)):
+        return "%r", col
+    return "%s", list(map(json.dumps, col))
+
+
+def _sentinels(shape):
+    if isinstance(shape, dict):
+        return {k: _sentinels(v) for k, v in shape.items()}
+    if isinstance(shape, list):
+        return [_sentinels(v) for v in shape]
+    return f"\x00{shape}"
+
+
+def _json(key: str, shape, columns, **payload) -> str:
+    """The payload plus its rows at ``key``, as ``json.dumps(indent=2, sort_keys=True)``.
+
+    ``shape`` is one row with each leaf replaced by the index of its column
+    in ``columns``, and every row has that shape.  The row is dumped once
+    with sentinel leaves, at the depth of the rows, and each sentinel
+    becomes the %-format that ``_leaves`` picks for its column.
+    """
+    head, tail = json.dumps(
+        {"schema_version": SCHEMA_VERSION, **payload, key: _SLOT}, indent=2, sort_keys=True
+    ).split(json.dumps(_SLOT))
+    # the rows sit at depth 2: strip the one-row list's "[\n    " and "\n  ]"
+    row = json.dumps([_sentinels(shape)], indent=2, sort_keys=True).replace("\n", "\n  ")[6:-4]
+    row = row.replace("%", "%%")
+    leaves = [_leaves(col) for col in columns]
+    template = _LEAF.sub(lambda m: leaves[int(m[1])][0], row)
+    body = _records(template, [leaves[int(i)][1] for i in _LEAF.findall(row)], ",\n    ")
+    return f"{head}[\n    {body}\n  ]{tail}\n" if body else f"{head}[]{tail}\n"
+
+
+def _table(fmt: str, header: str | None, names, formats, columns) -> str:
+    """A '# ...' header line (if any), the column names, then one line per row.
+
+    ``formats`` holds one %-format per column, such as ``%d`` or ``%.17g``.
+    """
     sep = "," if fmt == "csv" else "\t"
-    lines = [header] if header else []
-    lines.append(sep.join(columns))
-    lines.extend(sep.join(row) for row in rows)
-    return "\n".join(lines) + "\n"
+    head = [header] if header else []
+    body = _records(sep.join(formats) + "\n", columns, "")
+    return "\n".join([*head, sep.join(names)]) + "\n" + body
 
 
 def _coords(nu: int) -> list:
@@ -32,22 +86,21 @@ def _coords(nu: int) -> list:
 def distribution_text(dist, fmt: str = "csv") -> str:
     """One row per support point, coordinates then mass, lexicographic order."""
     nu = dist.pmf.dim
-    points = list(dist.pmf.points())
+    axes, mass = nonzero_columns(dist.pmf.weights, dist.pmf.offset)
     if fmt == "json":
-        return _json(n=dist.n, nu=nu, route=dist.route, points=[[*pt, w] for pt, w in points])
-    rows = ([str(c) for c in pt] + [f"{w:.17g}"] for pt, w in points)
-    return _table(fmt, f"# n={dist.n} nu={nu} route={dist.route}", _coords(nu) + ["mass"], rows)
+        return _json("points", [*range(nu + 1)], [*axes, mass], n=dist.n, nu=nu, route=dist.route)
+    return _table(fmt, f"# n={dist.n} nu={nu} route={dist.route}", _coords(nu) + ["mass"],
+                  ["%d"] * nu + ["%.17g"], [*axes, mass])
 
 
 def empirical_text(emp, fmt: str = "csv") -> str:
     nu = emp.counts.ndim
-    points = list(emp.points())
+    axes, counts = nonzero_columns(emp.counts, emp.offset)
     if fmt == "json":
-        return _json(n=emp.n, nu=nu, trials=emp.trials, seed=emp.seed,
-                     counts=[[*pt, cnt] for pt, cnt in points])
-    rows = ([str(c) for c in pt] + [str(cnt)] for pt, cnt in points)
+        return _json("counts", [*range(nu + 1)], [*axes, counts],
+                     n=emp.n, nu=nu, trials=emp.trials, seed=emp.seed)
     header = f"# n={emp.n} nu={nu} trials={emp.trials} seed={emp.seed}"
-    return _table(fmt, header, _coords(nu) + ["count"], rows)
+    return _table(fmt, header, _coords(nu) + ["count"], ["%d"] * (nu + 1), [*axes, counts])
 
 
 _TERMS = ("gaussian_leading", "perturbation_correction", "edgeworth_terms", "total")
@@ -55,50 +108,58 @@ _TERMS = ("gaussian_leading", "perturbation_correction", "edgeworth_terms", "tot
 
 def predictions_text(preds, n: int, nu: int, fmt: str = "csv") -> str:
     """Rows of AsymptoticPrediction at step count n, with one column per term."""
+    xs = list(map(attrgetter("x"), preds))
+    axes = [list(map(itemgetter(i), xs)) for i in range(nu)]
+    terms = [list(map(attrgetter(t), preds)) for t in _TERMS]
+    horizon = list(map(attrgetter("within_horizon"), preds))
     if fmt == "json":
-        return _json(predictions=[
-            {"x": list(p.x), "n": p.n, "within_horizon": p.within_horizon,
-             **{t: getattr(p, t) for t in _TERMS}}
-            for p in preds
-        ])
-    rows = (
-        [str(c) for c in p.x]
-        + [f"{getattr(p, t):.17g}" for t in _TERMS]
-        + ["1" if p.within_horizon else "0"]
-        for p in preds
-    )
-    return _table(fmt, f"# n={n} nu={nu}", _coords(nu) + [*_TERMS, "within_horizon"], rows)
+        shape = {"x": [*range(nu)], "n": nu, "within_horizon": nu + 1,
+                 **{t: nu + 2 + i for i, t in enumerate(_TERMS)}}
+        ns = list(map(attrgetter("n"), preds))
+        return _json("predictions", shape, [*axes, ns, horizon, *terms])
+    return _table(fmt, f"# n={n} nu={nu}", _coords(nu) + [*_TERMS, "within_horizon"],
+                  ["%d"] * nu + ["%.17g"] * len(_TERMS) + ["%d"], [*axes, *terms, horizon])
 
 
 def coeffs_text(coeffs, fmt: str = "csv") -> str:
     entries = sorted(coeffs.m.items())
+    alphas = [a for a, _ in entries]
+    values = [float(v) for _, v in entries]
+    exact = [str(v) if coeffs.exact else None for _, v in entries]
     if fmt == "json":
-        return _json(L=coeffs.L, B=coeffs.B.tolist(), exact=coeffs.exact, m=[
-            {"alpha": list(a), "value": float(v), "exact": str(v) if coeffs.exact else None}
-            for a, v in entries
-        ])
-    rows = (
-        [" ".join(str(i) for i in a), f"{float(v):.17g}", str(v) if coeffs.exact else ""]
-        for a, v in entries
-    )
-    return _table(fmt, f"# L={coeffs.L} exact={int(coeffs.exact)}", ["alpha", "m", "m_exact"], rows)
+        nu = coeffs.B.shape[0]
+        return _json("m", {"alpha": [*range(nu)], "value": nu, "exact": nu + 1},
+                     [*(list(map(itemgetter(i), alphas)) for i in range(nu)), values, exact],
+                     L=coeffs.L, B=coeffs.B.tolist(), exact=coeffs.exact)
+    labels = [" ".join(map(str, a)) for a in alphas]
+    return _table(fmt, f"# L={coeffs.L} exact={int(coeffs.exact)}", ["alpha", "m", "m_exact"],
+                  ["%s", "%.17g", "%s"], [labels, values, [e or "" for e in exact]])
 
 
 def returns_text(f_pert, f_unpert, fmt: str = "csv") -> str:
-    pairs = list(enumerate(zip(f_pert, f_unpert), start=1))
+    f, g = list(map(float, f_pert)), list(map(float, f_unpert))
+    diff = list(map(abs, map(sub, f, g)))
+    cols = [list(range(1, len(diff) + 1)), f, g, diff]
     if fmt == "json":
-        return _json(rows=[
-            {"n": i, "f": float(a), "f_unperturbed": float(b), "abs_diff": abs(float(a) - float(b))}
-            for i, (a, b) in pairs
-        ])
-    rows = ([str(i), f"{a:.17g}", f"{b:.17g}", f"{abs(a - b):.3e}"] for i, (a, b) in pairs)
-    return _table(fmt, "# first-return probabilities", ["n", "f", "f_unperturbed", "abs_diff"], rows)
+        return _json("rows", {"n": 0, "f": 1, "f_unperturbed": 2, "abs_diff": 3}, cols)
+    return _table(fmt, "# first-return probabilities", ["n", "f", "f_unperturbed", "abs_diff"],
+                  ["%d", "%.17g", "%.17g", "%.3e"], cols)
 
 
 def report_text(rep, fmt: str = "csv") -> str:
     """A ConvergenceReport: its summary and rows, or one line per (n, x)."""
+    keys = ["exact"] + [k for f in rep.flavors for k in (f, f"{f}_abs_err", f"{f}_scaled_err")]
+    xs = list(map(itemgetter("x"), rep.rows))
+    if set(map(len, rep.rows)) - {len(keys) + 2} or set(map(len, xs)) - {rep.nu}:
+        raise ValueError("every row needs n, an x of length nu and one value per column")
+    cols = [list(map(itemgetter("n"), rep.rows)),
+            *(list(map(itemgetter(i), xs)) for i in range(rep.nu)),
+            *(list(map(itemgetter(k), rep.rows)) for k in keys)]
     if fmt == "json":
+        shape = {"n": 0, "x": [*range(1, rep.nu + 1)],
+                 **{k: rep.nu + 1 + i for i, k in enumerate(keys)}}
         return _json(
+            "rows", shape, cols,
             spec=rep.spec_summary,
             nu=rep.nu,
             n_list=list(rep.n_list),
@@ -107,11 +168,6 @@ def report_text(rep, fmt: str = "csv") -> str:
             slopes=rep.slopes,
             route_deviation={str(n): v for n, v in rep.route_deviation.items()},
             meta=rep.meta,
-            rows=rep.rows,
         )
-    keys = ["exact"] + [k for f in rep.flavors for k in (f, f"{f}_abs_err", f"{f}_scaled_err")]
-    rows = (
-        [str(row["n"])] + [str(c) for c in row["x"]] + [f"{row[k]:.17g}" for k in keys]
-        for row in rep.rows
-    )
-    return _table(fmt, None, ["n", *_coords(rep.nu), *keys], rows)
+    return _table(fmt, None, ["n", *_coords(rep.nu), *keys],
+                  ["%d"] * (1 + rep.nu) + ["%.17g"] * len(keys), cols)

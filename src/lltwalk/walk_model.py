@@ -60,14 +60,20 @@ def _as_point(x, dim: int) -> Point:
     return pt
 
 
-def nonzero_points(values: np.ndarray, offset) -> Iterator[tuple[Point, float | int]]:
-    """(point, value) over the nonzero cells of a box whose lower corner is ``offset``.
+def nonzero_columns(values: np.ndarray, offset) -> tuple[list[list[int]], list]:
+    """One column per axis and the values, over the nonzero cells of a box.
 
-    C order, which is lexicographic in the points.
+    ``offset`` is the box's lower corner.  C order, which is lexicographic
+    in the points.
     """
     idx = np.nonzero(values)
-    axes = [(i + int(o)).tolist() for i, o in zip(idx, offset)]
-    return zip(zip(*axes), values[idx].tolist())
+    return [(i + int(o)).tolist() for i, o in zip(idx, offset)], values[idx].tolist()
+
+
+def nonzero_points(values: np.ndarray, offset) -> Iterator[tuple[Point, float | int]]:
+    """(point, value) over the nonzero cells of a box, in :func:`nonzero_columns` order."""
+    axes, vals = nonzero_columns(values, offset)
+    return zip(zip(*axes), vals)
 
 
 @dataclass(frozen=True)

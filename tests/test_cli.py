@@ -324,6 +324,18 @@ def test_report_formats(tmp_path, capsys, cmd, fmt):
         assert len(line.split(sep)) == width and other not in line
 
 
+@pytest.mark.parametrize("cfg", ["lazy_pert_1d.cfg", "unit_cov_2d.cfg"])
+@pytest.mark.parametrize("cmd", list(_REPORT_ARGS))
+def test_json_report_is_the_stdlib_dump(tmp_path, cmd, cfg):
+    # an oracle that does not use the row templates: the standard library's
+    # indented, key-sorted dump of the same document
+    out = tmp_path / "report.json"
+    argv = [cmd, "--spec", config_path(cfg), *_REPORT_ARGS[cmd], "--format", "json", "--out", str(out)]
+    assert main(argv) == 0
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
 def test_asymptotic_2d_origin_row_has_zero_correction(tmp_path):
     out = tmp_path / "asym.csv"
     rc = main([

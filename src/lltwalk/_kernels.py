@@ -11,6 +11,13 @@ Kernels:
 * weighted_power_sum           sum_k r_k * phat^(n-1-k), by Horner's rule
 * pow_binary                   elementwise z^n by binary exponentiation
 
+dp_step works on flat spans of a layout in which every kernel offset is one
+flat shift (exact_engine._layout pads the box with zeros so that it is):
+out(i) = sum_k w_k cur(i - s_k).  ``shift_groups`` turns the kernel's
+offsets into those shifts and groups the offsets of equal weight, which
+are summed first and multiplied once.  Each operation is one contiguous
+1-D slice.
+
 The two k-sums take the grid as a flat array sorted by |z|, descending
 (``np.argsort(-np.abs(z), kind="stable")``), and raise ValueError on any
 other input: the order is what lets them cut each cell's sum off.  A cell
@@ -22,28 +29,56 @@ number.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 KSUM_TOL = 1e-16  # the k-sums drop every term r_k z^j with |z|^j < KSUM_TOL / n
 
 
-def dp_step(cur: np.ndarray, out: np.ndarray, offs: np.ndarray, ws: np.ndarray) -> np.ndarray:
-    """out(x) = sum_k ws[k] * cur(x - offs[k]) on a fixed box (zero outside).
+def shift_groups(offs: np.ndarray, ws: np.ndarray, shape) -> tuple:
+    """The kernel (offs, ws) as dp_step's groups on a C-ordered array of ``shape``.
 
-    Works in any rank; ``offs`` has one row of integer offsets per weight
-    (a flat array of offsets also serves in rank 1).
+    Each offset becomes its flat shift, the dot product with the array's
+    strides in elements, and offsets of equal weight share one group, in
+    order of first appearance: a tuple of (weight, shifts) pairs.
     """
-    offs = offs.reshape(len(ws), cur.ndim)
-    out[:] = 0.0
-    shape = cur.shape
-    for k in range(offs.shape[0]):
-        src = []
-        dst = []
-        for ax in range(cur.ndim):
-            s = int(offs[k, ax])
-            dst.append(slice(max(0, s), shape[ax] + min(0, s)))
-            src.append(slice(max(0, -s), shape[ax] - max(0, s)))
-        out[tuple(dst)] += ws[k] * cur[tuple(src)]
+    strides = np.array([math.prod(shape[ax + 1:]) for ax in range(len(shape))], dtype=np.int64)
+    shifts = np.asarray(offs, dtype=np.int64).reshape(len(ws), len(shape)) @ strides
+    groups: dict = {}
+    for s, w in zip(shifts, ws):
+        groups.setdefault(float(w), []).append(int(s))
+    return tuple((w, tuple(shifts)) for w, shifts in groups.items())
+
+
+def dp_step(cur: np.ndarray, out: np.ndarray, groups, scratch: np.ndarray) -> np.ndarray:
+    """out[i] = sum over (w, shifts) in groups of w * sum_s cur[m + i - s].
+
+    One step of the forward recursion on a flat layout: ``cur`` is the span
+    the step reads and ``out`` the span it writes, both 1-D, and
+    m = (cur.size - out.size) / 2 is the margin of ``cur`` on each side of
+    ``out``, at least the largest |shift|.  Each group's shifted spans are
+    added in order and multiplied by its weight once, in ``scratch``
+    (out.size cells or more) for all but the first group, which is
+    written into ``out``; the groups are then added in order.  Every
+    operation is on contiguous slices.
+    """
+    size = out.size
+    m, odd = divmod(cur.size - size, 2)
+    if odd or m < max(abs(s) for _, shifts in groups for s in shifts):
+        raise ValueError("cur must extend past out by the largest |shift| on each side")
+    acc = out
+    for w, (s, *rest) in groups:
+        if rest:
+            np.add(cur[m - s:m - s + size], cur[m - rest[0]:m - rest[0] + size], out=acc)
+            for s in rest[1:]:
+                acc += cur[m - s:m - s + size]
+            acc *= w
+        else:
+            np.multiply(cur[m - s:m - s + size], w, out=acc)
+        if acc is not out:
+            out += acc
+        acc = scratch[:size]
     return out
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import dp_step, origin_returns, pow_binary, weighted_power_sum
+from ._kernels import dp_step, origin_returns, pow_binary, shift_groups, weighted_power_sum
 from .errors import CrossCheckError, ResourceLimit
 from .spectral import TorusGrid, charfn_grid, invert_charfn
 from .walk_model import LatticeFn, LatticePMF, WalkSpec
@@ -68,7 +68,7 @@ class ExactDistribution:
 
 
 # ---------------------------------------------------------------------------
-# boxes, memory guards and the reachable-window stepper
+# boxes, memory guards and the zero-halo stepper
 # ---------------------------------------------------------------------------
 
 def _guard_cells(shape, itemsize: int, mem_limit: int, extra: int = 0):
@@ -133,18 +133,21 @@ def _box(fns, n: int, cell_bytes: int, mem_limit: int):
     summation the torus aliases onto the box only mass from past s.  The
     factor 2 (2n + 1) counts both sides and every split.  Returns (lower
     corner, shape, index of the origin, tail bound), the bound summed over
-    the cut axes (0.0 when none is cut).  ``cell_bytes = 0`` leaves the
-    guard to the caller.
+    the cut axes (0.0 when none is cut).  ``cell_bytes`` guards that many
+    bytes per cell of the stepper's layout of the box (``_layout``, halo
+    and margin included); 0 leaves the guard to the caller.
     """
+    reach = max(f.radius for f in fns)
     lo, hi = map(list, zip(*_hull_box(fns, n)))
     bound = 0.0
-    for ax, (s, b) in enumerate(_tail(fns[0], max(f.radius for f in fns), n)):
+    for ax, (s, b) in enumerate(_tail(fns[0], reach, n)):
         if s < max(hi[ax], -lo[ax]):
             lo[ax], hi[ax] = max(lo[ax], -s), min(hi[ax], s)
             bound += b
     shape = tuple(h - l + 1 for l, h in zip(lo, hi))
     if cell_bytes:
-        _guard_cells(shape, cell_bytes, mem_limit)
+        padded, margin = _layout(shape, reach)
+        _guard_cells(padded, cell_bytes, mem_limit, 2 * margin * cell_bytes)
     return lo, shape, tuple(-l for l in lo), bound
 
 
@@ -153,28 +156,64 @@ def _window(org, rad: int):
     return tuple(slice(max(0, o - rad), o + rad + 1) for o in org)
 
 
-def _walk(shape, org, reach: int, start: LatticeFn, offs, ws, n: int):
-    """Step ``start`` n times by the kernel (offs, ws) on a zero-padded box.
+def _layout(shape, reach: int):
+    """(padded shape, margin): the stepper's flat layout of a box of ``shape``.
+
+    The box sits at the low corner of the padded shape, whose axes but the
+    first extend ``reach`` cells past the box: a zero halo.  In the flat,
+    row-major buffer at least ``reach`` zeros then separate any two lines
+    of the box.  The buffer adds a zero margin before the first row and
+    after the last of ``reach`` times the sum of the padded strides, the
+    largest flat shift of a jump within ``reach``.  So each kernel offset
+    is one flat shift: from a cell of the box it lands on the right cell
+    when that is in the box, and in the halo or the margin when it is not.
+    """
+    padded = (shape[0], *(s + reach for s in shape[1:]))
+    return padded, reach * sum(math.prod(padded[ax:]) for ax in range(1, len(padded) + 1))
+
+
+def _walk(shape, org, reach: int, start: LatticeFn, offs, ws, n: int, scratch=None):
+    """Step ``start`` n times by the kernel (offs, ws), mass past the box dropped.
 
     Yields (k, cur, win) for k = 0..n: ``cur`` is the state after k steps
     and ``win`` the slice within start.radius + k * reach of the origin,
     outside which ``cur`` is exactly zero.  Changes the caller makes to
-    ``cur`` inside ``win`` before resuming are kept.  Each step convolves
-    only the next window; the cells it skips hold exact zeros, so every sum
-    drops only +0.0 terms and keeps its order.
+    ``cur`` inside ``win`` before resuming are kept.
+
+    ``cur`` is the box's view in one of two flat buffers laid out by
+    ``_layout``.  A step writes the rows (axis 0) of the next window at the
+    full padded width, by one ``dp_step`` on the span they read, then zeroes
+    those rows' halo: the mass stepped past the box, dropped.  The cells
+    a step skips or adds hold exact zeros, so every sum drops only +0.0
+    terms and keeps its order: the result is that of stepping every row.
+    ``scratch`` is dp_step's scratch (the padded box's cells); walks that
+    step in turn may share one.
     """
-    cur = np.zeros(shape)
+    padded, margin = _layout(shape, reach)
+    size = math.prod(padded)
+    width = size // padded[0]  # cells per row, halo included
+    groups = shift_groups(offs, ws, padded)
+    if scratch is None:
+        scratch = np.empty(size)
+    halo = [(slice(None),) * ax + (slice(shape[ax], None),) for ax in range(1, len(shape))]
+    bufs = [np.zeros(size + 2 * margin) for _ in range(2)]
+    boxes = [buf[margin:margin + size].reshape(padded)[tuple(map(slice, shape))] for buf in bufs]
     for pt, w in start.points():
-        cur[tuple(o + c for o, c in zip(org, pt))] = w
-    out = np.zeros(shape)
+        boxes[0][tuple(o + c for o, c in zip(org, pt))] = w
     rad = start.radius
     win = _window(org, rad)
     for k in range(n + 1):
-        yield k, cur, win
+        yield k, boxes[k % 2], win
         if k < n:
             win = _window(org, rad + (k + 1) * reach)
-            dp_step(cur[win], out[win], offs, ws)
-            cur, out = out, cur
+            a, b, _ = win[0].indices(shape[0])
+            src, dst = bufs[k % 2], bufs[1 - k % 2]
+            lo, hi = margin + a * width, margin + b * width
+            dp_step(src[lo - margin:hi + margin], dst[lo:hi], groups, scratch)
+            if halo:
+                rows = dst[lo:hi].reshape(b - a, *padded[1:])
+                for face in halo:
+                    rows[face] = 0.0
 
 
 def _delta(dim: int) -> LatticePMF:
@@ -220,7 +259,7 @@ def _forward(p: LatticePMF, a: LatticeFn | None, hull, n: int, mem_limit: int):
     cut at the tail box; mass stepped past it is dropped.  Returns the law
     and the box's tail bound.
     """
-    lo, shape, org, bound = _box((*hull, _delta(p.dim)), n, 24, mem_limit)  # two buffers + one product
+    lo, shape, org, bound = _box((*hull, _delta(p.dim)), n, 24, mem_limit)  # two buffers + scratch
     offs, ws = _kernel_arrays(p)
     a_pts = list(a.points()) if a is not None else []
     reach = max(f.radius for f in hull)
@@ -231,7 +270,8 @@ def _forward(p: LatticePMF, a: LatticeFn | None, hull, n: int, mem_limit: int):
         if m0 != 0.0:
             _add_at_origin(cur, org, a_pts, m0)
         m0 = cur[org]
-    return LatticePMF(dim=p.dim, offset=np.array(lo, dtype=np.int64), weights=cur), bound
+    # a copy: the law without the stepper's halo
+    return LatticePMF(dim=p.dim, offset=np.array(lo, dtype=np.int64), weights=cur.copy()), bound
 
 
 def _correction_sum(z: np.ndarray, n: int) -> np.ndarray:
@@ -353,28 +393,28 @@ def perturbed_via_representation(
     antisymmetry of a (which WalkSpec guarantees): paths revisiting the
     origin then contribute nothing to the correction.
     """
-    # four stepping buffers + one product
+    # four stepping buffers + the scratch the two walks share
     lo, shape, org, bound = _box((spec.p, spec.q), n, 40, mem_limit)
     offs, ws = _kernel_arrays(spec.p)
     perturbed = n > 0 and bool(spec.a.as_dict())
     a_pts = list(spec.a.points())
 
-    u_steps = _walk(shape, org, spec.radius, _delta(spec.nu), offs, ws, n)
-    s_steps = _walk(shape, org, spec.radius, spec.a, offs, ws, n - 1) if perturbed else ()
+    scratch = np.empty(math.prod(_layout(shape, spec.radius)[0]))
+    u_steps = _walk(shape, org, spec.radius, _delta(spec.nu), offs, ws, n, scratch)
+    s_steps = _walk(shape, org, spec.radius, spec.a, offs, ws, n - 1, scratch) if perturbed else ()
     # S first: zip stops when it runs out, before taking u's last step
     for (k, s, _), (_, u, _) in zip(s_steps, u_steps):
         if k:
             _add_at_origin(s, org, a_pts, u[org])
     for _, u, _ in u_steps:
         pass
-
-    if perturbed:
-        u += s
-        u = _clamp_tiny_negatives(u)
+    del scratch  # the walks are done; the law's arrays below take its place
+    u = u + s if perturbed else u.copy()  # the law, without the stepper's halo
 
     return ExactDistribution(
         n=n,
-        pmf=LatticePMF(dim=spec.nu, offset=np.array(lo, dtype=np.int64), weights=u),
+        pmf=LatticePMF(dim=spec.nu, offset=np.array(lo, dtype=np.int64),
+                       weights=_clamp_tiny_negatives(u)),
         route="repr",
         tail_bound=bound,
     )

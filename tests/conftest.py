@@ -1,8 +1,12 @@
+import itertools
+import math
 import pathlib
 
+import numpy as np
 import pytest
 
 from lltwalk import LatticePMF, load_walk_spec, validate_walk_spec
+from lltwalk import _kernels, exact_engine
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -35,6 +39,12 @@ def unit_cov_2d():
 
 
 @pytest.fixture(scope="session")
+def aniso_2d():
+    """2-D walk with B != I (diagonal steps along (1, 1)) and d = (0.05, 0.05)."""
+    return load_walk_spec(CONFIGS / "aniso_2d.cfg")
+
+
+@pytest.fixture(scope="session")
 def lazy_p():
     return LatticePMF.from_points(1, {0: "1/2", 1: "1/4", -1: "1/4"})
 
@@ -63,3 +73,31 @@ def spec3d():
 
 def config_path(name: str) -> str:
     return str(CONFIGS / name)
+
+
+def direct_step(cur, offs, ws):
+    """out(x) = sum_k ws[k] cur(x - offs[k]) by direct summation, terms outside the box dropped."""
+    shape = cur.shape
+    out = np.zeros(shape)
+    for x in itertools.product(*(range(s) for s in shape)):
+        for off, w in zip(offs, ws):
+            y = tuple(c - o for c, o in zip(x, off))
+            if all(0 <= c < s for c, s in zip(y, shape)):
+                out[x] += w * cur[y]
+    return out
+
+
+def step_every_row(box, offs, ws, reach):
+    """One dp_step over every row of the box laid out as the stepper lays it out.
+
+    The box goes into a fresh zero layout (``exact_engine._layout``), so the
+    halo holds zeros; returns the box's cells of the step's output.
+    """
+    padded, margin = exact_engine._layout(box.shape, reach)
+    inner = tuple(map(slice, box.shape))
+    size = math.prod(padded)
+    buf = np.zeros(size + 2 * margin)
+    buf[margin:margin + size].reshape(padded)[inner] = box
+    groups = _kernels.shift_groups(offs, ws, padded)
+    out = _kernels.dp_step(buf, np.empty(size), groups, np.empty(size))
+    return out.reshape(padded)[inner]

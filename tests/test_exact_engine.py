@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -22,6 +23,8 @@ from lltwalk.errors import CrossCheckError, ResourceLimit
 from lltwalk.io_text import distribution_text
 from lltwalk.spectral import TorusGrid
 from lltwalk.walk_model import SignedLatticeFn
+
+from conftest import direct_step, step_every_row
 
 
 def test_convolve_power_lazy_n2(lazy_p):
@@ -123,6 +126,16 @@ def test_route_equivalence_2d(unit_cov_2d, n):
 def test_route_equivalence_3d(spec3d):
     _, worst = cross_check(spec3d, 6, tol=1e-12)
     assert worst < 1e-12
+
+
+def test_route_equivalence_aniso_2d(aniso_2d):
+    # diagonal steps, B != I, and a box cut to unequal sides
+    n = 256
+    dists, worst = cross_check(aniso_2d, n)
+    assert worst < exact_engine.ROUTE_TOL
+    for d in dists.values():
+        assert d.pmf.weights.shape == (233, 211)
+        assert 0.0 < d.tail_bound <= aniso_2d.nu * exact_engine.TAIL_TOL
 
 
 def test_origin_identity(lazy_pert):
@@ -322,7 +335,8 @@ def test_tail_bound_zero_on_full_support(lazy_pert, route):
 
 
 def test_walk_matches_full_box_stepping(unit_cov_2d):
-    # the reachable-window stepper reproduces whole-box stepping bit for bit
+    # the stepper, which steps only the window's rows, reproduces stepping
+    # every row of the box with the same kernel bit for bit
     n = 12
     _, shape, org, _ = exact_engine._box((unit_cov_2d.p,), n, 24, exact_engine.DEFAULT_MEM_LIMIT)
     offs, ws = exact_engine._kernel_arrays(unit_cov_2d.p)
@@ -335,7 +349,29 @@ def test_walk_matches_full_box_stepping(unit_cov_2d):
         outside = cur.copy()
         outside[win] = 0.0
         assert not outside.any()
-        full = exact_engine.dp_step(full, np.empty_like(full), offs, ws)
+        full = step_every_row(full, offs, ws, reach)
+
+
+@pytest.mark.parametrize("shape, org, offs", [
+    ((7, 9), (3, 5), [(0, 0), (1, 0), (0, -1), (1, 1), (-2, 1), (2, 1)]),
+    ((5, 6, 7), (2, 2, 4), [(0, 0, 0), (1, 1, 1), (-2, 1, 0), (1, -1, 2), (2, 0, 1), (-1, -2, -1)]),
+])
+def test_walk_drops_stepped_out_mass(shape, org, offs):
+    # mass on the box's corners, stepped by diagonal jumps past two faces at
+    # once: what leaves the box is dropped, not wrapped into another row,
+    # and does not come back at the next step
+    offs = np.array(offs, dtype=np.int64)
+    ws = np.array([0.3, 0.1, 0.1, 0.2, 0.2, 0.1])
+    corners = list(itertools.product(*((0, s - 1) for s in shape)))
+    start = SignedLatticeFn.from_points(
+        len(shape), {tuple(c - o for c, o in zip(x, org)): i + 1 for i, x in enumerate(corners)})
+    expect = np.zeros(shape)
+    for x, w in zip(corners, range(1, len(corners) + 1)):
+        expect[x] = w
+    reach = int(np.abs(offs).max())
+    for k, cur, _ in exact_engine._walk(shape, org, reach, start, offs, ws, 2):
+        assert np.abs(cur - expect).max() < 1e-15
+        expect = direct_step(expect, offs, ws)
 
 
 # numpy's ufunc buffers for strided operands (8192 elements each, about
@@ -345,9 +381,9 @@ _FIXED_SLACK = 256 << 10
 
 
 @pytest.mark.parametrize(
-    "route", ["dp", "repr", "first_return", "direct", "fourier", "fft", "fourier_1d"]
+    "route", ["dp", "repr", "first_return", "direct", "fourier", "fft", "fourier_1d", "dp_3d"]
 )
-def test_stepper_route_memory_within_guard(unit_cov_2d, lazy_pert, monkeypatch, route):
+def test_stepper_route_memory_within_guard(unit_cov_2d, lazy_pert, spec3d, monkeypatch, route):
     n = 96
     budgets = []
     guard = exact_engine._guard_cells
@@ -366,6 +402,8 @@ def test_stepper_route_memory_within_guard(unit_cov_2d, lazy_pert, monkeypatch, 
         "fft": lambda: convolve_power(unit_cov_2d.p, n, method="fft"),
         # in 1-D the length-n return probabilities weigh against the grid
         "fourier_1d": lambda: perturbed_fourier(lazy_pert, 4096),
+        # the stepper's halo is the largest share of the box in 3-D
+        "dp_3d": lambda: perturbed_forward(spec3d, 40),
     }[route]
     tracemalloc.start()
     try:

@@ -1,13 +1,13 @@
 """The numpy kernels against direct evaluations."""
 
-import itertools
-
 import numpy as np
 import pytest
 
 from lltwalk import _kernels as K
 from lltwalk.exact_engine import _box
 from lltwalk.spectral import charfn_grid
+
+from conftest import direct_step, step_every_row
 
 
 @pytest.fixture
@@ -22,14 +22,8 @@ def test_dp_step_matches_direct_sum(rng, shape):
     offs = rng.integers(-3, 4, size=(5, dim)).astype(np.int64)
     ws = rng.random(5)
     cur = rng.random(shape)
-    got = K.dp_step(cur, np.empty_like(cur), offs, ws)
-    expect = np.zeros(shape)
-    for x in itertools.product(*(range(s) for s in shape)):
-        for off, w in zip(offs, ws):
-            y = tuple(c - o for c, o in zip(x, off))
-            if all(0 <= c < s for c, s in zip(y, shape)):
-                expect[x] += w * cur[y]
-    assert np.abs(got - expect).max() < 1e-15
+    got = step_every_row(cur, offs, ws, 3)
+    assert np.abs(got - direct_step(cur, offs, ws)).max() < 1e-15
 
 
 def test_dp_step_boundary_truncation():
@@ -38,8 +32,20 @@ def test_dp_step_boundary_truncation():
     cur[4] = 1.0
     offs = np.array([1], dtype=np.int64)
     ws = np.array([1.0])
-    out = K.dp_step(cur, np.empty_like(cur), offs, ws)
+    out = step_every_row(cur, offs, ws, 1)
     assert out.sum() == 0.0
+
+
+def test_dp_step_groups_offsets_of_equal_weight():
+    groups = K.shift_groups(np.array([[0, 0], [1, 0], [-1, 0], [0, 1]]),
+                            np.array([0.5, 0.25, 0.25, 0.125]), (5, 7))
+    assert groups == ((0.5, (0,)), (0.25, (7, -7)), (0.125, (1,)))
+
+
+def test_dp_step_rejects_a_margin_short_of_a_shift():
+    groups = K.shift_groups(np.array([[2]]), np.array([1.0]), (5,))
+    with pytest.raises(ValueError, match="largest"):
+        K.dp_step(np.zeros(7), np.empty(5), groups, np.empty(5))
 
 
 def test_pow_binary_matches_npower(rng):

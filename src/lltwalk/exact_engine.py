@@ -172,6 +172,12 @@ def _layout(shape, reach: int):
     return padded, reach * sum(math.prod(padded[ax:]) for ax in range(1, len(padded) + 1))
 
 
+def _at_origin(f: LatticeFn | None, org) -> list:
+    """f's (index, weight) pairs, its points taken relative to the origin index."""
+    pts = f.points() if f is not None else ()
+    return [(tuple(o + c for o, c in zip(org, pt)), w) for pt, w in pts]
+
+
 def _walk(shape, org, reach: int, start: LatticeFn, offs, ws, n: int, scratch=None):
     """Step ``start`` n times by the kernel (offs, ws), mass past the box dropped.
 
@@ -198,8 +204,8 @@ def _walk(shape, org, reach: int, start: LatticeFn, offs, ws, n: int, scratch=No
     halo = [(slice(None),) * ax + (slice(shape[ax], None),) for ax in range(1, len(shape))]
     bufs = [np.zeros(size + 2 * margin) for _ in range(2)]
     boxes = [buf[margin:margin + size].reshape(padded)[tuple(map(slice, shape))] for buf in bufs]
-    for pt, w in start.points():
-        boxes[0][tuple(o + c for o, c in zip(org, pt))] = w
+    for idx, w in _at_origin(start, org):
+        boxes[0][idx] = w
     rad = start.radius
     win = _window(org, rad)
     for k in range(n + 1):
@@ -246,12 +252,6 @@ def _kernel_arrays(f: LatticeFn):
 # the two pipelines: forward stepping and the torus grid
 # ---------------------------------------------------------------------------
 
-def _add_at_origin(cur: np.ndarray, org, a_pts, scale: float):
-    """cur += scale * a, with a's points taken relative to the origin index."""
-    for pt, w in a_pts:
-        cur[tuple(o + c for o, c in zip(org, pt))] += scale * w
-
-
 def _forward(p: LatticePMF, a: LatticeFn | None, hull, n: int, mem_limit: int):
     """Step from the origin n times by p; mass at the origin also moves by a.
 
@@ -261,14 +261,15 @@ def _forward(p: LatticePMF, a: LatticeFn | None, hull, n: int, mem_limit: int):
     """
     lo, shape, org, bound = _box((*hull, _delta(p.dim)), n, 24, mem_limit)  # two buffers + scratch
     offs, ws = _kernel_arrays(p)
-    a_pts = list(a.points()) if a is not None else []
+    a_at = _at_origin(a, org)
     reach = max(f.radius for f in hull)
 
     m0 = 0.0
     for _, cur, _ in _walk(shape, org, reach, _delta(p.dim), offs, ws, n):
         # transition from the origin differs from p by exactly a = q - p
         if m0 != 0.0:
-            _add_at_origin(cur, org, a_pts, m0)
+            for idx, w in a_at:
+                cur[idx] += m0 * w
         m0 = cur[org]
     # a copy: the law without the stepper's halo
     return LatticePMF(dim=p.dim, offset=np.array(lo, dtype=np.int64), weights=cur.copy()), bound
@@ -397,7 +398,7 @@ def perturbed_via_representation(
     lo, shape, org, bound = _box((spec.p, spec.q), n, 40, mem_limit)
     offs, ws = _kernel_arrays(spec.p)
     perturbed = n > 0 and bool(spec.a.as_dict())
-    a_pts = list(spec.a.points())
+    a_at = _at_origin(spec.a, org)
 
     scratch = np.empty(math.prod(_layout(shape, spec.radius)[0]))
     u_steps = _walk(shape, org, spec.radius, _delta(spec.nu), offs, ws, n, scratch)
@@ -405,7 +406,8 @@ def perturbed_via_representation(
     # S first: zip stops when it runs out, before taking u's last step
     for (k, s, _), (_, u, _) in zip(s_steps, u_steps):
         if k:
-            _add_at_origin(s, org, a_pts, u[org])
+            for idx, w in a_at:
+                s[idx] += u[org] * w
     for _, u, _ in u_steps:
         pass
     del scratch  # the walks are done; the law's arrays below take its place

@@ -28,9 +28,9 @@ _SPLIT = np.iinfo(np.int64).min  # guide entry of a bin that holds a CDF edge
 CROSSCHECK_MAX_N = 512  # compare cross-checks its route against a second one up to this n
 # tracemalloc peak of window_predictions plus predictions_text per cell of the
 # window's box at n = 10^6, in JSON (the larger format), with 6% to spare:
-# about 1.05 KB in 1-D on Python 3.10, 1.03 KB on 3.12 and 1.0 KB on 3.11
-# (0.8 to 0.86 KB in 2-D, at most 0.66 KB in CSV)
-WINDOW_CELL_BYTES = 1120
+# 825 B in 1-D on Python 3.12, 787 B on 3.11 and 783 B on 3.10 (0.63 to
+# 0.68 KB in 2-D, at most 0.39 KB in CSV)
+WINDOW_CELL_BYTES = 880
 
 
 @dataclass(frozen=True)
@@ -253,17 +253,17 @@ class AsymptoticPrediction:
     within_horizon: bool
 
 
-def _prediction_rows(spec: WalkSpec, n: int, X, coeffs: EdgeworthCoeffs | None):
+def _prediction_columns(spec: WalkSpec, n: int, X, coeffs: EdgeworthCoeffs | None) -> dict:
+    """Columns x1..xnu, the four terms of AsymptoticPrediction and within_horizon over rows of X."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     gauss, corr, factor = predict(spec, n, X, coeffs)
     edge = gauss * (factor - 1.0)
     L = coeffs.L if coeffs is not None else spec.L
     inside = np.linalg.norm(X, axis=1) <= float(n) ** (1.0 - 1.0 / L)
-    cols = (gauss, corr, edge, gauss + corr + edge, inside)
-    return [
-        AsymptoticPrediction(n, tuple(int(c) for c in x), *vals)
-        for x, *vals in zip(X, *(c.tolist() for c in cols))
-    ]
+    axes = {f"x{i+1}": col.tolist() for i, col in enumerate(X.T.astype(np.int64))}
+    return {**axes, "gaussian_leading": gauss.tolist(), "perturbation_correction": corr.tolist(),
+            "edgeworth_terms": edge.tolist(), "total": (gauss + corr + edge).tolist(),
+            "within_horizon": inside.tolist()}
 
 
 def asymptotic_prediction(
@@ -278,11 +278,14 @@ def asymptotic_prediction(
     when coefficients are supplied; for an unperturbed spec that makes the
     total the refined expansion value).
     """
-    return _prediction_rows(spec, n, [x], coeffs)[0]
+    *axes, gauss, corr, edge, total, inside = (
+        col[0] for col in _prediction_columns(spec, n, [x], coeffs).values()
+    )
+    return AsymptoticPrediction(n, tuple(axes), gauss, corr, edge, total, inside)
 
 
-def window_predictions(spec: WalkSpec, n: int, window: float | None = None) -> list:
-    """Predictions at every lattice point within the window, lexicographic.
+def window_predictions(spec: WalkSpec, n: int, window: float | None = None) -> dict:
+    """:func:`_prediction_columns` at every lattice point within the window, lexicographic.
 
     The window defaults to :func:`default_window`; an unperturbed spec gets
     the refined expansion at order spec.L.  ResourceLimit is raised before
@@ -294,24 +297,24 @@ def window_predictions(spec: WalkSpec, n: int, window: float | None = None) -> l
     exact_engine._guard_cells((side,) * spec.nu, WINDOW_CELL_BYTES, exact_engine.DEFAULT_MEM_LIMIT)
     coeffs = edgeworth_coeffs(spec.p, spec.L) if spec.unperturbed else None
     X = _window_points([(-int(rad), int(rad))] * spec.nu, rad)
-    return _prediction_rows(spec, n, X, coeffs)
+    return _prediction_columns(spec, n, X, coeffs)
 
 
 @dataclass
 class ConvergenceReport:
     """Exact-vs-prediction error table with fitted decay slopes.
 
-    rows: one dict per (n, x) with exact value, per-flavor predictions,
-    absolute errors, and scaled errors n^{nu/2} * abs_err.  slopes: least
-    squares slope of log(max_x scaled_err) against log n per flavor
-    (meaningful from 4 values of n up).
+    columns: one list per header name, one value per (n, x) row: n, x1..xnu,
+    exact, then per flavor f: f, f_abs_err and f_scaled_err = n^{nu/2} * abs_err.
+    slopes: least squares slope of log(max_x scaled_err) against log n per
+    flavor (meaningful from 4 values of n up).
     """
 
     spec_summary: str
     nu: int
     n_list: list
     flavors: list
-    rows: list = field(default_factory=list)
+    columns: dict = field(default_factory=dict)
     max_scaled_err: dict = field(default_factory=dict)
     slopes: dict = field(default_factory=dict)
     route_deviation: dict = field(default_factory=dict)
@@ -387,15 +390,14 @@ def compare(
         refined = gauss * factor if spec.unperturbed else gauss + corr
 
         scale = float(n) ** (spec.nu / 2.0)
-        cols = {"exact": exact_vals}
+        cols = {"n": np.full(len(X), n), **{f"x{i+1}": c for i, c in enumerate(X.T)},
+                "exact": exact_vals}
         for f, pred in zip(flavors, (gauss, refined)):
             err = np.abs(exact_vals - pred)
             cols.update({f: pred, f"{f}_abs_err": err, f"{f}_scaled_err": scale * err})
             rep.max_scaled_err.setdefault(f, {})[n] = scale * float(err.max())
-        cols = {k: v.tolist() for k, v in cols.items()}
-        rep.rows += [
-            {"n": n, "x": x, **{k: v[i] for k, v in cols.items()}} for i, x in enumerate(X.tolist())
-        ]
+        for k, v in cols.items():
+            rep.columns.setdefault(k, []).extend(v.tolist())
 
     for f in flavors:
         table = rep.max_scaled_err[f]

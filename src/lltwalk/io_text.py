@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from operator import attrgetter, itemgetter, sub
+from operator import sub
 
 from .walk_model import nonzero_columns
 
@@ -106,17 +106,15 @@ def empirical_text(emp, fmt: str = "csv") -> str:
 _TERMS = ("gaussian_leading", "perturbation_correction", "edgeworth_terms", "total")
 
 
-def predictions_text(preds, n: int, nu: int, fmt: str = "csv") -> str:
-    """Rows of AsymptoticPrediction at step count n, with one column per term."""
-    xs = list(map(attrgetter("x"), preds))
-    axes = [list(map(itemgetter(i), xs)) for i in range(nu)]
-    terms = [list(map(attrgetter(t), preds)) for t in _TERMS]
-    horizon = list(map(attrgetter("within_horizon"), preds))
+def predictions_text(cols: dict, n: int, nu: int, fmt: str = "csv") -> str:
+    """Window predictions at step count n, from columns x1..xnu, one per term and within_horizon."""
+    axes = [cols[c] for c in _coords(nu)]
+    terms = [cols[t] for t in _TERMS]
+    horizon = cols["within_horizon"]
     if fmt == "json":
         shape = {"x": [*range(nu)], "n": nu, "within_horizon": nu + 1,
                  **{t: nu + 2 + i for i, t in enumerate(_TERMS)}}
-        ns = list(map(attrgetter("n"), preds))
-        return _json("predictions", shape, [*axes, ns, horizon, *terms])
+        return _json("predictions", shape, [*axes, [n] * len(horizon), horizon, *terms])
     return _table(fmt, f"# n={n} nu={nu}", _coords(nu) + [*_TERMS, "within_horizon"],
                   ["%d"] * nu + ["%.17g"] * len(_TERMS) + ["%d"], [*axes, *terms, horizon])
 
@@ -129,7 +127,7 @@ def coeffs_text(coeffs, fmt: str = "csv") -> str:
     if fmt == "json":
         nu = coeffs.B.shape[0]
         return _json("m", {"alpha": [*range(nu)], "value": nu, "exact": nu + 1},
-                     [*(list(map(itemgetter(i), alphas)) for i in range(nu)), values, exact],
+                     [*([a[i] for a in alphas] for i in range(nu)), values, exact],
                      L=coeffs.L, B=coeffs.B.tolist(), exact=coeffs.exact)
     labels = [" ".join(map(str, a)) for a in alphas]
     return _table(fmt, f"# L={coeffs.L} exact={int(coeffs.exact)}", ["alpha", "m", "m_exact"],
@@ -149,12 +147,10 @@ def returns_text(f_pert, f_unpert, fmt: str = "csv") -> str:
 def report_text(rep, fmt: str = "csv") -> str:
     """A ConvergenceReport: its summary and rows, or one line per (n, x)."""
     keys = ["exact"] + [k for f in rep.flavors for k in (f, f"{f}_abs_err", f"{f}_scaled_err")]
-    xs = list(map(itemgetter("x"), rep.rows))
-    if set(map(len, rep.rows)) - {len(keys) + 2} or set(map(len, xs)) - {rep.nu}:
-        raise ValueError("every row needs n, an x of length nu and one value per column")
-    cols = [list(map(itemgetter("n"), rep.rows)),
-            *(list(map(itemgetter(i), xs)) for i in range(rep.nu)),
-            *(list(map(itemgetter(k), rep.rows)) for k in keys)]
+    names = ["n", *_coords(rep.nu), *keys]
+    if rep.columns.keys() != set(names) or len(set(map(len, rep.columns.values()))) > 1:
+        raise ValueError("a report needs one column per header name, all of one length")
+    cols = [rep.columns[k] for k in names]
     if fmt == "json":
         shape = {"n": 0, "x": [*range(1, rep.nu + 1)],
                  **{k: rep.nu + 1 + i for i, k in enumerate(keys)}}
@@ -169,5 +165,4 @@ def report_text(rep, fmt: str = "csv") -> str:
             route_deviation={str(n): v for n, v in rep.route_deviation.items()},
             meta=rep.meta,
         )
-    return _table(fmt, None, ["n", *_coords(rep.nu), *keys],
-                  ["%d"] * (1 + rep.nu) + ["%.17g"] * len(keys), cols)
+    return _table(fmt, None, names, ["%d"] * (1 + rep.nu) + ["%.17g"] * len(keys), cols)

@@ -101,3 +101,11 @@ def step_every_row(box, offs, ws, reach):
     groups = _kernels.shift_groups(offs, ws, padded)
     out = _kernels.dp_step(buf, np.empty(size), groups, np.empty(size))
     return out.reshape(padded)[inner]
+
+
+def report_rows(rep):
+    """A ConvergenceReport's columns as its JSON rows: one dict per (n, x), x as a list."""
+    axes = [f"x{i+1}" for i in range(rep.nu)]
+    rest = {k: v for k, v in rep.columns.items() if k not in axes}
+    return [{"x": [rep.columns[a][i] for a in axes], **{k: v[i] for k, v in rest.items()}}
+            for i in range(len(rep.columns["n"]))]

@@ -5,9 +5,11 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from lltwalk.cli import main
+from lltwalk.harness import _prediction_columns
 from lltwalk.io_text import predictions_text
 
 from conftest import config_path
@@ -140,8 +142,9 @@ def test_oversized_box_exit_code(capsys, argv):
     assert "Traceback" not in err
 
 
-def test_predictions_header_names_the_callers_n():
-    assert predictions_text([], 64, 2).splitlines()[0] == "# n=64 nu=2"
+def test_predictions_header_names_the_callers_n(unit_cov_2d):
+    empty = _prediction_columns(unit_cov_2d, 64, np.empty((0, 2)), None)
+    assert predictions_text(empty, 64, 2).splitlines()[0] == "# n=64 nu=2"
 
 
 def test_simulate_resource_limit_exit_code(capsys):

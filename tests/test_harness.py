@@ -28,7 +28,7 @@ from lltwalk.harness import (
 from lltwalk.io_text import predictions_text
 from lltwalk.specfile import parse_spec_text
 
-from conftest import CONFIGS
+from conftest import CONFIGS, report_rows
 
 
 def test_simulate_deterministic(lazy_pert):
@@ -196,13 +196,13 @@ def test_compare_report_integrity(lazy_pert):
     rep = compare(lazy_pert, [8, 16, 32, 64], route="fourier")
     assert rep.flavors == ["gaussian", "corrected"]
     # rows sorted by (n, x)
-    keys = [(row["n"], tuple(row["x"])) for row in rep.rows]
+    keys = [(row["n"], tuple(row["x"])) for row in report_rows(rep)]
     assert keys == sorted(keys)
     scale_ok = all(
         row["corrected_scaled_err"] == pytest.approx(
             row["n"] ** 0.5 * row["corrected_abs_err"], rel=1e-15
         )
-        for row in rep.rows
+        for row in report_rows(rep)
     )
     assert scale_ok
     assert all(dev < 1e-12 for dev in rep.route_deviation.values())
@@ -218,14 +218,14 @@ def test_compare_rows_independent_of_tail_box(lazy_pert, monkeypatch, route):
     with monkeypatch.context() as m:
         m.setattr(exact_engine, "TAIL_TOL", 0.0)
         ref = compare(lazy_pert, [n], window=2.0 * n, route=route, crosscheck=False)
-    assert [row["x"] for row in got.rows] == [[x] for x in range(-n, n + 1)]
-    assert [row["x"] for row in ref.rows] == [[x] for x in range(-n, n + 1)]
+    assert [row["x"] for row in report_rows(got)] == [[x] for x in range(-n, n + 1)]
+    assert [row["x"] for row in report_rows(ref)] == [[x] for x in range(-n, n + 1)]
     lo, shape, _, bound = exact_engine._box((lazy_pert.p, lazy_pert.q), n, 0, 1 << 62)
     assert shape[0] < 2 * n + 1 and 0.0 < bound <= exact_engine.TAIL_TOL
-    assert all(row["exact"] == 0.0 for row in got.rows
+    assert all(row["exact"] == 0.0 for row in report_rows(got)
                if not lo[0] <= row["x"][0] < lo[0] + shape[0])
-    exact = np.array([row["exact"] for row in got.rows])
-    want = np.array([row["exact"] for row in ref.rows])
+    exact = np.array([row["exact"] for row in report_rows(got)])
+    want = np.array([row["exact"] for row in report_rows(ref)])
     # the fourier route's roundoff, as in test_route_within_tail_bound_of_full_support
     roundoff = n * np.finfo(float).eps * want.max() if route == "fourier" else 0.0
     assert np.abs(exact - want).max() <= bound + 1e-16 + roundoff
@@ -298,14 +298,23 @@ def test_report_serialization(lazy_pert):
 
 
 def test_compare_and_asymptotic_share_predictions(unit_cov_2d):
-    # both evaluate harness.predict, so the values agree bit for bit,
-    # the 2-D origin included
+    # compare, window_predictions and asymptotic_prediction all evaluate
+    # harness.predict, so the values agree bit for bit, the 2-D origin included
     rep = compare(unit_cov_2d, [8], route="dp", crosscheck=False)
-    assert any(row["x"] == [0, 0] for row in rep.rows)
-    for row in rep.rows:
+    assert any(row["x"] == [0, 0] for row in report_rows(rep))
+    for row in report_rows(rep):
         pred = asymptotic_prediction(unit_cov_2d, 8, row["x"])
         assert row["gaussian"] == pred.gaussian_leading
         assert row["corrected"] == pred.total
+    cols = window_predictions(unit_cov_2d, 8)
+    xs = list(zip(cols["x1"], cols["x2"]))
+    assert (0, 0) in xs
+    for i, x in enumerate(xs):
+        pred = asymptotic_prediction(unit_cov_2d, 8, x)
+        assert pred.x == x
+        for term in ("gaussian_leading", "perturbation_correction", "edgeworth_terms", "total",
+                     "within_horizon"):
+            assert cols[term][i] == getattr(pred, term)
 
 
 def test_default_window(lazy_pert):

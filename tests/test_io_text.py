@@ -19,6 +19,8 @@ from lltwalk.harness import AsymptoticPrediction, ConvergenceReport, compare, si
 from lltwalk.spectral import EdgeworthCoeffs, edgeworth_coeffs
 from lltwalk.walk_model import nonzero_points
 
+from conftest import report_rows
+
 EDGE = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300, 0.1, -1.5e-17, 2.0**-1074 * 3]
 
 
@@ -119,12 +121,12 @@ def _ref_report(rep, fmt):
             slopes=rep.slopes,
             route_deviation={str(n): v for n, v in rep.route_deviation.items()},
             meta=rep.meta,
-            rows=rep.rows,
+            rows=report_rows(rep),
         )
     keys = ["exact"] + [k for f in rep.flavors for k in (f, f"{f}_abs_err", f"{f}_scaled_err")]
     rows = (
         [str(row["n"])] + [str(c) for c in row["x"]] + [f"{row[k]:.17g}" for k in keys]
-        for row in rep.rows
+        for row in report_rows(rep)
     )
     return _ref_table(fmt, None, ["n", *_coords(rep.nu), *keys], rows)
 
@@ -185,11 +187,17 @@ def _edge_preds(nu):
     ]
 
 
+def _pred_columns(preds, nu):
+    # the columns window_predictions returns, from the reference's rows
+    return {**{f"x{i+1}": [p.x[i] for p in preds] for i in range(nu)},
+            **{t: [getattr(p, t) for p in preds] for t in (*_TERMS, "within_horizon")}}
+
+
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("nu", [1, 3])
 def test_predictions_text_matches_reference(fmt, nu):
     for preds in (_edge_preds(nu), []):
-        _same(lambda: io_text.predictions_text(preds, 7, nu, fmt),
+        _same(lambda: io_text.predictions_text(_pred_columns(preds, nu), 7, nu, fmt),
               lambda: _ref_predictions(preds, 7, nu, fmt))
 
 
@@ -233,13 +241,14 @@ def test_returns_text_matches_reference(fmt):
 def _edge_report(nu):
     flavors = ["gaussian", "corrected"]
     keys = ["exact"] + [k for fl in flavors for k in (fl, f"{fl}_abs_err", f"{fl}_scaled_err")]
-    rows = [
-        {"n": 8 * (k + 1), "x": [k - j for j in range(nu)],
-         **{key: EDGE[(k + i) % len(EDGE)] for i, key in enumerate(keys)}}
-        for k in range(len(EDGE))
-    ]
+    rows = range(len(EDGE))
+    columns = {
+        "n": [8 * (k + 1) for k in rows],
+        **{f"x{j+1}": [k - j for k in rows] for j in range(nu)},
+        **{key: [EDGE[(k + i) % len(EDGE)] for k in rows] for i, key in enumerate(keys)},
+    }
     return ConvergenceReport(
-        spec_summary=f'nu={nu} "edge"', nu=nu, n_list=[8, 16], flavors=flavors, rows=rows,
+        spec_summary=f'nu={nu} "edge"', nu=nu, n_list=[8, 16], flavors=flavors, columns=columns,
         max_scaled_err={"gaussian": {8: math.inf, 16: 0.5}}, slopes={"gaussian": None},
         route_deviation={8: -0.0}, meta={"route": "dp", "order": None, "window_rule": 2.5},
     )
@@ -250,17 +259,23 @@ def test_report_text_matches_reference(fmt, lazy_pert):
     for rep in (_edge_report(1), _edge_report(3), compare(lazy_pert, [8, 16])):
         _same(lambda: io_text.report_text(rep, fmt), lambda: _ref_report(rep, fmt))
     empty = _edge_report(2)
-    empty.rows = []
+    empty.columns = {k: [] for k in empty.columns}
     _same(lambda: io_text.report_text(empty, fmt), lambda: _ref_report(empty, fmt))
 
 
 def test_report_rows_of_two_shapes_rejected():
+    # a column of another length, then a column name unknown or missing:
+    # zip would silently cut every column to the shortest
     rep = _edge_report(2)
-    rep.rows[3]["x"] = [1, 2, 3]
+    rep.columns["x2"].append(3)
     with pytest.raises(ValueError):
         rep.to_json()
     rep = _edge_report(2)
-    rep.rows[0]["extra"] = 1.0
+    rep.columns["extra"] = rep.columns["exact"]
+    with pytest.raises(ValueError):
+        rep.to_csv()
+    rep = _edge_report(2)
+    del rep.columns["x2"]
     with pytest.raises(ValueError):
         rep.to_csv()
 

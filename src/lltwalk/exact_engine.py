@@ -289,18 +289,6 @@ def _correction_sum(z: np.ndarray, n: int) -> np.ndarray:
     return cells.reshape(z.shape)
 
 
-def _transform(f: LatticeFn, m: int) -> np.ndarray:
-    """Samples of f's transform on the m-grid, the centre pinned to f's exact total.
-
-    The centre is the transform at theta = 0.  The FFT can miss it by an
-    ulp, and the law's mass, the n-th power there, would then drift by n ulps.
-    """
-    grid = charfn_grid(f, m)
-    values = np.array(grid.values)  # a writable copy
-    values[grid.center] = float(f.exact_total())
-    return values
-
-
 def _fourier(p: LatticePMF, a: LatticeFn | None, hull, n: int, mem_limit: int):
     """p^{*n} + a * sum_k r_k p^{*(n-1-k)} on a torus grid, inverted exactly.
 
@@ -314,13 +302,13 @@ def _fourier(p: LatticePMF, a: LatticeFn | None, hull, n: int, mem_limit: int):
     lo, shape, _, bound = _box(hull, n, 0, mem_limit)
     m = max(shape) | 1
     # the peak, 64 bytes per grid cell, is binary exponentiation's four complex
-    # grids or the inversion's three on top of the power.  When perturbed, the
+    # grids; the inversion takes 32 on top of the power.  When perturbed, the
     # k-sums add 32 n bytes: r_k and, in _kernels._active_prefix, the roots,
     # their prefix lengths and the concatenated result, all of length n.  On
     # a tail grid they outweigh the grid in 1-D (m is about 960 at n = 4096).
     _guard_cells((m,) * p.dim, 64, mem_limit, 32 * n if perturbed else 0)
 
-    z = _transform(p, m)
+    z = charfn_grid(p, m).values
     total = pow_binary(z, n)
     if perturbed:
         # p is symmetric, so its transform is real up to the FFT's roundoff
@@ -331,7 +319,7 @@ def _fourier(p: LatticePMF, a: LatticeFn | None, hull, n: int, mem_limit: int):
         # W first: its sort buffers and z are gone before the transform of a exists
         w = _correction_sum(z, n)
         del z
-        total += w * _transform(a, m)
+        total += w * charfn_grid(a, m).values
         del w
     else:
         del z
@@ -384,8 +372,8 @@ def perturbed_via_representation(
 ) -> ExactDistribution:
     """Unperturbed power plus origin-return-weighted correction, in space.
 
-    One pass steps u = p^{*k} and, in lockstep, the Horner accumulator
-    S <- p * S + r_k * a, where r_k = u(0) and S starts at a (r_0 = 1).
+    One walk steps u = p^{*k} and records r_k = u(0); a second then steps
+    the Horner accumulator S <- p * S + r_k * a, which starts at a (r_0 = 1).
     After n - 1 steps S = a * W with W = sum_k r_k * p^{*(n-1-k)}, and the
     result is p^{*n} + S.  Stepping a inside S keeps the decomposition
     exact on the tail box too: mass stepped past it is dropped as the
@@ -394,23 +382,22 @@ def perturbed_via_representation(
     antisymmetry of a (which WalkSpec guarantees): paths revisiting the
     origin then contribute nothing to the correction.
     """
-    # four stepping buffers + the scratch the two walks share
-    lo, shape, org, bound = _box((spec.p, spec.q), n, 40, mem_limit)
+    # u's last buffer, the S walk's two + the scratch the walks share
+    lo, shape, org, bound = _box((spec.p, spec.q), n, 32, mem_limit)
     offs, ws = _kernel_arrays(spec.p)
     perturbed = n > 0 and bool(spec.a.as_dict())
     a_at = _at_origin(spec.a, org)
 
     scratch = np.empty(math.prod(_layout(shape, spec.radius)[0]))
-    u_steps = _walk(shape, org, spec.radius, _delta(spec.nu), offs, ws, n, scratch)
+    r = []
+    for _, u, _ in _walk(shape, org, spec.radius, _delta(spec.nu), offs, ws, n, scratch):
+        r.append(u[org])
     s_steps = _walk(shape, org, spec.radius, spec.a, offs, ws, n - 1, scratch) if perturbed else ()
-    # S first: zip stops when it runs out, before taking u's last step
-    for (k, s, _), (_, u, _) in zip(s_steps, u_steps):
+    for k, s, _ in s_steps:
         if k:
             for idx, w in a_at:
-                s[idx] += u[org] * w
-    for _, u, _ in u_steps:
-        pass
-    del scratch  # the walks are done; the law's arrays below take its place
+                s[idx] += r[k] * w
+    del scratch  # the walks are done; the law's array below takes its place
     u = u + s if perturbed else u.copy()  # the law, without the stepper's halo
 
     return ExactDistribution(

@@ -21,6 +21,7 @@ from .walk_model import nonzero_columns
 SCHEMA_VERSION = 1
 _SLOT = "\x00rows"  # the row list's place in the payload's dump
 _LEAF = re.compile(r'"\\u0000(\d+)"')  # a leaf of the sample row's dump: its column's index
+_BOOLS = {False: "false", True: "true"}
 
 
 def _records(template: str, columns, sep: str) -> str:
@@ -32,11 +33,14 @@ def _leaves(col):
     """A %-format and the column it fills, writing each value as the json encoder does.
 
     ``%r`` is ``int.__repr__`` or ``float.__repr__`` on exact ints and finite
-    exact floats; every other column goes through ``json.dumps`` value by value.
+    exact floats; bools take their two spellings from a lookup, and every
+    other column goes through ``json.dumps`` value by value.
     """
     kinds = set(map(type, col))
     if kinds <= {int} or kinds <= {float} and all(map(math.isfinite, col)):
         return "%r", col
+    if kinds <= {bool}:
+        return "%s", list(map(_BOOLS.__getitem__, col))
     return "%s", list(map(json.dumps, col))
 
 

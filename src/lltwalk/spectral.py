@@ -3,8 +3,10 @@ coefficients built from moments.
 
 Transforms are UNNORMALIZED throughout: charfn(f) samples
 ``sum_x f(x) exp(i lambda . x)`` on a uniform odd-sized grid of
-``[-pi, pi)^nu``.  With an odd grid of M points per axis and spatial support
-of width <= M, the samples determine the function exactly (a trigonometric
+``[-pi, pi)^nu``, kept in numpy's FFT order (lambda = 0 first) from the
+transform to the inversion, with the lambda = 0 sample set to f's exact
+total.  With an odd grid of M points per axis and spatial support of
+width <= M, the samples determine the function exactly (a trigonometric
 polynomial is recovered by uniform-grid quadrature with no error), so the
 round trip invert(charfn(f)) == f holds to machine precision.
 """
@@ -26,17 +28,18 @@ from .walk_model import LatticeFn, LatticePMF, SignedLatticeFn, exact_moment, is
 
 
 def lambda_axis(m: int) -> np.ndarray:
-    """Grid frequencies 2*pi*j/m for j = -(m-1)/2 .. (m-1)/2 (ascending)."""
+    """Grid frequencies 2*pi*j/m in FFT order: j = 0 .. (m-1)/2, then -(m-1)/2 .. -1."""
     h = (m - 1) // 2
-    return 2.0 * np.pi * (np.arange(m) - h) / m
+    return 2.0 * np.pi * ((np.arange(m) + h) % m - h) / m
 
 
 @dataclass(frozen=True)
 class TorusGrid:
-    """Samples of a lattice transform on the uniform torus grid.
+    """Samples of a lattice transform on the uniform torus grid, in FFT order.
 
-    ``values[j1, ..., jnu]`` is the sample at ``lambda_i = 2 pi (j_i - h)/m``
-    with ``h = (m-1)//2``, so the center entry is the value at lambda = 0.
+    ``values[j1, ..., jnu]`` is the sample at ``lambda_i = 2 pi j_i / m``, with
+    j_i read mod m, so index (0,)*nu holds the value at lambda = 0 and index
+    m - j the value at -j.
     """
 
     dim: int
@@ -52,14 +55,12 @@ class TorusGrid:
             )
         self.values.flags.writeable = False
 
-    @property
-    def center(self) -> tuple[int, ...]:
-        return ((self.m - 1) // 2,) * self.dim
-
 
 def charfn_grid(f: LatticeFn, m: int) -> TorusGrid:
-    """Sample sum_x f(x) e^{i lambda.x} on the m^nu grid (m odd).
+    """Sample sum_x f(x) e^{i lambda.x} on the m^nu grid (m odd), in FFT order.
 
+    The sample at lambda = 0 is f's exact total: the FFT can miss it by an
+    ulp, and a law's mass, the n-th power there, would then drift by n ulps.
     m must be at least the support box width on every axis, otherwise the
     spatial function cannot be recovered and GridTooSmall is raised.
     """
@@ -73,7 +74,7 @@ def charfn_grid(f: LatticeFn, m: int) -> TorusGrid:
     idx = np.ix_(*[ (np.arange(w) + int(o)) % m for w, o in zip(widths, f.offset)])
     padded[idx] = f.weights
     vals = np.fft.ifftn(padded) * (m ** f.dim)  # sum_x f(x) e^{+2 pi i j.x / m}
-    vals = np.fft.fftshift(vals)
+    vals[(0,) * f.dim] = float(f.exact_total())
     return TorusGrid(dim=f.dim, m=m, values=vals)
 
 
@@ -85,19 +86,12 @@ def invert_charfn(g: TorusGrid, offset=None, shape=None) -> SignedLatticeFn:
     which representative of x mod m each cell means).
     """
     m = g.m
-    h = (m - 1) // 2
-    vals = np.fft.ifftshift(g.values)
-    spatial = np.fft.fftn(vals).real / (m ** g.dim)  # (1/m^nu) sum_j v_j e^{-2 pi i j.x/m}
+    spatial = np.fft.fftn(g.values).real / (m ** g.dim)  # (1/m^nu) sum_j v_j e^{-2 pi i j.x/m}
     if offset is None:
-        spatial = np.fft.fftshift(spatial)
-        off = np.full(g.dim, -h, dtype=np.int64)
-        out = spatial
-    else:
-        off = np.asarray(offset, dtype=np.int64)
-        shp = tuple(shape)
-        idx = np.ix_(*[(np.arange(s) + int(o)) % m for s, o in zip(shp, off)])
-        out = spatial[idx]
-    return SignedLatticeFn(dim=g.dim, offset=off, weights=np.ascontiguousarray(out))
+        offset, shape = (-((m - 1) // 2),) * g.dim, (m,) * g.dim
+    off = np.asarray(offset, dtype=np.int64)
+    idx = np.ix_(*[(np.arange(s) + int(o)) % m for s, o in zip(shape, off)])
+    return SignedLatticeFn(dim=g.dim, offset=off, weights=np.ascontiguousarray(spatial[idx]))
 
 
 # ---------------------------------------------------------------------------
@@ -244,18 +238,8 @@ def unit_frame_terms(coeffs: EdgeworthCoeffs):
     walk to identity covariance and ``terms[alpha]`` is the coefficient of
     mu^alpha in the transformed log series (quadratic part excluded).
     """
-    B = coeffs.B
-    nu = B.shape[0]
-    offdiag = B - np.diag(np.diag(B))
-    if np.all(offdiag == 0):
-        O = np.eye(nu)
-        sig = np.sqrt(np.diag(B))
-        terms = {
-            a: float(v) * float(np.prod(sig ** (-np.array(a))))
-            for a, v in coeffs.log_m.items()
-        }
-        return O, sig, terms
-    evals, O = np.linalg.eigh(B)
+    nu = coeffs.B.shape[0]
+    evals, O = np.linalg.eigh(coeffs.B)
     sig = np.sqrt(evals)
     # substitute lambda = O diag(1/sig) mu into each monomial
     rows = O / sig[np.newaxis, :]  # lambda_i = sum_j rows[i, j] mu_j

@@ -21,7 +21,6 @@ from lltwalk import (
 from lltwalk import exact_engine
 from lltwalk.errors import CrossCheckError, ResourceLimit
 from lltwalk.io_text import distribution_text
-from lltwalk.spectral import TorusGrid
 from lltwalk.walk_model import SignedLatticeFn
 
 from conftest import direct_step, step_every_row
@@ -239,24 +238,33 @@ def test_fourier_matches_forward_at_large_n(request, name, n):
 
 def test_fourier_mass_immune_to_transform_roundoff_at_zero(lazy_pert, monkeypatch):
     # the mass is the n-th power of p^(0): an FFT error of 1e-15 there would
-    # move it by n * 1e-15 = 4e-12 at n = 4096, past LatticePMF's 1e-12
+    # move it by n * 1e-15 = 4e-12 at n = 4096, past LatticePMF's 1e-12, so
+    # charfn_grid sets that sample to the exact total whatever the FFT gives
+    ifftn = np.fft.ifftn
     charfn_grid, invert_charfn = exact_engine.charfn_grid, exact_engine.invert_charfn
-    masses = []
+    at_zero, masses = [], []
 
-    def off_at_zero(f, m):
+    def off_at_zero(x, *args, **kw):
+        out = ifftn(x, *args, **kw)
+        out[(0,) * out.ndim] += 1e-15 / out.size  # charfn_grid scales by m^nu, the size
+        return out
+
+    def recording_grid(f, m):
         g = charfn_grid(f, m)
-        values = g.values.copy()
-        values[g.center] += 1e-15
-        return TorusGrid(dim=g.dim, m=g.m, values=values)
+        v = g.values[(0,) * g.dim]
+        at_zero.append((v.real, v.imag))
+        return g
 
     def recording_inverse(g, **kw):
         spatial = invert_charfn(g, **kw)
         masses.append(math.fsum(spatial.weights.ravel()))
         return spatial
 
-    monkeypatch.setattr(exact_engine, "charfn_grid", off_at_zero)
+    monkeypatch.setattr(np.fft, "ifftn", off_at_zero)
+    monkeypatch.setattr(exact_engine, "charfn_grid", recording_grid)
     monkeypatch.setattr(exact_engine, "invert_charfn", recording_inverse)
     perturbed_fourier(lazy_pert, 4096)
+    assert at_zero == [(1.0, 0.0), (0.0, 0.0)]  # p's and a's exact totals
     assert len(masses) == 1
     assert abs(masses[0] - 1.0) <= 1e-13
 

@@ -31,7 +31,7 @@ import numpy as np
 from ._kernels import dp_step, origin_returns, pow_binary, shift_groups, weighted_power_sum
 from .errors import CrossCheckError, ResourceLimit
 from .spectral import TorusGrid, charfn_grid, invert_charfn
-from .walk_model import LatticeFn, LatticePMF, WalkSpec
+from .walk_model import LatticeFn, LatticePMF, WalkSpec, box_values, perturbation
 
 DEFAULT_MEM_LIMIT = 2 << 30  # bytes; generous but finite
 NEGATIVE_CLAMP = 1e-14       # frequency-route roundoff threshold
@@ -95,7 +95,7 @@ def _tail(p: LatticePMF, reach: int, n: int):
     """
     if not TAIL_TOL or n > 1e300:
         return [(math.inf, 0.0)] * p.dim
-    offs, ws = _kernel_arrays(p)
+    offs, ws = p.support
     log_c = math.log(2 * (2 * n + 1))
     out = []
     for x in offs.T:
@@ -172,10 +172,10 @@ def _layout(shape, reach: int):
     return padded, reach * sum(math.prod(padded[ax:]) for ax in range(1, len(padded) + 1))
 
 
-def _at_origin(f: LatticeFn | None, org) -> list:
-    """f's (index, weight) pairs, its points taken relative to the origin index."""
-    pts = f.points() if f is not None else ()
-    return [(tuple(o + c for o, c in zip(org, pt)), w) for pt, w in pts]
+def _at_origin(f: LatticeFn, org):
+    """f's support as (index, weights), its points taken relative to the origin index."""
+    pts, ws = f.support
+    return tuple((pts + org).T), ws
 
 
 def _walk(shape, org, reach: int, start: LatticeFn, offs, ws, n: int, scratch=None):
@@ -204,8 +204,8 @@ def _walk(shape, org, reach: int, start: LatticeFn, offs, ws, n: int, scratch=No
     halo = [(slice(None),) * ax + (slice(shape[ax], None),) for ax in range(1, len(shape))]
     bufs = [np.zeros(size + 2 * margin) for _ in range(2)]
     boxes = [buf[margin:margin + size].reshape(padded)[tuple(map(slice, shape))] for buf in bufs]
-    for idx, w in _at_origin(start, org):
-        boxes[0][idx] = w
+    idx, w = _at_origin(start, org)
+    boxes[0][idx] = w
     rad = start.radius
     win = _window(org, rad)
     for k in range(n + 1):
@@ -241,18 +241,11 @@ def _clamp_tiny_negatives(w: np.ndarray) -> np.ndarray:
     return np.where(w <= -worst, 0.0, w)
 
 
-def _kernel_arrays(f: LatticeFn):
-    pts = list(f.points())
-    offs = np.array([pt for pt, _ in pts], dtype=np.int64).reshape(len(pts), f.dim)
-    ws = np.array([w for _, w in pts])
-    return offs, ws
-
-
 # ---------------------------------------------------------------------------
 # the two pipelines: forward stepping and the torus grid
 # ---------------------------------------------------------------------------
 
-def _forward(p: LatticePMF, a: LatticeFn | None, hull, n: int, mem_limit: int):
+def _forward(p: LatticePMF, a: LatticeFn, hull, n: int, mem_limit: int):
     """Step from the origin n times by p; mass at the origin also moves by a.
 
     The box holds n steps of ``hull`` and the origin, where the walk starts,
@@ -260,16 +253,15 @@ def _forward(p: LatticePMF, a: LatticeFn | None, hull, n: int, mem_limit: int):
     and the box's tail bound.
     """
     lo, shape, org, bound = _box((*hull, _delta(p.dim)), n, 24, mem_limit)  # two buffers + scratch
-    offs, ws = _kernel_arrays(p)
-    a_at = _at_origin(a, org)
+    offs, ws = p.support
+    a_idx, a_ws = _at_origin(a, org)
     reach = max(f.radius for f in hull)
 
     m0 = 0.0
     for _, cur, _ in _walk(shape, org, reach, _delta(p.dim), offs, ws, n):
         # transition from the origin differs from p by exactly a = q - p
         if m0 != 0.0:
-            for idx, w in a_at:
-                cur[idx] += m0 * w
+            cur[a_idx] += m0 * a_ws
         m0 = cur[org]
     # a copy: the law without the stepper's halo
     return LatticePMF(dim=p.dim, offset=np.array(lo, dtype=np.int64), weights=cur.copy()), bound
@@ -289,16 +281,16 @@ def _correction_sum(z: np.ndarray, n: int) -> np.ndarray:
     return cells.reshape(z.shape)
 
 
-def _fourier(p: LatticePMF, a: LatticeFn | None, hull, n: int, mem_limit: int):
+def _fourier(p: LatticePMF, a: LatticeFn, hull, n: int, mem_limit: int):
     """p^{*n} + a * sum_k r_k p^{*(n-1-k)} on a torus grid, inverted exactly.
 
-    r_k = p^{*k}(0) are the unperturbed origin returns; without ``a`` (or
-    with a = 0) this is the convolution power p^{*n}.  The grid is the
-    smallest odd size covering the box of n steps of ``hull`` cut at the
-    tail box, so the law's mass past the box aliases onto it; the box's
-    tail bound, returned with the law, covers that.
+    r_k = p^{*k}(0) are the unperturbed origin returns; with a = 0 this is
+    the convolution power p^{*n}.  The grid is the smallest odd size
+    covering the box of n steps of ``hull`` cut at the tail box, so the
+    law's mass past the box aliases onto it; the box's tail bound, returned
+    with the law, covers that.
     """
-    perturbed = a is not None and n > 0 and bool(a.as_dict())
+    perturbed = n > 0 and a.weights.any()
     lo, shape, _, bound = _box(hull, n, 0, mem_limit)
     m = max(shape) | 1
     # the peak, 64 bytes per grid cell, is binary exponentiation's four complex
@@ -352,7 +344,7 @@ def convolve_power(
         pipeline = {"fft": _fourier, "direct": _forward}[method]
     except KeyError:
         raise ValueError(f"unknown method {method!r}") from None
-    return pipeline(p, None, (p,), n, mem_limit)[0]
+    return pipeline(p, perturbation(p, p), (p,), n, mem_limit)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +376,9 @@ def perturbed_via_representation(
     """
     # u's last buffer, the S walk's two + the scratch the walks share
     lo, shape, org, bound = _box((spec.p, spec.q), n, 32, mem_limit)
-    offs, ws = _kernel_arrays(spec.p)
-    perturbed = n > 0 and bool(spec.a.as_dict())
-    a_at = _at_origin(spec.a, org)
+    offs, ws = spec.p.support
+    perturbed = n > 0 and spec.a.weights.any()
+    a_idx, a_ws = _at_origin(spec.a, org)
 
     scratch = np.empty(math.prod(_layout(shape, spec.radius)[0]))
     r = []
@@ -395,8 +387,7 @@ def perturbed_via_representation(
     s_steps = _walk(shape, org, spec.radius, spec.a, offs, ws, n - 1, scratch) if perturbed else ()
     for k, s, _ in s_steps:
         if k:
-            for idx, w in a_at:
-                s[idx] += r[k] * w
+            s[a_idx] += r[k] * a_ws
     del scratch  # the walks are done; the law's array below takes its place
     u = u + s if perturbed else u.copy()  # the law, without the stepper's halo
 
@@ -442,20 +433,10 @@ def max_abs_difference(f: LatticeFn, g: LatticeFn) -> float:
     """Max pointwise |f - g| over the union of the two boxes."""
     if f.dim != g.dim:
         raise ValueError("dimension mismatch")
-    lo = [min(f.box[ax][0], g.box[ax][0]) for ax in range(f.dim)]
-    hi = [max(f.box[ax][1], g.box[ax][1]) for ax in range(f.dim)]
-    shape = tuple(h - l + 1 for l, h in zip(lo, hi))
-    diff = np.zeros(shape)
-    sl_f = tuple(
-        slice(f.box[ax][0] - lo[ax], f.box[ax][0] - lo[ax] + f.weights.shape[ax])
-        for ax in range(f.dim)
-    )
-    sl_g = tuple(
-        slice(g.box[ax][0] - lo[ax], g.box[ax][0] - lo[ax] + g.weights.shape[ax])
-        for ax in range(g.dim)
-    )
-    diff[sl_f] += f.weights
-    diff[sl_g] -= g.weights
+    lo = np.minimum(f.offset, g.offset)
+    shape = tuple(np.maximum(f.offset + f.weights.shape, g.offset + g.weights.shape) - lo)
+    diff = box_values(f.weights, f.offset, lo, shape)
+    diff -= box_values(g.weights, g.offset, lo, shape)
     return float(np.abs(diff).max())
 
 
@@ -496,7 +477,7 @@ def first_return_probs(
     tail bound of its full-support value.
     """
     _, shape, org, _ = _box((spec.p, spec.q), n_max, 24, mem_limit)
-    p_offs, p_ws = _kernel_arrays(spec.p)
+    p_offs, p_ws = spec.p.support
 
     def taboo(first_step: LatticeFn) -> np.ndarray:
         f = np.empty(n_max)

@@ -20,11 +20,12 @@ from .asymptotics import (
     perturbation_correction_many,
 )
 from .spectral import EdgeworthCoeffs, edgeworth_coeffs
-from .walk_model import LatticePMF, WalkSpec, nonzero_points
+from .walk_model import LatticePMF, WalkSpec, box_values, nonzero_points
 
 SIM_CHUNK = 1 << 17  # trials per chunk; fixed so results are partition independent
 GUIDE_BINS = 1 << 12  # bins of each step law's guide table; a power of 2, so u * K is exact
 _SPLIT = np.iinfo(np.int64).min  # guide entry of a bin that holds a CDF edge
+CHI2_MIN_EXPECTED = 5.0  # chi_squared_check pools cells expecting fewer counts than this
 CROSSCHECK_MAX_N = 512  # compare cross-checks its route against a second one up to this n
 # tracemalloc peak of window_predictions plus predictions_text per cell of the
 # window's box at n = 10^6, in JSON (the larger format), with 6% to spare:
@@ -80,9 +81,9 @@ class _LawTable:
 
 
 def _law_tables(pmf: LatticePMF, strides: np.ndarray) -> _LawTable:
-    pts = list(pmf.points())
-    steps = np.array([pt for pt, _ in pts], dtype=np.int64) @ strides
-    cdf = np.cumsum(np.array([w for _, w in pts]))
+    pts, ws = pmf.support
+    steps = pts @ strides
+    cdf = np.cumsum(ws)
     cdf[-1] = 1.0  # guard the top edge against float-sum shortfall
     lo = np.arange(GUIDE_BINS) / GUIDE_BINS
     hi = np.nextafter(lo + 1.0 / GUIDE_BINS, 0.0)  # largest draw in each bin
@@ -154,39 +155,32 @@ def chi_squared_check(
     emp: EmpiricalPMF,
     exact: exact_engine.ExactDistribution,
     quantile: float = 0.999,
-    min_expected: float = 5.0,
 ):
     """Pearson statistic of the empirical law against the exact one.
 
-    Cells with expected count below ``min_expected`` are pooled into one
-    bin.  Returns dict(stat, dof, threshold, ok).
+    Both laws are read on the union of their boxes.  Each cell expecting at
+    least CHI2_MIN_EXPECTED counts is a bin of its own; the other cells,
+    counts seen where the exact law is 0 included, pool into one bin, kept
+    when its expectation is positive.  The threshold is the chi-squared
+    ``quantile`` at dof = bins - 1 (at least 1).  Returns dict(stat, dof,
+    threshold, ok).
     """
-    from scipy.stats import chi2 as chi2_dist  # scipy loads on first use, not on import
+    from scipy.special import gammaincinv  # scipy loads on first use, not on import
 
-    exp_w = exact.pmf
-    cells = []
-    pooled_exp = 0.0
-    pooled_obs = 0
-    obs_map = {pt: c for pt, c in emp.points()}
-    seen = set()
-    for pt, w in exp_w.points():
-        e = w * emp.trials
-        o = obs_map.get(pt, 0)
-        seen.add(pt)
-        if e >= min_expected:
-            cells.append((o, e))
-        else:
-            pooled_exp += e
-            pooled_obs += o
-    for pt, o in obs_map.items():
-        if pt not in seen:  # observed where exact mass is (numerically) zero
-            pooled_obs += o
-            pooled_exp += exp_w.value_at(pt) * emp.trials
+    pmf = exact.pmf
+    lo = np.minimum(emp.offset, pmf.offset)
+    shape = tuple(np.maximum(emp.offset + emp.counts.shape, pmf.offset + pmf.weights.shape) - lo)
+    e = box_values(pmf.weights, pmf.offset, lo, shape) * emp.trials
+    o = box_values(emp.counts, emp.offset, lo, shape)
+    own = e >= CHI2_MIN_EXPECTED
+    terms = ((o[own] - e[own]) ** 2 / e[own]).tolist()
+    pooled_exp = float(e[~own].sum())
     if pooled_exp > 0:
-        cells.append((pooled_obs, pooled_exp))
-    stat = math.fsum((o - e) ** 2 / e for o, e in cells)
-    dof = max(1, len(cells) - 1)
-    threshold = float(chi2_dist.ppf(quantile, dof))
+        terms.append((int(o[~own].sum()) - pooled_exp) ** 2 / pooled_exp)
+    stat = math.fsum(terms)
+    dof = max(1, len(terms) - 1)
+    # scipy's chi2.ppf(quantile, dof), without loading scipy.stats
+    threshold = float(2.0 * gammaincinv(dof / 2, quantile))
     return {"stat": stat, "dof": dof, "threshold": threshold, "ok": stat < threshold}
 
 

@@ -26,6 +26,8 @@ from .errors import DegreeTooLarge, NoConvergence
 
 _MAX_HERMITE = 200
 _MAX_LAGUERRE = 10**6
+_ABEL_TAIL = 1e-18  # geometric tail an Abel-summed series may drop
+_EXP_SERIES_TERMS = 121  # terms l = 0..120 of the exponential-expansion series
 
 
 # ---------------------------------------------------------------------------
@@ -144,16 +146,16 @@ def abel_richardson(coefs: np.ndarray, eps_list=(0.02, 0.01, 0.005), tol: float 
     return float(quad_fit), float(spread)
 
 
-def _abel_cutoff(eps: float, tail: float = 1e-18) -> int:
-    """Series length so the dropped geometric tail is below ``tail``."""
-    return max(64, int(math.log(tail) / math.log(1.0 - eps)) + 1)
+def _abel_cutoff(eps: float) -> int:
+    """Series length so the dropped geometric tail is below _ABEL_TAIL."""
+    return max(64, int(math.log(_ABEL_TAIL) / math.log(1.0 - eps)) + 1)
 
 
 # ---------------------------------------------------------------------------
 # the exponential-expansion identity
 # ---------------------------------------------------------------------------
 
-def exp_integral_series(z: float, w: float, n: int, lmax: int = 120) -> float:
+def exp_integral_series(z: float, w: float, n: int) -> float:
     """Series side of  w^{z-1} * integral_w^{w(n-1)} e^t t^{-z} dt.
 
     Expanding the exponential termwise:  the l = z-1 term (present only for
@@ -166,7 +168,7 @@ def exp_integral_series(z: float, w: float, n: int, lmax: int = 120) -> float:
         raise ValueError("need w > 0 and n >= 2")
     total = 0.0
     z_int = abs(z - round(z)) < 1e-12
-    for l in range(lmax + 1):
+    for l in range(_EXP_SERIES_TERMS):
         if z_int and l == round(z) - 1:
             total += w ** (z - 1) * math.log(n - 1) / math.gamma(z)
             continue

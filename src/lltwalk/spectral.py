@@ -20,17 +20,13 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import GridTooSmall, NotSymmetric, OrderTooHigh
-from .walk_model import LatticeFn, LatticePMF, SignedLatticeFn, exact_moment, is_symmetric, moments
+from .walk_model import (
+    LatticeFn, LatticePMF, SignedLatticeFn, exact_moment, is_symmetric, moments, second_moments,
+)
 
 # ---------------------------------------------------------------------------
 # grids
 # ---------------------------------------------------------------------------
-
-
-def lambda_axis(m: int) -> np.ndarray:
-    """Grid frequencies 2*pi*j/m in FFT order: j = 0 .. (m-1)/2, then -(m-1)/2 .. -1."""
-    h = (m - 1) // 2
-    return 2.0 * np.pi * ((np.arange(m) + h) % m - h) / m
 
 
 @dataclass(frozen=True)
@@ -202,19 +198,10 @@ def edgeworth_coeffs(p: LatticePMF, L: int = 4) -> EdgeworthCoeffs:
         t[alpha] = coef
 
     logs = _series_log1p(t, L)
-
-    B = np.empty((nu, nu))
-    for i in range(nu):
-        for j in range(nu):
-            alpha = [0] * nu
-            alpha[i] += 1
-            alpha[j] += 1
-            c = logs.get(tuple(alpha), 0)
-            B[i, j] = -float(c) * (2.0 if i == j else 1.0)
-
     log_m = {k: v for k, v in logs.items() if sum(k) >= 3}
     m = {k: v for k, v in _series_expm1(log_m, L).items() if sum(k) >= 3}
-    return EdgeworthCoeffs(L=L, m=m, B=B, log_m=log_m, exact=exact)
+    # the log series' quadratic part is -(lambda, B lambda) / 2, B p's second moments
+    return EdgeworthCoeffs(L=L, m=m, B=second_moments(p), log_m=log_m, exact=exact)
 
 
 def _multi_indices(nu: int, lo: int, hi: int):

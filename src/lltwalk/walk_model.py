@@ -76,6 +76,23 @@ def nonzero_points(values: np.ndarray, offset) -> Iterator[tuple[Point, float | 
     return zip(zip(*axes), vals)
 
 
+def box_values(values: np.ndarray, offset, lo, shape) -> np.ndarray:
+    """The box ``values`` (lower corner ``offset``) read on the box at ``lo`` of ``shape``.
+
+    Cells of the new box past the edge of ``values`` read 0.
+    """
+    out = np.zeros(shape, dtype=values.dtype)
+    src, dst = [], []
+    for o, w, l, s in zip(offset, values.shape, lo, shape):
+        a, b = max(o, l), min(o + w, l + s)  # the overlap along this axis
+        if a >= b:
+            return out
+        src.append(slice(a - o, b - o))
+        dst.append(slice(a - l, b - l))
+    out[tuple(dst)] = values[tuple(src)]
+    return out
+
+
 @dataclass(frozen=True)
 class LatticeFn:
     """Dense real-valued function on an integer box (base for pmfs)."""
@@ -144,12 +161,18 @@ class LatticeFn:
         )
 
     @property
+    def support(self) -> tuple[np.ndarray, np.ndarray]:
+        """(points, weights) over the nonzero cells, in :meth:`points` order.
+
+        ``points`` is an int64 array of shape (k, dim), one row per cell.
+        """
+        idx = np.nonzero(self.weights)
+        return np.stack(idx, axis=1) + self.offset, self.weights[idx]
+
+    @property
     def radius(self) -> int:
         """Max sup-norm of any support point (jump radius)."""
-        r = 0
-        for pt, _ in self.points():
-            r = max(r, max(abs(c) for c in pt))
-        return r
+        return int(np.abs(self.support[0]).max(initial=0))
 
     def total(self) -> float:
         return float(self.weights.sum())

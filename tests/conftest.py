@@ -5,7 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from lltwalk import LatticePMF, load_walk_spec, validate_walk_spec
+from lltwalk import LatticePMF, load_walk_spec
 from lltwalk import _kernels, exact_engine
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -51,24 +51,8 @@ def lazy_p():
 
 @pytest.fixture(scope="session")
 def spec3d():
-    """Small 3-D spec: lazy axis walk with a drifted exit law."""
-    p = {(0, 0, 0): "1/4"}
-    for i in range(3):
-        for s in (1, -1):
-            pt = [0, 0, 0]
-            pt[i] = s
-            p[tuple(pt)] = "1/8"
-    q = dict(p)
-    q[(1, 0, 0)] = "1/8 + 1/40"
-    q[(-1, 0, 0)] = "1/8 - 1/40"
-    from fractions import Fraction
-
-    q = {k: (Fraction(1, 8) + Fraction(1, 40) if k == (1, 0, 0)
-             else Fraction(1, 8) - Fraction(1, 40) if k == (-1, 0, 0)
-             else v) for k, v in q.items()}
-    return validate_walk_spec(
-        LatticePMF.from_points(3, p), LatticePMF.from_points(3, q)
-    )
+    """3-D lazy axis walk with a drifted exit law, d = (1/20, 0, 0)."""
+    return load_walk_spec(CONFIGS / "lazy_pert_3d.cfg")
 
 
 def config_path(name: str) -> str:

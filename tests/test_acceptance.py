@@ -46,7 +46,8 @@ def record(num: int, ok: bool, detail: str):
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels(lazy_pert):
-    """Compile/load the jitted kernels outside any timed section."""
+    """Run every route once, so first-call costs (imports, FFT setup) fall
+    outside any timed section."""
     cross_check(lazy_pert, 2)
 
 

@@ -378,6 +378,18 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_chi_squared_check_loads_no_scipy_stats():
+    proc = _fresh_python(
+        "import sys\n"
+        "from lltwalk import chi_squared_check, load_walk_spec, perturbed_forward, simulate\n"
+        f"spec = load_walk_spec({config_path('lazy_pert_1d.cfg')!r})\n"
+        "print(chi_squared_check(simulate(spec, 10, 1000, seed=0), perturbed_forward(spec, 10)))\n"
+        "print('scipy.stats' in sys.modules)"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_identities_in_fresh_interpreter():
     # scipy loads inside identity_suite; a fresh process proves those imports resolve
     proc = _fresh_python("import sys; from lltwalk.cli import main; sys.exit(main(['identities']))")

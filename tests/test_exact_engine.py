@@ -347,7 +347,7 @@ def test_walk_matches_full_box_stepping(unit_cov_2d):
     # every row of the box with the same kernel bit for bit
     n = 12
     _, shape, org, _ = exact_engine._box((unit_cov_2d.p,), n, 24, exact_engine.DEFAULT_MEM_LIMIT)
-    offs, ws = exact_engine._kernel_arrays(unit_cov_2d.p)
+    offs, ws = unit_cov_2d.p.support
     full = np.zeros(shape)
     full[org] = 1.0
     delta = exact_engine._delta(2)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lltwalk import (
+    EmpiricalPMF,
     LatticePMF,
     asymptotic_prediction,
     chi_squared_check,
@@ -190,6 +191,76 @@ def test_chi_squared_detects_wrong_model(lazy_pert, lazy_sym):
     wrong = perturbed_fourier(lazy_sym, 60)
     res = chi_squared_check(emp, wrong)
     assert not res["ok"]
+
+
+def _chi_squared_by_dicts(emp, exact, quantile=0.999, min_expected=5.0):
+    """Pearson statistic pooled point by point through dicts, threshold from scipy.stats.
+
+    The reference chi_squared_check must match: the same bins, dof and
+    threshold, and the statistic up to summation order.
+    """
+    from scipy.stats import chi2
+
+    cells, pooled_exp, pooled_obs = [], 0.0, 0
+    obs_map = dict(emp.points())
+    seen = set()
+    for pt, w in exact.pmf.points():
+        e, o = w * emp.trials, obs_map.get(pt, 0)
+        seen.add(pt)
+        if e >= min_expected:
+            cells.append((o, e))
+        else:
+            pooled_exp += e
+            pooled_obs += o
+    for pt, o in obs_map.items():
+        if pt not in seen:  # observed where the exact mass is zero
+            pooled_obs += o
+            pooled_exp += exact.pmf.value_at(pt) * emp.trials
+    if pooled_exp > 0:
+        cells.append((pooled_obs, pooled_exp))
+    stat = math.fsum((o - e) ** 2 / e for o, e in cells)
+    dof = max(1, len(cells) - 1)
+    threshold = float(chi2.ppf(quantile, dof))
+    return {"stat": stat, "dof": dof, "threshold": threshold, "ok": stat < threshold}
+
+
+def _empirical(offset, counts, n=0):
+    counts = np.asarray(counts, dtype=np.int64)
+    return EmpiricalPMF(n=n, trials=int(counts.sum()), seed=0,
+                        offset=np.asarray(offset, dtype=np.int64), counts=counts)
+
+
+def _chi2_simulate_2d(specs):
+    # the walkbench simulate_2d workload's input
+    spec = specs["unit_cov_2d"]
+    return simulate(spec, 64, 1 << 18, seed=3), exact_engine.perturbed_forward(spec, 64)
+
+
+def _chi2_counts_past_exact_box(specs):
+    # the counts' box holds the exact law's on axis 0 and is inside it on axis 1
+    spec = specs["unit_cov_2d"]
+    exact = perturbed_fourier(spec, 8)
+    sim = simulate(spec, 8, 20_000, seed=4).counts  # box [-16, 16]^2
+    counts = np.zeros((41, 11), dtype=np.int64)
+    counts[4:37] = sim[:, 11:22]
+    counts[0, 0] = counts[-1, -1] = 3  # where the exact law is 0
+    return _empirical((-20, -5), counts, n=8), exact
+
+
+def _chi2_empty_pooled_bin(specs):
+    # every exact cell expects >= 5, and the one count past them meets no
+    # expectation, so the pooled bin is empty and dropped
+    exact = exact_engine.perturbed_forward(specs["lazy_pert"], 1)  # 0.2, 0.5, 0.3 on [-1, 1]
+    return _empirical([-1], [200, 499, 300, 0, 1], n=1), exact
+
+
+@pytest.mark.parametrize("case", [_chi2_simulate_2d, _chi2_counts_past_exact_box,
+                                  _chi2_empty_pooled_bin])
+def test_chi_squared_check_matches_dict_pooling(case, lazy_pert, unit_cov_2d):
+    emp, exact = case({"lazy_pert": lazy_pert, "unit_cov_2d": unit_cov_2d})
+    got, ref = chi_squared_check(emp, exact), _chi_squared_by_dicts(emp, exact)
+    assert (got["dof"], got["threshold"], got["ok"]) == (ref["dof"], ref["threshold"], ref["ok"])
+    assert got["stat"] == pytest.approx(ref["stat"], rel=1e-12, abs=0)
 
 
 def test_compare_report_integrity(lazy_pert):

@@ -6,8 +6,14 @@ import pytest
 
 from lltwalk import LatticePMF, charfn_grid, edgeworth_coeffs, invert_charfn
 from lltwalk.errors import GridTooSmall, NotSymmetric, OrderTooHigh
-from lltwalk.spectral import TorusGrid, lambda_axis, unit_frame_terms
+from lltwalk.spectral import TorusGrid, unit_frame_terms
 from lltwalk.walk_model import SignedLatticeFn
+
+
+def lambda_axis(m: int) -> np.ndarray:
+    """Grid frequencies 2*pi*j/m in FFT order: j = 0 .. (m-1)/2, then -(m-1)/2 .. -1."""
+    h = (m - 1) // 2
+    return 2.0 * np.pi * ((np.arange(m) + h) % m - h) / m
 
 
 def test_charfn_lazy_values(lazy_p):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -15,6 +17,7 @@ from lltwalk.errors import (
 )
 from lltwalk.walk_model import (
     SignedLatticeFn,
+    box_values,
     exact_moment,
     is_antisymmetric,
     is_symmetric,
@@ -202,3 +205,50 @@ def test_second_moments_matrix(unit_cov_2d):
     assert second_moments(unit_cov_2d.p).tolist() == [[1.0, 0.0], [0.0, 1.0]]
     skew = LatticePMF.from_points(2, {(1, 1): "1/2", (-1, -1): "1/2"})
     assert second_moments(skew).tolist() == [[1.0, 1.0], [1.0, 1.0]]
+
+
+def test_support_matches_points(unit_cov_2d):
+    for f in (unit_cov_2d.p, unit_cov_2d.q, unit_cov_2d.a):
+        pts, ws = f.support
+        assert pts.dtype == np.int64 and pts.shape == (len(ws), 2)
+        assert [(tuple(pt), w) for pt, w in zip(pts.tolist(), ws.tolist())] == list(f.points())
+    zero = perturbation(lazy(), lazy()).support
+    assert zero[0].shape == (0, 1) and zero[1].shape == (0,)
+
+
+def _box_values_by_cell(values, offset, lo, shape):
+    """Each cell of the box at ``lo`` looked up in ``values`` on its own; 0 past its edge."""
+    out = np.zeros(shape, dtype=values.dtype)
+    for idx in itertools.product(*map(range, shape)):
+        src = tuple(l + i - o for l, i, o in zip(lo, idx, offset))
+        if all(0 <= c < w for c, w in zip(src, values.shape)):
+            out[idx] = values[src]
+    return out
+
+
+# the box read on, per axis, for a source box [o, o + w): (lower corner, width)
+_BOX_RELATIONS = {
+    "overlaps": lambda o, w: (o - 1, w),
+    "nested in": lambda o, w: (o + 1, w - 1),
+    "holds": lambda o, w: (o - 2, w + 4),
+    "touches above": lambda o, w: (o + w, 2),
+    "touches below": lambda o, w: (o - 2, 2),
+    "disjoint": lambda o, w: (o + w + 3, 3),
+}
+
+
+@pytest.mark.parametrize("relation", _BOX_RELATIONS)
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_box_values_matches_per_cell_reading(dim, dtype, relation):
+    rng = np.random.default_rng(dim)
+    values = rng.integers(1, 100, size=(3, 4, 2)[:dim]).astype(dtype)
+    offset = np.array([-1, 2, 0][:dim], dtype=np.int64)
+    lo, shape = zip(*map(_BOX_RELATIONS[relation], offset, values.shape))
+    got = box_values(values, offset, lo, shape)
+    assert got.dtype == dtype and got.shape == shape
+    assert np.array_equal(got, _box_values_by_cell(values, offset, lo, shape))
+    # one axis disjoint is enough for no overlap at all
+    if dim > 1:
+        lo = (*lo[:-1], offset[-1] + values.shape[-1])
+        assert not box_values(values, offset, lo, shape).any()

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import dp_step, origin_returns, pow_binary, shift_groups, weighted_power_sum
-from .errors import CrossCheckError, ResourceLimit
+from .errors import CrossCheckError, NotNormalized, ResourceLimit
 from .spectral import TorusGrid, charfn_grid, invert_charfn
-from .walk_model import LatticeFn, LatticePMF, WalkSpec, box_values, perturbation
+from .walk_model import LatticeFn, LatticePMF, WalkSpec, common_box, perturbation
 
 DEFAULT_MEM_LIMIT = 2 << 30  # bytes; generous but finite
 NEGATIVE_CLAMP = 1e-14       # frequency-route roundoff threshold
@@ -59,9 +59,6 @@ class ExactDistribution:
     def __post_init__(self):
         if self.route not in ROUTES:
             raise ValueError(f"unknown route {self.route!r}")
-        tot = self.pmf.total()
-        if abs(tot - 1.0) > 1e-10:
-            raise CrossCheckError(f"distribution mass {tot!r} is off by more than 1e-10")
 
     def value_at(self, x) -> float:
         return self.pmf.value_at(x)
@@ -226,19 +223,23 @@ def _delta(dim: int) -> LatticePMF:
     return LatticePMF.from_points(dim, {(0,) * dim: 1})
 
 
-def _clamp_tiny_negatives(w: np.ndarray) -> np.ndarray:
-    """Zero the frequency route's roundoff; reject real negative mass.
+def _law(lo, w: np.ndarray) -> LatticePMF:
+    """A route's law ``w`` on the box at ``lo``: roundoff zeroed, sign and mass checked.
 
     When the smallest weight is negative, every cell no larger in size than
     it is roundoff, positive or negative, and is zeroed: dropping only the
-    negative half would add mass.
+    negative half would add mass.  A weight below -NEGATIVE_CLAMP, or a
+    mass that LatticePMF rejects, is a failed route: CrossCheckError.
     """
     worst = w.min()
     if worst < -NEGATIVE_CLAMP:
         raise CrossCheckError(f"inverted mass has negative weight {worst!r}")
-    if worst >= 0:
-        return w
-    return np.where(w <= -worst, 0.0, w)
+    if worst < 0:
+        w = np.where(w <= -worst, 0.0, w)
+    try:
+        return LatticePMF(dim=w.ndim, offset=np.array(lo, dtype=np.int64), weights=w)
+    except NotNormalized as exc:
+        raise CrossCheckError(f"route law: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +264,7 @@ def _forward(p: LatticePMF, a: LatticeFn, hull, n: int, mem_limit: int):
         if m0 != 0.0:
             cur[a_idx] += m0 * a_ws
         m0 = cur[org]
-    # a copy: the law without the stepper's halo
-    return LatticePMF(dim=p.dim, offset=np.array(lo, dtype=np.int64), weights=cur.copy()), bound
+    return _law(lo, cur.copy()), bound  # a copy: the law without the stepper's halo
 
 
 def _correction_sum(z: np.ndarray, n: int) -> np.ndarray:
@@ -317,8 +317,7 @@ def _fourier(p: LatticePMF, a: LatticeFn, hull, n: int, mem_limit: int):
         del z
     # only the law's transform is left for the inversion, where the peak is
     spatial = invert_charfn(TorusGrid(dim=p.dim, m=m, values=total), offset=lo, shape=shape)
-    w = _clamp_tiny_negatives(spatial.weights)
-    return LatticePMF(dim=p.dim, offset=np.array(lo, dtype=np.int64), weights=w), bound
+    return _law(lo, spatial.weights), bound
 
 
 def convolve_power(
@@ -391,13 +390,7 @@ def perturbed_via_representation(
     del scratch  # the walks are done; the law's array below takes its place
     u = u + s if perturbed else u.copy()  # the law, without the stepper's halo
 
-    return ExactDistribution(
-        n=n,
-        pmf=LatticePMF(dim=spec.nu, offset=np.array(lo, dtype=np.int64),
-                       weights=_clamp_tiny_negatives(u)),
-        route="repr",
-        tail_bound=bound,
-    )
+    return ExactDistribution(n=n, pmf=_law(lo, u), route="repr", tail_bound=bound)
 
 
 def perturbed_fourier(
@@ -433,11 +426,9 @@ def max_abs_difference(f: LatticeFn, g: LatticeFn) -> float:
     """Max pointwise |f - g| over the union of the two boxes."""
     if f.dim != g.dim:
         raise ValueError("dimension mismatch")
-    lo = np.minimum(f.offset, g.offset)
-    shape = tuple(np.maximum(f.offset + f.weights.shape, g.offset + g.weights.shape) - lo)
-    diff = box_values(f.weights, f.offset, lo, shape)
-    diff -= box_values(g.weights, g.offset, lo, shape)
-    return float(np.abs(diff).max())
+    fv, gv = common_box((f.weights, f.offset), (g.weights, g.offset))
+    fv -= gv
+    return float(np.abs(fv).max())
 
 
 def cross_check(

@@ -20,7 +20,7 @@ from .asymptotics import (
     perturbation_correction_many,
 )
 from .spectral import EdgeworthCoeffs, edgeworth_coeffs
-from .walk_model import LatticePMF, WalkSpec, box_values, nonzero_points
+from .walk_model import LatticePMF, WalkSpec, box_values, common_box
 
 SIM_CHUNK = 1 << 17  # trials per chunk; fixed so results are partition independent
 GUIDE_BINS = 1 << 12  # bins of each step law's guide table; a power of 2, so u * K is exact
@@ -49,9 +49,6 @@ class EmpiricalPMF:
         self.counts.flags.writeable = False
         if int(self.counts.sum()) != self.trials:
             raise ValueError("counts must sum to trials")
-
-    def points(self):
-        return nonzero_points(self.counts, self.offset)
 
 
 @dataclass(frozen=True)
@@ -106,20 +103,20 @@ def simulate(
     p; one uniform draw u is consumed per (trial, step) in chunk order, and
     the step is the one at ``searchsorted(cdf, u, side="right")`` of the law
     in force.  Each trial's position is one flat index into the dense counts
-    box: every trial takes p's step for u by guide table, then the trials at
-    the origin retake theirs from q with the same u.  The dense counts and
-    each chunk's bincount take 16 bytes per cell of the reachable box, which
-    ``mem_limit`` caps.
+    box, the n-step hull box of p and q: every trial takes p's step for u by
+    guide table, then the trials at the origin retake theirs from q with the
+    same u.  The dense counts and each chunk's bincount take 16 bytes per
+    cell of that box, which ``mem_limit`` caps.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    nu = spec.nu
-    rad = max(n, 1) * spec.radius
-    shape = (2 * rad + 1,) * nu
+    box = exact_engine._hull_box((spec.p, spec.q), n)
+    shape = tuple(h - l + 1 for l, h in box)
     exact_engine._guard_cells(shape, 16, mem_limit)
     cells = math.prod(shape)
-    strides = (2 * rad + 1) ** np.arange(nu - 1, -1, -1, dtype=np.int64)
-    origin = rad * int(strides.sum())
+    lo = np.array([l for l, _ in box], dtype=np.int64)
+    strides = np.cumprod((1, *shape[:0:-1]), dtype=np.int64)[::-1]  # C order
+    origin = int(-lo @ strides)
     p_law = _law_tables(spec.p, strides)
     q_law = _law_tables(spec.q, strides)
 
@@ -142,13 +139,7 @@ def simulate(
             pos += step
         counts += np.bincount(pos, minlength=cells)
         done += csize
-    return EmpiricalPMF(
-        n=n,
-        trials=trials,
-        seed=seed,
-        offset=np.full(nu, -rad, dtype=np.int64),
-        counts=counts.reshape(shape),
-    )
+    return EmpiricalPMF(n=n, trials=trials, seed=seed, offset=lo, counts=counts.reshape(shape))
 
 
 def chi_squared_check(
@@ -167,11 +158,8 @@ def chi_squared_check(
     """
     from scipy.special import gammaincinv  # scipy loads on first use, not on import
 
-    pmf = exact.pmf
-    lo = np.minimum(emp.offset, pmf.offset)
-    shape = tuple(np.maximum(emp.offset + emp.counts.shape, pmf.offset + pmf.weights.shape) - lo)
-    e = box_values(pmf.weights, pmf.offset, lo, shape) * emp.trials
-    o = box_values(emp.counts, emp.offset, lo, shape)
+    e, o = common_box((exact.pmf.weights, exact.pmf.offset), (emp.counts, emp.offset))
+    e *= emp.trials
     own = e >= CHI2_MIN_EXPECTED
     terms = ((o[own] - e[own]) ** 2 / e[own]).tolist()
     pooled_exp = float(e[~own].sum())
@@ -376,10 +364,9 @@ def compare(
         # rows cover the window within n steps' reach, whatever the tail box;
         # past the box the exact law reads 0, within dist.tail_bound of the truth
         X = _window_points(exact_engine._hull_box((spec.p, spec.q), n), rad)
-        idx = X - dist.pmf.offset
-        inside = np.all((idx >= 0) & (idx < dist.pmf.weights.shape), axis=1)
-        exact_vals = np.zeros(len(X))
-        exact_vals[inside] = dist.pmf.weights[tuple(idx[inside].T)]
+        lo = X.min(axis=0)
+        law = box_values(dist.pmf.weights, dist.pmf.offset, lo, tuple(X.max(axis=0) - lo + 1))
+        exact_vals = law[tuple((X - lo).T)]
         gauss, corr, factor = predict(spec, n, X, coeffs)
         refined = gauss * factor if spec.unperturbed else gauss + corr
 

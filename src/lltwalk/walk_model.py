@@ -70,12 +70,6 @@ def nonzero_columns(values: np.ndarray, offset) -> tuple[list[list[int]], list]:
     return [(i + int(o)).tolist() for i, o in zip(idx, offset)], values[idx].tolist()
 
 
-def nonzero_points(values: np.ndarray, offset) -> Iterator[tuple[Point, float | int]]:
-    """(point, value) over the nonzero cells of a box, in :func:`nonzero_columns` order."""
-    axes, vals = nonzero_columns(values, offset)
-    return zip(zip(*axes), vals)
-
-
 def box_values(values: np.ndarray, offset, lo, shape) -> np.ndarray:
     """The box ``values`` (lower corner ``offset``) read on the box at ``lo`` of ``shape``.
 
@@ -91,6 +85,24 @@ def box_values(values: np.ndarray, offset, lo, shape) -> np.ndarray:
         dst.append(slice(a - l, b - l))
     out[tuple(dst)] = values[tuple(src)]
     return out
+
+
+def common_box(*boxes) -> list[np.ndarray]:
+    """Each ``(values, offset)`` pair read on the least box holding them all.
+
+    Cells of the common box past the edge of a pair's box read 0.
+    """
+    lo = np.min([off for _, off in boxes], axis=0)
+    shape = tuple(np.max([np.add(off, v.shape) for v, off in boxes], axis=0) - lo)
+    return [box_values(v, off, lo, shape) for v, off in boxes]
+
+
+def _dense(exact: Mapping[Point, Fraction], lo, shape) -> np.ndarray:
+    """The exact weights as float64 on the box at ``lo`` of ``shape``, 0 elsewhere."""
+    w = np.zeros(shape)
+    for pt, v in exact.items():
+        w[tuple(c - l for c, l in zip(pt, lo))] = float(v)
+    return w
 
 
 @dataclass(frozen=True)
@@ -117,7 +129,7 @@ class LatticeFn:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_points(cls, dim: int, points: Mapping, **kw) -> "LatticeFn":
+    def from_points(cls, dim: int, points: Mapping) -> "LatticeFn":
         """Build from a {point: weight} mapping; weights read as exact decimals."""
         exact = {}
         for x, v in points.items():
@@ -127,18 +139,16 @@ class LatticeFn:
         if not exact:
             exact = {(0,) * dim: Fraction(0)}
         lo = [min(pt[i] for pt in exact) for i in range(dim)]
-        hi = [max(pt[i] for pt in exact) for i in range(dim)]
-        shape = tuple(h - l + 1 for l, h in zip(lo, hi))
-        w = np.zeros(shape)
-        for pt, v in exact.items():
-            w[tuple(c - l for c, l in zip(pt, lo))] = float(v)
-        return cls(dim=dim, offset=np.array(lo, dtype=np.int64), weights=w, exact=exact, **kw)
+        shape = tuple(max(pt[i] for pt in exact) - lo[i] + 1 for i in range(dim))
+        return cls(dim=dim, offset=np.array(lo, dtype=np.int64),
+                   weights=_dense(exact, lo, shape), exact=exact)
 
     # -- access ------------------------------------------------------------
 
     def points(self) -> Iterator[tuple[Point, float]]:
         """Iterate (point, weight) over nonzero entries, lexicographic order."""
-        return nonzero_points(self.weights, self.offset)
+        axes, vals = nonzero_columns(self.weights, self.offset)
+        return zip(zip(*axes), vals)
 
     def value_at(self, x) -> float:
         pt = _as_point(x, self.dim)
@@ -204,10 +214,7 @@ class LatticePMF(LatticeFn):
         if tot != 1:
             if self.exact:
                 exact = {pt: v / tot for pt, v in self.exact.items()}
-                w = self.weights.copy()
-                for pt, v in exact.items():
-                    idx = tuple(c - int(o) for c, o in zip(pt, self.offset))
-                    w[idx] = float(v)
+                w = _dense(exact, self.offset.tolist(), self.weights.shape)
             else:
                 exact = {}
                 w = self.weights / float(tot)
@@ -226,16 +233,20 @@ def exact_weights(f: LatticeFn) -> dict[Point, Fraction]:
     return f.exact or {pt: _to_fraction(v) for pt, v in f.points()}
 
 
+def _mirrors(f: LatticeFn, sign: int) -> bool:
+    """f(-x) == sign * f(x) for every x, checked exactly on the support."""
+    w = exact_weights(f)
+    return all(w.get(tuple(-c for c in pt), 0) == sign * v for pt, v in w.items())
+
+
 def is_symmetric(f: LatticeFn) -> bool:
     """f(x) == f(-x) for every x, checked exactly on the support."""
-    w = exact_weights(f)
-    return all(w.get(tuple(-c for c in pt), 0) == v for pt, v in w.items())
+    return _mirrors(f, 1)
 
 
 def is_antisymmetric(f: LatticeFn) -> bool:
     """f(x) == -f(-x) for every x, checked exactly on the support."""
-    w = exact_weights(f)
-    return all(w.get(tuple(-c for c in pt), 0) == -v for pt, v in w.items())
+    return _mirrors(f, -1)
 
 
 def moments(f: LatticeFn, alpha) -> float:
@@ -279,43 +290,29 @@ def perturbation(p: LatticePMF, q: LatticePMF) -> SignedLatticeFn:
 # -- structural checks on the step law --------------------------------------
 
 
-def _lattice_index(support: Iterable[Point], dim: int) -> int:
+def _lattice_index(support: Iterable[Sequence[int]], dim: int) -> int:
     """Index in Z^dim of the lattice the support vectors generate (0: rank deficient).
 
     For a symmetric support the reachable semigroup is that subgroup, so
-    index 1 means the walk reaches all of Z^dim.  The index is read off a
-    Hermite-style integer elimination.
+    index 1 means the walk reaches all of Z^dim.  Per column, Euclid's
+    algorithm folds every row into one pivot holding the gcd of the column,
+    by unimodular row steps that keep the lattice; the other rows leave with
+    a zero there.  The pivots form a triangular basis, whose diagonal's
+    product is the index.
     """
-    rows = [list(pt) for pt in support if any(pt)]
-    if not rows:
-        return 0
-    mat = [row[:] for row in rows]
-    ncols = dim
-    pivot_rows = []
-    col = 0
-    while col < ncols and mat:
-        nonzero = [r for r in mat if r[col] != 0]
-        if not nonzero:
-            return 0  # no support component along this axis: rank deficient
-        while True:
-            nonzero.sort(key=lambda r: abs(r[col]))
-            piv = nonzero[0]
-            done = True
-            for r in nonzero[1:]:
-                f = r[col] // piv[col]
-                for j in range(ncols):
-                    r[j] -= f * piv[j]
-                if r[col] != 0:
-                    done = False
-            nonzero = [piv] + [r for r in nonzero[1:] if r[col] != 0]
-            if done and len(nonzero) == 1:
-                break
-        pivot_rows.append(piv)
-        mat = [r for r in mat if r is not piv and any(r[col:])]
-        col += 1
-    if len(pivot_rows) < ncols:
-        return 0
-    return math.prod(abs(row[i]) for i, row in enumerate(pivot_rows))
+    rows = [list(pt) for pt in support]
+    index = 1
+    for col in range(dim):
+        piv, rest = [0] * dim, []
+        for r in rows:
+            while r[col]:
+                f = piv[col] // r[col]
+                piv, r = r, [x - f * y for x, y in zip(piv, r)]
+            if any(r):
+                rest.append(r)
+        index *= abs(piv[col])
+        rows = rest
+    return index
 
 
 @dataclass(frozen=True)
@@ -379,7 +376,7 @@ def validate_walk_spec(
             "q - p must be antisymmetric: q(x) + q(-x) = 2 p(x) fails"
         )
 
-    support = [pt for pt, _ in p.points()]
+    support = p.support[0].tolist()
     if _lattice_index(support, nu) != 1:
         raise Reducible("support of p does not additively generate Z^nu")
 

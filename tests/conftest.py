@@ -87,6 +87,11 @@ def step_every_row(box, offs, ws, reach):
     return out.reshape(padded)[inner]
 
 
+def nonzero_cells(values, offset):
+    """(point, value) per nonzero cell of a box, one cell at a time, in C order."""
+    return [(tuple((i + offset).tolist()), values[tuple(i)].item()) for i in np.argwhere(values)]
+
+
 def report_rows(rep):
     """A ConvergenceReport's columns as its JSON rows: one dict per (n, x), x as a list."""
     axes = [f"x{i+1}" for i in range(rep.nu)]

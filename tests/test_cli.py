@@ -8,9 +8,11 @@ import sys
 import numpy as np
 import pytest
 
+from lltwalk import exact_engine
 from lltwalk.cli import main
 from lltwalk.harness import _prediction_columns
 from lltwalk.io_text import predictions_text
+from lltwalk.walk_model import SignedLatticeFn
 
 from conftest import config_path
 
@@ -45,6 +47,29 @@ def test_exact_all_reports_tail_bound(capsys):
     err = capsys.readouterr().err
     assert re.search(r"max pairwise deviation [0-9.e+-]+ \(tol", err)
     assert 0.0 < float(err.rsplit("tail bound ", 1)[1]) <= 1e-20
+
+
+def _mass_off(invert_charfn):
+    """invert_charfn whose law weighs 1 + 1e-9: the fourier route's law fails its mass check."""
+    def invert(*args, **kwargs):
+        f = invert_charfn(*args, **kwargs)
+        return SignedLatticeFn(dim=f.dim, offset=f.offset, weights=f.weights * (1 + 1e-9))
+    return invert
+
+
+@pytest.mark.parametrize("argv", [
+    ["exact", "--n", "40"],
+    ["exact", "--n", "40", "--route", "all"],
+    ["compare", "--n-list", "16,32"],
+])
+def test_route_law_with_mass_off_exits_3(monkeypatch, capsys, argv):
+    # a route's wrong law is the program's fault, not the input's
+    monkeypatch.setattr(exact_engine, "invert_charfn", _mass_off(exact_engine.invert_charfn))
+    rc = main([*argv, "--spec", config_path("lazy_pert_1d.cfg"), "--out", os.devnull])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("cross-check failure: CrossCheckError: route law: weights sum to ")
+    assert "Traceback" not in err
 
 
 def test_validation_error_names_periodic(capsys):

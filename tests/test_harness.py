@@ -16,6 +16,7 @@ from lltwalk import (
     exact_engine,
     perturbed_fourier,
     simulate,
+    validate_walk_spec,
 )
 from lltwalk.harness import (
     GUIDE_BINS,
@@ -28,8 +29,9 @@ from lltwalk.harness import (
 )
 from lltwalk.io_text import predictions_text
 from lltwalk.specfile import parse_spec_text
+from lltwalk.walk_model import common_box
 
-from conftest import CONFIGS, report_rows
+from conftest import CONFIGS, nonzero_cells, report_rows
 
 
 def test_simulate_deterministic(lazy_pert):
@@ -43,7 +45,7 @@ def test_simulate_deterministic(lazy_pert):
 def test_simulate_one_step_matches_exit_law(lazy_pert):
     trials = 40000
     emp = simulate(lazy_pert, 1, trials, seed=11)
-    counts = dict(emp.points())
+    counts = dict(nonzero_cells(emp.counts, emp.offset))
     for pt, w in lazy_pert.q.points():
         obs = counts.get(pt, 0) / trials
         assert abs(obs - w) <= 4 * math.sqrt(w / trials)
@@ -109,6 +111,40 @@ def test_simulate_matches_reference_sampler(request, monkeypatch, fixture, n):
     assert np.array_equal(emp.counts, counts)
 
 
+# reach 2 along x1 and 1 along x2
+_UNEQUAL_REACH = """dim = 2
+p 0 0 = 1/5
+p 1 0 = 1/10
+p -1 0 = 1/10
+p 2 0 = 1/10
+p -2 0 = 1/10
+p 0 1 = 1/5
+p 0 -1 = 1/5
+q 0 0 = 1/5
+q 1 0 = 3/20
+q -1 0 = 1/20
+q 2 0 = 1/10
+q -2 0 = 1/10
+q 0 1 = 1/5
+q 0 -1 = 1/5
+"""
+
+
+def test_simulate_counts_box_is_the_hull(monkeypatch):
+    # the n-step hull box of p and q, (4n + 1) x (2n + 1), not a (4n + 1)^2 cube
+    import lltwalk.harness as hz
+
+    monkeypatch.setattr(hz, "SIM_CHUNK", 512)
+    spec = validate_walk_spec(*parse_spec_text(_UNEQUAL_REACH)[:2])
+    n = 9
+    emp = hz.simulate(spec, n, 1300, seed=31)
+    assert emp.counts.shape == (4 * n + 1, 2 * n + 1)
+    assert emp.offset.tolist() == [-2 * n, -n]
+    offset, counts = _reference_simulate(spec, n, 1300, 31, 512)
+    got, want = common_box((emp.counts, emp.offset), (counts, offset))
+    assert np.array_equal(got, want)
+
+
 def _step_law(request, name):
     if name == "rare":  # a 1/1000 weight between two large ones
         return LatticePMF.from_points(1, {-1: "999/2000", 0: "1/1000", 1: "999/2000"})
@@ -159,7 +195,7 @@ def test_unperturbed_simulation_total_variation(lazy_sym):
     emp = simulate(lazy_sym, n, trials, seed=123)
     pn = convolve_power(lazy_sym.p, n)
     tv = 0.0
-    counts = dict(emp.points())
+    counts = dict(nonzero_cells(emp.counts, emp.offset))
     support = 0
     for pt, w in pn.points():
         tv += abs(counts.get(pt, 0) / trials - w)
@@ -202,7 +238,7 @@ def _chi_squared_by_dicts(emp, exact, quantile=0.999, min_expected=5.0):
     from scipy.stats import chi2
 
     cells, pooled_exp, pooled_obs = [], 0.0, 0
-    obs_map = dict(emp.points())
+    obs_map = dict(nonzero_cells(emp.counts, emp.offset))
     seen = set()
     for pt, w in exact.pmf.points():
         e, o = w * emp.trials, obs_map.get(pt, 0)

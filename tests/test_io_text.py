@@ -17,9 +17,8 @@ from lltwalk import io_text
 from lltwalk.exact_engine import perturbed_forward
 from lltwalk.harness import AsymptoticPrediction, ConvergenceReport, compare, simulate
 from lltwalk.spectral import EdgeworthCoeffs, edgeworth_coeffs
-from lltwalk.walk_model import nonzero_points
 
-from conftest import report_rows
+from conftest import nonzero_cells, report_rows
 
 EDGE = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300, 0.1, -1.5e-17, 2.0**-1074 * 3]
 
@@ -45,7 +44,7 @@ def _coords(nu):
 
 def _ref_distribution(dist, fmt):
     nu = dist.pmf.dim
-    points = list(nonzero_points(dist.pmf.weights, dist.pmf.offset))
+    points = nonzero_cells(dist.pmf.weights, dist.pmf.offset)
     if fmt == "json":
         return _ref_json(n=dist.n, nu=nu, route=dist.route, points=[[*pt, w] for pt, w in points])
     rows = ([str(c) for c in pt] + [f"{w:.17g}"] for pt, w in points)
@@ -54,7 +53,7 @@ def _ref_distribution(dist, fmt):
 
 def _ref_empirical(emp, fmt):
     nu = emp.counts.ndim
-    points = list(emp.points())
+    points = nonzero_cells(emp.counts, emp.offset)
     if fmt == "json":
         return _ref_json(n=emp.n, nu=nu, trials=emp.trials, seed=emp.seed,
                          counts=[[*pt, cnt] for pt, cnt in points])

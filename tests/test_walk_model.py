@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from lltwalk.errors import (
 )
 from lltwalk.walk_model import (
     SignedLatticeFn,
+    _lattice_index,
     box_values,
+    common_box,
     exact_moment,
     is_antisymmetric,
     is_symmetric,
@@ -252,3 +255,74 @@ def test_box_values_matches_per_cell_reading(dim, dtype, relation):
     if dim > 1:
         lo = (*lo[:-1], offset[-1] + values.shape[-1])
         assert not box_values(values, offset, lo, shape).any()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("relation", _BOX_RELATIONS)
+def test_common_box_matches_per_cell_reading(dim, relation):
+    rng = np.random.default_rng(dim)
+    f = rng.integers(1, 100, size=(3, 4, 2)[:dim]).astype(float)
+    f_off = np.array([-1, 2, 0][:dim], dtype=np.int64)
+    g_off, g_shape = zip(*map(_BOX_RELATIONS[relation], f_off, f.shape))
+    g = rng.integers(1, 100, size=g_shape)
+    one = np.ones((1,) * dim, dtype=np.int64)  # a third box: one cell below both
+    boxes = [(f, f_off), (g, np.array(g_off)), (one, f_off - 5)]
+    # the least box holding every cell of every box, found cell by cell
+    cells = [np.add(off, idx) for v, off in boxes for idx in itertools.product(*map(range, v.shape))]
+    lo = np.min(cells, axis=0)
+    shape = tuple(np.max(cells, axis=0) - lo + 1)
+    got = common_box(*boxes)
+    for (v, off), read in zip(boxes, got):
+        assert read.dtype == v.dtype and read.shape == shape
+        assert np.array_equal(read, _box_values_by_cell(v, off, lo, shape))
+
+
+def _lattice_index_by_elimination(support, dim):
+    """The Hermite-style integer elimination that _lattice_index replaced, kept as a reference."""
+    rows = [list(pt) for pt in support if any(pt)]
+    if not rows:
+        return 0
+    mat = [row[:] for row in rows]
+    pivot_rows = []
+    col = 0
+    while col < dim and mat:
+        nonzero = [r for r in mat if r[col] != 0]
+        if not nonzero:
+            return 0
+        while True:
+            nonzero.sort(key=lambda r: abs(r[col]))
+            piv = nonzero[0]
+            done = True
+            for r in nonzero[1:]:
+                f = r[col] // piv[col]
+                for j in range(dim):
+                    r[j] -= f * piv[j]
+                if r[col] != 0:
+                    done = False
+            nonzero = [piv] + [r for r in nonzero[1:] if r[col] != 0]
+            if done and len(nonzero) == 1:
+                break
+        pivot_rows.append(piv)
+        mat = [r for r in mat if r is not piv and any(r[col:])]
+        col += 1
+    if len(pivot_rows) < dim:
+        return 0
+    return math.prod(abs(row[i]) for i, row in enumerate(pivot_rows))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_lattice_index_matches_elimination(dim):
+    rng = np.random.default_rng(100 + dim)
+    seen = set()
+    for _ in range(400):
+        support = {tuple(pt) for pt in rng.integers(-4, 5, size=(rng.integers(1, 8), dim)).tolist()}
+        if rng.random() < 0.5:  # a step law's support is symmetric
+            support |= {tuple(-c for c in pt) for pt in support}
+        support = sorted(support)
+        index = _lattice_index(support, dim)
+        assert index == _lattice_index_by_elimination(support, dim), support
+        # the lifted support validate_walk_spec reads the period from
+        lifted = [(*pt, 1) for pt in support]
+        assert _lattice_index(lifted, dim + 1) == _lattice_index_by_elimination(lifted, dim + 1)
+        seen.add(min(index, 2))
+    assert seen == {0, 1, 2}  # rank deficient, all of Z^dim and a sublattice all occur

@@ -233,7 +233,7 @@ def _law(lo, w: np.ndarray) -> LatticePMF:
     """
     worst = w.min()
     if worst < -NEGATIVE_CLAMP:
-        raise CrossCheckError(f"inverted mass has negative weight {worst!r}")
+        raise CrossCheckError(f"inverted mass has negative weight {float(worst)!r}")
     if worst < 0:
         w = np.where(w <= -worst, 0.0, w)
     try:

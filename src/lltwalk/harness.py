@@ -32,6 +32,11 @@ CROSSCHECK_MAX_N = 512  # compare cross-checks its route against a second one up
 # 825 B in 1-D on Python 3.12, 787 B on 3.11 and 783 B on 3.10 (0.63 to
 # 0.68 KB in 2-D, at most 0.39 KB in CSV)
 WINDOW_CELL_BYTES = 880
+# tracemalloc peak of compare plus its JSON report per row, with 7% to spare:
+# 1000 B in 1-D (n = 4096, window 4000), 1107 B in 2-D (n = 32, every cell
+# of the n-step box) and 1135 B in 3-D (n = 20) on Python 3.11; 0.52 to
+# 0.66 KB in CSV
+REPORT_ROW_BYTES = 1216
 
 
 @dataclass(frozen=True)
@@ -191,40 +196,49 @@ def _window_radius(spec: WalkSpec, n: int, window: float | None) -> float:
     return window
 
 
-def _window_points(box, radius: float) -> np.ndarray:
+def _window_points(box, radius: float, mem_limit: int = exact_engine.DEFAULT_MEM_LIMIT,
+                   cell_bytes: int = WINDOW_CELL_BYTES) -> np.ndarray:
     """Points of the box (per-axis inclusive bounds) within ``radius`` of 0, lexicographic.
 
     Only the part of the box within ``radius`` per axis is enumerated, so a
-    small window in a large box costs the window's cells.
+    small window in a large box costs the window's cells.  ResourceLimit is
+    raised, from the bounds alone and before anything is built, when that
+    part passes ``mem_limit`` at ``cell_bytes`` a cell.
     """
     r = math.floor(radius)
-    grids = np.meshgrid(*[np.arange(max(lo, -r), min(hi, r) + 1) for lo, hi in box],
-                        indexing="ij")
+    bounds = [(max(lo, -r), min(hi, r)) for lo, hi in box]
+    exact_engine._guard_cells([hi - lo + 1 for lo, hi in bounds], cell_bytes, mem_limit)
+    grids = np.meshgrid(*[np.arange(lo, hi + 1) for lo, hi in bounds], indexing="ij")
     X = np.stack([g.ravel() for g in grids], axis=1)
-    keep = (X.astype(float) ** 2).sum(axis=1) <= radius**2
+    # radius * radius, unlike radius ** 2, reads inf past 1e154 rather than raising
+    keep = (X.astype(float) ** 2).sum(axis=1) <= radius * radius
     return X[keep]
 
 
 def predict(spec: WalkSpec, n: int, X, coeffs: EdgeworthCoeffs | None = None):
-    """Gaussian term, perturbation correction and refinement factor over rows of X.
+    """Gaussian term, perturbation correction, refinement terms and total over rows of X.
 
-    The two-dimensional correction is singular at the origin; it is 0
-    there, the one rule every report uses.  An unperturbed spec (d = 0)
-    gets no correction anywhere, and without ``coeffs`` the factor is 1.
+    A perturbed spec gets the paper's correction, 0 at the 2-D origin where
+    it is singular, and total = gaussian + correction.  An unperturbed spec
+    gets the Hermite-refined expansion at ``coeffs``, by default the spec's
+    own: total = gaussian * factor, as in :func:`lltwalk.asymptotics.llt_edgeworth`.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     gauss = gaussian_leading_many(spec.B, n, X)
     corr = np.zeros(len(X))
-    if not spec.unperturbed:
-        defined = X.any(axis=1) if spec.nu == 2 else np.ones(len(X), dtype=bool)
-        corr[defined] = perturbation_correction_many(spec, n, X[defined])
-    factor = np.ones(len(X)) if coeffs is None else edgeworth_factor_many(coeffs, n, X)
-    return gauss, corr, factor
+    if spec.unperturbed:
+        if coeffs is None:
+            coeffs = edgeworth_coeffs(spec.p, spec.L)
+        factor = edgeworth_factor_many(coeffs, n, X)
+        return gauss, corr, gauss * (factor - 1.0), gauss * factor
+    defined = X.any(axis=1) if spec.nu == 2 else np.ones(len(X), dtype=bool)
+    corr[defined] = perturbation_correction_many(spec, n, X[defined])
+    return gauss, corr, np.zeros(len(X)), gauss + corr
 
 
 @dataclass(frozen=True)
 class AsymptoticPrediction:
-    """One evaluated prediction; total = gaussian + corrections."""
+    """One evaluated prediction, the terms :func:`predict` returns."""
 
     n: int
     x: tuple
@@ -235,16 +249,15 @@ class AsymptoticPrediction:
     within_horizon: bool
 
 
-def _prediction_columns(spec: WalkSpec, n: int, X, coeffs: EdgeworthCoeffs | None) -> dict:
-    """Columns x1..xnu, the four terms of AsymptoticPrediction and within_horizon over rows of X."""
+def _prediction_columns(spec: WalkSpec, n: int, X, coeffs: EdgeworthCoeffs | None = None) -> dict:
+    """Columns x1..xnu, the four terms of :func:`predict` and within_horizon over rows of X."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    gauss, corr, factor = predict(spec, n, X, coeffs)
-    edge = gauss * (factor - 1.0)
+    gauss, corr, edge, total = predict(spec, n, X, coeffs)
     L = coeffs.L if coeffs is not None else spec.L
     inside = np.linalg.norm(X, axis=1) <= float(n) ** (1.0 - 1.0 / L)
     axes = {f"x{i+1}": col.tolist() for i, col in enumerate(X.T.astype(np.int64))}
     return {**axes, "gaussian_leading": gauss.tolist(), "perturbation_correction": corr.tolist(),
-            "edgeworth_terms": edge.tolist(), "total": (gauss + corr + edge).tolist(),
+            "edgeworth_terms": edge.tolist(), "total": total.tolist(),
             "within_horizon": inside.tolist()}
 
 
@@ -256,9 +269,9 @@ def asymptotic_prediction(
 ) -> AsymptoticPrediction:
     """Assembled prediction at one point: one row of :func:`predict`.
 
-    total = gaussian + perturbation correction (+ Hermite refinement terms
-    when coefficients are supplied; for an unperturbed spec that makes the
-    total the refined expansion value).
+    total = gaussian + perturbation correction for a perturbed spec, and
+    the Hermite-refined value gaussian * factor for an unperturbed one, at
+    ``coeffs`` or the spec's own order; the CLI's reports read the same rows.
     """
     *axes, gauss, corr, edge, total, inside = (
         col[0] for col in _prediction_columns(spec, n, [x], coeffs).values()
@@ -269,17 +282,12 @@ def asymptotic_prediction(
 def window_predictions(spec: WalkSpec, n: int, window: float | None = None) -> dict:
     """:func:`_prediction_columns` at every lattice point within the window, lexicographic.
 
-    The window defaults to :func:`default_window`; an unperturbed spec gets
-    the refined expansion at order spec.L.  ResourceLimit is raised before
-    anything is built when the window's box, at WINDOW_CELL_BYTES a cell,
-    passes the default memory cap.
+    The window defaults to :func:`default_window`; :func:`_window_points`
+    refuses a window past the default memory cap before anything is built.
     """
     rad = _window_radius(spec, n, window)
-    side = 2 * int(rad) + 1
-    exact_engine._guard_cells((side,) * spec.nu, WINDOW_CELL_BYTES, exact_engine.DEFAULT_MEM_LIMIT)
-    coeffs = edgeworth_coeffs(spec.p, spec.L) if spec.unperturbed else None
-    X = _window_points([(-int(rad), int(rad))] * spec.nu, rad)
-    return _prediction_columns(spec, n, X, coeffs)
+    X = _window_points([(-math.inf, math.inf)] * spec.nu, rad)
+    return _prediction_columns(spec, n, X)
 
 
 @dataclass
@@ -339,9 +347,7 @@ def compare(
     if sorted(n_list) != n_list:
         raise ValueError("n_list must be ascending")
 
-    coeffs = edgeworth_coeffs(spec.p, spec.L) if spec.unperturbed else None
     flavors = ["gaussian", "edgeworth" if spec.unperturbed else "corrected"]
-
     rep = ConvergenceReport(
         spec_summary=f"nu={spec.nu} d={spec.d.tolist()} unperturbed={spec.unperturbed}",
         nu=spec.nu,
@@ -354,26 +360,29 @@ def compare(
         },
     )
 
+    rows = 0
     for n in n_list:
-        rad = _window_radius(spec, n, window)  # raises before the first exact law
+        # rows cover the window within n steps' reach, whatever the tail box;
+        # past the box the exact law reads 0, within dist.tail_bound of the truth.
+        # They are guarded, with the rows of every n before, before the route runs
+        X = _window_points(exact_engine._hull_box((spec.p, spec.q), n),
+                           _window_radius(spec, n, window),
+                           mem_limit - rows * REPORT_ROW_BYTES, REPORT_ROW_BYTES)
+        rows += len(X)
         dist = exact_engine.perturbed_distribution(spec, n, route=route, mem_limit=mem_limit)
         if crosscheck and n <= CROSSCHECK_MAX_N:
             other = "dp" if route != "dp" else "fourier"
             alt = exact_engine.perturbed_distribution(spec, n, route=other, mem_limit=mem_limit)
             rep.route_deviation[n] = exact_engine.max_abs_difference(dist.pmf, alt.pmf)
-        # rows cover the window within n steps' reach, whatever the tail box;
-        # past the box the exact law reads 0, within dist.tail_bound of the truth
-        X = _window_points(exact_engine._hull_box((spec.p, spec.q), n), rad)
         lo = X.min(axis=0)
         law = box_values(dist.pmf.weights, dist.pmf.offset, lo, tuple(X.max(axis=0) - lo + 1))
         exact_vals = law[tuple((X - lo).T)]
-        gauss, corr, factor = predict(spec, n, X, coeffs)
-        refined = gauss * factor if spec.unperturbed else gauss + corr
+        gauss, _, _, total = predict(spec, n, X)
 
         scale = float(n) ** (spec.nu / 2.0)
         cols = {"n": np.full(len(X), n), **{f"x{i+1}": c for i, c in enumerate(X.T)},
                 "exact": exact_vals}
-        for f, pred in zip(flavors, (gauss, refined)):
+        for f, pred in zip(flavors, (gauss, total)):
             err = np.abs(exact_vals - pred)
             cols.update({f: pred, f"{f}_abs_err": err, f"{f}_scaled_err": scale * err})
             rep.max_scaled_err.setdefault(f, {})[n] = scale * float(err.max())

@@ -230,15 +230,12 @@ def unit_frame_terms(coeffs: EdgeworthCoeffs):
     sig = np.sqrt(evals)
     # substitute lambda = O diag(1/sig) mu into each monomial
     rows = O / sig[np.newaxis, :]  # lambda_i = sum_j rows[i, j] mu_j
+    units = [tuple(int(k == j) for k in range(nu)) for j in range(nu)]
+    forms = [{u: r for u, r in zip(units, row) if r != 0.0} for row in rows]
     terms: dict = {}
     for alpha, v in coeffs.log_m.items():
         expanded = {(0,) * nu: float(v)}
-        for i, a in enumerate(alpha):
-            lin = {}
-            for j in range(nu):
-                if rows[i, j] != 0.0:
-                    key = tuple(1 if k == j else 0 for k in range(nu))
-                    lin[key] = rows[i, j]
+        for lin, a in zip(forms, alpha):
             for _ in range(a):
                 expanded = _series_mul(expanded, lin, 10**9)
         for key, val in expanded.items():

@@ -4,14 +4,15 @@ import pathlib
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lltwalk import exact_engine
-from lltwalk.cli import main
+from lltwalk.cli import LAW_CELL_BYTES, main
 from lltwalk.harness import _prediction_columns
-from lltwalk.io_text import predictions_text
+from lltwalk.io_text import distribution_text, predictions_text
 from lltwalk.walk_model import SignedLatticeFn
 
 from conftest import config_path
@@ -165,6 +166,34 @@ def test_oversized_box_exit_code(capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("resource limit: needs")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    # the window's 513^2 cells at REPORT_ROW_BYTES, refused before any route runs
+    ["compare", "--spec", config_path("unit_cov_2d.cfg"), "--n-list", "4096",
+     "--mem-limit-mb", "128"],
+    # the route fits 32 MiB; the writer's 218988 nonzero cells at LAW_CELL_BYTES do not
+    ["exact", "--spec", config_path("unit_cov_2d.cfg"), "--n", "1024", "--format", "json",
+     "--mem-limit-mb", "32"],
+])
+def test_report_past_the_cap_exit_code(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("resource limit: needs")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_exact_writer_memory_within_guard(unit_cov_2d):
+    dist = exact_engine.perturbed_fourier(unit_cov_2d, 1024)
+    cells = int(np.count_nonzero(dist.pmf.weights))
+    tracemalloc.start()
+    try:
+        distribution_text(dist, "json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= cells * LAW_CELL_BYTES + (256 << 10)
 
 
 def test_predictions_header_names_the_callers_n(unit_cov_2d):

@@ -430,7 +430,7 @@ def test_fourier_weights_clamped_nonnegative(lazy_pert):
 
 @pytest.mark.parametrize("w, match", [
     (np.array([0.5, 0.5 + 2e-12]), "weights sum to"),
-    (np.array([0.5, 0.5, -2e-14]), "negative weight"),
+    (np.array([0.5, 0.5, -2e-14]), "negative weight -2e-14$"),
 ])
 def test_route_law_failing_its_checks_is_a_cross_check_failure(w, match):
     # a route's wrong law is the program's fault, not the input's: exit 3, not 1

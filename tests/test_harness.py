@@ -13,13 +13,17 @@ from lltwalk import (
     chi_squared_check,
     compare,
     convolve_power,
+    edgeworth_coeffs,
     exact_engine,
+    llt_edgeworth,
     perturbed_fourier,
     simulate,
     validate_walk_spec,
 )
+from lltwalk.errors import ResourceLimit
 from lltwalk.harness import (
     GUIDE_BINS,
+    REPORT_ROW_BYTES,
     WINDOW_CELL_BYTES,
     _SPLIT,
     _law_tables,
@@ -351,6 +355,12 @@ def test_window_points_cost_the_window_not_the_box():
     assert peak < 1 << 16
 
 
+def test_compare_window_past_float_square(lazy_pert):
+    # 1e300 ** 2 raises OverflowError; the window then holds the whole n-step box
+    assert (compare(lazy_pert, [8, 16], window=1e300).columns
+            == compare(lazy_pert, [8, 16], window=1e9).columns)
+
+
 def test_compare_requires_ascending(lazy_pert):
     with pytest.raises(ValueError):
         compare(lazy_pert, [32, 8])
@@ -379,6 +389,40 @@ def test_window_memory_within_guard(request, fixture, window):
     assert peak <= budget + (256 << 10)
 
 
+@pytest.mark.parametrize("fixture,n,window", [("lazy_pert", 4096, 4000), ("unit_cov_2d", 32, 1e9)])
+def test_compare_report_memory_within_guard(request, fixture, n, window):
+    # JSON is the larger format; in 2-D the window holds every cell of the
+    # n-step box (16641 rows), so rows and guarded cells coincide
+    spec = request.getfixturevalue(fixture)
+    tracemalloc.start()
+    try:
+        rep = compare(spec, [n], window=window)
+        rep.to_json()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= len(rep.columns["n"]) * REPORT_ROW_BYTES + (256 << 10)
+
+
+def test_compare_guards_every_window_before_its_route(unit_cov_2d, monkeypatch):
+    # n = 32 and n = 64 fit the cap alone, not together: the rows of n = 32
+    # count against n = 64's window, which is refused before its route runs
+    ran = []
+    route = exact_engine.perturbed_distribution
+    monkeypatch.setattr(exact_engine, "perturbed_distribution",
+                        lambda spec, n, **kw: ran.append(n) or route(spec, n, **kw))
+    side = 2 * math.floor(default_window(unit_cov_2d, 64)) + 1
+    cap = side**2 * REPORT_ROW_BYTES + 4096
+    assert compare(unit_cov_2d, [64], crosscheck=False, mem_limit=cap).n_list == [64]
+    ran.clear()
+    with pytest.raises(ResourceLimit, match="^needs"):
+        compare(unit_cov_2d, [32, 64], crosscheck=False, mem_limit=cap)
+    assert ran == [32]
+    with pytest.raises(ResourceLimit):
+        compare(unit_cov_2d, [4096], mem_limit=128 << 20)
+    assert ran == [32]
+
+
 def test_compare_unperturbed_uses_refined_flavor(lazy_sym):
     rep = compare(lazy_sym, [16, 32, 64, 128], route="fourier")
     assert rep.flavors == ["gaussian", "edgeworth"]
@@ -404,20 +448,31 @@ def test_report_serialization(lazy_pert):
     assert rep.to_csv() == csv
 
 
-def test_compare_and_asymptotic_share_predictions(unit_cov_2d):
-    # compare, window_predictions and asymptotic_prediction all evaluate
-    # harness.predict, so the values agree bit for bit, the 2-D origin included
-    rep = compare(unit_cov_2d, [8], route="dp", crosscheck=False)
-    assert any(row["x"] == [0, 0] for row in report_rows(rep))
+@pytest.mark.parametrize("walk", ["unit_cov_2d", "lazy_sym", "unit_cov_2d.p"])
+def test_compare_and_asymptotic_share_predictions(request, walk):
+    # compare, window_predictions and asymptotic_prediction all read
+    # harness.predict, so the values agree bit for bit, the 2-D origin
+    # included; "unit_cov_2d.p" is that walk's step law taken as q = p
+    name, _, law = walk.partition(".")
+    spec = request.getfixturevalue(name)
+    if law:
+        spec = validate_walk_spec(spec.p, spec.p, unperturbed=True)
+    origin = [0] * spec.nu
+    rep = compare(spec, [8], route="dp", crosscheck=False)
+    assert any(row["x"] == origin for row in report_rows(rep))
+    coeffs = edgeworth_coeffs(spec.p, spec.L)
     for row in report_rows(rep):
-        pred = asymptotic_prediction(unit_cov_2d, 8, row["x"])
+        pred = asymptotic_prediction(spec, 8, row["x"])
         assert row["gaussian"] == pred.gaussian_leading
-        assert row["corrected"] == pred.total
-    cols = window_predictions(unit_cov_2d, 8)
-    xs = list(zip(cols["x1"], cols["x2"]))
-    assert (0, 0) in xs
+        assert row[rep.flavors[1]] == pred.total
+        if spec.unperturbed:
+            # the refined total is llt_edgeworth's value, not gaussian + edgeworth terms
+            assert pred.total == llt_edgeworth(spec.p, coeffs, 8, row["x"])
+    cols = window_predictions(spec, 8)
+    xs = list(zip(*(cols[f"x{i+1}"] for i in range(spec.nu))))
+    assert tuple(origin) in xs
     for i, x in enumerate(xs):
-        pred = asymptotic_prediction(unit_cov_2d, 8, x)
+        pred = asymptotic_prediction(spec, 8, x)
         assert pred.x == x
         for term in ("gaussian_leading", "perturbation_correction", "edgeworth_terms", "total",
                      "within_horizon"):

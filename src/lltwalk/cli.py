@@ -50,6 +50,7 @@ def _check_counts(args):
     rules = {
         "n": (lambda v: v >= first_n, f">= {first_n}"),
         "trials": (lambda v: v >= 1, ">= 1"),
+        "seed": (lambda v: 0 <= v < 1 << 128, "in [0, 2**128)"),
         "n_max": (lambda v: v >= 1, ">= 1"),
         "window": (lambda v: 0 <= v < math.inf, "finite and >= 0"),
         "x": positive,

@@ -2,13 +2,15 @@
 
 Randomness comes from numpy's Philox generator (counter based, keyed,
 splittable): a fixed seed fixes the entire draw stream, and trials are
-consumed in fixed chunks of 2^17, so outputs depend on (seed, n, trials)
-only and never on how work might be partitioned.
+consumed in fixed chunks of 2^17.  Chunk k starts at its own counter
+offset in that stream and its counts are summed as integers, so outputs
+depend on (seed, n, trials) only, never on how many threads run them.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +25,9 @@ from .spectral import EdgeworthCoeffs, edgeworth_coeffs
 from .walk_model import LatticePMF, WalkSpec, box_values, common_box
 
 SIM_CHUNK = 1 << 17  # trials per chunk; fixed so results are partition independent
+# tracemalloc peak of one chunk's step buffers and temporaries per trial, with
+# 10% to spare: 65.4 to 65.5 B on each config in configs/ (Python 3.11)
+CHUNK_TRIAL_BYTES = 72
 GUIDE_BINS = 1 << 12  # bins of each step law's guide table; a power of 2, so u * K is exact
 _SPLIT = np.iinfo(np.int64).min  # guide entry of a bin that holds a CDF edge
 CHI2_MIN_EXPECTED = 5.0  # chi_squared_check pools cells expecting fewer counts than this
@@ -94,6 +99,26 @@ def _law_tables(pmf: LatticePMF, strides: np.ndarray) -> _LawTable:
     return _LawTable(steps, cdf, np.where(first == last, steps[first], _SPLIT))
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _worker_count(cells: int, chunks: int, mem_limit: int) -> int:
+    """Threads for ``chunks`` chunks on a counts box of ``cells`` cells.
+
+    At most the usable CPUs and the chunks.  The first worker's 16 bytes a
+    cell are guarded by the caller; each further worker's counts, bincount
+    and chunk buffers, 16 bytes a cell plus CHUNK_TRIAL_BYTES a trial of a
+    chunk, must fit under what is left of ``mem_limit``.
+    """
+    spare = (mem_limit - 16 * cells) // (16 * cells + CHUNK_TRIAL_BYTES * SIM_CHUNK)
+    return min(_usable_cpus(), chunks, 1 + spare)
+
+
 def simulate(
     spec: WalkSpec,
     n: int,
@@ -110,11 +135,20 @@ def simulate(
     in force.  Each trial's position is one flat index into the dense counts
     box, the n-step hull box of p and q: every trial takes p's step for u by
     guide table, then the trials at the origin retake theirs from q with the
-    same u.  The dense counts and each chunk's bincount take 16 bytes per
-    cell of that box, which ``mem_limit`` caps.
+    same u.
+
+    Chunk k of SIM_CHUNK trials draws from the Philox stream of ``seed``
+    started at draw k * n * SIM_CHUNK, so chunks run on W threads in any
+    order; each thread sums the bincounts of chunks w, w + W, ... into its
+    own int64 counts, and their integer sum is the same for every W.  One
+    worker's dense counts and bincount take 16 bytes per cell of the box,
+    which ``mem_limit`` caps (ResourceLimit past it); :func:`_worker_count`
+    admits the others under what is left of the cap.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not 0 <= seed < 1 << 128:
+        raise ValueError(f"seed must be in [0, 2**128), got {seed}")
     box = exact_engine._hull_box((spec.p, spec.q), n)
     shape = tuple(h - l + 1 for l, h in box)
     exact_engine._guard_cells(shape, 16, mem_limit)
@@ -125,25 +159,44 @@ def simulate(
     p_law = _law_tables(spec.p, strides)
     q_law = _law_tables(spec.q, strides)
 
-    counts = np.zeros(cells, dtype=np.int64)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    done = 0
-    while done < trials:
-        csize = min(SIM_CHUNK, trials - done)
-        pos = np.full(csize, origin, dtype=np.int64)
-        # per-step buffers, reused: fresh megabyte temporaries cost page faults
-        u = np.empty(csize)
-        bins = np.empty(csize, dtype=np.intp)
-        step = np.empty(csize, dtype=np.int64)
-        for _ in range(n):
-            rng.random(out=u)
-            np.multiply(u, GUIDE_BINS, out=bins, casting="unsafe")  # exact, then floor
-            p_law(u, bins, out=step)
-            at0 = np.flatnonzero(pos == origin)
-            step[at0] = q_law(u[at0], bins[at0])
-            pos += step
-        counts += np.bincount(pos, minlength=cells)
-        done += csize
+    chunks = -(-trials // SIM_CHUNK)
+    workers = _worker_count(cells, chunks, mem_limit)
+
+    def run(w: int) -> np.ndarray:
+        counts = np.zeros(cells, dtype=np.int64)
+        for k in range(w, chunks, workers):
+            csize = min(SIM_CHUNK, trials - k * SIM_CHUNK)
+            # Philox makes four 64-bit words per counter and random() takes
+            # one word per double, so draw d is word d % 4 of counter d // 4
+            draw = k * n * SIM_CHUNK
+            bitgen = np.random.Philox(key=seed)
+            bitgen.advance(draw // 4)
+            rng = np.random.Generator(bitgen)
+            rng.random(draw % 4)
+            pos = np.full(csize, origin, dtype=np.int64)
+            # per-step buffers, reused: fresh megabyte temporaries cost page faults
+            u = np.empty(csize)
+            bins = np.empty(csize, dtype=np.intp)
+            step = np.empty(csize, dtype=np.int64)
+            for _ in range(n):
+                rng.random(out=u)
+                np.multiply(u, GUIDE_BINS, out=bins, casting="unsafe")  # exact, then floor
+                p_law(u, bins, out=step)
+                at0 = np.flatnonzero(pos == origin)
+                step[at0] = q_law(u[at0], bins[at0])
+                pos += step
+            counts += np.bincount(pos, minlength=cells)
+        return counts
+
+    if workers == 1:
+        counts = run(0)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            counts, *rest = pool.map(run, range(workers))
+        for part in rest:
+            counts += part
     return EmpiricalPMF(n=n, trials=trials, seed=seed, offset=lo, counts=counts.reshape(shape))
 
 

@@ -97,6 +97,8 @@ def test_resource_limit_exit_code(capsys):
     ["compare", "--n-list", "0,4"],
     ["simulate", "--n", "5", "--trials", "0"],
     ["simulate", "--n", "-2", "--trials", "10"],
+    ["simulate", "--n", "3", "--trials", "10", "--seed", "-1"],
+    ["simulate", "--n", "3", "--trials", "10", "--seed", str(1 << 128)],
     ["exact", "--n", "-3"],
     ["asymptotic", "--n", "0"],
     ["returns", "--n-max", "0"],
@@ -166,6 +168,22 @@ def test_oversized_box_exit_code(capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("resource limit: needs")
     assert "Traceback" not in err
+
+
+def test_simulate_refusal_independent_of_cpus(capsys, monkeypatch):
+    # the first worker's 16 B per cell is guarded before any worker count
+    # is chosen, so a refusal reads the same on any machine
+    from lltwalk import harness
+
+    argv = ["simulate", "--spec", config_path("unit_cov_2d.cfg"), "--n", "200",
+            "--trials", "10", "--mem-limit-mb", "1"]
+    seen = []
+    for cpus in (1, 4):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        seen.append((main(argv), capsys.readouterr().err))
+    assert seen[0] == seen[1]
+    assert seen[0][0] == 2
+    assert seen[0][1].startswith("resource limit: needs")
 
 
 @pytest.mark.parametrize("argv", [

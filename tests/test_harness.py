@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -113,6 +114,94 @@ def test_simulate_matches_reference_sampler(request, monkeypatch, fixture, n):
     offset, counts = _reference_simulate(spec, n, 1300, 31, 512)
     assert np.array_equal(emp.offset, offset)
     assert np.array_equal(emp.counts, counts)
+
+
+def _generator_threads(monkeypatch):
+    """Patch np.random.Philox to record whether each generator is built on the main thread."""
+    import threading
+
+    made, philox = [], np.random.Philox
+
+    def recording(*args, **kwargs):
+        made.append(threading.current_thread() is threading.main_thread())
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", recording)
+    return made
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("fixture,n,chunk,trials", [
+    ("lazy_pert", 10, 512, 1300),
+    ("unit_cov_2d", 12, 512, 1300),
+    ("spec3d", 6, 512, 1300),
+    # 15 draws a chunk: chunks past the first start mid-counter
+    ("lazy_pert", 3, 5, 23),
+])
+def test_simulate_independent_of_worker_count(request, monkeypatch, workers, fixture, n,
+                                              chunk, trials):
+    # each chunk starts at its own offset in the seed's Philox stream, so any
+    # number of threads reproduces the one serial stream of the reference
+    import lltwalk.harness as hz
+
+    monkeypatch.setattr(hz, "SIM_CHUNK", chunk)
+    monkeypatch.setattr(hz, "_usable_cpus", lambda: workers)
+    spec = request.getfixturevalue(fixture)
+    offset, counts = _reference_simulate(spec, n, trials, 31, chunk)
+    made = _generator_threads(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads trade the interpreter lock often
+    try:
+        emp = hz.simulate(spec, n, trials, seed=31)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(emp.offset, offset)
+    assert np.array_equal(emp.counts, counts)
+    assert len(made) == -(-trials // chunk)  # one generator per chunk
+    assert set(made) == {workers == 1}  # one worker runs inline, more on a pool
+
+
+def test_simulate_workers_within_the_cap(monkeypatch):
+    # a worker past the first is started only while its counts, bincount and
+    # chunk buffers fit under what is left of the cap
+    import lltwalk.harness as hz
+
+    monkeypatch.setattr(hz, "SIM_CHUNK", 512)
+    monkeypatch.setattr(hz, "_usable_cpus", lambda: 4)
+    cells = 1681
+    extra = 16 * cells + hz.CHUNK_TRIAL_BYTES * 512
+    for cap, workers in [(16 * cells, 1), (16 * cells + extra - 1, 1),
+                         (16 * cells + extra, 2), (16 * cells + 3 * extra, 4),
+                         (1 << 40, 4)]:
+        assert hz._worker_count(cells, 6, cap) == workers
+    assert hz._worker_count(cells, 3, 1 << 40) == 3
+    monkeypatch.setattr(hz, "_usable_cpus", lambda: 1)
+    assert hz._worker_count(cells, 6, 1 << 40) == 1
+
+
+def test_simulate_memory_within_guard(unit_cov_2d, monkeypatch):
+    # tracemalloc sees every thread: two workers hold two counts arrays and
+    # two bincounts, 16 B per cell each, and the second one's chunk buffers
+    import lltwalk.harness as hz
+
+    monkeypatch.setattr(hz, "SIM_CHUNK", 512)
+    monkeypatch.setattr(hz, "_usable_cpus", lambda: 2)
+    n = 200
+    cells = (4 * n + 1) ** 2
+    budget = 2 * 16 * cells + hz.CHUNK_TRIAL_BYTES * hz.SIM_CHUNK
+    tracemalloc.start()
+    try:
+        hz.simulate(unit_cov_2d, n, 1300, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget + (256 << 10)
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 128])
+def test_simulate_seed_out_of_range(lazy_pert, seed):
+    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*128\)"):
+        simulate(lazy_pert, 3, 10, seed)
 
 
 # reach 2 along x1 and 1 along x2

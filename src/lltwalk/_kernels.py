@@ -25,6 +25,20 @@ takes part in power k while |z|^k >= KSUM_TOL / n.  The cells that do form
 a prefix of the array, so each power works on one contiguous slice, each
 dropped term is below KSUM_TOL / n in size, and no power steps a subnormal
 number.
+
+Where power k's prefix is at most KSUM_BLOCK_WIDTH cells, origin_returns
+computes a block of b powers k..k+b-1 over that prefix in a few numpy calls:
+z^k and b - 1 copies of the prefix of z in a (b, prefix) buffer, one
+``cumprod`` down its rows (row j is the same chain of products as j steps
+of ``g *= z``, bit for bit) and one row sum per power.  So a cell stays in
+until the end of its block, and the terms it adds there are kept, not
+dropped: every dropped term is still below KSUM_TOL / n.  A block's rows
+stop before the prefix falls below half its cells (at most twice the
+arithmetic), before the buffer's KSUM_BLOCK_CELLS cells are full, and
+before the least nonzero cell's power could leave the normal range, so
+there is still no subnormal step.  Wider prefixes take blocks of one power,
+the in-place step, because ``cumprod`` down the rows makes one inner-loop
+call per column.
 """
 
 from __future__ import annotations
@@ -34,6 +48,8 @@ import math
 import numpy as np
 
 KSUM_TOL = 1e-16  # the k-sums drop every term r_k z^j with |z|^j < KSUM_TOL / n
+KSUM_BLOCK_WIDTH = 256     # origin_returns blocks powers whose prefix is at most this wide
+KSUM_BLOCK_CELLS = 1 << 14  # cells of origin_returns' block buffer
 
 
 def shift_groups(offs: np.ndarray, ws: np.ndarray, shape) -> tuple:
@@ -102,16 +118,46 @@ def _active_prefix(z: np.ndarray, n: int) -> np.ndarray:
 def origin_returns(z: np.ndarray, n: int) -> np.ndarray:
     """Grid means of z^k for k = 0..n-1 (z = charfn samples), in z's dtype.
 
-    Each power steps only the cells where it is at least KSUM_TOL / n, and
+    Power k steps at least the cells where it is at least KSUM_TOL / n, and
     the mean still divides by the full cell count, so r_k is off by less
-    than KSUM_TOL / n.
+    than KSUM_TOL / n.  The powers come in blocks of b consecutive k over
+    the first power's prefix (see the module docstring); b = 1 is one
+    in-place step ``g *= z``.
     """
+    lens = _active_prefix(z, n)
+    drop = -lens  # ascending, for searchsorted
+    lens = lens.tolist()
+    # a power of at least tiny / eps is normal after any rounding of its chain
+    log_floor = math.log(np.finfo(z.dtype).tiny / np.finfo(z.dtype).eps)
     r = np.empty(n, dtype=z.dtype)
     g = np.ones_like(z)
-    for k, lk in enumerate(_active_prefix(z, n)):
-        g = g[:lk]
-        r[k] = g.sum() / z.size
-        g *= z[:lk]
+    buf = np.empty(KSUM_BLOCK_CELLS, dtype=z.dtype)
+    k = 0
+    while k < n:
+        lk = lens[k]
+        b = 1
+        if lk <= KSUM_BLOCK_WIDTH:
+            # rows while the prefix keeps half its cells, within the buffer,
+            # and while the least nonzero cell's power stays normal
+            b = min(int(np.searchsorted(drop, -((lk + 1) // 2), side="right")) - k,
+                    KSUM_BLOCK_CELLS // max(lk, 1))
+            mod = np.abs(z[:lk])
+            least = float(mod[mod > 0].min(initial=1.0))
+            if least < 1.0:
+                b = min(b, int(log_floor / math.log(least)) - k + 1)
+        if b > 1:
+            blk = buf[:b * lk].reshape(b, lk)
+            blk[0] = g[:lk]
+            blk[1:] = z[:lk]
+            np.cumprod(blk, axis=0, out=blk)  # row j: g * z * ... * z, as j steps of g *= z
+            last = blk[-1]
+        else:
+            blk = last = g[:lk]
+        r[k:k + b] = blk.sum(axis=-1) / z.size
+        k += b
+        if k < n:
+            lk = lens[k]
+            np.multiply(last[:lk], z[:lk], out=g[:lk])
     return r
 
 

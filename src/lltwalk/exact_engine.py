@@ -28,7 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import dp_step, origin_returns, pow_binary, shift_groups, weighted_power_sum
+from ._kernels import (
+    KSUM_BLOCK_CELLS, dp_step, origin_returns, pow_binary, shift_groups, weighted_power_sum,
+)
 from .errors import CrossCheckError, NotNormalized, ResourceLimit
 from .spectral import TorusGrid, charfn_grid, invert_charfn
 from .walk_model import LatticeFn, LatticePMF, WalkSpec, common_box, perturbation
@@ -298,7 +300,9 @@ def _fourier(p: LatticePMF, a: LatticeFn, hull, n: int, mem_limit: int):
     # k-sums add 32 n bytes: r_k and, in _kernels._active_prefix, the roots,
     # their prefix lengths and the concatenated result, all of length n.  On
     # a tail grid they outweigh the grid in 1-D (m is about 960 at n = 4096).
-    _guard_cells((m,) * p.dim, 64, mem_limit, 32 * n if perturbed else 0)
+    # origin_returns adds its block buffer, KSUM_BLOCK_CELLS real cells.
+    ksums = 32 * n + 8 * KSUM_BLOCK_CELLS
+    _guard_cells((m,) * p.dim, 64, mem_limit, ksums if perturbed else 0)
 
     z = charfn_grid(p, m).values
     total = pow_binary(z, n)

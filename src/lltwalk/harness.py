@@ -110,13 +110,14 @@ def _usable_cpus() -> int:
 def _worker_count(cells: int, chunks: int, mem_limit: int) -> int:
     """Threads for ``chunks`` chunks on a counts box of ``cells`` cells.
 
-    At most the usable CPUs and the chunks.  The first worker's 16 bytes a
-    cell are guarded by the caller; each further worker's counts, bincount
-    and chunk buffers, 16 bytes a cell plus CHUNK_TRIAL_BYTES a trial of a
-    chunk, must fit under what is left of ``mem_limit``.
+    At most the usable CPUs and the chunks, and as many workers as
+    ``mem_limit`` holds at 16 bytes a cell (counts and bincount) plus
+    CHUNK_TRIAL_BYTES a trial of a full chunk each: with two chunks or more,
+    each worker runs one full chunk at least.  The caller guards the first
+    worker, so there is always one.
     """
-    spare = (mem_limit - 16 * cells) // (16 * cells + CHUNK_TRIAL_BYTES * SIM_CHUNK)
-    return min(_usable_cpus(), chunks, 1 + spare)
+    per_worker = 16 * cells + CHUNK_TRIAL_BYTES * SIM_CHUNK
+    return min(_usable_cpus(), chunks, max(1, mem_limit // per_worker))
 
 
 def simulate(
@@ -142,8 +143,9 @@ def simulate(
     order; each thread sums the bincounts of chunks w, w + W, ... into its
     own int64 counts, and their integer sum is the same for every W.  One
     worker's dense counts and bincount take 16 bytes per cell of the box,
-    which ``mem_limit`` caps (ResourceLimit past it); :func:`_worker_count`
-    admits the others under what is left of the cap.
+    and its chunk's buffers CHUNK_TRIAL_BYTES per trial; ``mem_limit`` caps
+    the first worker (ResourceLimit past it), and :func:`_worker_count`
+    admits as many as the cap holds.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -151,7 +153,7 @@ def simulate(
         raise ValueError(f"seed must be in [0, 2**128), got {seed}")
     box = exact_engine._hull_box((spec.p, spec.q), n)
     shape = tuple(h - l + 1 for l, h in box)
-    exact_engine._guard_cells(shape, 16, mem_limit)
+    exact_engine._guard_cells(shape, 16, mem_limit, CHUNK_TRIAL_BYTES * min(SIM_CHUNK, trials))
     cells = math.prod(shape)
     lo = np.array([l for l, _ in box], dtype=np.int64)
     strides = np.cumprod((1, *shape[:0:-1]), dtype=np.int64)[::-1]  # C order

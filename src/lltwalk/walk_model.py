@@ -105,6 +105,38 @@ def _dense(exact: Mapping[Point, Fraction], lo, shape) -> np.ndarray:
     return w
 
 
+def _unit_sum(exact: Mapping[Point, Fraction], lo, shape) -> np.ndarray:
+    """``_dense`` of an exact law of total 1, with floats whose exact sum is 1.
+
+    Each weight is first rounded to its nearest float.  The residual, 1 less
+    the exact sum of those floats, is then folded into the weights an orbit
+    at a time, the largest weight first: an orbit is a point and its mirror
+    when their exact weights are equal (each takes half, so a symmetric law
+    stays symmetric in floats), else the point alone.  Each orbit takes what
+    of the residual its rounding keeps, with its weight still positive,
+    until none is left; NotNormalized if some is left after every orbit.
+    Without this, a walk's mass would grow as (sum of its floats)^n.
+    """
+    vals = {pt: float(v) for pt, v in exact.items()}
+    res = 1 - sum(map(Fraction, vals.values()))
+    for pt in sorted(exact, key=exact.__getitem__, reverse=True):
+        if not res:
+            break
+        mirror = tuple(-c for c in pt)
+        orbit = {pt, mirror} if exact.get(mirror) == exact[pt] else {pt}
+        if min(orbit) != pt:
+            continue  # the orbit is taken once, at its least point
+        new = float(Fraction(vals[pt]) + res / len(orbit))
+        if new > 0:
+            res -= len(orbit) * (Fraction(new) - Fraction(vals[pt]))
+            vals.update(dict.fromkeys(orbit, new))
+    if res:
+        raise NotNormalized(
+            f"no float weights near the law's sum to exactly 1 (residual {float(res)!r})"
+        )
+    return _dense(vals, lo, shape)
+
+
 @dataclass(frozen=True)
 class LatticeFn:
     """Dense real-valued function on an integer box (base for pmfs)."""
@@ -197,7 +229,8 @@ class LatticePMF(LatticeFn):
 
     All weights nonnegative and summing to 1.  Inputs whose float sum is
     within 1e-12 of 1 are renormalized exactly; anything further off is
-    rejected rather than silently fixed.
+    rejected rather than silently fixed.  A law with exact weights gets
+    float weights whose exact sum is 1 (see ``_unit_sum``).
     """
 
     def __post_init__(self):
@@ -211,16 +244,17 @@ class LatticePMF(LatticeFn):
             raise NotNormalized(
                 f"weights sum to {float(tot)!r}, more than {NORMALIZATION_TOL} from 1"
             )
-        if tot != 1:
-            if self.exact:
-                exact = {pt: v / tot for pt, v in self.exact.items()}
-                w = _dense(exact, self.offset.tolist(), self.weights.shape)
-            else:
-                exact = {}
-                w = self.weights / float(tot)
-            w.flags.writeable = False
-            object.__setattr__(self, "weights", w)
-            object.__setattr__(self, "exact", exact)
+        if self.exact:
+            exact = self.exact if tot == 1 else {pt: v / tot for pt, v in self.exact.items()}
+            w = _unit_sum(exact, self.offset.tolist(), self.weights.shape)
+        elif tot != 1:
+            exact = {}
+            w = self.weights / float(tot)
+        else:
+            return
+        w.flags.writeable = False
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "exact", exact)
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,12 @@ def aniso_2d():
 
 
 @pytest.fixture(scope="session")
+def reach2():
+    """1-D walk with steps of size 1 and 2, sigma^2 = 6/5 and d = 1/10."""
+    return load_walk_spec(CONFIGS / "reach2_pert_1d.cfg")
+
+
+@pytest.fixture(scope="session")
 def lazy_p():
     return LatticePMF.from_points(1, {0: "1/2", 1: "1/4", -1: "1/4"})
 

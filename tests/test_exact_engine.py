@@ -137,6 +137,23 @@ def test_route_equivalence_aniso_2d(aniso_2d):
         assert 0.0 < d.tail_bound <= aniso_2d.nu * exact_engine.TAIL_TOL
 
 
+def test_route_equivalence_reach2_1d(reach2, monkeypatch):
+    # steps of size 2, where p(0)'s nearest float makes p's floats sum to
+    # 1 + 2^-54: the spatial routes' raw mass then read 1 + 1.1e-13 here
+    n = 2048
+    masses = []
+    law = exact_engine._law
+
+    def recording_law(lo, w):
+        masses.append(math.fsum(w.ravel().tolist()))
+        return law(lo, w)
+
+    monkeypatch.setattr(exact_engine, "_law", recording_law)
+    _, worst = cross_check(reach2, n)
+    assert worst < 1e-14
+    assert len(masses) == 3 and all(abs(m - 1) < 1e-14 for m in masses)
+
+
 def test_origin_identity(lazy_pert):
     # mass at the origin is never affected by the antisymmetric perturbation
     for n in (1, 7, 20, 50):

@@ -162,17 +162,16 @@ def test_simulate_independent_of_worker_count(request, monkeypatch, workers, fix
 
 
 def test_simulate_workers_within_the_cap(monkeypatch):
-    # a worker past the first is started only while its counts, bincount and
-    # chunk buffers fit under what is left of the cap
+    # each worker, the first included, is charged its counts, bincount and
+    # a full chunk's buffers; workers start while the cap holds them all
     import lltwalk.harness as hz
 
     monkeypatch.setattr(hz, "SIM_CHUNK", 512)
     monkeypatch.setattr(hz, "_usable_cpus", lambda: 4)
     cells = 1681
-    extra = 16 * cells + hz.CHUNK_TRIAL_BYTES * 512
-    for cap, workers in [(16 * cells, 1), (16 * cells + extra - 1, 1),
-                         (16 * cells + extra, 2), (16 * cells + 3 * extra, 4),
-                         (1 << 40, 4)]:
+    each = 16 * cells + hz.CHUNK_TRIAL_BYTES * 512
+    for cap, workers in [(16 * cells, 1), (2 * each - 1, 1), (2 * each, 2),
+                         (4 * each, 4), (1 << 40, 4)]:
         assert hz._worker_count(cells, 6, cap) == workers
     assert hz._worker_count(cells, 3, 1 << 40) == 3
     monkeypatch.setattr(hz, "_usable_cpus", lambda: 1)
@@ -196,6 +195,41 @@ def test_simulate_memory_within_guard(unit_cov_2d, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= budget + (256 << 10)
+
+
+@pytest.mark.parametrize("trials", [1300, 4096])
+def test_simulate_first_worker_within_guard(unit_cov_2d, monkeypatch, trials):
+    # one worker: its counts and bincount, 16 B per cell, and the buffers of
+    # its chunk, CHUNK_TRIAL_BYTES per trial of a small chunk or a full one
+    import lltwalk.harness as hz
+
+    monkeypatch.setattr(hz, "SIM_CHUNK", 4096)
+    monkeypatch.setattr(hz, "_usable_cpus", lambda: 1)
+    n = 20
+    hz.simulate(unit_cov_2d, 2, 10, seed=3)  # first use imports numpy.random
+    budgets = []
+    guard = exact_engine._guard_cells
+
+    def recording_guard(shape, itemsize, mem_limit, extra=0):
+        budgets.append(math.prod(shape) * itemsize + extra)
+        guard(shape, itemsize, mem_limit, extra)
+
+    monkeypatch.setattr(exact_engine, "_guard_cells", recording_guard)
+    tracemalloc.start()
+    try:
+        hz.simulate(unit_cov_2d, n, trials, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert budgets == [16 * (4 * n + 1) ** 2 + hz.CHUNK_TRIAL_BYTES * trials]
+    assert peak <= budgets[0] + (256 << 10)
+
+
+def test_simulate_refuses_a_chunk_past_the_cap(lazy_pert):
+    # the counts box fits a 1 MiB cap, but a full chunk's buffers do not
+    with pytest.raises(ResourceLimit):
+        simulate(lazy_pert, 10, 131072, seed=3, mem_limit=1 << 20)
+    simulate(lazy_pert, 10, 14000, seed=3, mem_limit=1 << 20)
 
 
 @pytest.mark.parametrize("seed", [-1, 1 << 128])

@@ -127,6 +127,94 @@ def test_ksums_step_no_subnormals(lazy_pert):
             K.weighted_power_sum(z, K.origin_returns(z, n))
 
 
+def assert_returns_within_allowance(z, n):
+    """origin_returns against the full-grid reference, with the allowance above."""
+    with np.errstate(under="ignore"):
+        r_ref = reference_origin_returns(z, n)
+        r_abs = reference_origin_returns(np.abs(z), n)
+    r = K.origin_returns(z, n)
+    assert r.shape == (n,)
+    assert np.all(np.abs(r - r_ref) <= K.KSUM_TOL / n + 8 * np.finfo(float).eps * r_abs)
+
+
+def record_blocks(monkeypatch):
+    """The (rows, width) of every block origin_returns runs through cumprod."""
+    shapes = []
+    cumprod = np.cumprod
+
+    def recording_cumprod(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return cumprod(a, *args, **kwargs)
+
+    monkeypatch.setattr(K.np, "cumprod", recording_cumprod)
+    return shapes
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65])
+@pytest.mark.parametrize("fixture", ["lazy_pert", "reach2"])
+def test_blocked_returns_at_small_n(request, fixture, n):
+    # the route's grid is narrower than a block here, so every power is blocked
+    assert_returns_within_allowance(sorted_phat(request.getfixturevalue(fixture), n), n)
+
+
+def test_blocked_returns_stop_before_underflow(monkeypatch):
+    # cells near 1 keep the prefix wide, so the block at k = 0 is cut short by
+    # its least nonzero cell, 1e-7: its power 1e-7^j stays normal
+    z = np.concatenate((np.linspace(1.0, 0.9, 20), [-0.5, 3e-6, -1e-7, 0.0, 0.0]))
+    z = z[np.argsort(-np.abs(z), kind="stable")]
+    n = 200
+    shapes = record_blocks(monkeypatch)
+    with np.errstate(under="raise"):
+        K.origin_returns(z, n)
+    floor = np.finfo(float).tiny / np.finfo(float).eps
+    rows, width = shapes[0]
+    assert width == z.size
+    assert rows == 1 + int(np.log(floor) / np.log(1e-7)) < K.KSUM_BLOCK_CELLS // width
+    assert_returns_within_allowance(z, n)
+
+
+def test_blocked_returns_across_the_width_limit(unit_cov_2d, monkeypatch):
+    # a 2-D grid whose prefix starts wider than a block and ends narrower
+    n = 300
+    z = sorted_phat(unit_cov_2d, n, m=41)
+    lens = K._active_prefix(z, n)
+    assert lens[0] > K.KSUM_BLOCK_WIDTH >= lens[-1]
+    shapes = record_blocks(monkeypatch)
+    assert_returns_within_allowance(z, n)
+    assert shapes and all(w <= K.KSUM_BLOCK_WIDTH and r * w <= K.KSUM_BLOCK_CELLS
+                          for r, w in shapes)
+
+
+def test_block_rows_are_the_step_chain_bit_for_bit(rng):
+    # cumprod down a block's rows multiplies as repeated g *= z does
+    z = rng.random(100)
+    g = rng.random(100)
+    blk = np.empty((40, 100))
+    blk[0] = g
+    blk[1:] = z
+    np.cumprod(blk, axis=0, out=blk)
+    for row in blk:
+        assert np.array_equal(row, g)
+        g = g * z
+
+
+# weighted_power_sum's cut-off Horner loop, which blocking origin_returns left as it was
+def sequential_weighted_power_sum(z, r):
+    s = np.zeros(z.shape, dtype=np.result_type(z, r))
+    for rk, lk in zip(r, K._active_prefix(z, len(r))[::-1]):
+        head = s[:lk]
+        head *= z[:lk]
+        head += rk
+    return s
+
+
+@pytest.mark.parametrize("fixture,n", [("lazy_pert", 4096), ("reach2", 1024), ("unit_cov_2d", 64)])
+def test_weighted_power_sum_bit_for_bit(request, fixture, n):
+    z = sorted_phat(request.getfixturevalue(fixture), n)
+    r = K.origin_returns(z, n)
+    assert np.array_equal(K.weighted_power_sum(z, r), sequential_weighted_power_sum(z, r))
+
+
 @pytest.mark.parametrize("kernel", ["origin_returns", "weighted_power_sum"])
 @pytest.mark.parametrize("z", [[0.5, -0.9, 1.0], [[1.0, 0.5], [0.25, 0.0]]])
 def test_ksums_reject_unsorted_input(kernel, z):

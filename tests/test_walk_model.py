@@ -6,7 +6,7 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
-from lltwalk import LatticePMF, edgeworth_coeffs, moments, validate_walk_spec
+from lltwalk import LatticePMF, edgeworth_coeffs, load_walk_spec, moments, validate_walk_spec
 from lltwalk.errors import (
     DimensionMismatch,
     MissingUnperturbedFlag,
@@ -27,6 +27,8 @@ from lltwalk.walk_model import (
     perturbation,
     second_moments,
 )
+
+from conftest import CONFIGS
 
 
 def lazy():
@@ -170,6 +172,38 @@ def test_random_specs_satisfy_invariants(pair):
     assert abs(sum(w for _, w in a.points())) < 1e-12
     assert moments(a, 1) == pytest.approx(float(2 * eps), abs=1e-12)
     assert np.all(np.linalg.eigvalsh(spec.B) > 0)
+
+
+# every config but periodic_1d.cfg, which validation rejects
+@pytest.mark.parametrize("name", sorted(
+    path.stem for path in CONFIGS.glob("*.cfg") if path.stem != "periodic_1d"))
+def test_config_step_laws_sum_to_exactly_one(name):
+    # a spatial route's mass moves by (sum of p's floats)^n, so the sum is exact
+    spec = load_walk_spec(CONFIGS / f"{name}.cfg")
+    for law in (spec.p, spec.q):
+        assert sum(map(Fraction, law.weights.ravel().tolist())) == 1
+
+
+@given(perturbed_pairs())
+@settings(max_examples=60, deadline=None)
+def test_float_weights_sum_to_exactly_one_and_stay_symmetric(pair):
+    # the rounding residual goes into whole mirror orbits; it is a few ulps
+    # of the largest weight, and no weight moves by more
+    p = LatticePMF.from_points(1, pair[0])
+    w = p.weights
+    assert sum(map(Fraction, w.tolist())) == 1
+    assert np.array_equal(w, w[::-1])
+    reach = -int(p.offset[0])
+    nearest = np.array([float(p.exact[(x,)]) for x in range(-reach, reach + 1)])
+    assert np.all(np.abs(w - nearest) <= w.size * np.spacing(w.max()))
+
+
+def test_float_weights_without_a_unit_sum_rejected():
+    # the floats nearest 1 - 3e-300, 1e-300 and 2e-300 sum past 1, and no
+    # weight can take the residual without going negative
+    tiny = Fraction(10) ** -300
+    with pytest.raises(NotNormalized, match="sum to exactly 1"):
+        LatticePMF.from_points(1, {0: 1 - 3 * tiny, 1: tiny, 2: 2 * tiny})
 
 
 def test_perturbation_exact_arithmetic():

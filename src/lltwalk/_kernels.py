@@ -1,14 +1,15 @@
 """Hot numeric kernels, in numpy.
 
-Every reduction has a fixed order, so results are reproducible bit for bit,
-and every kernel computes in the dtype of its input.
+Every reduction has a fixed order and none calls BLAS (no ``@`` or ``dot``),
+so results are reproducible bit for bit whatever the BLAS build and its
+thread count, and every kernel computes in the dtype of its input.
 The walkbench benchmark (``walkbench/``) times each kernel as its own layer.
 
 Kernels:
 
 * dp_step                      one convolution step of the forward recursion
 * origin_returns               k -> mean over a torus grid of phat^k, k < n
-* weighted_power_sum           sum_k r_k * phat^(n-1-k), by Horner's rule
+* weighted_power_sum           sum_k r_k * phat^(n-1-k), in blocks and by Horner's rule
 * pow_binary                   elementwise z^n by binary exponentiation
 
 dp_step works on flat spans of a layout in which every kernel offset is one
@@ -38,7 +39,24 @@ arithmetic), before the buffer's KSUM_BLOCK_CELLS cells are full, and
 before the least nonzero cell's power could leave the normal range, so
 there is still no subnormal step.  Wider prefixes take blocks of one power,
 the in-place step, because ``cumprod`` down the rows makes one inner-loop
-call per column.
+call per column.  ``_block_rows`` holds these three limits for both k-sums.
+
+weighted_power_sum blocks the same narrow powers, j >= J where J is the
+first power whose prefix is at most KSUM_BLOCK_WIDTH cells.  One
+``cumprod`` builds a table of z^i, i < rows, over power J's prefix (rows
+as above, with the least nonzero cell's power z^(rows-1) kept normal).  A
+block of b powers j..j+b-1 over power j's prefix is then one product of
+b coefficients r_(n-1-j-i) by the table's rows, one row sum, smallest
+terms first, and one multiply by z^(j-J) from ``np.power``: one rounding
+of the exact power, where multiplying by a reused float z^b would
+compound one fixed rounding n/b times.  The blocks add up to
+sum_{j>=J} r_(n-1-j) z^(j-J); J cut-off Horner steps then take the wide
+powers.  Against a compensated Horner sum of the same floats the result is
+closer than cut-off Horner steps over every power: at most 8.9 ulps of
+the |z|-sum where those are off by up to 58 (``lazy_pert_1d`` at
+n = 1024, 4096 and 8192; 25 against 76 at ``reach2_pert_1d`` n = 16384).
+A grid with no narrow prefix (every 2-D route grid up to n = 128) takes
+the Horner steps alone.
 """
 
 from __future__ import annotations
@@ -48,8 +66,8 @@ import math
 import numpy as np
 
 KSUM_TOL = 1e-16  # the k-sums drop every term r_k z^j with |z|^j < KSUM_TOL / n
-KSUM_BLOCK_WIDTH = 256     # origin_returns blocks powers whose prefix is at most this wide
-KSUM_BLOCK_CELLS = 1 << 14  # cells of origin_returns' block buffer
+KSUM_BLOCK_WIDTH = 256     # the k-sums block powers whose prefix is at most this wide
+KSUM_BLOCK_CELLS = 1 << 14  # cells of each block buffer and power table
 
 
 def shift_groups(offs: np.ndarray, ws: np.ndarray, shape) -> tuple:
@@ -115,6 +133,31 @@ def _active_prefix(z: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate(([z.size], z.size - np.searchsorted(mod[::-1], roots)))[:n]
 
 
+def _block_rows(z: np.ndarray, drop: np.ndarray, k: int, base: int) -> int:
+    """Rows b of a block of powers k..k+b-1 over power k's prefix, at least 1.
+
+    ``drop`` is minus the prefix lengths (ascending), and row 0 of the
+    block holds z^base.  The rows stop before the prefix falls below half
+    its cells (at most twice the arithmetic), before b times the prefix
+    passes KSUM_BLOCK_CELLS, and before the least nonzero cell's last power,
+    z^(base + b - 1), could fall below tiny / eps: a power at least that
+    large is normal after any rounding of its chain.
+    """
+    lk = -int(drop[k])
+    b = min(int(drop.searchsorted(-((lk + 1) // 2), side="right")) - k,
+            KSUM_BLOCK_CELLS // max(lk, 1))
+    # the prefix is sorted by |z|, descending; only power 0's, the whole
+    # grid, can end in zeros
+    least = float(abs(z[lk - 1])) if lk else 1.0
+    if least == 0.0:
+        mod = np.abs(z[:lk])
+        least = float(mod[mod > 0].min(initial=1.0))
+    if least < 1.0:
+        info = np.finfo(z.dtype)
+        b = min(b, int(math.log(info.tiny / info.eps) / math.log(least)) - base + 1)
+    return max(b, 1)
+
+
 def origin_returns(z: np.ndarray, n: int) -> np.ndarray:
     """Grid means of z^k for k = 0..n-1 (z = charfn samples), in z's dtype.
 
@@ -127,24 +170,13 @@ def origin_returns(z: np.ndarray, n: int) -> np.ndarray:
     lens = _active_prefix(z, n)
     drop = -lens  # ascending, for searchsorted
     lens = lens.tolist()
-    # a power of at least tiny / eps is normal after any rounding of its chain
-    log_floor = math.log(np.finfo(z.dtype).tiny / np.finfo(z.dtype).eps)
     r = np.empty(n, dtype=z.dtype)
     g = np.ones_like(z)
     buf = np.empty(KSUM_BLOCK_CELLS, dtype=z.dtype)
     k = 0
     while k < n:
         lk = lens[k]
-        b = 1
-        if lk <= KSUM_BLOCK_WIDTH:
-            # rows while the prefix keeps half its cells, within the buffer,
-            # and while the least nonzero cell's power stays normal
-            b = min(int(np.searchsorted(drop, -((lk + 1) // 2), side="right")) - k,
-                    KSUM_BLOCK_CELLS // max(lk, 1))
-            mod = np.abs(z[:lk])
-            least = float(mod[mod > 0].min(initial=1.0))
-            if least < 1.0:
-                b = min(b, int(log_floor / math.log(least)) - k + 1)
+        b = _block_rows(z, drop, k, k) if lk <= KSUM_BLOCK_WIDTH else 1
         if b > 1:
             blk = buf[:b * lk].reshape(b, lk)
             blk[0] = g[:lk]
@@ -164,15 +196,43 @@ def origin_returns(z: np.ndarray, n: int) -> np.ndarray:
 def weighted_power_sum(z: np.ndarray, r: np.ndarray) -> np.ndarray:
     """sum_{k=0}^{n-1} r[k] * z^(n-1-k), elementwise over the grid.
 
-    Horner's rule, k ascending, on one working grid.  With |z| <= 1 every
-    earlier rounding error is multiplied by a power of |z|, so the sum
-    needs no compensation.  Step k runs only on the cells where
-    |z|^(n-1-k) >= KSUM_TOL / n; that prefix grows with k, and a cell
-    joins at 0, which is the exact value of the terms it left out.  With
-    |r_k| <= 1 each cell is off by less than KSUM_TOL.
+    Power j = n-1-k takes the cells where |z|^j >= KSUM_TOL / n.  The
+    powers j >= J whose prefix is at most KSUM_BLOCK_WIDTH cells are summed
+    in blocks (see the module docstring) into s = sum_{j>=J} r[n-1-j] z^(j-J);
+    then J cut-off Horner steps ``s *= z; s += r[k]``, k ascending, finish
+    the wide powers, and a cell joins them at 0, the exact value of the
+    terms it left out.  With |z| <= 1 every earlier rounding error is
+    multiplied by a power of |z|, so the sum needs no compensation, and
+    with |r_k| <= 1 each cell is off by less than KSUM_TOL.
     """
+    n = len(r)
     s = np.zeros(z.shape, dtype=np.result_type(z, r))
-    for rk, lk in zip(r, _active_prefix(z, len(r))[::-1]):
+    lens = _active_prefix(z, n)
+    drop = -lens  # ascending, for searchsorted
+    first = int(drop.searchsorted(-KSUM_BLOCK_WIDTH))  # J, the first narrow power
+    lens = lens.tolist()
+    if first < n:
+        # row i is z^(rows-1-i) over power J's prefix: highest power first,
+        # so that a block's row sum adds its smallest terms first
+        width = lens[first]
+        rows = _block_rows(z, drop, first, 0)
+        table = np.empty((rows, width), dtype=s.dtype)
+        table[:-1] = z[:width]
+        table[-1] = 1
+        np.cumprod(table[::-1], axis=0, out=table[::-1])
+        terms = np.empty_like(table)
+        j = first
+        while j < n:
+            lj = lens[j]
+            b = min(rows, _block_rows(z, drop, j, 0))
+            # sum_{i<b} r[n-1-j-i] z^i, times z^(j-J) rounded once
+            blk = terms[:b, :lj]
+            np.multiply(r[n - j - b:n - j, None], table[rows - b:, :lj], out=blk)
+            poly = blk.sum(axis=0)
+            poly *= np.power(z[:lj], j - first)
+            s[:lj] += poly
+            j += b
+    for rk, lk in zip(r[n - first:], reversed(lens[:first])):
         head = s[:lk]
         head *= z[:lk]
         head += rk

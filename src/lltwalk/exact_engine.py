@@ -300,8 +300,10 @@ def _fourier(p: LatticePMF, a: LatticeFn, hull, n: int, mem_limit: int):
     # k-sums add 32 n bytes: r_k and, in _kernels._active_prefix, the roots,
     # their prefix lengths and the concatenated result, all of length n.  On
     # a tail grid they outweigh the grid in 1-D (m is about 960 at n = 4096).
-    # origin_returns adds its block buffer, KSUM_BLOCK_CELLS real cells.
-    ksums = 32 * n + 8 * KSUM_BLOCK_CELLS
+    # The larger of the kernels' block buffers comes on top (one kernel runs
+    # at a time): weighted_power_sum's power table and block product, up to
+    # KSUM_BLOCK_CELLS real cells each; origin_returns' buffer is half that.
+    ksums = 32 * n + 16 * KSUM_BLOCK_CELLS
     _guard_cells((m,) * p.dim, 64, mem_limit, ksums if perturbed else 0)
 
     z = charfn_grid(p, m).values

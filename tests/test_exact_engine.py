@@ -18,7 +18,7 @@ from lltwalk import (
     perturbed_via_representation,
     validate_walk_spec,
 )
-from lltwalk import exact_engine
+from lltwalk import _kernels, exact_engine
 from lltwalk.errors import CrossCheckError, ResourceLimit
 from lltwalk.io_text import distribution_text
 from lltwalk.walk_model import SignedLatticeFn
@@ -406,12 +406,19 @@ _FIXED_SLACK = 256 << 10
 
 
 @pytest.mark.parametrize(
-    "route", ["dp", "repr", "first_return", "direct", "fourier", "fft", "fourier_1d", "dp_3d"]
+    "route",
+    ["dp", "repr", "first_return", "direct", "fourier", "fft", "fourier_1d", "fourier_1d_wide_blocks",
+     "dp_3d"],
 )
 def test_stepper_route_memory_within_guard(unit_cov_2d, lazy_pert, spec3d, monkeypatch, route):
     n = 96
     budgets = []
     guard = exact_engine._guard_cells
+    if route == "fourier_1d_wide_blocks":
+        # the k-sums' block buffers at 1 MiB each, well past the fixed slack,
+        # so a buffer left out of the guard fails the bound below
+        for module in (_kernels, exact_engine):
+            monkeypatch.setattr(module, "KSUM_BLOCK_CELLS", 1 << 17)
 
     def recording_guard(shape, itemsize, mem_limit, extra=0):
         budgets.append(math.prod(shape) * itemsize + extra)
@@ -427,6 +434,7 @@ def test_stepper_route_memory_within_guard(unit_cov_2d, lazy_pert, spec3d, monke
         "fft": lambda: convolve_power(unit_cov_2d.p, n, method="fft"),
         # in 1-D the length-n return probabilities weigh against the grid
         "fourier_1d": lambda: perturbed_fourier(lazy_pert, 4096),
+        "fourier_1d_wide_blocks": lambda: perturbed_fourier(lazy_pert, 4096),
         # the stepper's halo is the largest share of the box in 3-D
         "dp_3d": lambda: perturbed_forward(spec3d, 40),
     }[route]

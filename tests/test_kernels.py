@@ -1,5 +1,7 @@
 """The numpy kernels against direct evaluations."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,98 @@ def reference_weighted_power_sum(z, r):
     return s
 
 
+def two_sum(a, b):
+    """s, e with s = fl(a + b) and s + e = a + b exactly (Knuth)."""
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
+
+
+def split(a):
+    """Veltkamp's split: hi + lo = a exactly, each half 26 bits or fewer."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def compensated_weighted_power_sum(z, r):
+    """sum_k r_k z^(n-1-k) over the full grid by compensated Horner.
+
+    Graillat, Langlois and Louvet (2005): each Horner step's product and
+    sum errors are taken exactly (Dekker's TwoProduct by Veltkamp's split,
+    no FMA, and Knuth's TwoSum) and summed in a second Horner loop, so the
+    result is as accurate as Horner's rule in twice the working precision,
+    then rounded: within about one ulp of the exact sum of the same floats
+    here.  Portable float64; the width of ``np.longdouble`` plays no part.
+    """
+    z_hi, z_lo = split(z)
+    s = np.full(z.shape, r[0], dtype=float)
+    c = np.zeros(z.shape)
+    with np.errstate(under="ignore"):
+        for rk in r[1:]:
+            p = s * z
+            s_hi, s_lo = split(s)
+            p_err = s_lo * z_lo - (((p - s_hi * z_hi) - s_lo * z_hi) - s_hi * z_lo)
+            s, s_err = two_sum(p, rk)
+            c = c * z + (p_err + s_err)
+    return s + c
+
+
+# cut-off Horner steps over every power, the accuracy the blocked sum must match
+def sequential_weighted_power_sum(z, r):
+    s = np.zeros(z.shape, dtype=np.result_type(z, r))
+    for rk, lk in zip(r, K._active_prefix(z, len(r))[::-1]):
+        head = s[:lk]
+        head *= z[:lk]
+        head += rk
+    return s
+
+
+# weighted_power_sum's roundoff allowance in ulps of the sum over |z|: the
+# largest measured is 8.9, at lazy_pert n = 4096 (25 at reach2 n = 16384,
+# past the sizes tested here)
+W_ULPS = 16
+
+
+def assert_weighted_sum_within_allowance(z, r):
+    """weighted_power_sum against the compensated sum of the same z and r.
+
+    The error, in ulps of the sum over |z| and |r|, is at most the
+    sequential loop's, and each cell is within 2 KSUM_TOL (the terms cut
+    off) plus W_ULPS of those ulps.
+    """
+    ref = compensated_weighted_power_sum(z, r)
+    ulps = np.finfo(float).eps * reference_weighted_power_sum(np.abs(z), np.abs(r))
+    err = np.abs(K.weighted_power_sum(z, r) - ref)
+    seq_err = np.abs(sequential_weighted_power_sum(z, r) - ref)
+    assert np.max(err / ulps) <= np.max(seq_err / ulps)
+    assert np.all(err <= 2 * K.KSUM_TOL + W_ULPS * ulps)
+
+
+def test_compensated_reference_within_an_ulp(lazy_pert):
+    # against Python-integer fixed point with 200 fractional bits (each step
+    # off by at most 2^-200), on cells across the grid, the last power's
+    # whole prefix included
+    n, bits = 200, 200
+    z = sorted_phat(lazy_pert, n)
+    r = K.origin_returns(z, n)
+    ref = compensated_weighted_power_sum(z, r)
+
+    def fixed(x):
+        num, den = float(x).as_integer_ratio()
+        return (num << bits) // den
+
+    rs = [fixed(rk) for rk in r]
+    cells = sorted(set(range(K._active_prefix(z, n)[-1])) | set(range(0, z.size, 7)))
+    for i in cells:
+        zi = fixed(z[i])
+        acc = 0
+        for rk in rs:
+            acc = ((acc * zi) >> bits) + rk
+        exact = Fraction(acc, 1 << bits)
+        assert abs(Fraction(float(ref[i])) - exact) <= np.finfo(float).eps * abs(exact)
+
+
 def sorted_phat(spec, n, m=None):
     """The real transform of p on an m-grid, sorted; m defaults to the fourier route's grid for n steps."""
     if m is None:
@@ -100,20 +194,17 @@ def sorted_phat(spec, n, m=None):
 )
 def test_ksum_cutoff_within_bound_of_full_grid(request, fixture, n):
     z = sorted_phat(request.getfixturevalue(fixture), n)
-    with np.errstate(under="ignore"):  # the full-grid loops step subnormals
+    with np.errstate(under="ignore"):  # the full-grid loop steps subnormals
         r_ref = reference_origin_returns(z, n)
-        w_ref = reference_weighted_power_sum(z, r_ref)
-        # the same sums over |z| and |r|, the scale of their roundoff
+        # the same sum over |z|, the scale of its roundoff
         r_abs = reference_origin_returns(np.abs(z), n)
-        w_abs = reference_weighted_power_sum(np.abs(z), r_abs)
     r = K.origin_returns(z, n)
-    w = K.weighted_power_sum(z, r)
     # Roundoff allowance: a kept cell's powers are the reference's bit for
-    # bit, so the two differ only by the order of the mean's summation and
-    # the rounding that carries into W; 8 ulps of those sums over |z|.
+    # bit, so the two differ only by the order of the mean's summation; 8
+    # ulps of the sum over |z|.
     ulp = np.finfo(float).eps
     assert np.all(np.abs(r - r_ref) <= K.KSUM_TOL / n + 8 * ulp * r_abs)
-    assert np.all(np.abs(w - w_ref) <= 2 * K.KSUM_TOL + 8 * ulp * w_abs)
+    assert_weighted_sum_within_allowance(z, r)
 
 
 def test_ksums_step_no_subnormals(lazy_pert):
@@ -198,21 +289,58 @@ def test_block_rows_are_the_step_chain_bit_for_bit(rng):
         g = g * z
 
 
-# weighted_power_sum's cut-off Horner loop, which blocking origin_returns left as it was
-def sequential_weighted_power_sum(z, r):
-    s = np.zeros(z.shape, dtype=np.result_type(z, r))
-    for rk, lk in zip(r, K._active_prefix(z, len(r))[::-1]):
-        head = s[:lk]
-        head *= z[:lk]
-        head += rk
-    return s
-
-
-@pytest.mark.parametrize("fixture,n", [("lazy_pert", 4096), ("reach2", 1024), ("unit_cov_2d", 64)])
+@pytest.mark.parametrize("fixture,n", [("unit_cov_2d", 64)])
 def test_weighted_power_sum_bit_for_bit(request, fixture, n):
+    # no prefix is narrow enough to block, so the sum is the Horner loop's
     z = sorted_phat(request.getfixturevalue(fixture), n)
+    assert K._active_prefix(z, n)[-1] > K.KSUM_BLOCK_WIDTH
     r = K.origin_returns(z, n)
     assert np.array_equal(K.weighted_power_sum(z, r), sequential_weighted_power_sum(z, r))
+
+
+@pytest.mark.parametrize("fixture,n", [("lazy_pert", 4096), ("reach2", 1024)])
+def test_blocked_weighted_sum_no_worse_than_sequential(request, fixture, n):
+    z = sorted_phat(request.getfixturevalue(fixture), n)
+    assert K._active_prefix(z, n)[-1] <= K.KSUM_BLOCK_WIDTH
+    assert_weighted_sum_within_allowance(z, K.origin_returns(z, n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65])
+@pytest.mark.parametrize("fixture", ["lazy_pert", "reach2"])
+def test_blocked_weighted_sum_at_small_n(request, fixture, n):
+    # every power is blocked, from power 0 over the whole grid
+    z = sorted_phat(request.getfixturevalue(fixture), n)
+    assert z.size <= K.KSUM_BLOCK_WIDTH
+    assert_weighted_sum_within_allowance(z, K.origin_returns(z, n))
+
+
+def test_blocked_weighted_sum_stops_before_underflow(monkeypatch):
+    # the power table's rows stop where 1e-7, the least nonzero cell, would
+    # take its last power past the normal range; the zeros join at power 0
+    z = np.concatenate((np.linspace(1.0, 0.9, 20), [-0.5, 3e-6, -1e-7, 0.0, 0.0]))
+    z = z[np.argsort(-np.abs(z), kind="stable")]
+    n = 200
+    r = K.origin_returns(z, n)
+    shapes = record_blocks(monkeypatch)
+    with np.errstate(under="raise"):
+        K.weighted_power_sum(z, r)
+    floor = np.finfo(float).tiny / np.finfo(float).eps
+    assert shapes == [(1 + int(np.log(floor) / np.log(1e-7)), z.size)]
+    assert_weighted_sum_within_allowance(z, r)
+
+
+def test_blocked_weighted_sum_across_the_width_limit(unit_cov_2d, monkeypatch):
+    # a 2-D grid whose prefix starts wider than a block and ends narrower:
+    # the blocks, then Horner steps over the wide powers
+    n = 300
+    z = sorted_phat(unit_cov_2d, n, m=41)
+    lens = K._active_prefix(z, n)
+    assert lens[0] > K.KSUM_BLOCK_WIDTH >= lens[-1]
+    r = K.origin_returns(z, n)
+    shapes = record_blocks(monkeypatch)
+    assert_weighted_sum_within_allowance(z, r)
+    (rows, width), = shapes
+    assert width <= K.KSUM_BLOCK_WIDTH and rows * width <= K.KSUM_BLOCK_CELLS
 
 
 @pytest.mark.parametrize("kernel", ["origin_returns", "weighted_power_sum"])

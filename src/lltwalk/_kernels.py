@@ -27,36 +27,31 @@ a prefix of the array, so each power works on one contiguous slice, each
 dropped term is below KSUM_TOL / n in size, and no power steps a subnormal
 number.
 
-Where power k's prefix is at most KSUM_BLOCK_WIDTH cells, origin_returns
-computes a block of b powers k..k+b-1 over that prefix in a few numpy calls:
-z^k and b - 1 copies of the prefix of z in a (b, prefix) buffer, one
-``cumprod`` down its rows (row j is the same chain of products as j steps
-of ``g *= z``, bit for bit) and one row sum per power.  So a cell stays in
-until the end of its block, and the terms it adds there are kept, not
-dropped: every dropped term is still below KSUM_TOL / n.  A block's rows
-stop before the prefix falls below half its cells (at most twice the
-arithmetic), before the buffer's KSUM_BLOCK_CELLS cells are full, and
-before the least nonzero cell's power could leave the normal range, so
-there is still no subnormal step.  Wider prefixes take blocks of one power,
-the in-place step, because ``cumprod`` down the rows makes one inner-loop
-call per column.  ``_block_rows`` holds these three limits for both k-sums.
-
-weighted_power_sum blocks the same narrow powers, j >= J where J is the
-first power whose prefix is at most KSUM_BLOCK_WIDTH cells.  One
-``cumprod`` builds a table of z^i, i < rows, over power J's prefix (rows
-as above, with the least nonzero cell's power z^(rows-1) kept normal).  A
-block of b powers j..j+b-1 over power j's prefix is then one product of
-b coefficients r_(n-1-j-i) by the table's rows, one row sum, smallest
-terms first, and one multiply by z^(j-J) from ``np.power``: one rounding
-of the exact power, where multiplying by a reused float z^b would
-compound one fixed rounding n/b times.  The blocks add up to
-sum_{j>=J} r_(n-1-j) z^(j-J); J cut-off Horner steps then take the wide
-powers.  Against a compensated Horner sum of the same floats the result is
-closer than cut-off Horner steps over every power: at most 8.9 ulps of
-the |z|-sum where those are off by up to 58 (``lazy_pert_1d`` at
-n = 1024, 4096 and 8192; 25 against 76 at ``reach2_pert_1d`` n = 16384).
-A grid with no narrow prefix (every 2-D route grid up to n = 128) takes
-the Horner steps alone.
+Where power j's prefix is at most KSUM_BLOCK_WIDTH cells, as it is for
+most j on a 1-D tail grid, both k-sums take powers in blocks of a few
+numpy calls.  J is the first such power, and ``_power_blocks`` builds
+what the two share: one ``cumprod`` makes a table of z^i over power J's
+prefix, and a block of b powers j..j+b-1 is the table's last b rows over
+power j's prefix.  origin_returns multiplies them by z^j and takes one
+row sum per power; weighted_power_sum multiplies them by the b
+coefficients r_(n-1-j-i), sums the rows, smallest terms first, and
+multiplies by z^(j-J).  Each such anchor is one ``np.power``, one rounding
+of the exact power, where a chain of j steps (or a reused float z^b)
+compounds one rounding per step.  A cell stays in until the end of its
+block, so the terms it adds there are kept, not dropped: every dropped
+term is still below KSUM_TOL / n.  ``_block_rows`` ends a block before
+its prefix falls below half its cells (at most twice the arithmetic),
+before the table's KSUM_BLOCK_CELLS cells are full, and before the least
+nonzero cell's power z^(j+b-1) could leave the normal range, so no
+product is subnormal.  The J wide powers take single steps: ``g *= z``
+for the returns, cut-off Horner steps for the weighted sum; a grid with
+no narrow prefix (every 2-D route grid up to n = 128) takes them alone.
+On ``lazy_pert_1d`` at n = 1024, 4096 and 8192 the returns are off by at
+most 3.1 ulps of the |z|-mean from a double-double step chain, where a
+float one is off by up to 10.6, and the weighted sum by 8.9 ulps of the
+|z|-sum from a compensated Horner sum of the same floats, where cut-off
+Horner steps over every power are off by up to 58 (``reach2_pert_1d``
+n = 16384: 3.2 against 7.5, and 25 against 76).
 """
 
 from __future__ import annotations
@@ -67,7 +62,7 @@ import numpy as np
 
 KSUM_TOL = 1e-16  # the k-sums drop every term r_k z^j with |z|^j < KSUM_TOL / n
 KSUM_BLOCK_WIDTH = 256     # the k-sums block powers whose prefix is at most this wide
-KSUM_BLOCK_CELLS = 1 << 14  # cells of each block buffer and power table
+KSUM_BLOCK_CELLS = 1 << 14  # cells of the power table and of each block product
 
 
 def shift_groups(offs: np.ndarray, ws: np.ndarray, shape) -> tuple:
@@ -133,15 +128,14 @@ def _active_prefix(z: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate(([z.size], z.size - np.searchsorted(mod[::-1], roots)))[:n]
 
 
-def _block_rows(z: np.ndarray, drop: np.ndarray, k: int, base: int) -> int:
+def _block_rows(z: np.ndarray, drop: np.ndarray, k: int) -> int:
     """Rows b of a block of powers k..k+b-1 over power k's prefix, at least 1.
 
-    ``drop`` is minus the prefix lengths (ascending), and row 0 of the
-    block holds z^base.  The rows stop before the prefix falls below half
-    its cells (at most twice the arithmetic), before b times the prefix
-    passes KSUM_BLOCK_CELLS, and before the least nonzero cell's last power,
-    z^(base + b - 1), could fall below tiny / eps: a power at least that
-    large is normal after any rounding of its chain.
+    ``drop`` is minus the prefix lengths (ascending).  The rows stop before
+    the prefix falls below half its cells (at most twice the arithmetic),
+    before b times the prefix passes KSUM_BLOCK_CELLS, and before the least
+    nonzero cell's last power, z^(k + b - 1), could fall below tiny / eps:
+    a power at least that large is normal after any rounding of its chain.
     """
     lk = -int(drop[k])
     b = min(int(drop.searchsorted(-((lk + 1) // 2), side="right")) - k,
@@ -154,42 +148,62 @@ def _block_rows(z: np.ndarray, drop: np.ndarray, k: int, base: int) -> int:
         least = float(mod[mod > 0].min(initial=1.0))
     if least < 1.0:
         info = np.finfo(z.dtype)
-        b = min(b, int(math.log(info.tiny / info.eps) / math.log(least)) - base + 1)
+        b = min(b, int(math.log(info.tiny / info.eps) / math.log(least)) - k + 1)
     return max(b, 1)
+
+
+def _power_blocks(z: np.ndarray, n: int):
+    """What both k-sums share: (wide, table, blocks) for powers 0..n-1.
+
+    ``wide`` lists the prefix lengths of the powers before J, the first
+    power whose prefix is at most KSUM_BLOCK_WIDTH cells.  ``table`` row i
+    is z^(rows-1-i) over power J's prefix, highest power first, and
+    ``blocks`` lists (j, b, prefix) for the powers j..j+b-1 >= J, each b
+    at most the table's rows; with no narrow power both are empty.
+    """
+    lens = _active_prefix(z, n)
+    drop = -lens  # ascending, for searchsorted
+    first = int(drop.searchsorted(-KSUM_BLOCK_WIDTH))
+    lens = lens.tolist()
+    if first == n:
+        return lens, np.empty((0, 0), dtype=z.dtype), []
+    width = lens[first]
+    rows = _block_rows(z, drop, first)
+    table = np.empty((rows, width), dtype=z.dtype)
+    table[:-1] = z[:width]
+    table[-1] = 1
+    np.cumprod(table[::-1], axis=0, out=table[::-1])
+    blocks = []
+    j = first
+    while j < n:
+        b = min(rows, _block_rows(z, drop, j))
+        blocks.append((j, b, lens[j]))
+        j += b
+    return lens[:first], table, blocks
 
 
 def origin_returns(z: np.ndarray, n: int) -> np.ndarray:
     """Grid means of z^k for k = 0..n-1 (z = charfn samples), in z's dtype.
 
-    Power k steps at least the cells where it is at least KSUM_TOL / n, and
+    Power k takes at least the cells where it is at least KSUM_TOL / n, and
     the mean still divides by the full cell count, so r_k is off by less
-    than KSUM_TOL / n.  The powers come in blocks of b consecutive k over
-    the first power's prefix (see the module docstring); b = 1 is one
-    in-place step ``g *= z``.
+    than KSUM_TOL / n.  The J wide powers are steps ``g *= z``; the narrow
+    ones come in blocks from the power table (see the module docstring).
     """
-    lens = _active_prefix(z, n)
-    drop = -lens  # ascending, for searchsorted
-    lens = lens.tolist()
+    wide, table, blocks = _power_blocks(z, n)
     r = np.empty(n, dtype=z.dtype)
     g = np.ones_like(z)
-    buf = np.empty(KSUM_BLOCK_CELLS, dtype=z.dtype)
-    k = 0
-    while k < n:
-        lk = lens[k]
-        b = _block_rows(z, drop, k, k) if lk <= KSUM_BLOCK_WIDTH else 1
-        if b > 1:
-            blk = buf[:b * lk].reshape(b, lk)
-            blk[0] = g[:lk]
-            blk[1:] = z[:lk]
-            np.cumprod(blk, axis=0, out=blk)  # row j: g * z * ... * z, as j steps of g *= z
-            last = blk[-1]
-        else:
-            blk = last = g[:lk]
-        r[k:k + b] = blk.sum(axis=-1) / z.size
-        k += b
-        if k < n:
-            lk = lens[k]
-            np.multiply(last[:lk], z[:lk], out=g[:lk])
+    for k, lk in enumerate(wide):
+        head = g[:lk]
+        if k:
+            head *= z[:lk]
+        r[k] = head.sum() / z.size
+    terms = np.empty_like(table)
+    for j, b, lj in blocks:
+        # row i: z^(j+b-1-i), the table's z^(b-1-i) times z^j rounded once
+        blk = terms[:b, :lj]
+        np.multiply(table[-b:, :lj], np.power(z[:lj], j), out=blk)
+        r[j:j + b] = blk.sum(axis=1)[::-1] / z.size
     return r
 
 
@@ -207,32 +221,17 @@ def weighted_power_sum(z: np.ndarray, r: np.ndarray) -> np.ndarray:
     """
     n = len(r)
     s = np.zeros(z.shape, dtype=np.result_type(z, r))
-    lens = _active_prefix(z, n)
-    drop = -lens  # ascending, for searchsorted
-    first = int(drop.searchsorted(-KSUM_BLOCK_WIDTH))  # J, the first narrow power
-    lens = lens.tolist()
-    if first < n:
-        # row i is z^(rows-1-i) over power J's prefix: highest power first,
-        # so that a block's row sum adds its smallest terms first
-        width = lens[first]
-        rows = _block_rows(z, drop, first, 0)
-        table = np.empty((rows, width), dtype=s.dtype)
-        table[:-1] = z[:width]
-        table[-1] = 1
-        np.cumprod(table[::-1], axis=0, out=table[::-1])
-        terms = np.empty_like(table)
-        j = first
-        while j < n:
-            lj = lens[j]
-            b = min(rows, _block_rows(z, drop, j, 0))
-            # sum_{i<b} r[n-1-j-i] z^i, times z^(j-J) rounded once
-            blk = terms[:b, :lj]
-            np.multiply(r[n - j - b:n - j, None], table[rows - b:, :lj], out=blk)
-            poly = blk.sum(axis=0)
-            poly *= np.power(z[:lj], j - first)
-            s[:lj] += poly
-            j += b
-    for rk, lk in zip(r[n - first:], reversed(lens[:first])):
+    wide, table, blocks = _power_blocks(z, n)
+    first = len(wide)
+    terms = np.empty(table.shape, dtype=s.dtype)
+    for j, b, lj in blocks:
+        # sum_{i<b} r[n-1-j-i] z^i, smallest terms first, times z^(j-J) rounded once
+        blk = terms[:b, :lj]
+        np.multiply(r[n - j - b:n - j, None], table[-b:, :lj], out=blk)
+        poly = blk.sum(axis=0)
+        poly *= np.power(z[:lj], j - first)
+        s[:lj] += poly
+    for rk, lk in zip(r[n - first:], reversed(wide)):
         head = s[:lk]
         head *= z[:lk]
         head += rk

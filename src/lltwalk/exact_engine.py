@@ -300,10 +300,11 @@ def _fourier(p: LatticePMF, a: LatticeFn, hull, n: int, mem_limit: int):
     # k-sums add 32 n bytes: r_k and, in _kernels._active_prefix, the roots,
     # their prefix lengths and the concatenated result, all of length n.  On
     # a tail grid they outweigh the grid in 1-D (m is about 960 at n = 4096).
-    # The larger of the kernels' block buffers comes on top (one kernel runs
-    # at a time): weighted_power_sum's power table and block product, up to
-    # KSUM_BLOCK_CELLS real cells each; origin_returns' buffer is half that.
-    ksums = 32 * n + 16 * KSUM_BLOCK_CELLS
+    # One kernel's block buffers come on top (one runs at a time): the power
+    # table and the block product, up to KSUM_BLOCK_CELLS real cells each,
+    # and numpy's iterator buffers for the strided product, three of
+    # np.getbufsize() elements.
+    ksums = 32 * n + 16 * KSUM_BLOCK_CELLS + 24 * np.getbufsize()
     _guard_cells((m,) * p.dim, 64, mem_limit, ksums if perturbed else 0)
 
     z = charfn_grid(p, m).values

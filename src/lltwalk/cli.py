@@ -23,9 +23,10 @@ from .specfile import load_walk_spec
 from .walk_model import validate_walk_spec
 
 # tracemalloc peak of distribution_text per nonzero cell of the law, with 7%
-# to spare: JSON 230 B in 1-D (n = 65536), 257 B in 2-D (n = 1024) and 288 B
-# in 3-D (n = 96) on Python 3.11; 183 to 216 B in CSV and TSV
-LAW_CELL_BYTES = 308
+# to spare: JSON 218 B in 1-D (n = 65536, 3921 cells, one block of rows),
+# 151 B in 2-D (n = 1024) and 176 B in 3-D (n = 96) on Python 3.11 and
+# numpy 2.4; 86 to 186 B in CSV and TSV
+LAW_CELL_BYTES = 234
 
 
 def _emit(text: str, out: str | None):

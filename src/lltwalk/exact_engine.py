@@ -24,6 +24,7 @@ cut moves the law by at most the reported ``tail_bound``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,9 @@ DEFAULT_MEM_LIMIT = 2 << 30  # bytes; generous but finite
 NEGATIVE_CLAMP = 1e-14       # frequency-route roundoff threshold
 ROUTE_TOL = 1e-12            # largest pointwise deviation allowed between routes
 TAIL_TOL = 1e-20             # mass bound past each cut axis of the tail box
+# numpy imports numpy.fft on the first transform in a process, and its
+# modules stay: 118 to 123 KB by tracemalloc (numpy 2.4, Python 3.11)
+FFT_LOAD_BYTES = 128 << 10
 # Chernoff exponents t, in units of 1 / (the largest step along the axis)
 _T_GRID = np.geomspace(1e-8, 64.0, 1024)
 
@@ -303,9 +307,11 @@ def _fourier(p: LatticePMF, a: LatticeFn, hull, n: int, mem_limit: int):
     # One kernel's block buffers come on top (one runs at a time): the power
     # table and the block product, up to KSUM_BLOCK_CELLS real cells each,
     # and numpy's iterator buffers for the strided product, three of
-    # np.getbufsize() elements.
+    # np.getbufsize() elements.  The first transform in a process also loads
+    # numpy.fft.
     ksums = 32 * n + 16 * KSUM_BLOCK_CELLS + 24 * np.getbufsize()
-    _guard_cells((m,) * p.dim, 64, mem_limit, ksums if perturbed else 0)
+    load = 0 if "numpy.fft" in sys.modules else FFT_LOAD_BYTES
+    _guard_cells((m,) * p.dim, 64, mem_limit, (ksums if perturbed else 0) + load)
 
     z = charfn_grid(p, m).values
     total = pow_binary(z, n)

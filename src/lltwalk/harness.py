@@ -33,15 +33,16 @@ _SPLIT = np.iinfo(np.int64).min  # guide entry of a bin that holds a CDF edge
 CHI2_MIN_EXPECTED = 5.0  # chi_squared_check pools cells expecting fewer counts than this
 CROSSCHECK_MAX_N = 512  # compare cross-checks its route against a second one up to this n
 # tracemalloc peak of window_predictions plus predictions_text per cell of the
-# window's box at n = 10^6, in JSON (the larger format), with 6% to spare:
-# 825 B in 1-D on Python 3.12, 787 B on 3.11 and 783 B on 3.10 (0.63 to
-# 0.68 KB in 2-D, at most 0.39 KB in CSV)
-WINDOW_CELL_BYTES = 880
+# window's box at n = 10^6, in JSON (the larger format), with 7% to spare:
+# 614 B in 1-D (window 4000), 493 B in 2-D (window 60) and 291 B in 3-D
+# (window 12) on Python 3.11 and numpy 2.4; at most 224 B in CSV.  About
+# twice the text: the writer's joined bytes and the str decoded from them
+WINDOW_CELL_BYTES = 660
 # tracemalloc peak of compare plus its JSON report per row, with 7% to spare:
-# 1000 B in 1-D (n = 4096, window 4000), 1107 B in 2-D (n = 32, every cell
-# of the n-step box) and 1135 B in 3-D (n = 20) on Python 3.11; 0.52 to
-# 0.66 KB in CSV
-REPORT_ROW_BYTES = 1216
+# 703 B in 1-D (n = 4096, window 4000), 859 B in 2-D (n = 32, every cell
+# of the n-step box) and 881 B in 3-D (n = 20) on Python 3.11 and numpy
+# 2.4; 258 to 400 B in CSV
+REPORT_ROW_BYTES = 944
 
 
 @dataclass(frozen=True)
@@ -310,10 +311,9 @@ def _prediction_columns(spec: WalkSpec, n: int, X, coeffs: EdgeworthCoeffs | Non
     gauss, corr, edge, total = predict(spec, n, X, coeffs)
     L = coeffs.L if coeffs is not None else spec.L
     inside = np.linalg.norm(X, axis=1) <= float(n) ** (1.0 - 1.0 / L)
-    axes = {f"x{i+1}": col.tolist() for i, col in enumerate(X.T.astype(np.int64))}
-    return {**axes, "gaussian_leading": gauss.tolist(), "perturbation_correction": corr.tolist(),
-            "edgeworth_terms": edge.tolist(), "total": total.tolist(),
-            "within_horizon": inside.tolist()}
+    axes = {f"x{i+1}": col for i, col in enumerate(X.T.astype(np.int64))}
+    return {**axes, "gaussian_leading": gauss, "perturbation_correction": corr,
+            "edgeworth_terms": edge, "total": total, "within_horizon": inside}
 
 
 def asymptotic_prediction(
@@ -329,7 +329,7 @@ def asymptotic_prediction(
     ``coeffs`` or the spec's own order; the CLI's reports read the same rows.
     """
     *axes, gauss, corr, edge, total, inside = (
-        col[0] for col in _prediction_columns(spec, n, [x], coeffs).values()
+        col[0].item() for col in _prediction_columns(spec, n, [x], coeffs).values()
     )
     return AsymptoticPrediction(n, tuple(axes), gauss, corr, edge, total, inside)
 
@@ -349,7 +349,7 @@ def window_predictions(spec: WalkSpec, n: int, window: float | None = None) -> d
 class ConvergenceReport:
     """Exact-vs-prediction error table with fitted decay slopes.
 
-    columns: one list per header name, one value per (n, x) row: n, x1..xnu,
+    columns: one array per header name, one value per (n, x) row: n, x1..xnu,
     exact, then per flavor f: f, f_abs_err and f_scaled_err = n^{nu/2} * abs_err.
     slopes: least squares slope of log(max_x scaled_err) against log n per
     flavor (meaningful from 4 values of n up).
@@ -416,6 +416,7 @@ def compare(
     )
 
     rows = 0
+    parts = []
     for n in n_list:
         # rows cover the window within n steps' reach, whatever the tail box;
         # past the box the exact law reads 0, within dist.tail_bound of the truth.
@@ -441,8 +442,10 @@ def compare(
             err = np.abs(exact_vals - pred)
             cols.update({f: pred, f"{f}_abs_err": err, f"{f}_scaled_err": scale * err})
             rep.max_scaled_err.setdefault(f, {})[n] = scale * float(err.max())
-        for k, v in cols.items():
-            rep.columns.setdefault(k, []).extend(v.tolist())
+        parts.append(cols)
+
+    if parts:
+        rep.columns = {k: np.concatenate([cols[k] for cols in parts]) for k in parts[0]}
 
     for f in flavors:
         table = rep.max_scaled_err[f]

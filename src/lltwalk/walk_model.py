@@ -60,14 +60,14 @@ def _as_point(x, dim: int) -> Point:
     return pt
 
 
-def nonzero_columns(values: np.ndarray, offset) -> tuple[list[list[int]], list]:
-    """One column per axis and the values, over the nonzero cells of a box.
+def nonzero_columns(values: np.ndarray, offset) -> tuple[list[np.ndarray], np.ndarray]:
+    """One int64 array per axis and the values, over the nonzero cells of a box.
 
     ``offset`` is the box's lower corner.  C order, which is lexicographic
     in the points.
     """
     idx = np.nonzero(values)
-    return [(i + int(o)).tolist() for i, o in zip(idx, offset)], values[idx].tolist()
+    return [i + int(o) for i, o in zip(idx, offset)], values[idx]
 
 
 def box_values(values: np.ndarray, offset, lo, shape) -> np.ndarray:
@@ -180,7 +180,7 @@ class LatticeFn:
     def points(self) -> Iterator[tuple[Point, float]]:
         """Iterate (point, weight) over nonzero entries, lexicographic order."""
         axes, vals = nonzero_columns(self.weights, self.offset)
-        return zip(zip(*axes), vals)
+        return zip(zip(*(a.tolist() for a in axes)), vals.tolist())
 
     def value_at(self, x) -> float:
         pt = _as_point(x, self.dim)

@@ -1,6 +1,9 @@
 import itertools
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -65,6 +68,23 @@ def config_path(name: str) -> str:
     return str(CONFIGS / name)
 
 
+# the test process has imported scipy and numpy's submodules itself, so
+# start-up and first loads are checked in a fresh interpreter that finds
+# lltwalk where this suite does
+_SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def fresh_python(code: str) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(filter(None, [str(_SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
 def direct_step(cur, offs, ws):
     """out(x) = sum_k ws[k] cur(x - offs[k]) by direct summation, terms outside the box dropped."""
     shape = cur.shape
@@ -101,6 +121,7 @@ def nonzero_cells(values, offset):
 def report_rows(rep):
     """A ConvergenceReport's columns as its JSON rows: one dict per (n, x), x as a list."""
     axes = [f"x{i+1}" for i in range(rep.nu)]
-    rest = {k: v for k, v in rep.columns.items() if k not in axes}
-    return [{"x": [rep.columns[a][i] for a in axes], **{k: v[i] for k, v in rest.items()}}
-            for i in range(len(rep.columns["n"]))]
+    cols = {k: np.asarray(v).tolist() for k, v in rep.columns.items()}  # Python values
+    rest = {k: v for k, v in cols.items() if k not in axes}
+    return [{"x": [cols[a][i] for a in axes], **{k: v[i] for k, v in rest.items()}}
+            for i in range(len(cols["n"]))]

@@ -1,9 +1,6 @@
 import json
 import os
-import pathlib
 import re
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -15,7 +12,7 @@ from lltwalk.harness import _prediction_columns
 from lltwalk.io_text import distribution_text, predictions_text
 from lltwalk.walk_model import SignedLatticeFn
 
-from conftest import config_path
+from conftest import config_path, fresh_python
 
 
 def test_exact_happy_path(tmp_path, capsys):
@@ -425,24 +422,8 @@ def test_asymptotic_2d_origin_row_has_zero_correction(tmp_path):
     assert float(origin[0][3]) == 0.0
 
 
-# the test process has imported scipy itself, so start-up is checked in a
-# fresh interpreter that finds lltwalk where this suite does
-_SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
-
-
-def _fresh_python(code: str) -> subprocess.CompletedProcess:
-    path = os.pathsep.join(filter(None, [str(_SRC), os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-
-
 def test_cli_import_loads_no_scipy():
-    proc = _fresh_python(
+    proc = fresh_python(
         "import sys, lltwalk.cli\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
@@ -451,7 +432,7 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_chi_squared_check_loads_no_scipy_stats():
-    proc = _fresh_python(
+    proc = fresh_python(
         "import sys\n"
         "from lltwalk import chi_squared_check, load_walk_spec, perturbed_forward, simulate\n"
         f"spec = load_walk_spec({config_path('lazy_pert_1d.cfg')!r})\n"
@@ -464,6 +445,6 @@ def test_chi_squared_check_loads_no_scipy_stats():
 
 def test_identities_in_fresh_interpreter():
     # scipy loads inside identity_suite; a fresh process proves those imports resolve
-    proc = _fresh_python("import sys; from lltwalk.cli import main; sys.exit(main(['identities']))")
+    proc = fresh_python("import sys; from lltwalk.cli import main; sys.exit(main(['identities']))")
     assert proc.returncode == 0, proc.stderr
     assert "FAIL" not in proc.stdout and "PASS" in proc.stdout

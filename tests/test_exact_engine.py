@@ -23,7 +23,7 @@ from lltwalk.errors import CrossCheckError, ResourceLimit
 from lltwalk.io_text import distribution_text
 from lltwalk.walk_model import SignedLatticeFn
 
-from conftest import direct_step, step_every_row
+from conftest import config_path, direct_step, fresh_python, step_every_row
 
 
 def test_convolve_power_lazy_n2(lazy_p):
@@ -462,6 +462,28 @@ def test_fourier_1d_memory_within_guard_without_slack(lazy_pert, monkeypatch, n)
     # buffers for the block products (3 x 8192 floats, 192 KiB) outweigh
     # it: left out of the guard, they put the peak up to 1.57 times past it
     peak, budget = traced_peak_and_budget(monkeypatch, lambda: perturbed_fourier(lazy_pert, n))
+    assert peak <= budget
+
+
+def test_fourier_guard_charges_numpy_fft_load():
+    # the tests above load numpy.fft before tracing; a fresh interpreter traces
+    # the route's first transform, which loads it (about 120 KiB that stay)
+    proc = fresh_python(
+        "import math, tracemalloc\n"
+        "from lltwalk import exact_engine, load_walk_spec\n"
+        f"spec = load_walk_spec({config_path('lazy_pert_1d.cfg')!r})\n"
+        "budgets = []\n"
+        "guard = exact_engine._guard_cells\n"
+        "def recording_guard(shape, itemsize, mem_limit, extra=0):\n"
+        "    budgets.append(math.prod(shape) * itemsize + extra)\n"
+        "    guard(shape, itemsize, mem_limit, extra)\n"
+        "exact_engine._guard_cells = recording_guard\n"
+        "tracemalloc.start()\n"
+        "exact_engine.perturbed_fourier(spec, 1024)\n"
+        "print(tracemalloc.get_traced_memory()[1], max(budgets))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    peak, budget = map(int, proc.stdout.split())
     assert peak <= budget
 
 

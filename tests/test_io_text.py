@@ -12,6 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lltwalk import io_text
 from lltwalk.exact_engine import perturbed_forward
@@ -284,3 +285,55 @@ def test_fraction_coefficients_keep_their_exact_text(lazy_p):
     payload = json.loads(io_text.coeffs_text(coeffs, "json"))
     exact = [Fraction(row["exact"]) for row in payload["m"]]
     assert exact == [v for _, v in sorted(coeffs.m.items())]
+
+
+# -- the vectorized float formatter against the per-value formatters ------------
+
+
+def _texts(cells):
+    return [bytes(row).translate(None, io_text._PAD).decode() for row in cells]
+
+
+def _check_floats(values):
+    # json.dumps writes a finite float as its repr
+    x = np.array(values, dtype=np.float64)
+    assert _texts(io_text._float_cells(x, True)) == [json.dumps(v) for v in values]
+    assert _texts(io_text._float_cells(x, False)) == ["%.17g" % v for v in values]
+
+
+# raw 64-bit patterns: every sign, exponent and mantissa, so subnormals, +-0,
+# +-inf and NaNs of any payload come up
+_BITS = st.integers(0, 2**64 - 1).map(lambda b: np.array(b, np.uint64).view(np.float64).item())
+_FLOATS = st.one_of(_BITS, st.floats(allow_nan=True, allow_infinity=True),
+                    st.floats(1e-8, 1.0), st.integers(-2**60, 2**60).map(float))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_FLOATS, max_size=40))
+def test_float_cells_match_per_value_formatters(values):
+    _check_floats(values)
+
+
+# powers of two (asymmetric rounding intervals), 17-digit ties, a 15-digit
+# rounding that carries into a new digit, powers of ten and their
+# neighbours, a subnormal and the largest float
+_MUST_FALL_BACK = [
+    *(s * 2.0**k for k in (-900, -20, -1, 0, 1, 53, 900) for s in (1, -1)),
+    1000000000000000.25, 1234567890123456.75, -2000000000000000.25,
+    9.9999999999999995e-05, 1e16, 1e-4, 1e-5, 5e-324, 1.7976931348623157e308,
+]
+
+
+def test_unprovable_floats_take_the_fallback():
+    x = np.array(_MUST_FALL_BACK)
+    assert not io_text._float_digits(x, True)[2].any()
+    assert not io_text._float_digits(x[14:], False)[2].any()  # '%.17g' rounds powers of two
+    _check_floats(_MUST_FALL_BACK + [0.0, -0.0, math.nan, math.inf, -math.inf])
+
+
+def test_ordinary_floats_take_the_fast_path():
+    # probabilities and their errors: a fallback here would cost the speed
+    x = np.random.default_rng(5).random(4096) * 10.0 ** -(np.arange(4096) % 12)
+    for shortest in (True, False):
+        assert io_text._float_digits(x, shortest)[2].mean() > 0.999
+    _check_floats(x.tolist())

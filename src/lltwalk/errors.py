@@ -41,6 +41,10 @@ class MissingUnperturbedFlag(ValidationError):
     """Exit law has zero mean; caller must opt in explicitly."""
 
 
+class LawTooLarge(ValidationError):
+    """A law's dense box or one of its weights is past what a float64 box holds."""
+
+
 class SpecFileError(ValidationError):
     """Config file parse error. Message carries file name and line number."""
 

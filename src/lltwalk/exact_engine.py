@@ -123,7 +123,7 @@ def _hull_box(fns, n: int):
             for ax in range(fns[0].dim)]
 
 
-def _box(fns, n: int, cell_bytes: int, mem_limit: int):
+def _box(fns, n: int, cell_bytes: int, mem_limit: int, folds=(), held: int = 0):
     """Box holding max(n, 1) steps of the hull of ``fns``, cut at the tail box.
 
     ``fns[0]`` is the step law p, and each axis keeps the hull's extent
@@ -136,9 +136,16 @@ def _box(fns, n: int, cell_bytes: int, mem_limit: int):
     summation the torus aliases onto the box only mass from past s.  The
     factor 2 (2n + 1) counts both sides and every split.  Returns (lower
     corner, shape, index of the origin, tail bound), the bound summed over
-    the cut axes (0.0 when none is cut).  ``cell_bytes`` guards that many
-    bytes per cell of the stepper's layout of the box (``_layout``, halo
-    and margin included); 0 leaves the guard to the caller.
+    the cut axes (0.0 when none is cut).
+
+    ``cell_bytes`` guards that many bytes per cell of the stepper's layout
+    of the box folded on ``folds`` (``_fold`` and ``_layout``, halo and
+    margin included); 0 leaves the guard to the caller.  A route that
+    returns a law holds ``held`` of the stepper's buffers (8 bytes a layout
+    cell) as it unfolds the law onto the box (8 bytes a box cell), and the
+    guard charges the larger of the two phases: folded, the law can
+    outweigh the layout, which holds about a quarter of the box in 3-D.
+    The law is then zeroed and renormalized in place (``_law``).
     """
     reach = max(f.radius for f in fns)
     lo, hi = map(list, zip(*_hull_box(fns, n)))
@@ -148,10 +155,14 @@ def _box(fns, n: int, cell_bytes: int, mem_limit: int):
             lo[ax], hi[ax] = max(lo[ax], -s), min(hi[ax], s)
             bound += b
     shape = tuple(h - l + 1 for l, h in zip(lo, hi))
+    org = tuple(-l for l in lo)
     if cell_bytes:
-        padded, margin = _layout(shape, reach)
-        _guard_cells(padded, cell_bytes, mem_limit, 2 * margin * cell_bytes)
-    return lo, shape, tuple(-l for l in lo), bound
+        padded, margin = _folded_layout(shape, org, folds, fns[0].support[0], reach)
+        layout, cells = math.prod(padded) + 2 * margin, math.prod(shape)
+        law = 8 * held * layout + 8 * cells if held else 0
+        _guard_cells(padded, cell_bytes, mem_limit,
+                     2 * margin * cell_bytes + max(0, law - cell_bytes * layout))
+    return lo, shape, org, bound
 
 
 def _window(org, rad: int):
@@ -175,47 +186,124 @@ def _layout(shape, reach: int):
     return padded, reach * sum(math.prod(padded[ax:]) for ax in range(1, len(padded) + 1))
 
 
+def _fold_axes(*laws) -> tuple:
+    """The axes the stepper may fold: every law is even on each, as it is stepped.
+
+    A law is even on an axis when its box is centred there and its float
+    weights equal their mirror image, ``np.array_equal(w, np.flip(w, ax))``.
+    The floats decide, not the exact weights: ``_unit_sum`` folds its
+    residual into +-x orbits, which need not be even axis by axis.
+    """
+    return tuple(ax for ax in range(laws[0].dim) if all(
+        f.box[ax][0] == -f.box[ax][1] and np.array_equal(f.weights, np.flip(f.weights, ax))
+        for f in laws))
+
+
+def _fold(shape, org, folds, offs):
+    """(shape, origin index, widths, axis order) of the box folded on ``folds``.
+
+    On a folded axis i the box keeps the cells x_i >= -w_i, where w_i is
+    the kernel's reach along i (``offs``, its offsets): a step of the cells
+    x_i >= 0 reads no further, and the w_i mirror cells below 0 are copies
+    of x_i = 1..w_i.  The laws a route starts from or adds lie there too:
+    q = p + a and q(-x) = p(x) - a(x) are nonnegative, so |a| <= p and
+    neither a nor q reaches past p.  ``widths`` maps each folded axis to
+    w_i; the axis order puts the folded axes first, the stepper's layout
+    order.  With no fold this is the box itself, in its own order.
+    """
+    widths = {ax: int(np.abs(offs[:, ax]).max(initial=0)) for ax in folds}
+    fshape = tuple(org[ax] + widths[ax] + 1 if ax in widths else s for ax, s in enumerate(shape))
+    forg = tuple(widths.get(ax, o) for ax, o in enumerate(org))
+    return fshape, forg, widths, (*folds, *(ax for ax in range(len(shape)) if ax not in widths))
+
+
+def _folded_layout(shape, org, folds, offs, reach: int):
+    """``_layout`` of the box folded on ``folds``, its folded axes first."""
+    fshape, _, _, perm = _fold(shape, org, folds, offs)
+    return _layout([fshape[ax] for ax in perm], reach)
+
+
 def _at_origin(f: LatticeFn, org):
     """f's support as (index, weights), its points taken relative to the origin index."""
     pts, ws = f.support
     return tuple((pts + org).T), ws
 
 
-def _walk(shape, org, reach: int, start: LatticeFn, offs, ws, n: int, scratch=None):
+def _unfold(shape, org, widths, *parts):
+    """The sum of the folded ``parts`` on the box of ``shape``, every folded axis mirrored.
+
+    ``widths`` is ``_fold``'s.  The sum goes into the first part, and each
+    orthant of the box (x_i >= 0 or x_i < 0 on each folded axis) is one
+    copy of its cells x_i >= 0, reversed where x_i < 0: the law is exactly
+    even on every folded axis.  With no fold this is the parts' sum.
+    """
+    acc = parts[0]
+    for part in parts[1:]:
+        acc += part
+    # per axis, the (box, folded box) slices of each orthant
+    pieces = [()]
+    for ax, o in enumerate(org):
+        w = widths.get(ax)
+        sides = ([(slice(None), slice(None))] if w is None else
+                 [(slice(o, None), slice(w, None)), (slice(0, o), slice(w + o, w, -1))])
+        pieces = [p + (side,) for p in pieces for side in sides]
+    out = np.empty(shape)
+    for piece in pieces:
+        dst, src = zip(*piece)
+        np.copyto(out[dst], acc[src])
+    return out
+
+
+def _walk(shape, org, reach: int, start: LatticeFn, offs, ws, n: int, scratch=None, folds=()):
     """Step ``start`` n times by the kernel (offs, ws), mass past the box dropped.
 
     Yields (k, cur, win) for k = 0..n: ``cur`` is the state after k steps
-    and ``win`` the slice within start.radius + k * reach of the origin,
-    outside which ``cur`` is exactly zero.  Changes the caller makes to
-    ``cur`` inside ``win`` before resuming are kept.
+    on the box folded on ``folds`` (``_fold``: the box itself when there is
+    none), and ``win`` the slice within start.radius + k * reach of the
+    folded origin, outside which ``cur`` is exactly zero.  Changes the
+    caller makes to ``cur`` inside ``win`` before resuming are kept; on a
+    folded walk they must be even, every mirror cell changed as its image.
 
-    ``cur`` is the box's view in one of two flat buffers laid out by
-    ``_layout``.  A step writes the rows (axis 0) of the next window at the
-    full padded width, by one ``dp_step`` on the span they read, then zeroes
-    those rows' halo: the mass stepped past the box, dropped.  The cells
-    a step skips or adds hold exact zeros, so every sum drops only +0.0
-    terms and keeps its order: the result is that of stepping every row.
-    ``scratch`` is dp_step's scratch (the padded box's cells); walks that
-    step in turn may share one.
+    ``cur`` is a view, in the box's axis order, of one of two flat buffers
+    laid out by ``_layout`` with the folded axes first.  A step writes the
+    rows (axis 0) of the next window at the full padded width, by one
+    ``dp_step`` on the span they read, then zeroes those rows' halo: the
+    mass stepped past the box, dropped.  The cells a step skips or adds
+    hold exact zeros, so every sum drops only +0.0 terms and keeps its
+    order: the result is that of stepping every row.  A folded walk steps
+    the cells x_i >= 0 and then refills the mirror cells from x_i = 1..w_i,
+    the inner folded axes in the stepped rows first and then axis 0, whose
+    mirror cells are whole rows: every law it steps is even on the folded
+    axes (``_fold_axes``), so this is the full box's walk with each mirror
+    cell read from its image.  ``scratch`` is dp_step's scratch (the padded
+    layout's cells); walks that step in turn may share one.
     """
-    padded, margin = _layout(shape, reach)
+    fshape, forg, widths, perm = _fold(shape, org, folds, offs)
+    pshape = [fshape[ax] for ax in perm]
+    padded, margin = _layout(pshape, reach)
     size = math.prod(padded)
     width = size // padded[0]  # cells per row, halo included
-    groups = shift_groups(offs, ws, padded)
+    groups = shift_groups(offs[:, perm], ws, padded)
     if scratch is None:
         scratch = np.empty(size)
-    halo = [(slice(None),) * ax + (slice(shape[ax], None),) for ax in range(1, len(shape))]
+    halo = [(slice(None),) * ax + (slice(pshape[ax], None),) for ax in range(1, len(pshape))]
+    mirror = [((slice(None),) * ax + (slice(0, w),), (slice(None),) * ax + (slice(2 * w, w, -1),))
+              for ax, w in enumerate(map(widths.get, perm)) if ax and w]
+    first = widths.get(perm[0], 0)  # axis 0's mirror rows
+    order = np.argsort(perm)
     bufs = [np.zeros(size + 2 * margin) for _ in range(2)]
-    boxes = [buf[margin:margin + size].reshape(padded)[tuple(map(slice, shape))] for buf in bufs]
-    idx, w = _at_origin(start, org)
+    boxes = [buf[margin:margin + size].reshape(padded)[tuple(map(slice, pshape))].transpose(order)
+             for buf in bufs]
+    idx, w = _at_origin(start, forg)
     boxes[0][idx] = w
     rad = start.radius
-    win = _window(org, rad)
+    win = _window(forg, rad)
     for k in range(n + 1):
         yield k, boxes[k % 2], win
         if k < n:
-            win = _window(org, rad + (k + 1) * reach)
-            a, b, _ = win[0].indices(shape[0])
+            win = _window(forg, rad + (k + 1) * reach)
+            a, b, _ = win[perm[0]].indices(pshape[0])
+            a = max(a, first)
             src, dst = bufs[k % 2], bufs[1 - k % 2]
             lo, hi = margin + a * width, margin + b * width
             dp_step(src[lo - margin:hi + margin], dst[lo:hi], groups, scratch)
@@ -223,6 +311,11 @@ def _walk(shape, org, reach: int, start: LatticeFn, offs, ws, n: int, scratch=No
                 rows = dst[lo:hi].reshape(b - a, *padded[1:])
                 for face in halo:
                     rows[face] = 0.0
+                for to, image in mirror:
+                    rows[to] = rows[image]
+            if first:
+                rows = dst[margin:margin + size].reshape(padded[0], width)
+                rows[:first] = rows[2 * first:first:-1]
 
 
 def _delta(dim: int) -> LatticePMF:
@@ -236,12 +329,16 @@ def _law(lo, w: np.ndarray) -> LatticePMF:
     it is roundoff, positive or negative, and is zeroed: dropping only the
     negative half would add mass.  A weight below -NEGATIVE_CLAMP, or a
     mass that LatticePMF rejects, is a failed route: CrossCheckError.
+    A writeable ``w`` becomes the law's array, zeroed and renormalized in
+    place, so a stepper route's guard need not charge a second copy.
     """
     worst = w.min()
     if worst < -NEGATIVE_CLAMP:
         raise CrossCheckError(f"inverted mass has negative weight {float(worst)!r}")
     if worst < 0:
-        w = np.where(w <= -worst, 0.0, w)
+        if not w.flags.writeable:
+            w = w.copy()  # the torus route's inverted law is frozen
+        np.putmask(w, w <= -worst, 0.0)
     try:
         return LatticePMF(dim=w.ndim, offset=np.array(lo, dtype=np.int64), weights=w)
     except NotNormalized as exc:
@@ -259,18 +356,23 @@ def _forward(p: LatticePMF, a: LatticeFn, hull, n: int, mem_limit: int):
     cut at the tail box; mass stepped past it is dropped.  Returns the law
     and the box's tail bound.
     """
-    lo, shape, org, bound = _box((*hull, _delta(p.dim)), n, 24, mem_limit)  # two buffers + scratch
+    folds = _fold_axes(p, a, *hull)
+    # two buffers + scratch; the last buffer as the law is unfolded
+    lo, shape, org, bound = _box((*hull, _delta(p.dim)), n, 24, mem_limit, folds, held=1)
     offs, ws = p.support
-    a_idx, a_ws = _at_origin(a, org)
+    _, forg, widths, _ = _fold(shape, org, folds, offs)
+    a_idx, a_ws = _at_origin(a, forg)
     reach = max(f.radius for f in hull)
 
     m0 = 0.0
-    for _, cur, _ in _walk(shape, org, reach, _delta(p.dim), offs, ws, n):
+    for _, cur, _ in _walk(shape, org, reach, _delta(p.dim), offs, ws, n, folds=folds):
         # transition from the origin differs from p by exactly a = q - p
         if m0 != 0.0:
             cur[a_idx] += m0 * a_ws
-        m0 = cur[org]
-    return _law(lo, cur.copy()), bound  # a copy: the law without the stepper's halo
+        m0 = cur[forg]
+    law = _unfold(shape, org, widths, cur)  # the law without the stepper's halo
+    del cur
+    return _law(lo, law), bound
 
 
 def _correction_sum(z: np.ndarray, n: int) -> np.ndarray:
@@ -386,24 +488,31 @@ def perturbed_via_representation(
     antisymmetry of a (which WalkSpec guarantees): paths revisiting the
     origin then contribute nothing to the correction.
     """
-    # u's last buffer, the S walk's two + the scratch the walks share
-    lo, shape, org, bound = _box((spec.p, spec.q), n, 32, mem_limit)
-    offs, ws = spec.p.support
+    folds = _fold_axes(spec.p, spec.q, spec.a)
     perturbed = n > 0 and spec.a.weights.any()
-    a_idx, a_ws = _at_origin(spec.a, org)
+    # u's last buffer, the S walk's two + the scratch the walks share; u's
+    # and S's last buffers as the law is unfolded
+    lo, shape, org, bound = _box((spec.p, spec.q), n, 32, mem_limit, folds, held=1 + perturbed)
+    offs, ws = spec.p.support
+    _, forg, widths, _ = _fold(shape, org, folds, offs)
+    a_idx, a_ws = _at_origin(spec.a, forg)
 
-    scratch = np.empty(math.prod(_layout(shape, spec.radius)[0]))
+    scratch = np.empty(math.prod(_folded_layout(shape, org, folds, offs, spec.radius)[0]))
     r = []
-    for _, u, _ in _walk(shape, org, spec.radius, _delta(spec.nu), offs, ws, n, scratch):
-        r.append(u[org])
-    s_steps = _walk(shape, org, spec.radius, spec.a, offs, ws, n - 1, scratch) if perturbed else ()
-    for k, s, _ in s_steps:
-        if k:
-            s[a_idx] += r[k] * a_ws
-    del scratch  # the walks are done; the law's array below takes its place
-    u = u + s if perturbed else u.copy()  # the law, without the stepper's halo
+    for _, u, _ in _walk(shape, org, spec.radius, _delta(spec.nu), offs, ws, n, scratch, folds):
+        r.append(u[forg])
+    parts = [u]
+    if perturbed:
+        for k, s, _ in _walk(shape, org, spec.radius, spec.a, offs, ws, n - 1, scratch, folds):
+            if k:
+                s[a_idx] += r[k] * a_ws
+        parts.append(s)
+        del s
+    del scratch, u  # the walks are done; the law's array below takes its place
+    law = _unfold(shape, org, widths, *parts)  # the law, without the stepper's halo
+    del parts  # the buffers go before the law is checked
 
-    return ExactDistribution(n=n, pmf=_law(lo, u), route="repr", tail_bound=bound)
+    return ExactDistribution(n=n, pmf=_law(lo, law), route="repr", tail_bound=bound)
 
 
 def perturbed_fourier(
@@ -480,14 +589,17 @@ def first_return_probs(
     runs on the tail box of n_max steps, so each value is within that box's
     tail bound of its full-support value.
     """
-    _, shape, org, _ = _box((spec.p, spec.q), n_max, 24, mem_limit)
+    folds = _fold_axes(spec.p, spec.q)
+    _, shape, org, _ = _box((spec.p, spec.q), n_max, 24, mem_limit, folds)
     p_offs, p_ws = spec.p.support
+    forg = _fold(shape, org, folds, p_offs)[1]
 
     def taboo(first_step: LatticeFn) -> np.ndarray:
         f = np.empty(n_max)
-        for m, cur, _ in _walk(shape, org, spec.radius, first_step, p_offs, p_ws, n_max - 1):
-            f[m] = cur[org]
-            cur[org] = 0.0
+        for m, cur, _ in _walk(shape, org, spec.radius, first_step, p_offs, p_ws, n_max - 1,
+                               folds=folds):
+            f[m] = cur[forg]
+            cur[forg] = 0.0
         return f
 
     return taboo(spec.q), taboo(spec.p)

@@ -89,6 +89,10 @@ def parse_spec_text(text: str, name: str = "<string>"):
 def load_walk_spec(path, L: int = 4) -> WalkSpec:
     """Read a config file and return the validated WalkSpec."""
     path = Path(path)
-    p, q, unperturbed, _ = parse_spec_text(path.read_text(), name=str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SpecFileError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    p, q, unperturbed, _ = parse_spec_text(text, name=str(path))
     return validate_walk_spec(p, q, unperturbed=unperturbed, L=L)
 

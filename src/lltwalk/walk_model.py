@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    LawTooLarge,
     MissingUnperturbedFlag,
     NotAntisymmetric,
     NotNormalized,
@@ -32,6 +33,10 @@ from .errors import (
 )
 
 NORMALIZATION_TOL = 1e-12
+# cells of the dense box a law is built on (128 MiB of float64), checked
+# before it is allocated: past it a spec's far support points would take the
+# machine's memory before any route's guard runs
+MAX_LAW_CELLS = 1 << 24
 
 Point = tuple[int, ...]
 WeightLike = Union[int, float, str, Fraction]
@@ -98,10 +103,21 @@ def common_box(*boxes) -> list[np.ndarray]:
 
 
 def _dense(exact: Mapping[Point, Fraction], lo, shape) -> np.ndarray:
-    """The exact weights as float64 on the box at ``lo`` of ``shape``, 0 elsewhere."""
+    """The exact weights as float64 on the box at ``lo`` of ``shape``, 0 elsewhere.
+
+    LawTooLarge if the box has more than MAX_LAW_CELLS cells, before it is
+    allocated, or if a weight is too large for a float.
+    """
+    if math.prod(shape) > MAX_LAW_CELLS:
+        raise LawTooLarge(
+            f"support box {'x'.join(map(str, shape))} has more than {MAX_LAW_CELLS} cells"
+        )
     w = np.zeros(shape)
     for pt, v in exact.items():
-        w[tuple(c - l for c, l in zip(pt, lo))] = float(v)
+        try:
+            w[tuple(c - l for c, l in zip(pt, lo))] = float(v)
+        except OverflowError:
+            raise LawTooLarge(f"weight at {pt} is too large for a float") from None
     return w
 
 
@@ -230,26 +246,36 @@ class LatticePMF(LatticeFn):
     All weights nonnegative and summing to 1.  Inputs whose float sum is
     within 1e-12 of 1 are renormalized exactly; anything further off is
     rejected rather than silently fixed.  A law with exact weights gets
-    float weights whose exact sum is 1 (see ``_unit_sum``).
+    float weights whose exact sum is 1 (see ``_unit_sum``).  A writeable
+    float64 array handed in as ``weights`` becomes the law's own: it is
+    frozen, and renormalized in place, so the law holds no second copy.
     """
 
     def __post_init__(self):
+        w = self.weights
+        own = isinstance(w, np.ndarray) and w.dtype == np.float64 and w.flags.writeable
         super().__post_init__()
         if np.any(self.weights < 0):
             raise NotNormalized("probability weights must be nonnegative")
         tot = self.exact_total() if self.exact else Fraction(repr(self.total()))
         if tot <= 0:
             raise NotNormalized("probability weights sum to zero")
-        if abs(float(tot) - 1.0) > NORMALIZATION_TOL:
+        mass = float(tot) if tot < 2**1000 else math.inf  # a sum past float range
+        if abs(mass - 1.0) > NORMALIZATION_TOL:
             raise NotNormalized(
-                f"weights sum to {float(tot)!r}, more than {NORMALIZATION_TOL} from 1"
+                f"weights sum to {mass!r}, more than {NORMALIZATION_TOL} from 1"
             )
         if self.exact:
             exact = self.exact if tot == 1 else {pt: v / tot for pt, v in self.exact.items()}
             w = _unit_sum(exact, self.offset.tolist(), self.weights.shape)
         elif tot != 1:
             exact = {}
-            w = self.weights / float(tot)
+            w = self.weights
+            if own:
+                w.flags.writeable = True
+                w /= float(tot)
+            else:
+                w = w / float(tot)
         else:
             return
         w.flags.writeable = False

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from lltwalk import LatticePMF, load_walk_spec
+from lltwalk import LatticePMF, load_walk_spec, parse_spec_text, validate_walk_spec
 from lltwalk import _kernels, exact_engine
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -51,6 +51,32 @@ def aniso_2d():
 def reach2():
     """1-D walk with steps of size 1 and 2, sigma^2 = 6/5 and d = 1/10."""
     return load_walk_spec(CONFIGS / "reach2_pert_1d.cfg")
+
+
+# reach 2 along x1 and 1 along x2
+UNEQUAL_REACH = """dim = 2
+p 0 0 = 1/5
+p 1 0 = 1/10
+p -1 0 = 1/10
+p 2 0 = 1/10
+p -2 0 = 1/10
+p 0 1 = 1/5
+p 0 -1 = 1/5
+q 0 0 = 1/5
+q 1 0 = 3/20
+q -1 0 = 1/20
+q 2 0 = 1/10
+q -2 0 = 1/10
+q 0 1 = 1/5
+q 0 -1 = 1/5
+"""
+
+
+@pytest.fixture(scope="session")
+def unequal_reach():
+    """2-D walk reaching 2 along x1 and 1 along x2, d = (0.1, 0)."""
+    p, q, _, _ = parse_spec_text(UNEQUAL_REACH)
+    return validate_walk_spec(p, q)
 
 
 @pytest.fixture(scope="session")

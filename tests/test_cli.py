@@ -70,6 +70,29 @@ def test_route_law_with_mass_off_exits_3(monkeypatch, capsys, argv):
     assert "Traceback" not in err
 
 
+_LAZY = b"dim = 1\np 0 = 1/2\np 1 = 1/4\np -1 = 1/4\nq 0 = 1/2\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    # the weight's float is past range
+    (_LAZY + b"q 1 = 1e400\nq -1 = 1/4\n", "LawTooLarge: weight at (1,) is too large for a float"),
+    # each weight fits a float, their sum does not
+    (_LAZY + b"q 1 = 1e308\nq 2 = 1e308\nq -1 = 1/4\n", "NotNormalized: weights sum to inf"),
+    # a 1.46 TiB dense box, refused before it is allocated
+    (b"dim = 1\np 0 = 1/2\np 99999999999 = 1/4\np -99999999999 = 1/4\nq 0 = 1\n",
+     "LawTooLarge: support box 199999999999 has more than 16777216 cells"),
+    (_LAZY + b"# \xff\xfe\nq 1 = 1/4\nq -1 = 1/4\n", "SpecFileError: {path}: not UTF-8 text (byte 51)"),
+])
+@pytest.mark.parametrize("cmd", [["exact", "--n", "4"], ["returns"], ["simulate", "--n", "4", "--trials", "8"]])
+def test_bad_spec_file_exits_with_one_line(tmp_path, capsys, text, message, cmd):
+    path = tmp_path / "walk.cfg"
+    path.write_bytes(text)
+    assert main([*cmd, "--spec", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message.format(path=path))
+    assert err.count("\n") == 1
+
+
 def test_validation_error_names_periodic(capsys):
     rc = main(["exact", "--spec", config_path("periodic_1d.cfg"), "--n", "10"])
     assert rc == 1

@@ -399,6 +399,82 @@ def test_walk_drops_stepped_out_mass(shape, org, offs):
         expect = direct_step(expect, offs, ws)
 
 
+def _unfolded(monkeypatch, fn):
+    """fn() with every fold off: the stepper steps the whole tail box."""
+    with monkeypatch.context() as m:
+        m.setattr(exact_engine, "_fold_axes", lambda *laws: ())
+        return fn()
+
+
+_FOLDS = {"unit_cov_2d": (1,), "spec3d": (1, 2), "unequal_reach": (1,)}
+
+
+@pytest.mark.parametrize("name, n", [
+    *((name, n) for name in ("unit_cov_2d", "unequal_reach") for n in (0, 1, 2, 5, 33, 128)),
+    *(("spec3d", n) for n in (0, 1, 2, 5, 24)),
+])
+def test_folded_routes_match_full_box_stepping(request, monkeypatch, name, n):
+    # the folded stepper reads each mirror cell from its image, where the full
+    # box steps it in its own order: the laws move by roundoff only, and come
+    # out exactly even on every folded axis
+    spec = request.getfixturevalue(name)
+    folds = _FOLDS[name]
+    assert exact_engine._fold_axes(spec.p, spec.q, spec.a) == folds
+    for route in ("dp", "repr"):
+        got = exact_engine.perturbed_distribution(spec, n, route=route)
+        ref = _unfolded(monkeypatch, lambda: exact_engine.perturbed_distribution(spec, n, route=route))
+        assert got.pmf.box == ref.pmf.box and got.tail_bound == ref.tail_bound
+        assert np.abs(got.pmf.weights - ref.pmf.weights).max() <= 1e-16
+        for ax in folds:
+            assert np.array_equal(got.pmf.weights, np.flip(got.pmf.weights, ax))
+    if n:
+        got = first_return_probs(spec, n)
+        ref = _unfolded(monkeypatch, lambda: first_return_probs(spec, n))
+        for g, r in zip(got, ref):
+            assert np.abs(g - r).max() <= 1e-16
+
+
+def test_folded_convolve_power_matches_full_box_stepping(unit_cov_2d, monkeypatch):
+    # with a = 0 the step law of unit_cov_2d is even on both axes, and both fold
+    p = unit_cov_2d.p
+    assert exact_engine._fold_axes(p, exact_engine.perturbation(p, p)) == (0, 1)
+    got = convolve_power(p, 40, method="direct")
+    ref = _unfolded(monkeypatch, lambda: convolve_power(p, 40, method="direct"))
+    assert np.abs(got.weights - ref.weights).max() <= 1e-16
+    assert np.array_equal(got.weights, np.flip(np.flip(got.weights, 0), 1))
+
+
+_THIRTEENTHS = {(0, 0): "1/13", **dict.fromkeys([(1, 0), (-1, 0), (0, 1), (0, -1)], "1/13"),
+                **dict.fromkeys([(1, 1), (-1, -1), (1, -1), (-1, 1)], "2/13")}
+
+
+@pytest.mark.parametrize("build", ["exact", "floats"])
+def test_fold_axes_read_the_stepped_floats(build):
+    # the law's exact weights are even on both axes, but _unit_sum puts its
+    # residual on the orbit of (1, 1) and (-1, -1) alone: the floats there are
+    # one ulp from those at (1, -1) and (-1, 1), so neither axis folds
+    p = LatticePMF.from_points(2, _THIRTEENTHS)
+    assert all(p.exact[(x, -y)] == v for (x, y), v in p.exact.items())
+    w = p.weights
+    assert w[0, 0] == w[2, 2] and np.nextafter(w[0, 0], 1.0) == w[0, 2]
+    if build == "floats":
+        p = LatticePMF(dim=2, offset=np.array([-1, -1]), weights=w.copy())
+        assert np.array_equal(p.weights, w)
+    assert exact_engine._fold_axes(p) == ()
+    even = LatticePMF(dim=2, offset=np.array([-1, -1]), weights=np.maximum(w, np.flip(w, 1)))
+    assert exact_engine._fold_axes(even) == (0, 1)
+
+
+def test_unfolded_walks_step_the_full_box(aniso_2d, lazy_pert, unit_cov_2d):
+    # aniso_2d's diagonal steps and every perturbed 1-D exit law are even on no axis
+    for spec in (aniso_2d, lazy_pert):
+        assert exact_engine._fold_axes(spec.p, spec.q, spec.a) == ()
+    # a fold needs the box centred on the axis too
+    shifted = LatticePMF(dim=2, offset=np.array([-3, -2]),
+                         weights=np.pad(unit_cov_2d.p.weights, ((1, 0), (0, 0))))
+    assert exact_engine._fold_axes(shifted) == (1,)
+
+
 # Small Python objects come on top of the arrays (16 KiB at most, measured);
 # that memory does not grow with the box.  numpy's iterator buffers for the
 # k-sums' strided block products are larger, and the torus route's guard
@@ -430,9 +506,10 @@ def traced_peak_and_budget(monkeypatch, run):
 @pytest.mark.parametrize(
     "route",
     ["dp", "repr", "first_return", "direct", "fourier", "fft", "fourier_1d", "fourier_1d_wide_blocks",
-     "dp_3d"],
+     "dp_3d", "repr_3d", "first_return_3d", "dp_unfolded", "repr_unfolded"],
 )
-def test_stepper_route_memory_within_guard(unit_cov_2d, lazy_pert, spec3d, monkeypatch, route):
+def test_stepper_route_memory_within_guard(unit_cov_2d, lazy_pert, spec3d, aniso_2d, monkeypatch,
+                                           route):
     n = 96
     if route == "fourier_1d_wide_blocks":
         # the k-sums' block buffers at 1 MiB each, well past the fixed slack,
@@ -449,8 +526,14 @@ def test_stepper_route_memory_within_guard(unit_cov_2d, lazy_pert, spec3d, monke
         # in 1-D the length-n return probabilities weigh against the grid
         "fourier_1d": lambda: perturbed_fourier(lazy_pert, 4096),
         "fourier_1d_wide_blocks": lambda: perturbed_fourier(lazy_pert, 4096),
-        # the stepper's halo is the largest share of the box in 3-D
+        # the stepper's halo is the largest share of the box in 3-D; folded on
+        # x2 and x3, the unfolded law outweighs the layout
         "dp_3d": lambda: perturbed_forward(spec3d, 40),
+        "repr_3d": lambda: perturbed_via_representation(spec3d, 40),
+        "first_return_3d": lambda: first_return_probs(spec3d, 40),
+        # no fold: the layout holds the whole box
+        "dp_unfolded": lambda: perturbed_forward(aniso_2d, n),
+        "repr_unfolded": lambda: perturbed_via_representation(aniso_2d, n),
     }[route]
     peak, budget = traced_peak_and_budget(monkeypatch, run)
     assert 0.8 * budget < peak <= budget + _FIXED_SLACK

@@ -36,7 +36,7 @@ from lltwalk.io_text import predictions_text
 from lltwalk.specfile import parse_spec_text
 from lltwalk.walk_model import common_box
 
-from conftest import CONFIGS, nonzero_cells, report_rows
+from conftest import CONFIGS, UNEQUAL_REACH, nonzero_cells, report_rows
 
 
 def test_simulate_deterministic(lazy_pert):
@@ -238,31 +238,12 @@ def test_simulate_seed_out_of_range(lazy_pert, seed):
         simulate(lazy_pert, 3, 10, seed)
 
 
-# reach 2 along x1 and 1 along x2
-_UNEQUAL_REACH = """dim = 2
-p 0 0 = 1/5
-p 1 0 = 1/10
-p -1 0 = 1/10
-p 2 0 = 1/10
-p -2 0 = 1/10
-p 0 1 = 1/5
-p 0 -1 = 1/5
-q 0 0 = 1/5
-q 1 0 = 3/20
-q -1 0 = 1/20
-q 2 0 = 1/10
-q -2 0 = 1/10
-q 0 1 = 1/5
-q 0 -1 = 1/5
-"""
-
-
 def test_simulate_counts_box_is_the_hull(monkeypatch):
     # the n-step hull box of p and q, (4n + 1) x (2n + 1), not a (4n + 1)^2 cube
     import lltwalk.harness as hz
 
     monkeypatch.setattr(hz, "SIM_CHUNK", 512)
-    spec = validate_walk_spec(*parse_spec_text(_UNEQUAL_REACH)[:2])
+    spec = validate_walk_spec(*parse_spec_text(UNEQUAL_REACH)[:2])
     n = 9
     emp = hz.simulate(spec, n, 1300, seed=31)
     assert emp.counts.shape == (4 * n + 1, 2 * n + 1)

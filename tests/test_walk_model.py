@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from lltwalk import LatticePMF, edgeworth_coeffs, load_walk_spec, moments, validate_walk_spec
 from lltwalk.errors import (
+    LawTooLarge,
     DimensionMismatch,
     MissingUnperturbedFlag,
     NotAntisymmetric,
@@ -234,6 +235,31 @@ def test_float_built_law_exact_access():
     assert pmf.exact_at(1) == Fraction(1, 4)
     assert pmf.exact_at(2) == 0
     assert pmf.exact_total() == 1
+
+
+def test_float_built_law_renormalizes_its_own_array_in_place():
+    # a writeable array handed in becomes the law's: divided in place, no copy;
+    # a frozen one is left as it is
+    w = np.array([0.25, 0.5, 0.25 + 2**-40])
+    expect = w / w.sum()
+    pmf = LatticePMF(dim=1, offset=np.array([-1]), weights=w)
+    assert pmf.weights is w and not w.flags.writeable
+    assert np.array_equal(w, expect)
+    frozen = np.array([0.25, 0.5, 0.25 + 2**-40])
+    frozen.flags.writeable = False
+    other = LatticePMF(dim=1, offset=np.array([-1]), weights=frozen)
+    assert other.weights is not frozen and np.array_equal(other.weights, expect)
+    assert frozen[2] == 0.25 + 2**-40
+
+
+@pytest.mark.parametrize("points, match", [
+    ({0: "1e400"}, r"weight at \(0,\) is too large for a float"),
+    ({-(10**11): 1, 10**11: 1}, r"support box 200000000001 has more than 16777216 cells"),
+])
+def test_law_past_a_float_box_is_refused(points, match):
+    # refused before the dense box is allocated (1.46 TiB here)
+    with pytest.raises(LawTooLarge, match=match):
+        LatticePMF.from_points(1, points)
 
 
 def test_second_moments_matrix(unit_cov_2d):

@@ -30,10 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import (
-    KSUM_BLOCK_CELLS, dp_step, origin_returns, pow_binary, shift_groups, weighted_power_sum,
+    KSUM_BLOCK_CELLS, KSUM_BLOCK_WIDTH, _active_prefix, _block_rows, dp_step, origin_returns,
+    pow_binary, shift_groups, weighted_power_sum,
 )
 from .errors import CrossCheckError, NotNormalized, ResourceLimit
-from .spectral import TorusGrid, charfn_grid, invert_charfn
+from .spectral import TorusGrid, charfn_grid, charfn_peak_bytes, half_shape, invert_charfn
 from .walk_model import LatticeFn, LatticePMF, WalkSpec, common_box, perturbation
 
 DEFAULT_MEM_LIMIT = 2 << 30  # bytes; generous but finite
@@ -375,63 +376,160 @@ def _forward(p: LatticePMF, a: LatticeFn, hull, n: int, mem_limit: int):
     return _law(lo, law), bound
 
 
-def _correction_sum(z: np.ndarray, n: int) -> np.ndarray:
-    """W = sum_k r_k z^(n-1-k) per cell of the real grid z, k-sums cut off.
+def _pair_slabs(shape):
+    """Slices of a half layout of ``shape`` that hold each +-j pair of cells once.
 
-    The kernels take the cells sorted by |z|, descending; W is scattered
-    back to the grid's order.  Each r_k is off by less than KSUM_TOL / n
-    and W by less than 2 KSUM_TOL (see ``_kernels``).
+    A cell with j_nu >= 1 on the last axis has its mirror -j outside the
+    layout; plane j_nu = 0 holds both cells of each of its pairs.  So the
+    slabs are j_nu >= 1, then within plane 0, axis by axis from the last,
+    the cells with j_i in 1..h_i and every later axis 0; the origin, its
+    own mirror, comes last.  They hold (M + 1) / 2 cells of the grid's M.
     """
-    order = np.argsort(-np.abs(z), axis=None, kind="stable")
-    cells = z.ravel()[order]
-    # W goes back to grid order in the sorted copy's buffer
-    cells[order] = weighted_power_sum(cells, origin_returns(cells, n))
-    return cells.reshape(z.shape)
+    nu = len(shape)
+    slabs = [(Ellipsis, slice(1, None))]
+    for ax in reversed(range(nu - 1)):
+        slabs.append((slice(None),) * ax + (slice(1, shape[ax] // 2 + 1),) + (0,) * (nu - 1 - ax))
+    return slabs + [(0,) * nu]
+
+
+def _sorted_pairs(z: np.ndarray):
+    """The cells of ``_pair_slabs`` as one flat array sorted by |z|, descending, and the sort's order."""
+    cells = np.concatenate([np.ravel(z[s]) for s in _pair_slabs(z.shape)])
+    order = np.argsort(-np.abs(cells), kind="stable")
+    return cells[order], order
+
+
+def _block_table_cells(cells: np.ndarray, n: int) -> int:
+    """Cells of the power table the k-sums build on the sorted ``cells`` (``_kernels._power_blocks``)."""
+    lens = _active_prefix(cells, n)
+    first = int(np.searchsorted(-lens, -KSUM_BLOCK_WIDTH))
+    return 0 if first == n else int(lens[first]) * _block_rows(cells, -lens, first)
+
+
+def _pair_returns(cells: np.ndarray, n: int) -> np.ndarray:
+    """r_k, k < n, the full grid's means of z^k, from ``_sorted_pairs``' cells.
+
+    With S_k the sum of z^k over the L = (M + 1) / 2 cells, origin
+    included, r_k = (2 S_k - 1) / M: every pair counts twice and the
+    origin, where z = 1, once.  origin_returns gives S_k / L.
+    """
+    r = origin_returns(cells, n)
+    r *= cells.size
+    r *= 2
+    r -= 1
+    r /= 2 * cells.size - 1
+    return r
+
+
+def _mirror_plane0(w: np.ndarray) -> None:
+    """Fill the cells of plane j_nu = 0 left out by ``_pair_slabs`` from their mirrors, in place.
+
+    On each level of plane 0 the cells j_i in h_i+1..m_i-1 (every later
+    axis 0) are the mirrors -j of the slab j_i in 1..h_i: the earlier axes
+    read at -j mod m, and j_i = h+1+t at h-t.  So w comes out exactly even
+    on plane 0.
+    """
+    nu = w.ndim
+    for ax in range(nu - 1):
+        plane = w[(slice(None),) * (ax + 1) + (0,) * (nu - 1 - ax)]
+        h = plane.shape[-1] // 2
+        neg = [-np.arange(s) % s for s in plane.shape[:-1]]
+        plane[..., h + 1:] = plane[np.ix_(*neg, np.arange(h, 0, -1))]
+
+
+def _correction_sum(cells: np.ndarray, order: np.ndarray, shape, n: int) -> np.ndarray:
+    """W = sum_k r_k z^(n-1-k) on the half layout of ``shape``, k-sums cut off.
+
+    z is the transform of a symmetric p, real and even, and ``cells`` and
+    ``order`` are ``_sorted_pairs(z)``: each +-j pair of cells once, sorted
+    by |z|, descending, so the k-sums run on about half the grid
+    (``_pair_returns``).  W goes back to the half layout, and plane 0's
+    mirror cells take their images' values.  Each r_k is off by less than
+    KSUM_TOL / n and W by less than 2 KSUM_TOL (see ``_kernels``).
+    ``cells`` is overwritten.
+    """
+    r = _pair_returns(cells, n)
+    # W goes back to the slabs' order in the sorted copy's buffer
+    cells[order] = weighted_power_sum(cells, r)
+    w = np.empty(shape)
+    start = 0
+    for s in _pair_slabs(shape):
+        cut = np.shape(w[s])
+        w[s] = cells[start:start + math.prod(cut)].reshape(cut)
+        start += math.prod(cut)
+    _mirror_plane0(w)
+    return w
 
 
 def _fourier(p: LatticePMF, a: LatticeFn, hull, n: int, mem_limit: int):
     """p^{*n} + a * sum_k r_k p^{*(n-1-k)} on a torus grid, inverted exactly.
 
     r_k = p^{*k}(0) are the unperturbed origin returns; with a = 0 this is
-    the convolution power p^{*n}.  The grid is the smallest odd size
-    covering the box of n steps of ``hull`` cut at the tail box, so the
-    law's mass past the box aliases onto it; the box's tail bound, returned
-    with the law, covers that.
+    the convolution power p^{*n}.  The grid's size on each axis is the
+    smallest odd one covering the box of n steps of ``hull`` cut at the
+    tail box, so the law's mass past the box aliases onto it; the box's
+    tail bound, returned with the law, covers that.  Every grid is the
+    half layout (``spectral.TorusGrid``): the law is real.
     """
     perturbed = n > 0 and a.weights.any()
     lo, shape, _, bound = _box(hull, n, 0, mem_limit)
-    m = max(shape) | 1
-    # the peak, 64 bytes per grid cell, is binary exponentiation's four complex
-    # grids; the inversion takes 32 on top of the power.  When perturbed, the
-    # k-sums add 32 n bytes: r_k and, in _kernels._active_prefix, the roots,
-    # their prefix lengths and the concatenated result, all of length n.  On
-    # a tail grid they outweigh the grid in 1-D (m is about 960 at n = 4096).
-    # One kernel's block buffers come on top (one runs at a time): the power
-    # table and the block product, up to KSUM_BLOCK_CELLS real cells each,
-    # and numpy's iterator buffers for the strided product, three of
-    # np.getbufsize() elements.  The first transform in a process also loads
-    # numpy.fft.
-    ksums = 32 * n + 16 * KSUM_BLOCK_CELLS + 24 * np.getbufsize()
+    sizes = tuple(s | 1 for s in shape)
+    half = half_shape(sizes)
+    cells = math.prod(half)
+    # the inversion's peak per half cell: the law's transform (complex when
+    # perturbed) beside irfftn's complex work grid and its real output
+    grid = 48 if perturbed else 40
     load = 0 if "numpy.fft" in sys.modules else FFT_LOAD_BYTES
-    _guard_cells((m,) * p.dim, 64, mem_limit, (ksums if perturbed else 0) + load)
 
-    z = charfn_grid(p, m).values
-    total = pow_binary(z, n)
-    if perturbed:
-        # p is symmetric, so its transform is real up to the FFT's roundoff
-        drift = float(np.abs(z.imag).max())
-        if drift > 1e-12:
+    def need(table: int) -> int:
+        # The largest phase, in bytes.  The inversion then copies the law to
+        # its box through the fancy index's iterator buffer, np.getbufsize()
+        # complex elements.  a's samples come while W and p^n are held.  The
+        # k-sums hold 40 bytes a cell (p's samples, the sorted cells, their
+        # order and two kernel arrays) and 32 n: r_k and, in
+        # _kernels._active_prefix, the roots, their prefix lengths and the
+        # concatenated result.  A power table of ``table`` cells adds its
+        # block product and numpy's iterator buffers for the strided product,
+        # three of np.getbufsize() elements.  The first transform in a
+        # process also loads numpy.fft.
+        inversion = grid * cells + 16 * np.getbufsize()
+        if not perturbed:
+            return max(inversion, charfn_peak_bytes(p, sizes)) + load
+        ksums = 40 * cells + 32 * n + (16 * table + 24 * np.getbufsize() if table else 0)
+        return max(inversion, 16 * cells + charfn_peak_bytes(a, sizes), ksums) + load
+
+    # p's samples, and the k-sums' sort and plan, come before the guard only
+    # when the route fits the cap but for the power table, which they size
+    table = None
+    if need(0) <= mem_limit:
+        z = charfn_grid(p, sizes).values
+        if all(l == -h for l, h in p.box) and np.array_equal(p.weights, np.flip(p.weights)):
+            # p is symmetric, so its transform is real: the imaginary part is roundoff
+            z = np.ascontiguousarray(z.real)
+        elif perturbed:
+            drift = float(np.abs(z.imag).max())
             raise CrossCheckError(f"transform of p has imaginary part {drift!r}")
-        z = np.ascontiguousarray(z.real)  # drops the complex samples
-        # W first: its sort buffers and z are gone before the transform of a exists
-        w = _correction_sum(z, n)
+        if perturbed:
+            pairs, order = _sorted_pairs(z)
+            table = _block_table_cells(pairs, n)
+    _guard_cells(half, grid, mem_limit, need(KSUM_BLOCK_CELLS if table is None else table)
+                 - grid * cells)
+
+    if perturbed:
+        w = _correction_sum(pairs, order, half, n)
+        del pairs, order
+        total = pow_binary(z, n)
         del z
-        total += w * charfn_grid(a, m).values
+        w = w * charfn_grid(a, sizes).values
+        w += total
+        total = w
         del w
     else:
+        total = pow_binary(z, n)
         del z
-    # only the law's transform is left for the inversion, where the peak is
-    spatial = invert_charfn(TorusGrid(dim=p.dim, m=m, values=total), offset=lo, shape=shape)
+    # only the law's transform is left for the inversion
+    spatial = invert_charfn(TorusGrid(sizes=sizes, values=total), offset=lo, shape=shape)
+    del total
     return _law(lo, spatial.weights), bound
 
 

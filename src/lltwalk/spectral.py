@@ -2,17 +2,22 @@
 coefficients built from moments.
 
 Transforms are UNNORMALIZED throughout: charfn(f) samples
-``sum_x f(x) exp(i lambda . x)`` on a uniform odd-sized grid of
-``[-pi, pi)^nu``, kept in numpy's FFT order (lambda = 0 first) from the
-transform to the inversion, with the lambda = 0 sample set to f's exact
-total.  With an odd grid of M points per axis and spatial support of
-width <= M, the samples determine the function exactly (a trigonometric
-polynomial is recovered by uniform-grid quadrature with no error), so the
-round trip invert(charfn(f)) == f holds to machine precision.
+``sum_x f(x) exp(i lambda . x)`` on a uniform grid of ``[-pi, pi)^nu``
+with an odd number of points on each axis, kept in numpy's FFT order
+(lambda = 0 first) and in the half layout of ``np.fft.rfftn`` (the last
+axis keeps lambda >= 0: f is real, so the rest are conjugates) from the
+samples to the inversion.  Each sample sums f over its support with the
+phases reduced mod the grid size in integers, and the lambda = 0 sample
+is f's exact total.  With M_i points on axis i and spatial support of
+width <= M_i there, the samples determine the function exactly (a
+trigonometric polynomial is recovered by uniform-grid quadrature with no
+error), so the round trip invert(charfn(f)) == f holds to machine
+precision; the inversion is one ``np.fft.irfftn``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,65 +34,126 @@ from .walk_model import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class TorusGrid:
-    """Samples of a lattice transform on the uniform torus grid, in FFT order.
+    """A real function's transform on the torus grid, in the half layout of ``np.fft.rfftn``.
 
-    ``values[j1, ..., jnu]`` is the sample at ``lambda_i = 2 pi j_i / m``, with
-    j_i read mod m, so index (0,)*nu holds the value at lambda = 0 and index
-    m - j the value at -j.
+    The grid has ``sizes[i]`` points on axis i, each size odd.  ``values[j1, ..., jnu]``
+    is the sample at ``lambda_i = 2 pi j_i / sizes[i]``, with j_i read mod
+    sizes[i] (numpy's FFT order: index 0 holds lambda_i = 0 and index
+    sizes[i] - j the value at -j).  The last axis keeps only j = 0 .. h,
+    h = (sizes[-1] - 1) / 2: the transform of a real function takes the
+    conjugate value at -lambda, so that half determines the rest.  ``m``
+    is the largest size.  The values are frozen.
     """
 
-    dim: int
-    m: int
-    values: np.ndarray
+    __slots__ = ("sizes", "values")
 
-    def __post_init__(self):
-        if self.m % 2 == 0:
-            raise GridTooSmall("grid size must be odd")
-        if self.values.shape != (self.m,) * self.dim:
-            raise GridTooSmall(
-                f"values shape {self.values.shape} != {(self.m,) * self.dim}"
-            )
-        self.values.flags.writeable = False
+    def __init__(self, sizes, values: np.ndarray):
+        if any(s % 2 == 0 for s in sizes):
+            raise GridTooSmall("grid sizes must be odd")
+        if values.shape != half_shape(sizes):
+            raise GridTooSmall(f"values shape {values.shape} != {half_shape(sizes)}")
+        values.flags.writeable = False
+        self.sizes, self.values = tuple(sizes), values
+
+    @property
+    def dim(self) -> int:
+        return len(self.sizes)
+
+    @property
+    def m(self) -> int:
+        return max(self.sizes)
 
 
-def charfn_grid(f: LatticeFn, m: int) -> TorusGrid:
-    """Sample sum_x f(x) e^{i lambda.x} on the m^nu grid (m odd), in FFT order.
+def half_shape(sizes) -> tuple:
+    """The half layout's shape on a grid of odd ``sizes``: the last axis keeps (size + 1) / 2."""
+    return (*sizes[:-1], sizes[-1] // 2 + 1)
 
-    The sample at lambda = 0 is f's exact total: the FFT can miss it by an
-    ulp, and a law's mass, the n-th power there, would then drift by n ulps.
-    m must be at least the support box width on every axis, otherwise the
-    spatial function cannot be recovered and GridTooSmall is raised.
+
+@functools.lru_cache(maxsize=32)
+def _unit_roots(m: int) -> np.ndarray:
+    """e^{2 pi i k / m} for k = 0..m-1 (m odd), read-only and kept for the next call.
+
+    Entries k <= (m - 1) / 2 are evaluated in np.longdouble and rounded
+    once (plain float64 where that type is a double); entry m - k is the
+    exact conjugate of entry k.
     """
-    if m % 2 == 0:
-        raise GridTooSmall("m must be odd")
+    h = m // 2
+    angle = np.arange(h + 1).astype(np.longdouble) * (8 * np.arctan(np.longdouble(1)) / m)
+    roots = np.empty(m, dtype=complex)
+    roots.real[:h + 1] = np.cos(angle)
+    roots.imag[:h + 1] = np.sin(angle)
+    roots[h + 1:] = np.conj(roots[h:0:-1])
+    roots.flags.writeable = False
+    return roots
+
+
+def charfn_grid(f: LatticeFn, m) -> TorusGrid:
+    """Sample sum_x f(x) e^{i lambda.x} on the grid of odd sizes ``m``, in the half layout.
+
+    ``m`` is one size per axis, or one int for every axis.  Each sample is
+    ``sum_y f(y) prod_i e^{2 pi i (j_i y_i mod m_i) / m_i}``: the phases are
+    reduced mod m_i in integers and read from one table of unit roots per
+    axis, then summed over the support one axis at a time.  No FFT of a
+    padded box rounds them, so every sample is within a few ulps of sum |f|
+    of its exact value.  The sample at lambda = 0 is f's exact total: a
+    law's mass is the n-th power there, and an ulp off would move it by n ulps.
+    Each size must be at least the support box width on its axis,
+    otherwise the spatial function cannot be recovered and GridTooSmall is raised.
+    """
+    sizes = (m,) * f.dim if np.ndim(m) == 0 else tuple(int(s) for s in m)
+    if len(sizes) != f.dim or any(s % 2 == 0 for s in sizes):
+        raise GridTooSmall(f"grid sizes {sizes} must be odd, one per axis")
     widths = f.weights.shape
-    if any(m < w for w in widths):
-        raise GridTooSmall(f"m = {m} smaller than support width {max(widths)}")
-    padded = np.zeros((m,) * f.dim)
-    # place f(x) at index x mod m per axis
-    idx = np.ix_(*[ (np.arange(w) + int(o)) % m for w, o in zip(widths, f.offset)])
-    padded[idx] = f.weights
-    vals = np.fft.ifftn(padded) * (m ** f.dim)  # sum_x f(x) e^{+2 pi i j.x / m}
+    if any(s < w for s, w in zip(sizes, widths)):
+        raise GridTooSmall(f"grid sizes {sizes} smaller than support widths {widths}")
+    vals = f.weights.astype(complex)
+    for ax in reversed(range(f.dim)):
+        # contract axis ax of the support box against its table of phases
+        s, w = sizes[ax], widths[ax]
+        j = np.arange(half_shape(sizes)[ax])
+        y = np.arange(w) + int(f.offset[ax])
+        table = _unit_roots(s)[np.multiply.outer(j, y) % s]
+        bcast = (-1,) + (1,) * (f.dim - 1 - ax)
+        out = np.zeros(vals.shape[:ax] + (len(j),) + vals.shape[ax + 1:], dtype=complex)
+        term = np.empty_like(out)
+        for c in range(w):
+            col = vals[(slice(None),) * ax + (slice(c, c + 1),)]
+            if col.any():
+                out += np.multiply(col, table[:, c].reshape(bcast), out=term)
+        del term
+        vals = out
     vals[(0,) * f.dim] = float(f.exact_total())
-    return TorusGrid(dim=f.dim, m=m, values=vals)
+    return TorusGrid(sizes=sizes, values=vals)
+
+
+def charfn_peak_bytes(f: LatticeFn, sizes) -> int:
+    """Bytes ``charfn_grid(f, sizes)`` holds at its peak, its output included.
+
+    The last axis summed (axis 0) writes two complex grids, the sum and one
+    product, from the partial sums over the other axes (f's width on axis
+    0 times the rest of the layout), and each product's two broadcast
+    operands take numpy's iterator buffers of np.getbufsize() elements.
+    """
+    half = half_shape(sizes)
+    cells = math.prod(half)
+    return 16 * (2 * cells + f.weights.shape[0] * cells // half[0] + 2 * np.getbufsize())
 
 
 def invert_charfn(g: TorusGrid, offset=None, shape=None) -> SignedLatticeFn:
-    """Exact inverse transform.
+    """Exact inverse transform, one ``np.fft.irfftn``.
 
-    By default the result is placed on the centered box ``[-h, h]^nu``; pass
-    ``offset``/``shape`` when the true support box is known (it only relabels
-    which representative of x mod m each cell means).
+    By default the result is placed on the centered box ``[-h_i, h_i]`` per
+    axis; pass ``offset``/``shape`` when the true support box is known (it
+    only relabels which representative of x mod sizes[i] each cell means).
     """
-    m = g.m
-    spatial = np.fft.fftn(g.values).real / (m ** g.dim)  # (1/m^nu) sum_j v_j e^{-2 pi i j.x/m}
+    # irfftn sums v_j e^{+2 pi i j.x / m} / m^nu: the function at -x
+    spatial = np.fft.irfftn(g.values, s=g.sizes, axes=tuple(range(g.dim)))
     if offset is None:
-        offset, shape = (-((m - 1) // 2),) * g.dim, (m,) * g.dim
+        offset, shape = [-(s // 2) for s in g.sizes], g.sizes
     off = np.asarray(offset, dtype=np.int64)
-    idx = np.ix_(*[(np.arange(s) + int(o)) % m for s, o in zip(shape, off)])
-    return SignedLatticeFn(dim=g.dim, offset=off, weights=np.ascontiguousarray(spatial[idx]))
+    idx = np.ix_(*[-(np.arange(s) + int(o)) % m for s, o, m in zip(shape, off, g.sizes)])
+    return SignedLatticeFn(dim=g.dim, offset=off, weights=spatial[idx])
 
 
 # ---------------------------------------------------------------------------

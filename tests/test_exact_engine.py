@@ -18,7 +18,7 @@ from lltwalk import (
     perturbed_via_representation,
     validate_walk_spec,
 )
-from lltwalk import _kernels, exact_engine
+from lltwalk import _kernels, exact_engine, spectral
 from lltwalk.errors import CrossCheckError, ResourceLimit
 from lltwalk.io_text import distribution_text
 from lltwalk.walk_model import SignedLatticeFn
@@ -254,17 +254,17 @@ def test_fourier_matches_forward_at_large_n(request, name, n):
 
 
 def test_fourier_mass_immune_to_transform_roundoff_at_zero(lazy_pert, monkeypatch):
-    # the mass is the n-th power of p^(0): an FFT error of 1e-15 there would
+    # the mass is the n-th power of p^(0): an error of 1e-15 there would
     # move it by n * 1e-15 = 4e-12 at n = 4096, past LatticePMF's 1e-12, so
-    # charfn_grid sets that sample to the exact total whatever the FFT gives
-    ifftn = np.fft.ifftn
+    # charfn_grid sets that sample to the exact total whatever its sum gives
+    unit_roots = spectral._unit_roots
     charfn_grid, invert_charfn = exact_engine.charfn_grid, exact_engine.invert_charfn
     at_zero, masses = [], []
 
-    def off_at_zero(x, *args, **kw):
-        out = ifftn(x, *args, **kw)
-        out[(0,) * out.ndim] += 1e-15 / out.size  # charfn_grid scales by m^nu, the size
-        return out
+    def off_at_zero(m):
+        roots = unit_roots(m).copy()
+        roots[0] += 1e-15  # the phase of every term at lambda = 0
+        return roots
 
     def recording_grid(f, m):
         g = charfn_grid(f, m)
@@ -277,7 +277,7 @@ def test_fourier_mass_immune_to_transform_roundoff_at_zero(lazy_pert, monkeypatc
         masses.append(math.fsum(spatial.weights.ravel()))
         return spatial
 
-    monkeypatch.setattr(np.fft, "ifftn", off_at_zero)
+    monkeypatch.setattr(spectral, "_unit_roots", off_at_zero)
     monkeypatch.setattr(exact_engine, "charfn_grid", recording_grid)
     monkeypatch.setattr(exact_engine, "invert_charfn", recording_inverse)
     perturbed_fourier(lazy_pert, 4096)
@@ -591,13 +591,41 @@ def test_route_law_zeroes_roundoff_of_either_sign():
     assert law.offset.tolist() == [-1]
 
 
+def test_fourier_law_at_1d_n_8704(lazy_pert):
+    # the first failing n of 2048, 2176, ..., 20480 while the route sampled p
+    # by an FFT of the padded box (mass 1 + 1.15e-12); exact phases pass it
+    assert perturbed_fourier(lazy_pert, 8704).pmf.total() == pytest.approx(1.0, abs=1e-12)
+
+
 @pytest.mark.xfail(strict=True, raises=CrossCheckError,
                    reason="ROADMAP item 5: the torus route's roundoff breaks its mass check")
-def test_fourier_law_at_1d_n_8704(lazy_pert):
-    # the first failing n of 2048, 2176, ..., 20480 on this walk (12 of the
-    # 145 fail); once item 5 is mended this passes, and the strict marker
-    # then fails the suite until it is removed
-    assert perturbed_fourier(lazy_pert, 8704).pmf.total() == pytest.approx(1.0, abs=1e-12)
+def test_fourier_law_at_1d_n_13568(lazy_pert):
+    # the first failing n of 2048, 2176, ..., 20480 on this walk (6 of the
+    # 145 fail, mass 1 + 1.08e-12); once item 5 is mended this passes, and
+    # the strict marker then fails the suite until it is removed
+    assert perturbed_fourier(lazy_pert, 13568).pmf.total() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("name, n", [("lazy_pert", 36864), ("aniso_2d", 4096)])
+def test_fourier_law_where_fft_samples_failed(request, monkeypatch, name, n):
+    # with p and a sampled by an FFT of the padded box the route failed its
+    # own checks here: a weight of -1.15e-14 (lazy_pert) and mass
+    # 1 + 1.24e-12 (aniso_2d, whose grid was also square past its tail box)
+    spec = request.getfixturevalue(name)
+    sizes = []
+    charfn_grid = exact_engine.charfn_grid
+
+    def recording_grid(f, m):
+        g = charfn_grid(f, m)
+        sizes.append(g.sizes)
+        return g
+
+    monkeypatch.setattr(exact_engine, "charfn_grid", recording_grid)
+    law = perturbed_fourier(spec, n).pmf
+    assert law.total() == pytest.approx(1.0, abs=1e-12)
+    assert law.weights.min() >= 0.0
+    _, shape, _, _ = exact_engine._box((spec.p, spec.q), n, 0, exact_engine.DEFAULT_MEM_LIMIT)
+    assert sizes == [tuple(s | 1 for s in shape)] * 2  # p's samples and a's, on no wider a grid
 
 
 def test_export_format(lazy_pert):

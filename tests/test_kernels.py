@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lltwalk import _kernels as K
+from lltwalk import exact_engine
 from lltwalk.exact_engine import _box
 from lltwalk.spectral import charfn_grid
 
@@ -205,12 +206,35 @@ def test_compensated_reference_within_an_ulp(lazy_pert):
         assert abs(Fraction(float(ref[i])) - exact) <= np.finfo(float).eps * abs(exact)
 
 
+def route_sizes(spec, n):
+    """The fourier route's grid sizes for n steps: the tail box's side on each axis, made odd."""
+    _, shape, _, _ = _box((spec.p, spec.q), n, 0, 1 << 62)
+    return tuple(s | 1 for s in shape)
+
+
+def full_grid(z, sizes):
+    """An even real transform's half layout ``z`` on every cell of the grid: j_nu > h reads -j."""
+    h = sizes[-1] // 2
+    full = np.empty(sizes)
+    full[..., :h + 1] = z
+    full[..., h + 1:] = z[np.ix_(*[-np.arange(s) % s for s in sizes[:-1]], np.arange(h, 0, -1))]
+    return full
+
+
 def sorted_phat(spec, n, m=None):
-    """The real transform of p on an m-grid, sorted; m defaults to the fourier route's grid for n steps."""
-    if m is None:
-        _, shape, _, _ = _box((spec.p, spec.q), n, 0, 1 << 62)
-        m = max(shape) | 1
-    z = charfn_grid(spec.p, m).values.real.ravel()
+    """The real transform of p on the full m^nu grid by an FFT of the padded box, sorted.
+
+    m defaults to the largest side of the fourier route's grid for n steps.
+    These are the kernel tests' fixed inputs, the samples the route took
+    before it sampled exact phases on the half layout; the sample at 0 is
+    p's exact total, 1.
+    """
+    m = max(route_sizes(spec, n)) if m is None else m
+    box = np.zeros((m,) * spec.nu)
+    box[np.ix_(*[(np.arange(w) + int(o)) % m for w, o in zip(spec.p.weights.shape, spec.p.offset)])] = (
+        spec.p.weights)
+    z = (np.fft.ifftn(box) * box.size).real.ravel()
+    z[0] = 1.0
     return z[np.argsort(-np.abs(z), kind="stable")]
 
 
@@ -385,3 +409,47 @@ def test_ksums_reject_unsorted_input(kernel, z):
             K.origin_returns(z, 4)
         else:
             K.weighted_power_sum(z, np.ones(4))
+
+
+@pytest.mark.parametrize(
+    "fixture,n", [("lazy_pert", 1024), ("lazy_pert", 4096), ("lazy_pert", 8192), ("unit_cov_2d", 128)]
+)
+def test_mirrored_returns_match_full_grid(request, fixture, n):
+    # the route's k-sums take each +-j pair once and the origin once:
+    # r_k = (2 S_k - 1) / M against the double-double means over all M cells
+    spec = request.getfixturevalue(fixture)
+    sizes = route_sizes(spec, n)
+    z = charfn_grid(spec.p, sizes).values.real
+    pairs, _ = exact_engine._sorted_pairs(z)
+    assert 2 * pairs.size - 1 == math.prod(sizes)
+    r = exact_engine._pair_returns(pairs, n)
+    full = full_grid(z, sizes).ravel()
+    full = full[np.argsort(-np.abs(full), kind="stable")]
+    ref = double_double_origin_returns(full, n)
+    with np.errstate(under="ignore"):
+        r_abs = reference_origin_returns(np.abs(full), n)
+    assert np.all(np.abs(r - ref) <= K.KSUM_TOL / n + R_ULPS * np.finfo(float).eps * r_abs)
+
+
+@pytest.mark.parametrize("fixture,n", [("unit_cov_2d", 64), ("aniso_2d", 64), ("spec3d", 12)])
+def test_correction_sum_even_on_plane_zero(request, fixture, n):
+    # W is computed on the pair slabs and mirrored into the rest of plane 0:
+    # there it is exactly even.  Every cell matches the compensated sum over
+    # the full grid, with the full grid's cut-off returns: the route's W is
+    # within 2 KSUM_TOL of the exact sum and the reference within KSUM_TOL
+    # (n returns, each within KSUM_TOL / n), beside W_ULPS ulps
+    spec = request.getfixturevalue(fixture)
+    sizes = route_sizes(spec, n)
+    z = charfn_grid(spec.p, sizes).values.real
+    w = exact_engine._correction_sum(*exact_engine._sorted_pairs(z), z.shape, n)
+    plane = w[..., 0]
+    neg = np.ix_(*[-np.arange(s) % s for s in plane.shape])
+    assert np.array_equal(plane[neg], plane)
+    flat = full_grid(z, sizes).ravel()
+    order = np.argsort(-np.abs(flat), kind="stable")
+    r = K.origin_returns(flat[order], n)
+    ref = np.empty(flat.size)
+    ref[order] = compensated_weighted_power_sum(flat[order], r)
+    ulps = np.finfo(float).eps * reference_weighted_power_sum(np.abs(flat), np.abs(r))
+    err = np.abs(full_grid(w, sizes).ravel() - ref)
+    assert np.all(err <= 3 * K.KSUM_TOL + W_ULPS * ulps)

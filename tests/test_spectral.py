@@ -4,10 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lltwalk import LatticePMF, charfn_grid, edgeworth_coeffs, invert_charfn
+from lltwalk import LatticePMF, charfn_grid, edgeworth_coeffs, invert_charfn, load_walk_spec
 from lltwalk.errors import GridTooSmall, NotSymmetric, OrderTooHigh
-from lltwalk.spectral import TorusGrid, unit_frame_terms
+from lltwalk.spectral import TorusGrid, half_shape, unit_frame_terms
 from lltwalk.walk_model import SignedLatticeFn
+
+from conftest import CONFIGS
 
 
 def lambda_axis(m: int) -> np.ndarray:
@@ -17,8 +19,9 @@ def lambda_axis(m: int) -> np.ndarray:
 
 
 def test_charfn_lazy_values(lazy_p):
+    # the half layout keeps j = 0 .. (m - 1) / 2
     g = charfn_grid(lazy_p, 9)
-    lam = lambda_axis(9)
+    lam = lambda_axis(9)[:5]
     assert np.allclose(g.values, 0.5 + 0.5 * np.cos(lam), atol=1e-15)
     # the function itself vanishes at the zone edge
     edge = sum(w * math.cos(math.pi * pt[0]) for pt, w in lazy_p.points())
@@ -28,17 +31,24 @@ def test_charfn_lazy_values(lazy_p):
 def test_charfn_antisymmetric_is_imaginary():
     a = SignedLatticeFn.from_points(1, {1: 0.05, -1: -0.05})
     g = charfn_grid(a, 11)
-    lam = lambda_axis(11)
+    lam = lambda_axis(11)[:6]
     assert np.abs(g.values.real).max() < 1e-16
     assert np.allclose(g.values.imag, 0.1 * np.sin(lam), atol=1e-15)
 
 
 def test_conjugate_symmetry(unit_cov_2d):
-    # in FFT order the sample at -j sits at index -j mod m
+    # in FFT order the sample at -j sits at index -j mod m; plane j2 = 0 of
+    # the half layout holds both, and the exact phases make them conjugates
+    # bit for bit
     g = charfn_grid(unit_cov_2d.q, 15)
     neg = -np.arange(15) % 15
-    flipped = g.values[np.ix_(neg, neg)]
-    assert np.abs(flipped - np.conj(g.values)).max() < 1e-14
+    assert np.array_equal(g.values[neg, 0], np.conj(g.values[:, 0]))
+    # and the half layout is the FFT's full grid with its mirrors dropped
+    box = np.zeros((15, 15))
+    box[np.ix_(*[(np.arange(w) + o) % 15 for w, o in zip(unit_cov_2d.q.weights.shape,
+                                                          unit_cov_2d.q.offset)])] = unit_cov_2d.q.weights
+    full = np.fft.ifftn(box) * box.size
+    assert np.abs(full[:, :8] - g.values).max() < 1e-14
 
 
 def test_round_trip(lazy_p):
@@ -49,7 +59,7 @@ def test_round_trip(lazy_p):
 
 
 def test_constant_grid_inverts_to_delta():
-    g = TorusGrid(dim=1, m=7, values=np.ones(7, dtype=complex))
+    g = TorusGrid(sizes=(7,), values=np.ones(4, dtype=complex))
     back = invert_charfn(g)
     assert back.value_at(0) == pytest.approx(1.0, abs=1e-14)
     assert abs(back.value_at(2)) < 1e-14
@@ -57,7 +67,7 @@ def test_constant_grid_inverts_to_delta():
 
 def test_pointwise_square_is_convolution(lazy_p):
     g = charfn_grid(lazy_p, 5)
-    sq = TorusGrid(dim=1, m=5, values=g.values**2)
+    sq = TorusGrid(sizes=(5,), values=g.values**2)
     back = invert_charfn(sq)
     expect = {(-2,): 1 / 16, (-1,): 1 / 4, (0,): 3 / 8, (1,): 1 / 4, (2,): 1 / 16}
     for pt, w in expect.items():
@@ -151,7 +161,7 @@ def test_tail_region_is_exponentially_small(lazy_p):
     # mass of |phat|^n outside a fixed neighbourhood of 0 decays geometrically
     m = 201
     g = charfn_grid(lazy_p, m)
-    lam = lambda_axis(m)
+    lam = lambda_axis(m)[:m // 2 + 1]
     outside = np.abs(lam) > 1.0
     n = 64
     tail = np.abs(g.values[outside]) ** n
@@ -194,3 +204,65 @@ def test_round_trip_random_functions(weights, shift):
     back = invert_charfn(g)
     for pt, w in f.points():
         assert back.value_at(pt) == pytest.approx(w, abs=1e-12 * max(1, max(weights)))
+
+
+VALID_CONFIGS = sorted(p.name for p in CONFIGS.glob("*.cfg") if p.name != "periodic_1d.cfg")
+# the torus route's per-axis grid sizes at a tail-box n for each dimension
+SAMPLE_N = {1: 1024, 2: 128, 3: 40}
+# measured: at most 1.27 ulps of sum |f| (lazy_pert_3d's p at n = 40); an
+# FFT of the padded box was off by up to 7.7 (unit_cov_2d's a at n = 128)
+SAMPLE_ULPS = 2
+
+
+def longdouble_samples(f, sizes):
+    """sum_y f(y) e^{2 pi i t_y(j)} in np.longdouble on the half layout, t_y(j) = sum_i (j_i y_i mod m_i) / m_i.
+
+    The same integer-reduced phases as charfn_grid, but summed point by point
+    over the support, with sine and cosine and every product in the wider type.
+    """
+    half = half_shape(sizes)
+    js = np.meshgrid(*[np.arange(h, dtype=np.int64) for h in half], indexing="ij")
+    tau = 8 * np.arctan(np.longdouble(1))
+    re, im = np.zeros(half, np.longdouble), np.zeros(half, np.longdouble)
+    for y, w in f.points():
+        turns = sum((j * c % m).astype(np.longdouble) / m for j, c, m in zip(js, y, sizes))
+        re += np.longdouble(w) * np.cos(tau * turns)
+        im += np.longdouble(w) * np.sin(tau * turns)
+    return re, im
+
+
+@pytest.mark.parametrize("name", VALID_CONFIGS)
+def test_exact_phase_samples_match_longdouble(name):
+    from lltwalk.exact_engine import _box
+
+    spec = load_walk_spec(CONFIGS / name)
+    _, shape, _, _ = _box((spec.p, spec.q), SAMPLE_N[spec.nu], 0, 1 << 62)
+    sizes = tuple(s | 1 for s in shape)
+    for f in (spec.p, spec.a):
+        if not f.weights.any():
+            continue  # an unperturbed walk's a
+        g = charfn_grid(f, sizes)
+        assert g.sizes == sizes and g.values.shape == half_shape(sizes)
+        origin = (0,) * spec.nu
+        assert g.values[origin] == float(f.exact_total())
+        re, im = longdouble_samples(f, sizes)
+        re[origin] = float(f.exact_total())
+        ulp = np.finfo(float).eps * np.abs(f.weights).sum()
+        assert np.abs(g.values.real - re).max() <= SAMPLE_ULPS * ulp
+        assert np.abs(g.values.imag - im).max() <= SAMPLE_ULPS * ulp
+
+
+def test_per_axis_sizes_round_trip(aniso_2d):
+    # each axis has its own odd size, just past the support's width there
+    f = aniso_2d.q
+    sizes = (5, 3)
+    g = charfn_grid(f, sizes)
+    assert g.sizes == sizes and g.values.shape == (5, 2) and g.m == 5 and g.dim == 2
+    back = invert_charfn(g, offset=f.offset, shape=f.weights.shape)
+    assert np.abs(back.weights - f.weights).max() < 1e-15
+    with pytest.raises(GridTooSmall):
+        charfn_grid(f, (5, 1))  # narrower than the support on axis 2
+    with pytest.raises(GridTooSmall):
+        charfn_grid(f, (5, 4))
+    with pytest.raises(GridTooSmall):
+        TorusGrid(sizes=(5, 3), values=np.ones((5, 3), dtype=complex))

@@ -1,10 +1,11 @@
 """Monte Carlo simulator and the exact-vs-asymptotic comparison pipeline.
 
 Randomness comes from numpy's Philox generator (counter based, keyed,
-splittable): a fixed seed fixes the entire draw stream, and trials are
-consumed in fixed chunks of 2^17.  Chunk k starts at its own counter
-offset in that stream and its counts are summed as integers, so outputs
-depend on (seed, n, trials) only, never on how many threads run them.
+splittable): a fixed seed fixes the entire stream of raw 64-bit words,
+and trials are consumed in fixed chunks of 2^17.  Chunk k starts at its
+own counter offset in that stream and its counts are summed as integers,
+so outputs depend on (seed, n, trials) only, never on how many threads
+run them.
 """
 
 from __future__ import annotations
@@ -26,10 +27,13 @@ from .walk_model import LatticePMF, WalkSpec, box_values, common_box
 
 SIM_CHUNK = 1 << 17  # trials per chunk; fixed so results are partition independent
 # tracemalloc peak of one chunk's step buffers and temporaries per trial, with
-# 10% to spare: 65.4 to 65.5 B on each config in configs/ (Python 3.11)
-CHUNK_TRIAL_BYTES = 72
-GUIDE_BINS = 1 << 12  # bins of each step law's guide table; a power of 2, so u * K is exact
-_SPLIT = np.iinfo(np.int64).min  # guide entry of a bin that holds a CDF edge
+# 10% to spare: 24.3 to 38.8 B on each config in configs/ at n = 1 to 30
+# (Python 3.11).  The buffers take 24 B (int32 positions and steps, the
+# bins, one step's words); the 1-D lazy walks peak at their second step,
+# when half the trials sit at the origin and gather their words and bins
+CHUNK_TRIAL_BYTES = 43
+GUIDE_BITS = 12  # a draw's guide bin is the top GUIDE_BITS bits of its word
+GUIDE_BINS = 1 << GUIDE_BITS  # bins of each step law's guide table
 CHI2_MIN_EXPECTED = 5.0  # chi_squared_check pools cells expecting fewer counts than this
 CROSSCHECK_MAX_N = 512  # compare cross-checks its route against a second one up to this n
 # tracemalloc peak of window_predictions plus predictions_text per cell of the
@@ -66,38 +70,57 @@ class EmpiricalPMF:
 class _LawTable:
     """Inverse CDF of one step law, as flat offsets into the counts box.
 
-    A guide table (Chen & Asau's indexed search) splits [0, 1) into
-    K = ``GUIDE_BINS`` bins; ``u * K`` is exact, so bin b = floor(u * K)
-    holds exactly the draws in [b/K, (b+1)/K).  A bin that holds no CDF edge maps every
-    draw to one step, ``guide[b]``; draws in the few bins that do hold an
-    edge (marked ``_SPLIT``) fall back to ``searchsorted``.  Either way the
-    step taken is ``steps[searchsorted(cdf, u, side="right")]``.
+    Draws come as raw 64-bit Philox words w.  The uniform a word stands for
+    is the double numpy's ``Generator.random`` makes of it, u = (w >> 11)
+    * 2^-53.  A guide table (Chen & Asau's indexed search) splits [0, 1)
+    into K = ``GUIDE_BINS`` bins, and bin b = floor(u * K) = w >> 52 holds
+    exactly the draws in [b/K, (b+1)/K).  A bin that holds no CDF edge maps
+    every draw to one step, ``guide[b]``; draws in the few bins that do hold
+    an edge (marked by the least value of the table's dtype, never a step)
+    get their double built and fall back to ``searchsorted``.  Either way
+    the step taken is ``steps[searchsorted(cdf, u, side="right")]``.
     """
 
     steps: np.ndarray
     cdf: np.ndarray
     guide: np.ndarray
 
-    def __call__(self, u: np.ndarray, bins: np.ndarray, out=None) -> np.ndarray:
-        """Steps for draws u, whose guide bins are ``bins = floor(u * GUIDE_BINS)``."""
+    def __call__(self, words: np.ndarray, bins: np.ndarray, out=None) -> np.ndarray:
+        """Steps for raw words, whose guide bins are ``bins = words >> 52``."""
         # bins lie in [0, GUIDE_BINS), so "clip" never acts; unlike the default
         # "raise", it writes to out without an intermediate copy
         out = np.take(self.guide, bins, out=out, mode="clip")
-        hit = np.flatnonzero(out == _SPLIT)
-        out[hit] = self.steps[np.searchsorted(self.cdf, u[hit], side="right")]
+        hit = np.flatnonzero(out == np.iinfo(out.dtype).min)
+        out[hit] = self.steps[np.searchsorted(self.cdf, _uniform(words[hit]), side="right")]
         return out
 
 
-def _law_tables(pmf: LatticePMF, strides: np.ndarray) -> _LawTable:
+def _uniform(words: np.ndarray) -> np.ndarray:
+    """The double ``Generator.random`` makes of each raw word: its top 53 bits times 2^-53."""
+    return (words >> 11) * 2.0**-53
+
+
+def _position_dtype(cells: int) -> type:
+    """Dtype of the flat positions, steps and guide tables on a box of ``cells`` cells.
+
+    int32 below 2^31 cells: a position lies in [0, cells) and a step in
+    (-cells, cells), so neither reaches int32's least value, the guide
+    tables' split mark.  int64 otherwise.
+    """
+    return np.int32 if cells < 1 << 31 else np.int64
+
+
+def _law_tables(pmf: LatticePMF, strides: np.ndarray, dtype) -> _LawTable:
     pts, ws = pmf.support
-    steps = pts @ strides
+    steps = (pts @ strides).astype(dtype)
     cdf = np.cumsum(ws)
     cdf[-1] = 1.0  # guard the top edge against float-sum shortfall
     lo = np.arange(GUIDE_BINS) / GUIDE_BINS
     hi = np.nextafter(lo + 1.0 / GUIDE_BINS, 0.0)  # largest draw in each bin
     first = np.searchsorted(cdf, lo, side="right")
     last = np.searchsorted(cdf, hi, side="right")
-    return _LawTable(steps, cdf, np.where(first == last, steps[first], _SPLIT))
+    guide = np.where(first == last, steps[first], np.iinfo(dtype).min).astype(dtype)
+    return _LawTable(steps, cdf, guide)
 
 
 def _usable_cpus() -> int:
@@ -132,15 +155,18 @@ def simulate(
 
     Identical (seed, n, trials) give bitwise-identical counts.  Steps taken
     while sitting at the origin use the exit law q, all others the step law
-    p; one uniform draw u is consumed per (trial, step) in chunk order, and
-    the step is the one at ``searchsorted(cdf, u, side="right")`` of the law
-    in force.  Each trial's position is one flat index into the dense counts
-    box, the n-step hull box of p and q: every trial takes p's step for u by
-    guide table, then the trials at the origin retake theirs from q with the
-    same u.
+    p; one raw Philox word w is consumed per (trial, step) in chunk order,
+    and the step is the one at ``searchsorted(cdf, u, side="right")`` of the
+    law in force, u = (w >> 11) * 2^-53 the double ``Generator.random``
+    makes of w.  Each trial's position is one flat index into the dense
+    counts box, the n-step hull box of p and q, held in int32 when the box
+    has fewer than 2^31 cells (:func:`_position_dtype`).  The first step is
+    q's for every trial; after it, every trial takes p's step for w by
+    guide table, then the trials at the origin retake theirs from q with
+    the same w.
 
     Chunk k of SIM_CHUNK trials draws from the Philox stream of ``seed``
-    started at draw k * n * SIM_CHUNK, so chunks run on W threads in any
+    started at word k * n * SIM_CHUNK, so chunks run on W threads in any
     order; each thread sums the bincounts of chunks w, w + W, ... into its
     own int64 counts, and their integer sum is the same for every W.  One
     worker's dense counts and bincount take 16 bytes per cell of the box,
@@ -159,8 +185,9 @@ def simulate(
     lo = np.array([l for l, _ in box], dtype=np.int64)
     strides = np.cumprod((1, *shape[:0:-1]), dtype=np.int64)[::-1]  # C order
     origin = int(-lo @ strides)
-    p_law = _law_tables(spec.p, strides)
-    q_law = _law_tables(spec.q, strides)
+    dtype = _position_dtype(cells)
+    p_law = _law_tables(spec.p, strides, dtype)
+    q_law = _law_tables(spec.q, strides, dtype)
 
     chunks = -(-trials // SIM_CHUNK)
     workers = _worker_count(cells, chunks, mem_limit)
@@ -169,24 +196,28 @@ def simulate(
         counts = np.zeros(cells, dtype=np.int64)
         for k in range(w, chunks, workers):
             csize = min(SIM_CHUNK, trials - k * SIM_CHUNK)
-            # Philox makes four 64-bit words per counter and random() takes
-            # one word per double, so draw d is word d % 4 of counter d // 4
+            # Philox makes four 64-bit words per counter, so word d of the
+            # stream is word d % 4 of counter d // 4
             draw = k * n * SIM_CHUNK
             bitgen = np.random.Philox(key=seed)
             bitgen.advance(draw // 4)
-            rng = np.random.Generator(bitgen)
-            rng.random(draw % 4)
-            pos = np.full(csize, origin, dtype=np.int64)
-            # per-step buffers, reused: fresh megabyte temporaries cost page faults
-            u = np.empty(csize)
-            bins = np.empty(csize, dtype=np.intp)
-            step = np.empty(csize, dtype=np.int64)
-            for _ in range(n):
-                rng.random(out=u)
-                np.multiply(u, GUIDE_BINS, out=bins, casting="unsafe")  # exact, then floor
-                p_law(u, bins, out=step)
-                at0 = np.flatnonzero(pos == origin)
-                step[at0] = q_law(u[at0], bins[at0])
+            bitgen.random_raw(draw % 4)
+            pos = np.full(csize, origin, dtype=dtype)
+            # per-step buffers, reused: fresh megabyte temporaries cost page
+            # faults.  The bins are shifted into uint64 and read as intp
+            step = np.empty(csize, dtype=dtype)
+            shifted = np.empty(csize, dtype=np.uint64)
+            bins = shifted.view(np.intp)
+            for t in range(n):
+                words = bitgen.random_raw(csize)
+                np.right_shift(words, 64 - GUIDE_BITS, out=shifted)
+                if t == 0:  # every trial starts at the origin, where q is in force
+                    q_law(words, bins, out=step)
+                else:
+                    p_law(words, bins, out=step)
+                    at0 = np.flatnonzero(pos == origin)
+                    step[at0] = q_law(words[at0], bins[at0])
+                del words  # freed before the next draw
                 pos += step
             counts += np.bincount(pos, minlength=cells)
         return counts

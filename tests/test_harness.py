@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import sys
@@ -26,8 +27,8 @@ from lltwalk.harness import (
     GUIDE_BINS,
     REPORT_ROW_BYTES,
     WINDOW_CELL_BYTES,
-    _SPLIT,
     _law_tables,
+    _uniform,
     _window_points,
     default_window,
     window_predictions,
@@ -36,7 +37,7 @@ from lltwalk.io_text import predictions_text
 from lltwalk.specfile import parse_spec_text
 from lltwalk.walk_model import common_box
 
-from conftest import CONFIGS, UNEQUAL_REACH, nonzero_cells, report_rows
+from conftest import CONFIGS, UNEQUAL_REACH, config_path, nonzero_cells, report_rows
 
 
 def test_simulate_deterministic(lazy_pert):
@@ -114,6 +115,71 @@ def test_simulate_matches_reference_sampler(request, monkeypatch, fixture, n):
     offset, counts = _reference_simulate(spec, n, 1300, 31, 512)
     assert np.array_equal(emp.offset, offset)
     assert np.array_equal(emp.counts, counts)
+
+
+@pytest.mark.parametrize("fixture,n", [("lazy_pert", 10), ("unit_cov_2d", 12), ("spec3d", 6)])
+def test_simulate_int64_positions_match_reference_sampler(request, monkeypatch, fixture, n):
+    # a box of 2^31 cells or more steps int64 positions; forced here on a small box
+    import lltwalk.harness as hz
+
+    monkeypatch.setattr(hz, "SIM_CHUNK", 512)
+    monkeypatch.setattr(hz, "_position_dtype", lambda cells: np.int64)
+    dtypes, law_tables = [], hz._law_tables
+
+    def recording(pmf, strides, dtype):
+        dtypes.append(dtype)
+        return law_tables(pmf, strides, dtype)
+
+    monkeypatch.setattr(hz, "_law_tables", recording)
+    spec = request.getfixturevalue(fixture)
+    emp = hz.simulate(spec, n, 1300, seed=31)
+    offset, counts = _reference_simulate(spec, n, 1300, 31, 512)
+    assert dtypes == [np.int64, np.int64]
+    assert np.array_equal(emp.offset, offset)
+    assert np.array_equal(emp.counts, counts)
+
+
+def test_position_dtype_rule():
+    # int32 holds every position and step of a box below 2^31 cells, and its
+    # least value, the guide tables' split mark, is none of them
+    import lltwalk.harness as hz
+
+    assert hz._position_dtype(1) is np.int32
+    assert hz._position_dtype((1 << 31) - 1) is np.int32
+    assert hz._position_dtype(1 << 31) is np.int64
+    assert hz._position_dtype(1 << 40) is np.int64
+
+
+def test_simulate_bytes_pinned(tmp_path):
+    # the CLI's bytes at walkbench simulate_2d's input, as written before the
+    # step loop drew raw words into int32 positions
+    out = tmp_path / "s.csv"
+    argv = ["simulate", "--spec", config_path("unit_cov_2d.cfg"), "--n", "64",
+            "--trials", "262144", "--seed", "3", "--out", str(out)]
+    from lltwalk.cli import main
+
+    assert main(argv) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "82af525f9278fac96f6e9c83f5bd8e5ef8ab238f274ec3c642d3534f35f5265c"
+
+
+def test_raw_word_is_generator_double():
+    # Generator.random makes each double of one raw word as (w >> 11) * 2^-53,
+    # so the simulator's words stand for the doubles the reference draws
+    stream = np.random.Philox(key=7)
+    stream.advance(3)
+    stream.random_raw(1)  # start mid-counter
+    state = stream.state
+    words = stream.random_raw(10**5)
+    stream.state = state
+    u = np.random.Generator(stream).random(10**5)
+    assert np.array_equal(_uniform(words), u)
+    assert np.array_equal(words >> 52, np.floor(u * GUIDE_BINS).astype(np.uint64))
+    # the edge words, against the exact doubles (w >> 11) / 2^53
+    edges = np.array([0, (1 << 64) - 1, 0xFFF << 52], dtype=np.uint64)
+    u = _uniform(edges)
+    assert u.tolist() == [0.0, 1.0 - 2.0**-53, 4095 / 4096]
+    assert (edges >> 52).tolist() == np.floor(u * GUIDE_BINS).astype(int).tolist() == [0, 4095, 4095]
 
 
 def _generator_threads(monkeypatch):
@@ -275,11 +341,7 @@ def test_guide_table_lookup_is_searchsorted(request, name):
     law = _step_law(request, name)
     r = law.radius
     strides = (2 * r + 1) ** np.arange(law.dim - 1, -1, -1, dtype=np.int64)
-    table = _law_tables(law, strides)
-    assert len(np.unique(table.steps)) == len(table.steps)  # offset equality is index equality
-    # only a CDF edge below 1 can split a bin, and it splits at most one
-    assert np.count_nonzero(table.guide == _SPLIT) <= len(table.cdf) - 1
-    cdf = table.cdf
+    cdf = _law_tables(law, strides, np.int64).cdf
     edges = np.arange(GUIDE_BINS) / GUIDE_BINS
     u = np.concatenate(
         [
@@ -289,13 +351,24 @@ def test_guide_table_lookup_is_searchsorted(request, name):
             edges,
             np.nextafter(edges, 0.0),
             [0.0, np.nextafter(1.0, 0.0)],
-            np.random.Generator(np.random.Philox(key=5)).random(10**5),
         ]
     )
-    u = u[(u >= 0.0) & (u < 1.0)]  # the range of a uniform draw
-    bins = (u * GUIDE_BINS).astype(np.intp)
-    expect = table.steps[np.searchsorted(cdf, u, side="right")]
-    assert np.array_equal(table(u, bins), expect)
+    u = u[(u >= 0.0) & (u < 1.0)]
+    # the words of the draws on either side of each u on the 2^-53 grid, the
+    # range of a uniform draw, with random low bits, which the draw drops
+    top = np.floor(u * 2.0**53).astype(np.uint64)
+    top = np.concatenate([top, np.minimum(top + 1, (1 << 53) - 1)])
+    low = np.random.Generator(np.random.Philox(key=5)).integers(0, 1 << 11, len(top), dtype=np.uint64)
+    words = np.concatenate([top << 11 | low, np.random.Philox(key=5).random_raw(10**5)])
+    bins = (words >> 52).astype(np.intp)
+    for dtype in (np.int32, np.int64):
+        table = _law_tables(law, strides, dtype)
+        assert table.steps.dtype == table.guide.dtype == dtype
+        assert len(np.unique(table.steps)) == len(table.steps)  # offset equality is index equality
+        # only a CDF edge below 1 can split a bin, and it splits at most one
+        assert np.count_nonzero(table.guide == np.iinfo(dtype).min) <= len(cdf) - 1
+        expect = table.steps[np.searchsorted(cdf, _uniform(words), side="right")]
+        assert np.array_equal(table(words, bins), expect)
 
 
 def test_unperturbed_simulation_total_variation(lazy_sym):

@@ -26,12 +26,17 @@ from .spectral import EdgeworthCoeffs, edgeworth_coeffs
 from .walk_model import LatticePMF, WalkSpec, box_values, common_box
 
 SIM_CHUNK = 1 << 17  # trials per chunk; fixed so results are partition independent
-# tracemalloc peak of one chunk's step buffers and temporaries per trial, with
-# 10% to spare: 24.3 to 38.8 B on each config in configs/ at n = 1 to 30
-# (Python 3.11).  The buffers take 24 B (int32 positions and steps, the
-# bins, one step's words); the 1-D lazy walks peak at their second step,
-# when half the trials sit at the origin and gather their words and bins
-CHUNK_TRIAL_BYTES = 43
+# tracemalloc peak of one chunk's step buffers and temporaries per trial at
+# its worst over valid specs, with 10% to spare (Python 3.11, numpy 2.4).
+# The buffers take 24 B (int32 positions and steps, the bins, one step's
+# words).  On top: 33 B when p splits every guide bin (4097 equal steps: each
+# trial's index, word, shifted word and double, then its searchsorted index),
+# 57.3 B in all; 29 B when nearly every trial sits at the origin (p(0) = q(0)
+# = 0.999: each one's index, word, bin, q step and mask), 53.3 B in all.  The
+# configs in configs/ peak at 30 to 39 B.  int64 positions, on boxes of 2^31
+# cells or more, peak at 66 B, within the 8 B a cell charged for a bincount
+# that is not made until the chunk's steps end
+CHUNK_TRIAL_BYTES = 64
 GUIDE_BITS = 12  # a draw's guide bin is the top GUIDE_BITS bits of its word
 GUIDE_BINS = 1 << GUIDE_BITS  # bins of each step law's guide table
 CHI2_MIN_EXPECTED = 5.0  # chi_squared_check pools cells expecting fewer counts than this

@@ -291,6 +291,45 @@ def test_simulate_first_worker_within_guard(unit_cov_2d, monkeypatch, trials):
     assert peak <= budgets[0] + (256 << 10)
 
 
+# the two valid laws that cost a chunk the most per trial: nearly every trial
+# stays at the origin and gathers its word and bin for q, or p splits every
+# guide bin and builds every trial's double
+STICKY_ORIGIN = """dim = 1
+p 0 = 999/1000
+p 1 = 1/2000
+p -1 = 1/2000
+q 0 = 999/1000
+q 1 = 3/5000
+q -1 = 2/5000
+"""
+EVERY_BIN_SPLIT = "dim = 1\nunperturbed = true\n" + "".join(
+    f"{law} {x} = 1/4097\n" for law in "pq" for x in range(-2048, 2049))
+
+
+@pytest.mark.parametrize("text, reach", [(STICKY_ORIGIN, 1), (EVERY_BIN_SPLIT, 2048)],
+                         ids=["sticky_origin", "every_bin_split"])
+def test_simulate_full_chunk_within_guard(monkeypatch, text, reach):
+    # a full chunk where the per-trial charge binds: the configs peak at 39 B
+    # a trial at most, these laws at 53 and 57 B
+    import lltwalk.harness as hz
+
+    monkeypatch.setattr(hz, "_usable_cpus", lambda: 1)
+    p, q, unperturbed, _ = parse_spec_text(text)
+    spec = validate_walk_spec(p, q, unperturbed)
+    if text == EVERY_BIN_SPLIT:  # no guide bin maps to one step
+        guide = _law_tables(spec.p, np.array([1]), np.int32).guide
+        assert (guide == np.iinfo(np.int32).min).all()
+    n = 2
+    hz.simulate(spec, 1, 10, seed=3)  # first use imports numpy.random
+    tracemalloc.start()
+    try:
+        hz.simulate(spec, n, hz.SIM_CHUNK, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * (2 * reach * n + 1) + hz.CHUNK_TRIAL_BYTES * hz.SIM_CHUNK + (256 << 10)
+
+
 def test_simulate_refuses_a_chunk_past_the_cap(lazy_pert):
     # the counts box fits a 1 MiB cap, but a full chunk's buffers do not
     with pytest.raises(ResourceLimit):

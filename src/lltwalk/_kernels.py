@@ -10,6 +10,7 @@ Kernels:
 * dp_step                      one convolution step of the forward recursion
 * origin_returns               k -> mean over a torus grid of phat^k, k < n
 * weighted_power_sum           sum_k r_k * phat^(n-1-k), in blocks and by Horner's rule
+* ksum_plan                    the blocks and power table the two k-sums share
 * pow_binary                   elementwise z^n by binary exponentiation
 
 dp_step works on flat spans of a layout in which every kernel offset is one
@@ -29,20 +30,24 @@ number.
 
 Where power j's prefix is at most KSUM_BLOCK_WIDTH cells, as it is for
 most j on a 1-D tail grid, both k-sums take powers in blocks of a few
-numpy calls.  J is the first such power, and ``_power_blocks`` builds
-what the two share: one ``cumprod`` makes a table of z^i over power J's
-prefix, and a block of b powers j..j+b-1 is the table's last b rows over
-power j's prefix.  origin_returns multiplies them by z^j and takes one
-row sum per power; weighted_power_sum multiplies them by the b
-coefficients r_(n-1-j-i), sums the rows, smallest terms first, and
-multiplies by z^(j-J).  Each such anchor is one ``np.power``, one rounding
-of the exact power, where a chain of j steps (or a reused float z^b)
-compounds one rounding per step.  A cell stays in until the end of its
-block, so the terms it adds there are kept, not dropped: every dropped
-term is still below KSUM_TOL / n.  ``_block_rows`` ends a block before
-its prefix falls below half its cells (at most twice the arithmetic),
-before the table's KSUM_BLOCK_CELLS cells are full, and before the least
-nonzero cell's power z^(j+b-1) could leave the normal range, so no
+numpy calls.  J is the first such power, and ``ksum_plan`` builds what
+the two share, once per grid: one ``cumprod`` makes a table of z^t, t < R,
+over power J's prefix, with R at most KSUM_TABLE_ROWS = 64 and the table
+at most KSUM_BLOCK_CELLS cells.  A block over power j's prefix covers as
+many powers j..j+b*R-1 as KSUM_BLOCK_CELLS allows over that prefix: b
+anchors z^(j + i*R), each one ``np.power``, times the table's R rows over
+the prefix.  origin_returns sums each product row, one sum per power;
+weighted_power_sum multiplies the rows by the coefficients r_(n-1-p),
+sums them, smallest terms first, multiplies each anchor's sum by
+z^(j-J+i*R) and adds the anchors' sums, smallest first.  An anchor is one
+rounding of the exact power, where a chain of j steps compounds one
+rounding per step, so no term carries more than the table's R - 1 steps
+and its anchor.  A cell stays in until the end of its block, so the terms
+it adds there are kept, not dropped: every dropped term is still below
+KSUM_TOL / n.  A block ends before its prefix falls below half its cells
+(at most twice the arithmetic) and before the least nonzero cell's last
+power, that of the block's last anchor and row, could leave the normal
+range, and the table's rows stop where its own least cell's would, so no
 product is subnormal.  The J wide powers take single steps: ``g *= z``
 for the returns, cut-off Horner steps for the weighted sum; a grid with
 no narrow prefix (every 2-D route grid up to n = 128) takes them alone.
@@ -51,7 +56,7 @@ the returns are off by at most 3.1 ulps of the |z|-mean from a
 double-double step chain, where a float one is off by up to 10.6, and
 the weighted sum by 8.9 ulps of the |z|-sum from a compensated Horner
 sum of the same floats, where cut-off Horner steps over every power are
-off by up to 58 (``reach2_pert_1d`` n = 16384: 3.2 against 7.5, and 25
+off by up to 58 (``reach2_pert_1d`` n = 16384: 3.2 against 7.5, and 26
 against 76).  These comparisons hold on those grids only.  On the
 exact-phase grids the fourier route samples, the weighted sum at
 ``lazy_pert_1d`` n = 63 is off by 1.96 ulps where the Horner steps are
@@ -61,13 +66,18 @@ hold, 4 ulps for the returns and 16 for the weighted sum, still hold.
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
+import sys
+from collections import namedtuple
 
 import numpy as np
 
 KSUM_TOL = 1e-16  # the k-sums drop every term r_k z^j with |z|^j < KSUM_TOL / n
 KSUM_BLOCK_WIDTH = 256     # the k-sums block powers whose prefix is at most this wide
 KSUM_BLOCK_CELLS = 1 << 14  # cells of the power table and of each block product
+KSUM_TABLE_ROWS = 64        # rows of the power table, so no term carries more than 63 table steps
 
 
 def shift_groups(offs: np.ndarray, ws: np.ndarray, shape) -> tuple:
@@ -133,110 +143,147 @@ def _active_prefix(z: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate(([z.size], z.size - np.searchsorted(mod[::-1], roots)))[:n]
 
 
-def _block_rows(z: np.ndarray, drop: np.ndarray, k: int) -> int:
-    """Rows b of a block of powers k..k+b-1 over power k's prefix, at least 1.
+def _normal_powers(z: np.ndarray, width: int, floor: float) -> int:
+    """Powers 0..P-1 of z[:width] (sorted by |z|, descending) that stay normal after rounding.
 
-    ``drop`` is minus the prefix lengths (ascending).  The rows stop before
-    the prefix falls below half its cells (at most twice the arithmetic),
-    before b times the prefix passes KSUM_BLOCK_CELLS, and before the least
-    nonzero cell's last power, z^(k + b - 1), could fall below tiny / eps:
-    a power at least that large is normal after any rounding of its chain.
+    ``floor`` is log(tiny / eps) of z's dtype: a power at least that large
+    is normal after any rounding of its chain.  P is past any n when no
+    nonzero cell is below 1 in size.
     """
-    lk = -int(drop[k])
-    b = min(int(drop.searchsorted(-((lk + 1) // 2), side="right")) - k,
-            KSUM_BLOCK_CELLS // max(lk, 1))
-    # the prefix is sorted by |z|, descending; only power 0's, the whole
-    # grid, can end in zeros
-    least = float(abs(z[lk - 1])) if lk else 1.0
+    # only power 0's prefix, the whole grid, can end in zeros
+    least = float(abs(z[width - 1])) if width else 1.0
     if least == 0.0:
-        mod = np.abs(z[:lk])
+        mod = np.abs(z[:width])
         least = float(mod[mod > 0].min(initial=1.0))
-    if least < 1.0:
-        info = np.finfo(z.dtype)
-        b = min(b, int(math.log(info.tiny / info.eps) / math.log(least)) - k + 1)
-    return max(b, 1)
+    return int(floor / math.log(least)) + 1 if least < 1.0 else sys.maxsize
 
 
-def _power_blocks(z: np.ndarray, n: int):
-    """What both k-sums share: (wide, table, blocks) for powers 0..n-1.
+class KsumPlan(namedtuple("KsumPlan", "n wide table blocks terms nbytes")):
+    """How both k-sums take powers 0..n-1 of one sorted grid (see the module docstring).
 
-    ``wide`` lists the prefix lengths of the powers before J, the first
-    power whose prefix is at most KSUM_BLOCK_WIDTH cells.  ``table`` row i
-    is z^(rows-1-i) over power J's prefix, highest power first, and
-    ``blocks`` lists (j, b, prefix) for the powers j..j+b-1 >= J, each b
-    at most the table's rows; with no narrow power both are empty.
+    ``wide`` lists the prefix lengths of the powers before J, taken in
+    single steps.  ``table`` row t is z^(R-1-t) over power J's prefix,
+    highest power first.  Each block (j, b, rows, prefix) covers powers
+    j..j+b*rows-1 over power j's prefix: b anchors z^(j + i*rows) times
+    the table's last ``rows`` rows.  ``terms`` is the largest block's
+    product in cells.  ``nbytes`` is what the k-sums hold past z, their
+    output and, for the returns, one grid of wide powers: the table, the
+    largest block's product and anchors (twice: the weighted sum's row
+    sums), and numpy's iterator buffers.
+    """
+
+    __slots__ = ()
+
+
+def ksum_plan(z: np.ndarray, n: int) -> KsumPlan:
+    """The k-sums' plan for powers 0..n-1 of ``z``, flat and sorted by |z|, descending.
+
+    The powers from J, the first whose prefix is at most KSUM_BLOCK_WIDTH
+    cells, come in blocks.  One ``cumprod`` makes the table, z^t for t < R
+    over power J's prefix, where R is KSUM_TABLE_ROWS or fewer if the table
+    would pass KSUM_BLOCK_CELLS or its least cell leave the normal range.
+    A block's rows are R or its powers, if fewer, and its anchors as many
+    as fit whole.
     """
     lens = _active_prefix(z, n)
-    drop = -lens  # ascending, for searchsorted
-    first = int(drop.searchsorted(-KSUM_BLOCK_WIDTH))
+    first = int(np.searchsorted(-lens, -KSUM_BLOCK_WIDTH))
     lens = lens.tolist()
-    if first == n:
-        return lens, np.empty((0, 0), dtype=z.dtype), []
-    width = lens[first]
-    rows = _block_rows(z, drop, first)
+    info = np.finfo(z.dtype)
+    floor = math.log(info.tiny / info.eps)
+    width = lens[first] if first < n else 0
+    rows = min(KSUM_TABLE_ROWS, KSUM_BLOCK_CELLS // max(width, 1), _normal_powers(z, width, floor))
     table = np.empty((rows, width), dtype=z.dtype)
     table[:-1] = z[:width]
     table[-1] = 1
     np.cumprod(table[::-1], axis=0, out=table[::-1])
-    blocks = []
+    blocks, terms, anchors = [], 0, 0
     j = first
     while j < n:
-        b = min(rows, _block_rows(z, drop, j))
-        blocks.append((j, b, lens[j]))
-        j += b
-    return lens[:first], table, blocks
+        lj = lens[j]
+        # the powers stop before the prefix falls below half its cells (at
+        # most twice the arithmetic), before they pass KSUM_BLOCK_CELLS over
+        # it, and before the least cell's last power could leave the normal range
+        half = bisect.bisect_right(lens, -((lj + 1) // 2), j, key=operator.neg)
+        powers = max(min(half - j, KSUM_BLOCK_CELLS // max(lj, 1),
+                         _normal_powers(z, lj, floor) - j), 1)
+        rows = min(len(table), powers)
+        b = powers // rows
+        blocks.append((j, b, rows, lj))
+        terms, anchors = max(terms, b * rows * lj), max(anchors, b * lj)
+        j += b * rows
+    # numpy's iterator buffers for the broadcast block product: one for
+    # each input, of np.getbufsize() elements or the product's size
+    buffers = 2 * min(np.getbufsize(), terms)
+    nbytes = z.itemsize * (table.size + terms + 2 * anchors + buffers)
+    return KsumPlan(n=n, wide=lens[:first], table=table, blocks=blocks, terms=terms, nbytes=nbytes)
 
 
-def origin_returns(z: np.ndarray, n: int) -> np.ndarray:
+def _plan(z: np.ndarray, n: int, plan: KsumPlan | None) -> KsumPlan:
+    if plan is None:
+        return ksum_plan(z, n)
+    if plan.n != n:
+        raise ValueError(f"plan is for {plan.n} powers, not {n}")
+    return plan
+
+
+def origin_returns(z: np.ndarray, n: int, plan: KsumPlan | None = None) -> np.ndarray:
     """Grid means of z^k for k = 0..n-1 (z = charfn samples), in z's dtype.
 
     Power k takes at least the cells where it is at least KSUM_TOL / n, and
     the mean still divides by the full cell count, so r_k is off by less
     than KSUM_TOL / n.  The J wide powers are steps ``g *= z``; the narrow
-    ones come in blocks from the power table (see the module docstring).
+    ones come in the blocks of ``plan`` (``ksum_plan(z, n)`` by default).
     """
-    wide, table, blocks = _power_blocks(z, n)
+    plan = _plan(z, n, plan)
     r = np.empty(n, dtype=z.dtype)
     g = np.ones_like(z)
-    for k, lk in enumerate(wide):
+    for k, lk in enumerate(plan.wide):
         head = g[:lk]
         if k:
             head *= z[:lk]
         r[k] = head.sum() / z.size
-    terms = np.empty_like(table)
-    for j, b, lj in blocks:
-        # row i: z^(j+b-1-i), the table's z^(b-1-i) times z^j rounded once
-        blk = terms[:b, :lj]
-        np.multiply(table[-b:, :lj], np.power(z[:lj], j), out=blk)
-        r[j:j + b] = blk.sum(axis=1)[::-1] / z.size
+    terms = np.empty(plan.terms, dtype=z.dtype)
+    table = plan.table
+    for j, b, rows, lj in plan.blocks:
+        # [i, t]: z^(j+i*rows+rows-1-t), the table's z^(rows-1-t) times the anchor rounded once
+        blk = terms[:b * rows * lj].reshape(b, rows, lj)
+        anchors = np.power(z[:lj], np.arange(j, j + b * rows, rows)[:, None])
+        np.multiply(anchors[:, None], table[-rows:, :lj], out=blk)
+        r[j:j + b * rows] = blk.sum(axis=2)[:, ::-1].ravel()
+    r[len(plan.wide):] /= z.size
     return r
 
 
-def weighted_power_sum(z: np.ndarray, r: np.ndarray) -> np.ndarray:
+def weighted_power_sum(z: np.ndarray, r: np.ndarray, plan: KsumPlan | None = None) -> np.ndarray:
     """sum_{k=0}^{n-1} r[k] * z^(n-1-k), elementwise over the grid.
 
     Power j = n-1-k takes the cells where |z|^j >= KSUM_TOL / n.  The
     powers j >= J whose prefix is at most KSUM_BLOCK_WIDTH cells are summed
-    in blocks (see the module docstring) into s = sum_{j>=J} r[n-1-j] z^(j-J);
-    then J cut-off Horner steps ``s *= z; s += r[k]``, k ascending, finish
-    the wide powers, and a cell joins them at 0, the exact value of the
-    terms it left out.  With |z| <= 1 every earlier rounding error is
-    multiplied by a power of |z|, so the sum needs no compensation, and
-    with |r_k| <= 1 each cell is off by less than KSUM_TOL.
+    in the blocks of ``plan`` (see the module docstring) into
+    s = sum_{j>=J} r[n-1-j] z^(j-J); then J cut-off Horner steps
+    ``s *= z; s += r[k]``, k ascending, finish the wide powers, and a cell
+    joins them at 0, the exact value of the terms it left out.  With
+    |z| <= 1 every earlier rounding error is multiplied by a power of |z|,
+    so the sum needs no compensation, and with |r_k| <= 1 each cell is off
+    by less than KSUM_TOL.
     """
     n = len(r)
+    plan = _plan(z, n, plan)
     s = np.zeros(z.shape, dtype=np.result_type(z, r))
-    wide, table, blocks = _power_blocks(z, n)
-    first = len(wide)
-    terms = np.empty(table.shape, dtype=s.dtype)
-    for j, b, lj in blocks:
-        # sum_{i<b} r[n-1-j-i] z^i, smallest terms first, times z^(j-J) rounded once
-        blk = terms[:b, :lj]
-        np.multiply(r[n - j - b:n - j, None], table[-b:, :lj], out=blk)
-        poly = blk.sum(axis=0)
-        poly *= np.power(z[:lj], j - first)
-        s[:lj] += poly
-    for rk, lk in zip(r[n - first:], reversed(wide)):
+    first = len(plan.wide)
+    terms = np.empty(plan.terms, dtype=s.dtype)
+    table = plan.table
+    for j, b, rows, lj in plan.blocks:
+        # anchor i's polynomial sum_t r[n-j-(i+1)*rows+t] z^(rows-1-t), smallest
+        # terms first, times z^(j-J+i*rows) rounded once; then the anchors'
+        # terms, smallest first
+        blk = terms[:b * rows * lj].reshape(b, rows, lj)
+        np.multiply(r[n - j - b * rows:n - j].reshape(b, rows)[::-1, :, None], table[-rows:, :lj],
+                    out=blk)
+        poly = blk.sum(axis=1)
+        poly *= np.power(z[:lj], np.arange(j - first, j - first + b * rows, rows)[:, None])
+        s[:lj] += poly[::-1].sum(axis=0)
+    for rk, lk in zip(r[n - first:], reversed(plan.wide)):
         head = s[:lk]
         head *= z[:lk]
         head += rk

@@ -30,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import (
-    KSUM_BLOCK_CELLS, KSUM_BLOCK_WIDTH, _active_prefix, _block_rows, dp_step, origin_returns,
-    pow_binary, shift_groups, weighted_power_sum,
+    KsumPlan, dp_step, ksum_plan, origin_returns, pow_binary, shift_groups, weighted_power_sum,
 )
 from .errors import CrossCheckError, NotNormalized, ResourceLimit
 from .spectral import TorusGrid, charfn_grid, charfn_peak_bytes, half_shape, invert_charfn
@@ -393,27 +392,31 @@ def _pair_slabs(shape):
 
 
 def _sorted_pairs(z: np.ndarray):
-    """The cells of ``_pair_slabs`` as one flat array sorted by |z|, descending, and the sort's order."""
+    """The cells of ``_pair_slabs`` as one flat array sorted by |z|, descending, and the sort's order.
+
+    z is real.  The sort key is the uint64 (|z|'s bits << 1) | z's sign bit,
+    z's bits rotated left by one, which orders |z| as the floats do and
+    splits each tie +-x, negative first; cells left tied are equal, so
+    any sort gives the same sorted values.
+    """
     cells = np.concatenate([np.ravel(z[s]) for s in _pair_slabs(z.shape)])
-    order = np.argsort(-np.abs(cells), kind="stable")
+    bits = cells.view(np.uint64)
+    key = bits << 1
+    key |= bits >> 63
+    np.invert(key, out=key)  # descending
+    order = key.argsort()
     return cells[order], order
 
 
-def _block_table_cells(cells: np.ndarray, n: int) -> int:
-    """Cells of the power table the k-sums build on the sorted ``cells`` (``_kernels._power_blocks``)."""
-    lens = _active_prefix(cells, n)
-    first = int(np.searchsorted(-lens, -KSUM_BLOCK_WIDTH))
-    return 0 if first == n else int(lens[first]) * _block_rows(cells, -lens, first)
-
-
-def _pair_returns(cells: np.ndarray, n: int) -> np.ndarray:
+def _pair_returns(cells: np.ndarray, n: int, plan: KsumPlan | None = None) -> np.ndarray:
     """r_k, k < n, the full grid's means of z^k, from ``_sorted_pairs``' cells.
 
     With S_k the sum of z^k over the L = (M + 1) / 2 cells, origin
     included, r_k = (2 S_k - 1) / M: every pair counts twice and the
-    origin, where z = 1, once.  origin_returns gives S_k / L.
+    origin, where z = 1, once.  origin_returns gives S_k / L, by ``plan``
+    (``ksum_plan(cells, n)`` by default).
     """
-    r = origin_returns(cells, n)
+    r = origin_returns(cells, n, plan)
     r *= cells.size
     r *= 2
     r -= 1
@@ -437,7 +440,8 @@ def _mirror_plane0(w: np.ndarray) -> None:
         plane[..., h + 1:] = plane[np.ix_(*neg, np.arange(h, 0, -1))]
 
 
-def _correction_sum(cells: np.ndarray, order: np.ndarray, shape, n: int) -> np.ndarray:
+def _correction_sum(cells: np.ndarray, order: np.ndarray, shape, n: int,
+                    plan: KsumPlan | None = None) -> np.ndarray:
     """W = sum_k r_k z^(n-1-k) on the half layout of ``shape``, k-sums cut off.
 
     z is the transform of a symmetric p, real and even, and ``cells`` and
@@ -445,12 +449,14 @@ def _correction_sum(cells: np.ndarray, order: np.ndarray, shape, n: int) -> np.n
     by |z|, descending, so the k-sums run on about half the grid
     (``_pair_returns``).  W goes back to the half layout, and plane 0's
     mirror cells take their images' values.  Each r_k is off by less than
-    KSUM_TOL / n and W by less than 2 KSUM_TOL (see ``_kernels``).
-    ``cells`` is overwritten.
+    KSUM_TOL / n and W by less than 2 KSUM_TOL (see ``_kernels``).  Both
+    k-sums take ``plan``, ``ksum_plan(cells, n)`` by default.  ``cells``
+    is overwritten.
     """
-    r = _pair_returns(cells, n)
+    plan = ksum_plan(cells, n) if plan is None else plan
+    r = _pair_returns(cells, n, plan)
     # W goes back to the slabs' order in the sorted copy's buffer
-    cells[order] = weighted_power_sum(cells, r)
+    cells[order] = weighted_power_sum(cells, r, plan)
     w = np.empty(shape)
     start = 0
     for s in _pair_slabs(shape):
@@ -481,26 +487,25 @@ def _fourier(p: LatticePMF, a: LatticeFn, hull, n: int, mem_limit: int):
     grid = 48 if perturbed else 40
     load = 0 if "numpy.fft" in sys.modules else FFT_LOAD_BYTES
 
-    def need(table: int) -> int:
+    def need(plan_bytes: int) -> int:
         # The largest phase, in bytes.  The inversion then copies the law to
         # its box through the fancy index's iterator buffer, np.getbufsize()
         # complex elements.  a's samples come while W and p^n are held.  The
         # k-sums hold 40 bytes a cell (p's samples, the sorted cells, their
         # order and two kernel arrays) and 32 n: r_k and, in
         # _kernels._active_prefix, the roots, their prefix lengths and the
-        # concatenated result.  A power table of ``table`` cells adds its
-        # block product and numpy's iterator buffers for the strided product,
-        # three of np.getbufsize() elements.  The first transform in a
-        # process also loads numpy.fft.
+        # concatenated result.  Their plan adds ``plan_bytes``: its power
+        # table and block buffers (KsumPlan.nbytes).  The first transform
+        # in a process also loads numpy.fft.
         inversion = grid * cells + 16 * np.getbufsize()
         if not perturbed:
             return max(inversion, charfn_peak_bytes(p, sizes)) + load
-        ksums = 40 * cells + 32 * n + (16 * table + 24 * np.getbufsize() if table else 0)
+        ksums = 40 * cells + 32 * n + plan_bytes
         return max(inversion, 16 * cells + charfn_peak_bytes(a, sizes), ksums) + load
 
     # p's samples, and the k-sums' sort and plan, come before the guard only
-    # when the route fits the cap but for the power table, which they size
-    table = None
+    # when the route fits the cap but for the plan, whose bytes they size
+    plan = None
     if need(0) <= mem_limit:
         z = charfn_grid(p, sizes).values
         if all(l == -h for l, h in p.box) and np.array_equal(p.weights, np.flip(p.weights)):
@@ -511,13 +516,12 @@ def _fourier(p: LatticePMF, a: LatticeFn, hull, n: int, mem_limit: int):
             raise CrossCheckError(f"transform of p has imaginary part {drift!r}")
         if perturbed:
             pairs, order = _sorted_pairs(z)
-            table = _block_table_cells(pairs, n)
-    _guard_cells(half, grid, mem_limit, need(KSUM_BLOCK_CELLS if table is None else table)
-                 - grid * cells)
+            plan = ksum_plan(pairs, n)
+    _guard_cells(half, grid, mem_limit, need(0 if plan is None else plan.nbytes) - grid * cells)
 
     if perturbed:
-        w = _correction_sum(pairs, order, half, n)
-        del pairs, order
+        w = _correction_sum(pairs, order, half, n, plan)
+        del pairs, order, plan
         total = pow_binary(z, n)
         del z
         w = w * charfn_grid(a, sizes).values

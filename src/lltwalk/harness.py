@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +38,15 @@ SIM_CHUNK = 1 << 17  # trials per chunk; fixed so results are partition independ
 # cells or more, peak at 66 B, within the 8 B a cell charged for a bincount
 # that is not made until the chunk's steps end
 CHUNK_TRIAL_BYTES = 64
+# tracemalloc peak per support point of building one law's guide table, with
+# room to spare: its flat indices, CDF and steps and one digit of the
+# indices, 25 to 31 B on laws of 14641 to 35937 points in 1 to 3 dimensions
+# (Python 3.11, numpy 2.4); it keeps 12 B a point (16 B in int64)
+LAW_POINT_BYTES = 40
+# the first thread pool in a process imports concurrent.futures.thread, and
+# its modules stay: 597 KB by tracemalloc with lltwalk loaded, 666 KB in a
+# bare interpreter (Python 3.11)
+POOL_LOAD_BYTES = 672 << 10
 GUIDE_BITS = 12  # a draw's guide bin is the top GUIDE_BITS bits of its word
 GUIDE_BINS = 1 << GUIDE_BITS  # bins of each step law's guide table
 CHI2_MIN_EXPECTED = 5.0  # chi_squared_check pools cells expecting fewer counts than this
@@ -116,9 +126,25 @@ def _position_dtype(cells: int) -> type:
 
 
 def _law_tables(pmf: LatticePMF, strides: np.ndarray, dtype) -> _LawTable:
-    pts, ws = pmf.support
-    steps = (pts @ strides).astype(dtype)
-    cdf = np.cumsum(ws)
+    """The guide table of ``pmf`` on a counts box of C-order ``strides``, in ``dtype``.
+
+    The support comes in ``pmf.support`` order from the flat indices of its
+    nonzero weights, whose digits give each point's step into the box: a
+    law of k points takes at most LAW_POINT_BYTES * k bytes while it is
+    built, whatever its dimension, beside the guide's arrays of GUIDE_BINS
+    entries, and keeps 12 B (16 B in int64) a point.
+    """
+    w = pmf.weights
+    flat = np.flatnonzero(w)
+    cdf = np.cumsum(w.ravel()[flat])
+    steps = np.zeros(flat.size, dtype=dtype)
+    for size, off, stride in zip(w.shape[::-1], pmf.offset[::-1], strides[::-1]):
+        digit = flat % size
+        flat //= size
+        digit += off
+        digit *= stride
+        steps += digit
+    del flat, digit
     cdf[-1] = 1.0  # guard the top edge against float-sum shortfall
     lo = np.arange(GUIDE_BINS) / GUIDE_BINS
     hi = np.nextafter(lo + 1.0 / GUIDE_BINS, 0.0)  # largest draw in each bin
@@ -142,11 +168,13 @@ def _worker_count(cells: int, chunks: int, mem_limit: int) -> int:
     At most the usable CPUs and the chunks, and as many workers as
     ``mem_limit`` holds at 16 bytes a cell (counts and bincount) plus
     CHUNK_TRIAL_BYTES a trial of a full chunk each: with two chunks or more,
-    each worker runs one full chunk at least.  The caller guards the first
-    worker, so there is always one.
+    each worker runs one full chunk at least.  Two workers or more run on a
+    thread pool, whose first use in a process loads POOL_LOAD_BYTES of
+    modules.  The caller guards the first worker, so there is always one.
     """
     per_worker = 16 * cells + CHUNK_TRIAL_BYTES * SIM_CHUNK
-    return min(_usable_cpus(), chunks, max(1, mem_limit // per_worker))
+    load = 0 if "concurrent.futures.thread" in sys.modules else POOL_LOAD_BYTES
+    return min(_usable_cpus(), chunks, max(1, (mem_limit - load) // per_worker))
 
 
 def simulate(
@@ -175,9 +203,10 @@ def simulate(
     order; each thread sums the bincounts of chunks w, w + W, ... into its
     own int64 counts, and their integer sum is the same for every W.  One
     worker's dense counts and bincount take 16 bytes per cell of the box,
-    and its chunk's buffers CHUNK_TRIAL_BYTES per trial; ``mem_limit`` caps
-    the first worker (ResourceLimit past it), and :func:`_worker_count`
-    admits as many as the cap holds.
+    and its chunk's buffers CHUNK_TRIAL_BYTES per trial; the two laws' guide
+    tables, shared, LAW_POINT_BYTES per support point.  ``mem_limit`` caps
+    the first worker and the tables (ResourceLimit past it), and
+    :func:`_worker_count` admits as many workers as the rest holds.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -185,7 +214,9 @@ def simulate(
         raise ValueError(f"seed must be in [0, 2**128), got {seed}")
     box = exact_engine._hull_box((spec.p, spec.q), n)
     shape = tuple(h - l + 1 for l, h in box)
-    exact_engine._guard_cells(shape, 16, mem_limit, CHUNK_TRIAL_BYTES * min(SIM_CHUNK, trials))
+    laws = LAW_POINT_BYTES * sum(np.count_nonzero(law.weights) for law in (spec.p, spec.q))
+    exact_engine._guard_cells(shape, 16, mem_limit,
+                              CHUNK_TRIAL_BYTES * min(SIM_CHUNK, trials) + laws)
     cells = math.prod(shape)
     lo = np.array([l for l, _ in box], dtype=np.int64)
     strides = np.cumprod((1, *shape[:0:-1]), dtype=np.int64)[::-1]  # C order
@@ -195,7 +226,7 @@ def simulate(
     q_law = _law_tables(spec.q, strides, dtype)
 
     chunks = -(-trials // SIM_CHUNK)
-    workers = _worker_count(cells, chunks, mem_limit)
+    workers = _worker_count(cells, chunks, mem_limit - laws)
 
     def run(w: int) -> np.ndarray:
         counts = np.zeros(cells, dtype=np.int64)

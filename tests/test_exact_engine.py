@@ -514,8 +514,7 @@ def test_stepper_route_memory_within_guard(unit_cov_2d, lazy_pert, spec3d, aniso
     if route == "fourier_1d_wide_blocks":
         # the k-sums' block buffers at 1 MiB each, well past the fixed slack,
         # so a buffer left out of the guard fails the bound below
-        for module in (_kernels, exact_engine):
-            monkeypatch.setattr(module, "KSUM_BLOCK_CELLS", 1 << 17)
+        monkeypatch.setattr(_kernels, "KSUM_BLOCK_CELLS", 1 << 17)
     run = {
         "dp": lambda: perturbed_forward(unit_cov_2d, n),
         "repr": lambda: perturbed_via_representation(unit_cov_2d, n),
@@ -546,6 +545,37 @@ def test_fourier_1d_memory_within_guard_without_slack(lazy_pert, monkeypatch, n)
     # it: left out of the guard, they put the peak up to 1.57 times past it
     peak, budget = traced_peak_and_budget(monkeypatch, lambda: perturbed_fourier(lazy_pert, n))
     assert peak <= budget
+
+
+@pytest.mark.parametrize("n", [1024, 8192])
+def test_fourier_builds_one_plan_and_charges_it(lazy_pert, monkeypatch, n):
+    # the guard and both k-sums read one plan; the k-sums' phase is the
+    # route's largest here, so a plan 1 MiB heavier puts the guard's budget
+    # up by exactly 1 MiB
+    plans, budgets = [], []
+    plan_of = exact_engine.ksum_plan
+    guard = exact_engine._guard_cells
+
+    def recording_plan(z, n, extra=0):
+        plan = plan_of(z, n)
+        plan = plan._replace(nbytes=plan.nbytes + extra)
+        plans.append(plan)
+        return plan
+
+    def recording_guard(shape, itemsize, mem_limit, extra=0):
+        budgets.append(math.prod(shape) * itemsize + extra)
+        guard(shape, itemsize, mem_limit, extra)
+
+    monkeypatch.setattr(exact_engine, "_guard_cells", recording_guard)
+    monkeypatch.setattr(_kernels, "ksum_plan", None)  # the k-sums build none of their own
+    np.fft.fft  # loaded before both runs, so neither budget charges its load
+    for extra in (0, 1 << 20):
+        monkeypatch.setattr(exact_engine, "ksum_plan", lambda z, n: recording_plan(z, n, extra))
+        law = perturbed_fourier(lazy_pert, n).pmf
+        assert law.total() == pytest.approx(1.0, abs=1e-12)
+    assert len(plans) == len(budgets) == 2
+    assert plans[0].blocks and plans[0].nbytes > 0
+    assert budgets[1] - budgets[0] == 1 << 20
 
 
 def test_fourier_guard_charges_numpy_fft_load():

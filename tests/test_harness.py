@@ -37,7 +37,7 @@ from lltwalk.io_text import predictions_text
 from lltwalk.specfile import parse_spec_text
 from lltwalk.walk_model import common_box
 
-from conftest import CONFIGS, UNEQUAL_REACH, config_path, nonzero_cells, report_rows
+from conftest import CONFIGS, UNEQUAL_REACH, config_path, fresh_python, nonzero_cells, report_rows
 
 
 def test_simulate_deterministic(lazy_pert):
@@ -230,6 +230,8 @@ def test_simulate_independent_of_worker_count(request, monkeypatch, workers, fix
 def test_simulate_workers_within_the_cap(monkeypatch):
     # each worker, the first included, is charged its counts, bincount and
     # a full chunk's buffers; workers start while the cap holds them all
+    # (the thread pool's modules are loaded here: see the test below)
+    import concurrent.futures.thread  # noqa: F401
     import lltwalk.harness as hz
 
     monkeypatch.setattr(hz, "SIM_CHUNK", 512)
@@ -242,6 +244,69 @@ def test_simulate_workers_within_the_cap(monkeypatch):
     assert hz._worker_count(cells, 3, 1 << 40) == 3
     monkeypatch.setattr(hz, "_usable_cpus", lambda: 1)
     assert hz._worker_count(cells, 6, 1 << 40) == 1
+
+
+def test_worker_count_charges_the_pool_load(unit_cov_2d, monkeypatch):
+    # before the first pool in a process, a second worker also needs the
+    # pool's modules; simulate_2d's box (n = 64, two chunks) still gets two
+    # workers at the default cap
+    import lltwalk.harness as hz
+
+    monkeypatch.delitem(sys.modules, "concurrent.futures.thread", raising=False)
+    monkeypatch.setattr(hz, "_usable_cpus", lambda: 2)
+    cells = 1681
+    each = 16 * cells + hz.CHUNK_TRIAL_BYTES * hz.SIM_CHUNK
+    assert hz._worker_count(cells, 2, 2 * each) == 1
+    assert hz._worker_count(cells, 2, 2 * each + hz.POOL_LOAD_BYTES - 1) == 1
+    assert hz._worker_count(cells, 2, 2 * each + hz.POOL_LOAD_BYTES) == 2
+    box = exact_engine._hull_box((unit_cov_2d.p, unit_cov_2d.q), 64)
+    cells = math.prod(h - l + 1 for l, h in box)
+    laws = hz.LAW_POINT_BYTES * 18
+    assert hz._worker_count(cells, 2, exact_engine.DEFAULT_MEM_LIMIT - laws) == 2
+
+
+def test_pool_load_within_its_charge():
+    # a fresh interpreter with lltwalk loaded, as simulate finds it: the
+    # pool's first import and use, traced, and the two-worker simulate that
+    # makes them within two workers, the laws and the load
+    proc = fresh_python(
+        "import sys, tracemalloc\n"
+        "import lltwalk.harness as hz\n"
+        "from lltwalk import load_walk_spec\n"
+        f"spec = load_walk_spec({config_path('unit_cov_2d.cfg')!r})\n"
+        "before = 'concurrent.futures.thread' in sys.modules\n"
+        "tracemalloc.start()\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "with ThreadPoolExecutor(2) as pool:\n"
+        "    list(pool.map(abs, range(2)))\n"
+        "load = tracemalloc.get_traced_memory()[1]\n"
+        "tracemalloc.stop()\n"
+        "print(before, load, hz.POOL_LOAD_BYTES)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    before, load, charge = proc.stdout.split()
+    assert before == "False" and int(load) <= int(charge)
+
+    proc = fresh_python(
+        "import sys, tracemalloc\n"
+        "import lltwalk.harness as hz\n"
+        "from lltwalk import load_walk_spec\n"
+        f"spec = load_walk_spec({config_path('unit_cov_2d.cfg')!r})\n"
+        "hz.simulate(spec, 2, 10, seed=3)  # one worker, no pool: loads numpy.random\n"
+        "hz.SIM_CHUNK = 512\n"
+        "hz._usable_cpus = lambda: 2\n"
+        "before = 'concurrent.futures.thread' in sys.modules\n"
+        "tracemalloc.start()\n"
+        "hz.simulate(spec, 200, 1300, seed=3)\n"
+        "print(before, 'concurrent.futures.thread' in sys.modules, tracemalloc.get_traced_memory()[1])\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    before, after, peak = proc.stdout.split()
+    assert (before, after) == ("False", "True")
+    import lltwalk.harness as hz
+
+    budget = 2 * 16 * 801 ** 2 + hz.CHUNK_TRIAL_BYTES * 512 + hz.LAW_POINT_BYTES * 18
+    assert int(peak) <= budget + hz.POOL_LOAD_BYTES + (256 << 10)
 
 
 def test_simulate_memory_within_guard(unit_cov_2d, monkeypatch):
@@ -287,7 +352,9 @@ def test_simulate_first_worker_within_guard(unit_cov_2d, monkeypatch, trials):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert budgets == [16 * (4 * n + 1) ** 2 + hz.CHUNK_TRIAL_BYTES * trials]
+    points = sum(np.count_nonzero(f.weights) for f in (unit_cov_2d.p, unit_cov_2d.q))
+    laws = hz.LAW_POINT_BYTES * points
+    assert budgets == [16 * (4 * n + 1) ** 2 + hz.CHUNK_TRIAL_BYTES * trials + laws]
     assert peak <= budgets[0] + (256 << 10)
 
 
@@ -328,6 +395,38 @@ def test_simulate_full_chunk_within_guard(monkeypatch, text, reach):
     finally:
         tracemalloc.stop()
     assert peak <= 16 * (2 * reach * n + 1) + hz.CHUNK_TRIAL_BYTES * hz.SIM_CHUNK + (256 << 10)
+
+
+def test_simulate_charges_the_law_tables(monkeypatch):
+    # a 1-D law of 32769 equal steps at n = 1 with a few trials: building its
+    # guide tables and keeping their steps and CDF outweigh the 32769-cell
+    # box and the chunk, so the guard charges them.  simulate reads only p
+    # and q, and validating 32769 exact weights would take seconds
+    import types
+
+    import lltwalk.harness as hz
+
+    monkeypatch.setattr(hz, "_usable_cpus", lambda: 1)
+    law = LatticePMF(dim=1, offset=np.array([-16384]), weights=np.full(32769, 1 / 32769))
+    spec = types.SimpleNamespace(p=law, q=law)
+    hz.simulate(spec, 1, 10, seed=3)  # first use imports numpy.random
+    budgets = []
+    guard = exact_engine._guard_cells
+
+    def recording_guard(shape, itemsize, mem_limit, extra=0):
+        budgets.append(math.prod(shape) * itemsize + extra)
+        guard(shape, itemsize, mem_limit, extra)
+
+    monkeypatch.setattr(exact_engine, "_guard_cells", recording_guard)
+    tracemalloc.start()
+    try:
+        emp = hz.simulate(spec, 1, 10, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert emp.counts.shape == (32769,)
+    assert budgets == [16 * 32769 + hz.CHUNK_TRIAL_BYTES * 10 + hz.LAW_POINT_BYTES * 2 * 32769]
+    assert peak <= budgets[0] + (256 << 10)
 
 
 def test_simulate_refuses_a_chunk_past_the_cap(lazy_pert):

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from lltwalk import _kernels as K
+from lltwalk import load_walk_spec
+from lltwalk.errors import Periodic
 from lltwalk import exact_engine
 from lltwalk.exact_engine import _box
 from lltwalk.spectral import charfn_grid
 
-from conftest import direct_step, step_every_row
+from conftest import CONFIGS, direct_step, step_every_row
 
 
 @pytest.fixture
@@ -298,17 +300,43 @@ def test_double_double_returns_within_an_ulp(lazy_pert):
         pows = [p * m for p, m in zip(pows, nums)]
 
 
-def record_blocks(monkeypatch):
-    """The (rows, width) of every power table the k-sums build with cumprod."""
-    shapes = []
-    cumprod = np.cumprod
+def least_nonzero(z):
+    mod = np.abs(z)
+    return float(mod[mod > 0].min(initial=1.0))
 
-    def recording_cumprod(a, *args, **kwargs):
-        shapes.append(a.shape)
-        return cumprod(a, *args, **kwargs)
 
-    monkeypatch.setattr(K.np, "cumprod", recording_cumprod)
-    return shapes
+def assert_plan_invariants(z, n, plan):
+    """ksum_plan's table and blocks for powers 0..n-1 of the sorted ``z``.
+
+    The wide powers are those before J, the first power whose prefix is at
+    most KSUM_BLOCK_WIDTH cells, and the table is z^t, t < R, over J's
+    prefix, highest power first, in at most KSUM_BLOCK_CELLS cells and
+    KSUM_TABLE_ROWS rows, whose least nonzero cell keeps z^(R-1) at
+    tiny / eps or above.  The blocks cover every later power exactly once,
+    in order, each over its first power's prefix, which holds at least half
+    its cells to the block's end, in at most KSUM_BLOCK_CELLS cells; the
+    block's least nonzero cell keeps every anchor's last power, the block's
+    last, at tiny / eps or above.
+    """
+    lens = K._active_prefix(z, n).tolist()
+    first = sum(lk > K.KSUM_BLOCK_WIDTH for lk in lens)
+    assert plan.n == n and plan.wide == lens[:first]
+    floor = np.finfo(z.dtype).tiny / np.finfo(z.dtype).eps
+    table = plan.table
+    if first < n:
+        width = lens[first]
+        assert table.shape[1] == width and table.size <= K.KSUM_BLOCK_CELLS
+        assert 1 <= len(table) <= K.KSUM_TABLE_ROWS
+        assert np.array_equal(table[-2:], [z[:width], np.ones(width)][2 - len(table):])
+        assert least_nonzero(z[:width]) ** (len(table) - 1) >= floor
+    j = first
+    for start, b, rows, lj in plan.blocks:
+        assert start == j and b >= 1 and 1 <= rows <= len(table)
+        assert lj == lens[j] and 2 * lens[j + b * rows - 1] >= lj
+        assert b * rows * lj <= K.KSUM_BLOCK_CELLS
+        assert least_nonzero(z[:lj]) ** (start + b * rows - 1) >= floor
+        j += b * rows
+    assert j == max(n, first)
 
 
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65])
@@ -318,32 +346,76 @@ def test_blocked_returns_at_small_n(request, fixture, n):
     assert_returns_within_allowance(sorted_phat(request.getfixturevalue(fixture), n), n)
 
 
-def test_blocked_returns_stop_before_underflow(monkeypatch):
-    # cells near 1 keep the prefix wide, so the block at k = 0 is cut short by
-    # its least nonzero cell, 1e-7: its power 1e-7^j stays normal
-    z = np.concatenate((np.linspace(1.0, 0.9, 20), [-0.5, 3e-6, -1e-7, 0.0, 0.0]))
-    z = z[np.argsort(-np.abs(z), kind="stable")]
+# cells near 1 keep power 0's prefix the whole grid, whose least nonzero
+# cell, 1e-7, leaves the normal range at power 42; the zeros join at power 0
+UNDERFLOW_GRID = np.concatenate((np.linspace(1.0, 0.9, 20), [-0.5, 3e-6, -1e-7, 0.0, 0.0]))
+
+
+def test_blocked_returns_stop_before_underflow():
+    # the first block and its table end at power 41, though the cells and
+    # the prefix would let them run on
+    z = UNDERFLOW_GRID[np.argsort(-np.abs(UNDERFLOW_GRID), kind="stable")]
     n = 200
-    shapes = record_blocks(monkeypatch)
-    with np.errstate(under="raise"):
-        K.origin_returns(z, n)
+    plan = K.ksum_plan(z, n)
+    assert_plan_invariants(z, n, plan)
     floor = np.finfo(float).tiny / np.finfo(float).eps
-    rows, width = shapes[0]
-    assert width == z.size
-    assert rows == 1 + int(np.log(floor) / np.log(1e-7)) < K.KSUM_BLOCK_CELLS // width
+    j, b, rows, width = plan.blocks[0]
+    assert (j, b * rows, width) == (0, 1 + int(np.log(floor) / np.log(1e-7)), z.size)
+    assert b * rows < K.KSUM_BLOCK_CELLS // width
+    with np.errstate(under="raise"):
+        K.origin_returns(z, n, plan)
     assert_returns_within_allowance(z, n)
 
 
-def test_blocked_returns_across_the_width_limit(unit_cov_2d, monkeypatch):
+def test_blocked_returns_across_the_width_limit(unit_cov_2d):
     # a 2-D grid whose prefix starts wider than a block and ends narrower
     n = 300
     z = sorted_phat(unit_cov_2d, n, m=41)
     lens = K._active_prefix(z, n)
     assert lens[0] > K.KSUM_BLOCK_WIDTH >= lens[-1]
-    shapes = record_blocks(monkeypatch)
+    plan = K.ksum_plan(z, n)
+    assert plan.wide and plan.blocks
+    assert_plan_invariants(z, n, plan)
     assert_returns_within_allowance(z, n)
-    assert shapes and all(w <= K.KSUM_BLOCK_WIDTH and r * w <= K.KSUM_BLOCK_CELLS
-                          for r, w in shapes)
+
+
+@pytest.mark.parametrize("fixture,n", [("lazy_pert", 1), ("lazy_pert", 63), ("lazy_pert", 1024),
+                                       ("lazy_pert", 8192), ("reach2", 65), ("reach2", 16384),
+                                       ("unit_cov_2d", 64), ("spec3d", 12)])
+def test_plan_covers_every_power_once(request, fixture, n):
+    z = sorted_phat(request.getfixturevalue(fixture), n)
+    assert_plan_invariants(z, n, K.ksum_plan(z, n))
+
+
+def test_plan_invariants_at_other_block_sizes(lazy_pert, monkeypatch):
+    # the table's rows and the block cells bind in turn
+    n = 4096
+    z = sorted_phat(lazy_pert, n)
+    for cells in (1 << 10, 1 << 12, 1 << 17):
+        monkeypatch.setattr(K, "KSUM_BLOCK_CELLS", cells)
+        assert_plan_invariants(z, n, K.ksum_plan(z, n))
+
+
+def test_plan_blocks_scale_with_the_terms(lazy_pert):
+    # the route's pair cells at compare_1d's largest n (682 cells): about 0.52M
+    # cut-off terms take 32 blocks' worth of KSUM_BLOCK_CELLS, and the blocks
+    # stay within twice that, where blocks capped at the table's rows took 127
+    n = 8192
+    z = charfn_grid(lazy_pert.p, route_sizes(lazy_pert, n)).values.real
+    pairs, _ = exact_engine._sorted_pairs(z)
+    plan = K.ksum_plan(pairs, n)
+    terms = int(K._active_prefix(pairs, n).sum())
+    assert len(plan.blocks) <= 2 * terms / K.KSUM_BLOCK_CELLS
+    assert_plan_invariants(pairs, n, plan)
+
+
+def test_plan_for_other_n_is_refused(lazy_pert):
+    z = sorted_phat(lazy_pert, 64)
+    plan = K.ksum_plan(z, 64)
+    with pytest.raises(ValueError, match="plan"):
+        K.origin_returns(z, 65, plan)
+    with pytest.raises(ValueError, match="plan"):
+        K.weighted_power_sum(z, np.ones(63), plan)
 
 
 @pytest.mark.parametrize("fixture,n", [("unit_cov_2d", 64)])
@@ -371,22 +443,22 @@ def test_blocked_weighted_sum_at_small_n(request, fixture, n):
     assert_weighted_sum_within_allowance(z, K.origin_returns(z, n))
 
 
-def test_blocked_weighted_sum_stops_before_underflow(monkeypatch):
-    # the power table's rows stop where 1e-7, the least nonzero cell, would
-    # take its last power past the normal range; the zeros join at power 0
-    z = np.concatenate((np.linspace(1.0, 0.9, 20), [-0.5, 3e-6, -1e-7, 0.0, 0.0]))
-    z = z[np.argsort(-np.abs(z), kind="stable")]
+def test_blocked_weighted_sum_stops_before_underflow():
+    # the table's rows and the first block stop where 1e-7, the least nonzero
+    # cell, would take its last power past the normal range
+    z = UNDERFLOW_GRID[np.argsort(-np.abs(UNDERFLOW_GRID), kind="stable")]
     n = 200
-    r = K.origin_returns(z, n)
-    shapes = record_blocks(monkeypatch)
-    with np.errstate(under="raise"):
-        K.weighted_power_sum(z, r)
+    plan = K.ksum_plan(z, n)
+    r = K.origin_returns(z, n, plan)
     floor = np.finfo(float).tiny / np.finfo(float).eps
-    assert shapes == [(1 + int(np.log(floor) / np.log(1e-7)), z.size)]
+    assert_plan_invariants(z, n, plan)
+    assert plan.table.shape == (1 + int(np.log(floor) / np.log(1e-7)), z.size)
+    with np.errstate(under="raise"):
+        K.weighted_power_sum(z, r, plan)
     assert_weighted_sum_within_allowance(z, r)
 
 
-def test_blocked_weighted_sum_across_the_width_limit(unit_cov_2d, monkeypatch):
+def test_blocked_weighted_sum_across_the_width_limit(unit_cov_2d):
     # a 2-D grid whose prefix starts wider than a block and ends narrower:
     # the blocks, then Horner steps over the wide powers
     n = 300
@@ -394,10 +466,10 @@ def test_blocked_weighted_sum_across_the_width_limit(unit_cov_2d, monkeypatch):
     lens = K._active_prefix(z, n)
     assert lens[0] > K.KSUM_BLOCK_WIDTH >= lens[-1]
     r = K.origin_returns(z, n)
-    shapes = record_blocks(monkeypatch)
+    plan = K.ksum_plan(z, n)
+    assert plan.wide and plan.blocks
+    assert_plan_invariants(z, n, plan)
     assert_weighted_sum_within_allowance(z, r)
-    (rows, width), = shapes
-    assert width <= K.KSUM_BLOCK_WIDTH and rows * width <= K.KSUM_BLOCK_CELLS
 
 
 @pytest.mark.parametrize("kernel", ["origin_returns", "weighted_power_sum"])
@@ -429,6 +501,32 @@ def test_mirrored_returns_match_full_grid(request, fixture, n):
     with np.errstate(under="ignore"):
         r_abs = reference_origin_returns(np.abs(full), n)
     assert np.all(np.abs(r - ref) <= K.KSUM_TOL / n + R_ULPS * np.finfo(float).eps * r_abs)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.cfg")))
+def test_sorted_pairs_match_the_stable_sort(name):
+    # the route's sort key, not the float one, on every config's grid at a
+    # size it runs; the periodic walk is refused before any grid
+    if name == "periodic_1d.cfg":
+        with pytest.raises(Periodic):
+            load_walk_spec(CONFIGS / name)
+        return
+    spec = load_walk_spec(CONFIGS / name)
+    n = {1: 8192, 2: 512, 3: 48}[spec.nu]
+    z = charfn_grid(spec.p, route_sizes(spec, n)).values.real
+    cells = np.concatenate([np.ravel(z[s]) for s in exact_engine._pair_slabs(z.shape)])
+    pairs, order = exact_engine._sorted_pairs(z)
+    assert np.array_equal(pairs, cells[np.argsort(-np.abs(cells), kind="stable")])
+    assert np.array_equal(pairs, cells[order])
+
+
+def test_sorted_pairs_split_ties_by_sign():
+    # a 1-D half layout: the pair cells are z[1:], then the origin
+    z = np.array([1.0, 0.5, -0.25, -0.5, 0.25, 0.5, -0.0, 0.0])
+    pairs, order = exact_engine._sorted_pairs(z)
+    assert pairs.tolist() == [1.0, -0.5, 0.5, 0.5, -0.25, 0.25, -0.0, 0.0]
+    assert np.signbit(pairs).tolist() == [False, True, False, False, True, False, True, False]
+    assert np.array_equal(pairs, np.append(z[1:], z[0])[order])
 
 
 @pytest.mark.parametrize("fixture,n", [("unit_cov_2d", 64), ("aniso_2d", 64), ("spec3d", 12)])

@@ -164,7 +164,7 @@ def sequential_weighted_power_sum(z, r):
 
 
 # weighted_power_sum's roundoff allowance in ulps of the sum over |z|: the
-# largest measured is 8.9, at lazy_pert n = 4096 (25 at reach2 n = 16384,
+# largest measured is 8.9, at lazy_pert n = 4096 (26 at reach2 n = 16384,
 # past the sizes tested here)
 W_ULPS = 16
 
@@ -558,7 +558,7 @@ def test_correction_sum_on_exact_phase_grid_1d(lazy_pert, n):
     # the route's own samples, not the FFT-sampled grids above, on which the
     # blocked sum's comparative figures were measured: W stays within
     # 2 KSUM_TOL (the terms cut off) plus W_ULPS ulps of the compensated sum
-    # over the full grid with the route's returns (2.6 and 8.6 ulps here)
+    # over the full grid with the route's returns (1.9 and 6.6 ulps here)
     sizes = route_sizes(lazy_pert, n)
     z = charfn_grid(lazy_pert.p, sizes).values.real
     pairs, index = exact_engine._sorted_pairs(z)

@@ -14,8 +14,9 @@ Kernels:
 * pow_binary                   elementwise z^n by binary exponentiation
 
 dp_step works on flat spans of a layout in which every kernel offset is one
-flat shift (exact_engine._layout pads the box with zeros so that it is):
-out(i) = sum_k w_k cur(i - s_k).  ``shift_groups`` turns the kernel's
+flat shift (exact_engine._Stepper lays each route's box out so, padded with
+zeros by ``exact_engine._layout``): out(i) = sum_k w_k cur(i - s_k).
+``shift_groups``, which the stepper calls once per route, turns the kernel's
 offsets into those shifts and groups the offsets of equal weight, which
 are summed first and multiplied once.  Each operation is one contiguous
 1-D slice.

@@ -59,6 +59,7 @@ def _check_counts(args):
         "tol": positive,
         "check_tol": positive,
         "order": (lambda v: 3 <= v <= _MAX_ORDER, f"in [3, {_MAX_ORDER}]"),
+        "mem_limit_mb": (lambda v: v >= 0, ">= 0"),
     }
     for name, (ok, rule) in rules.items():
         value = getattr(args, name, None)

@@ -123,7 +123,7 @@ def _hull_box(fns, n: int):
             for ax in range(fns[0].dim)]
 
 
-def _box(fns, n: int, cell_bytes: int, mem_limit: int, folds=(), held: int = 0):
+def _box(fns, n: int):
     """Box holding max(n, 1) steps of the hull of ``fns``, cut at the tail box.
 
     ``fns[0]`` is the step law p, and each axis keeps the hull's extent
@@ -137,15 +137,6 @@ def _box(fns, n: int, cell_bytes: int, mem_limit: int, folds=(), held: int = 0):
     factor 2 (2n + 1) counts both sides and every split.  Returns (lower
     corner, shape, index of the origin, tail bound), the bound summed over
     the cut axes (0.0 when none is cut).
-
-    ``cell_bytes`` guards that many bytes per cell of the stepper's layout
-    of the box folded on ``folds`` (``_fold`` and ``_layout``, halo and
-    margin included); 0 leaves the guard to the caller.  A route that
-    returns a law holds ``held`` of the stepper's buffers (8 bytes a layout
-    cell) as it unfolds the law onto the box (8 bytes a box cell), and the
-    guard charges the larger of the two phases: folded, the law can
-    outweigh the layout, which holds about a quarter of the box in 3-D.
-    The law is then zeroed and renormalized in place (``_law``).
     """
     reach = max(f.radius for f in fns)
     lo, hi = map(list, zip(*_hull_box(fns, n)))
@@ -156,18 +147,7 @@ def _box(fns, n: int, cell_bytes: int, mem_limit: int, folds=(), held: int = 0):
             bound += b
     shape = tuple(h - l + 1 for l, h in zip(lo, hi))
     org = tuple(-l for l in lo)
-    if cell_bytes:
-        padded, margin = _folded_layout(shape, org, folds, fns[0].support[0], reach)
-        layout, cells = math.prod(padded) + 2 * margin, math.prod(shape)
-        law = 8 * held * layout + 8 * cells if held else 0
-        _guard_cells(padded, cell_bytes, mem_limit,
-                     2 * margin * cell_bytes + max(0, law - cell_bytes * layout))
     return lo, shape, org, bound
-
-
-def _window(org, rad: int):
-    """Slice of the box within sup-distance ``rad`` of the origin index."""
-    return tuple(slice(max(0, o - rad), o + rad + 1) for o in org)
 
 
 def _layout(shape, reach: int):
@@ -199,123 +179,138 @@ def _fold_axes(*laws) -> tuple:
         for f in laws))
 
 
-def _fold(shape, org, folds, offs):
-    """(shape, origin index, widths, axis order) of the box folded on ``folds``.
+class _Stepper:
+    """One route's zero-halo stepper: walks by p on the tail box, mass past it dropped.
 
-    On a folded axis i the box keeps the cells x_i >= -w_i, where w_i is
-    the kernel's reach along i (``offs``, its offsets): a step of the cells
+    ``laws`` are the step law p, which every walk steps by, and then every
+    law a walk starts from or adds; the box holds max(n, 1) steps of their
+    hull and the origin, cut at the tail box (``_box``: ``lo``, ``shape``
+    and ``bound``).  The stepper folds the box on the axes where every law
+    is even (``_fold_axes``).  On a folded axis i the box keeps the cells
+    x_i >= -w_i, where w_i is p's reach along i: a step of the cells
     x_i >= 0 reads no further, and the w_i mirror cells below 0 are copies
     of x_i = 1..w_i.  The laws a route starts from or adds lie there too:
     q = p + a and q(-x) = p(x) - a(x) are nonnegative, so |a| <= p and
-    neither a nor q reaches past p.  ``widths`` maps each folded axis to
-    w_i; the axis order puts the folded axes first, the stepper's layout
-    order.  With no fold this is the box itself, in its own order.
+    neither a nor q reaches past p.  ``origin`` is the origin's index on
+    the folded box, which with no fold is the box itself.
+
+    Each walk's state lives in one of two flat buffers laid out by
+    ``_layout`` with the folded axes first, and one ``dp_step`` scratch
+    (the padded layout's cells) serves every walk of the route, in turn.
+    The guard charges ``cell_bytes`` per cell of that layout, halo and
+    margin included.  A route that returns a law holds ``held`` of the
+    walks' buffers (8 bytes a layout cell) as ``unfold`` builds the law on
+    the box (8 bytes a box cell), and the guard charges the larger of the
+    two phases: folded, the law can outweigh the layout, which holds about
+    a quarter of the box in 3-D.  The law is then zeroed and renormalized
+    in place (``_law``), once the route has dropped the walks' buffers.
     """
-    widths = {ax: int(np.abs(offs[:, ax]).max(initial=0)) for ax in folds}
-    fshape = tuple(org[ax] + widths[ax] + 1 if ax in widths else s for ax, s in enumerate(shape))
-    forg = tuple(widths.get(ax, o) for ax, o in enumerate(org))
-    return fshape, forg, widths, (*folds, *(ax for ax in range(len(shape)) if ax not in widths))
 
+    def __init__(self, laws, n: int, mem_limit: int, cell_bytes: int, held: int = 0):
+        p = laws[0]
+        self.lo, self.shape, org, self.bound = _box((*laws, _delta(p.dim)), n)
+        reach = max(f.radius for f in laws)
+        offs, ws = p.support
+        widths = {ax: int(np.abs(offs[:, ax]).max(initial=0)) for ax in _fold_axes(*laws)}
+        self.origin = tuple(widths.get(ax, o) for ax, o in enumerate(org))
+        perm = (*widths, *(ax for ax in range(p.dim) if ax not in widths))  # folded axes first
+        pshape = [org[ax] + widths[ax] + 1 if ax in widths else self.shape[ax] for ax in perm]
+        padded, margin = _layout(pshape, reach)
+        layout = math.prod(padded) + 2 * margin
+        law = 8 * held * layout + 8 * math.prod(self.shape) if held else 0
+        _guard_cells(padded, cell_bytes, mem_limit,
+                     2 * margin * cell_bytes + max(0, law - cell_bytes * layout))
+        self._org, self._widths, self._perm, self._reach = org, widths, perm, reach
+        self._pshape, self._padded, self._margin = pshape, padded, margin
+        self._groups = shift_groups(offs[:, perm], ws, padded)
+        self._scratch = np.empty(math.prod(padded))
 
-def _folded_layout(shape, org, folds, offs, reach: int):
-    """``_layout`` of the box folded on ``folds``, its folded axes first."""
-    fshape, _, _, perm = _fold(shape, org, folds, offs)
-    return _layout([fshape[ax] for ax in perm], reach)
+    def index(self, f: LatticeFn):
+        """f's support as (index on the folded box, weights)."""
+        pts, ws = f.support
+        return tuple((pts + self.origin).T), ws
 
+    def walk(self, start: LatticeFn, steps: int):
+        """Step ``start`` ``steps`` times by p, mass past the box dropped.
 
-def _at_origin(f: LatticeFn, org):
-    """f's support as (index, weights), its points taken relative to the origin index."""
-    pts, ws = f.support
-    return tuple((pts + org).T), ws
+        Yields (k, cur) for k = 0..steps: ``cur`` is the state after k steps
+        on the folded box, a view in the box's axis order of one of the
+        walk's two buffers, and is exactly zero past start.radius + k * reach
+        of ``origin``.  Changes the caller makes to ``cur`` within that
+        window before resuming are kept; on a folded box they must be even,
+        every mirror cell changed as its image.
 
+        A step writes the rows (axis 0 of the layout) of the next window at
+        the full padded width, by one ``dp_step`` on the span they read,
+        then zeroes those rows' halo: the mass stepped past the box,
+        dropped.  The cells a step skips or adds hold exact zeros, so every
+        sum drops only +0.0 terms and keeps its order: the result is that
+        of stepping every row.  On a folded box a step covers the cells
+        x_i >= 0 and then refills the mirror cells from x_i = 1..w_i, the
+        inner folded axes in the stepped rows first and then axis 0, whose
+        mirror cells are whole rows: every law it steps is even on the
+        folded axes, so this is the full box's walk with each mirror cell
+        read from its image.
+        """
+        pshape, padded, margin = self._pshape, self._padded, self._margin
+        size = math.prod(padded)
+        width = size // padded[0]  # cells per row, halo included
+        widths = [self._widths.get(ax, 0) for ax in self._perm]
+        halo = [(slice(None),) * ax + (slice(pshape[ax], None),) for ax in range(1, len(pshape))]
+        mirror = [((slice(None),) * ax + (slice(0, w),), (slice(None),) * ax + (slice(2 * w, w, -1),))
+                  for ax, w in enumerate(widths) if ax and w]
+        first = widths[0]  # axis 0's mirror rows
+        o = self.origin[self._perm[0]]  # the origin's row
+        bufs = [np.zeros(size + 2 * margin) for _ in range(2)]
+        order = np.argsort(self._perm)
+        boxes = [buf[margin:margin + size].reshape(padded)[tuple(map(slice, pshape))].transpose(order)
+                 for buf in bufs]
+        idx, w = self.index(start)
+        boxes[0][idx] = w
+        rad = start.radius
+        for k in range(steps + 1):
+            yield k, boxes[k % 2]
+            if k < steps:
+                rad += self._reach
+                a, b = max(0, o - rad, first), min(pshape[0], o + rad + 1)
+                src, dst = bufs[k % 2], bufs[1 - k % 2]
+                lo, hi = margin + a * width, margin + b * width
+                dp_step(src[lo - margin:hi + margin], dst[lo:hi], self._groups, self._scratch)
+                if halo:
+                    rows = dst[lo:hi].reshape(b - a, *padded[1:])
+                    for face in halo:
+                        rows[face] = 0.0
+                    for to, image in mirror:
+                        rows[to] = rows[image]
+                if first:
+                    rows = dst[margin:margin + size].reshape(padded[0], width)
+                    rows[:first] = rows[2 * first:first:-1]
 
-def _unfold(shape, org, widths, *parts):
-    """The sum of the folded ``parts`` on the box of ``shape``, every folded axis mirrored.
+    def unfold(self, *parts):
+        """The sum of the folded ``parts`` on the box, every folded axis mirrored.
 
-    ``widths`` is ``_fold``'s.  The sum goes into the first part, and each
-    orthant of the box (x_i >= 0 or x_i < 0 on each folded axis) is one
-    copy of its cells x_i >= 0, reversed where x_i < 0: the law is exactly
-    even on every folded axis.  With no fold this is the parts' sum.
-    """
-    acc = parts[0]
-    for part in parts[1:]:
-        acc += part
-    # per axis, the (box, folded box) slices of each orthant
-    pieces = [()]
-    for ax, o in enumerate(org):
-        w = widths.get(ax)
-        sides = ([(slice(None), slice(None))] if w is None else
-                 [(slice(o, None), slice(w, None)), (slice(0, o), slice(w + o, w, -1))])
-        pieces = [p + (side,) for p in pieces for side in sides]
-    out = np.empty(shape)
-    for piece in pieces:
-        dst, src = zip(*piece)
-        np.copyto(out[dst], acc[src])
-    return out
-
-
-def _walk(shape, org, reach: int, start: LatticeFn, offs, ws, n: int, scratch=None, folds=()):
-    """Step ``start`` n times by the kernel (offs, ws), mass past the box dropped.
-
-    Yields (k, cur, win) for k = 0..n: ``cur`` is the state after k steps
-    on the box folded on ``folds`` (``_fold``: the box itself when there is
-    none), and ``win`` the slice within start.radius + k * reach of the
-    folded origin, outside which ``cur`` is exactly zero.  Changes the
-    caller makes to ``cur`` inside ``win`` before resuming are kept; on a
-    folded walk they must be even, every mirror cell changed as its image.
-
-    ``cur`` is a view, in the box's axis order, of one of two flat buffers
-    laid out by ``_layout`` with the folded axes first.  A step writes the
-    rows (axis 0) of the next window at the full padded width, by one
-    ``dp_step`` on the span they read, then zeroes those rows' halo: the
-    mass stepped past the box, dropped.  The cells a step skips or adds
-    hold exact zeros, so every sum drops only +0.0 terms and keeps its
-    order: the result is that of stepping every row.  A folded walk steps
-    the cells x_i >= 0 and then refills the mirror cells from x_i = 1..w_i,
-    the inner folded axes in the stepped rows first and then axis 0, whose
-    mirror cells are whole rows: every law it steps is even on the folded
-    axes (``_fold_axes``), so this is the full box's walk with each mirror
-    cell read from its image.  ``scratch`` is dp_step's scratch (the padded
-    layout's cells); walks that step in turn may share one.
-    """
-    fshape, forg, widths, perm = _fold(shape, org, folds, offs)
-    pshape = [fshape[ax] for ax in perm]
-    padded, margin = _layout(pshape, reach)
-    size = math.prod(padded)
-    width = size // padded[0]  # cells per row, halo included
-    groups = shift_groups(offs[:, perm], ws, padded)
-    if scratch is None:
-        scratch = np.empty(size)
-    halo = [(slice(None),) * ax + (slice(pshape[ax], None),) for ax in range(1, len(pshape))]
-    mirror = [((slice(None),) * ax + (slice(0, w),), (slice(None),) * ax + (slice(2 * w, w, -1),))
-              for ax, w in enumerate(map(widths.get, perm)) if ax and w]
-    first = widths.get(perm[0], 0)  # axis 0's mirror rows
-    order = np.argsort(perm)
-    bufs = [np.zeros(size + 2 * margin) for _ in range(2)]
-    boxes = [buf[margin:margin + size].reshape(padded)[tuple(map(slice, pshape))].transpose(order)
-             for buf in bufs]
-    idx, w = _at_origin(start, forg)
-    boxes[0][idx] = w
-    rad = start.radius
-    win = _window(forg, rad)
-    for k in range(n + 1):
-        yield k, boxes[k % 2], win
-        if k < n:
-            win = _window(forg, rad + (k + 1) * reach)
-            a, b, _ = win[perm[0]].indices(pshape[0])
-            a = max(a, first)
-            src, dst = bufs[k % 2], bufs[1 - k % 2]
-            lo, hi = margin + a * width, margin + b * width
-            dp_step(src[lo - margin:hi + margin], dst[lo:hi], groups, scratch)
-            if halo:
-                rows = dst[lo:hi].reshape(b - a, *padded[1:])
-                for face in halo:
-                    rows[face] = 0.0
-                for to, image in mirror:
-                    rows[to] = rows[image]
-            if first:
-                rows = dst[margin:margin + size].reshape(padded[0], width)
-                rows[:first] = rows[2 * first:first:-1]
+        The sum goes into the first part, and each orthant of the box
+        (x_i >= 0 or x_i < 0 on each folded axis) is one copy of its cells
+        x_i >= 0, reversed where x_i < 0: the law is exactly even on every
+        folded axis.  With no fold this is the parts' sum.  The walks are
+        done: the scratch goes before the law is built.
+        """
+        self._scratch = None
+        acc = parts[0]
+        for part in parts[1:]:
+            acc += part
+        # per axis, the (box, folded box) slices of each orthant
+        pieces = [()]
+        for ax, o in enumerate(self._org):
+            w = self._widths.get(ax)
+            sides = ([(slice(None), slice(None))] if w is None else
+                     [(slice(o, None), slice(w, None)), (slice(0, o), slice(w + o, w, -1))])
+            pieces = [p + (side,) for p in pieces for side in sides]
+        out = np.empty(self.shape)
+        for piece in pieces:
+            dst, src = zip(*piece)
+            np.copyto(out[dst], acc[src])
+        return out
 
 
 def _delta(dim: int) -> LatticePMF:
@@ -356,23 +351,18 @@ def _forward(p: LatticePMF, a: LatticeFn, hull, n: int, mem_limit: int):
     cut at the tail box; mass stepped past it is dropped.  Returns the law
     and the box's tail bound.
     """
-    folds = _fold_axes(p, a, *hull)
     # two buffers + scratch; the last buffer as the law is unfolded
-    lo, shape, org, bound = _box((*hull, _delta(p.dim)), n, 24, mem_limit, folds, held=1)
-    offs, ws = p.support
-    _, forg, widths, _ = _fold(shape, org, folds, offs)
-    a_idx, a_ws = _at_origin(a, forg)
-    reach = max(f.radius for f in hull)
-
+    st = _Stepper((*hull, a), n, mem_limit, 24, held=1)
+    a_idx, a_ws = st.index(a)
     m0 = 0.0
-    for _, cur, _ in _walk(shape, org, reach, _delta(p.dim), offs, ws, n, folds=folds):
+    for _, cur in st.walk(_delta(p.dim), n):
         # transition from the origin differs from p by exactly a = q - p
         if m0 != 0.0:
             cur[a_idx] += m0 * a_ws
-        m0 = cur[forg]
-    law = _unfold(shape, org, widths, cur)  # the law without the stepper's halo
+        m0 = cur[st.origin]
+    law = st.unfold(cur)  # the law without the stepper's halo
     del cur
-    return _law(lo, law), bound
+    return _law(st.lo, law), st.bound
 
 
 def _pair_slabs(shape):
@@ -478,7 +468,7 @@ def _fourier(p: LatticePMF, a: LatticeFn, hull, n: int, mem_limit: int):
     half layout (``spectral.TorusGrid``): the law is real.
     """
     perturbed = n > 0 and a.weights.any()
-    lo, shape, _, bound = _box(hull, n, 0, mem_limit)
+    lo, shape, _, bound = _box(hull, n)
     sizes = tuple(s | 1 for s in shape)
     half = half_shape(sizes)
     cells = math.prod(half)
@@ -590,31 +580,25 @@ def perturbed_via_representation(
     antisymmetry of a (which WalkSpec guarantees): paths revisiting the
     origin then contribute nothing to the correction.
     """
-    folds = _fold_axes(spec.p, spec.q, spec.a)
     perturbed = n > 0 and spec.a.weights.any()
     # u's last buffer, the S walk's two + the scratch the walks share; u's
     # and S's last buffers as the law is unfolded
-    lo, shape, org, bound = _box((spec.p, spec.q), n, 32, mem_limit, folds, held=1 + perturbed)
-    offs, ws = spec.p.support
-    _, forg, widths, _ = _fold(shape, org, folds, offs)
-    a_idx, a_ws = _at_origin(spec.a, forg)
-
-    scratch = np.empty(math.prod(_folded_layout(shape, org, folds, offs, spec.radius)[0]))
+    st = _Stepper((spec.p, spec.q, spec.a), n, mem_limit, 32, held=1 + perturbed)
+    a_idx, a_ws = st.index(spec.a)
     r = []
-    for _, u, _ in _walk(shape, org, spec.radius, _delta(spec.nu), offs, ws, n, scratch, folds):
-        r.append(u[forg])
+    for _, u in st.walk(_delta(spec.nu), n):
+        r.append(u[st.origin])
     parts = [u]
     if perturbed:
-        for k, s, _ in _walk(shape, org, spec.radius, spec.a, offs, ws, n - 1, scratch, folds):
+        for k, s in st.walk(spec.a, n - 1):
             if k:
                 s[a_idx] += r[k] * a_ws
         parts.append(s)
         del s
-    del scratch, u  # the walks are done; the law's array below takes its place
-    law = _unfold(shape, org, widths, *parts)  # the law, without the stepper's halo
+    del u  # parts holds the walks' last buffers
+    law = st.unfold(*parts)  # the law, without the stepper's halo
     del parts  # the buffers go before the law is checked
-
-    return ExactDistribution(n=n, pmf=_law(lo, law), route="repr", tail_bound=bound)
+    return ExactDistribution(n=n, pmf=_law(st.lo, law), route="repr", tail_bound=st.bound)
 
 
 def perturbed_fourier(
@@ -691,17 +675,13 @@ def first_return_probs(
     runs on the tail box of n_max steps, so each value is within that box's
     tail bound of its full-support value.
     """
-    folds = _fold_axes(spec.p, spec.q)
-    _, shape, org, _ = _box((spec.p, spec.q), n_max, 24, mem_limit, folds)
-    p_offs, p_ws = spec.p.support
-    forg = _fold(shape, org, folds, p_offs)[1]
+    st = _Stepper((spec.p, spec.q), n_max, mem_limit, 24)
 
     def taboo(first_step: LatticeFn) -> np.ndarray:
         f = np.empty(n_max)
-        for m, cur, _ in _walk(shape, org, spec.radius, first_step, p_offs, p_ws, n_max - 1,
-                               folds=folds):
-            f[m] = cur[forg]
-            cur[forg] = 0.0
+        for m, cur in st.walk(first_step, n_max - 1):
+            f[m] = cur[st.origin]
+            cur[st.origin] = 0.0
         return f
 
     return taboo(spec.q), taboo(spec.p)

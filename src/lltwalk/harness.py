@@ -49,6 +49,11 @@ LAW_POINT_BYTES = 40
 POOL_LOAD_BYTES = 672 << 10
 GUIDE_BITS = 12  # a draw's guide bin is the top GUIDE_BITS bits of its word
 GUIDE_BINS = 1 << GUIDE_BITS  # bins of each step law's guide table
+# tracemalloc peak of building one guide table past the guide it keeps, with
+# 11% to spare: the bin edges, each bin's first CDF index, the CDF value
+# there and a mask, 102.7 KB at 4096 bins in int32 and in int64 (Python
+# 3.11, numpy 2.4); the guide keeps 4 B a bin (8 B in int64)
+GUIDE_BUILD_BYTES = 28 * GUIDE_BINS
 CHI2_MIN_EXPECTED = 5.0  # chi_squared_check pools cells expecting fewer counts than this
 CROSSCHECK_MAX_N = 512  # compare cross-checks its route against a second one up to this n
 # tracemalloc peak of window_predictions plus predictions_text per cell of the
@@ -131,8 +136,8 @@ def _law_tables(pmf: LatticePMF, strides: np.ndarray, dtype) -> _LawTable:
     The support comes in ``pmf.support`` order from the flat indices of its
     nonzero weights, whose digits give each point's step into the box: a
     law of k points takes at most LAW_POINT_BYTES * k bytes while it is
-    built, whatever its dimension, beside the guide's arrays of GUIDE_BINS
-    entries, and keeps 12 B (16 B in int64) a point.
+    built, whatever its dimension, beside the guide and GUIDE_BUILD_BYTES
+    of arrays of GUIDE_BINS entries, and keeps 12 B (16 B in int64) a point.
     """
     w = pmf.weights
     flat = np.flatnonzero(w)
@@ -146,11 +151,12 @@ def _law_tables(pmf: LatticePMF, strides: np.ndarray, dtype) -> _LawTable:
         steps += digit
     del flat, digit
     cdf[-1] = 1.0  # guard the top edge against float-sum shortfall
-    lo = np.arange(GUIDE_BINS) / GUIDE_BINS
-    hi = np.nextafter(lo + 1.0 / GUIDE_BINS, 0.0)  # largest draw in each bin
-    first = np.searchsorted(cdf, lo, side="right")
-    last = np.searchsorted(cdf, hi, side="right")
-    guide = np.where(first == last, steps[first], np.iinfo(dtype).min).astype(dtype)
+    # bin b's draws lie in [b/K, (b+1)/K): all take the step at the least CDF
+    # value past b/K, unless that value splits the bin
+    edges = np.arange(GUIDE_BINS + 1) / GUIDE_BINS
+    first = np.searchsorted(cdf, edges[:-1], side="right")
+    guide = steps[first]
+    guide[cdf[first] < edges[1:]] = np.iinfo(dtype).min
     return _LawTable(steps, cdf, guide)
 
 
@@ -204,7 +210,8 @@ def simulate(
     own int64 counts, and their integer sum is the same for every W.  One
     worker's dense counts and bincount take 16 bytes per cell of the box,
     and its chunk's buffers CHUNK_TRIAL_BYTES per trial; the two laws' guide
-    tables, shared, LAW_POINT_BYTES per support point.  ``mem_limit`` caps
+    tables, shared, LAW_POINT_BYTES per support point and their guides, plus
+    GUIDE_BUILD_BYTES for the build of one.  ``mem_limit`` caps
     the first worker and the tables (ResourceLimit past it), and
     :func:`_worker_count` admits as many workers as the rest holds.
     """
@@ -214,14 +221,16 @@ def simulate(
         raise ValueError(f"seed must be in [0, 2**128), got {seed}")
     box = exact_engine._hull_box((spec.p, spec.q), n)
     shape = tuple(h - l + 1 for l, h in box)
-    laws = LAW_POINT_BYTES * sum(np.count_nonzero(law.weights) for law in (spec.p, spec.q))
+    cells = math.prod(shape)
+    dtype = _position_dtype(cells)
+    # both laws' points and guides, and one guide's build at a time
+    laws = (LAW_POINT_BYTES * sum(np.count_nonzero(law.weights) for law in (spec.p, spec.q))
+            + 2 * GUIDE_BINS * np.dtype(dtype).itemsize + GUIDE_BUILD_BYTES)
     exact_engine._guard_cells(shape, 16, mem_limit,
                               CHUNK_TRIAL_BYTES * min(SIM_CHUNK, trials) + laws)
-    cells = math.prod(shape)
     lo = np.array([l for l, _ in box], dtype=np.int64)
     strides = np.cumprod((1, *shape[:0:-1]), dtype=np.int64)[::-1]  # C order
     origin = int(-lo @ strides)
-    dtype = _position_dtype(cells)
     p_law = _law_tables(spec.p, strides, dtype)
     q_law = _law_tables(spec.q, strides, dtype)
 

@@ -138,6 +138,10 @@ def test_resource_limit_exit_code(capsys):
     ["asymptotic", "--n", "64", "--order", "2"],
     ["asymptotic", "--n", "64", "--order", "13"],
     ["compare", "--n-list", "16", "--order", "2"],
+    ["exact", "--n", "4", "--mem-limit-mb", "-5"],
+    ["returns", "--mem-limit-mb", "-1"],
+    ["simulate", "--n", "3", "--trials", "10", "--mem-limit-mb", "-1"],
+    ["compare", "--n-list", "16", "--mem-limit-mb", "-1"],
 ])
 def test_bad_counts_exit_code(capsys, argv):
     rc = main(argv + ["--spec", config_path("lazy_pert_1d.cfg")])

@@ -331,7 +331,7 @@ def test_route_within_tail_bound_of_full_support(request, monkeypatch, name, n, 
 @pytest.mark.parametrize("name, n", TAIL_CASES)
 def test_first_returns_within_tail_bound_of_full_support(request, monkeypatch, name, n):
     spec = request.getfixturevalue(name)
-    bound = exact_engine._box((spec.p, spec.q), n, 0, exact_engine.DEFAULT_MEM_LIMIT)[3]
+    bound = exact_engine._box((spec.p, spec.q), n)[3]
     assert 0.0 < bound <= spec.nu * exact_engine.TAIL_TOL
     got = first_return_probs(spec, n)
     ref = _on_full_support(monkeypatch, lambda: first_return_probs(spec, n))
@@ -343,7 +343,7 @@ def test_first_returns_within_tail_bound_of_full_support(request, monkeypatch, n
 @pytest.mark.parametrize("method", ["fft", "direct"])
 def test_convolve_power_within_tail_bound_of_full_support(request, monkeypatch, name, n, method):
     p = request.getfixturevalue(name).p
-    bound = exact_engine._box((p,), n, 0, exact_engine.DEFAULT_MEM_LIMIT)[3]
+    bound = exact_engine._box((p,), n)[3]
     assert 0.0 < bound <= p.dim * exact_engine.TAIL_TOL
     got = convolve_power(p, n, method=method)
     ref = _on_full_support(monkeypatch, lambda: convolve_power(p, n, method=method))
@@ -359,44 +359,47 @@ def test_tail_bound_zero_on_full_support(lazy_pert, route):
     assert d.pmf.box == ((-10, 10),)
 
 
-def test_walk_matches_full_box_stepping(unit_cov_2d):
+def test_walk_matches_full_box_stepping(unit_cov_2d, monkeypatch):
     # the stepper, which steps only the window's rows, reproduces stepping
     # every row of the box with the same kernel bit for bit
     n = 12
-    _, shape, org, _ = exact_engine._box((unit_cov_2d.p,), n, 24, exact_engine.DEFAULT_MEM_LIMIT)
-    offs, ws = unit_cov_2d.p.support
-    full = np.zeros(shape)
-    full[org] = 1.0
-    delta = exact_engine._delta(2)
-    reach = unit_cov_2d.p.radius
-    for k, cur, win in exact_engine._walk(shape, org, reach, delta, offs, ws, n):
+    p = unit_cov_2d.p
+    monkeypatch.setattr(exact_engine, "_fold_axes", lambda *laws: ())  # the whole box
+    st = exact_engine._Stepper((p,), n, exact_engine.DEFAULT_MEM_LIMIT, 24)
+    offs, ws = p.support
+    full = np.zeros(st.shape)
+    full[st.origin] = 1.0
+    for k, cur in st.walk(exact_engine._delta(2), n):
         assert np.array_equal(cur, full)
         outside = cur.copy()
-        outside[win] = 0.0
+        outside[tuple(slice(max(0, o - k * p.radius), o + k * p.radius + 1) for o in st.origin)] = 0.0
         assert not outside.any()
-        full = step_every_row(full, offs, ws, reach)
+        full = step_every_row(full, offs, ws, p.radius)
 
 
 @pytest.mark.parametrize("shape, org, offs", [
-    ((7, 9), (3, 5), [(0, 0), (1, 0), (0, -1), (1, 1), (-2, 1), (2, 1)]),
-    ((5, 6, 7), (2, 2, 4), [(0, 0, 0), (1, 1, 1), (-2, 1, 0), (1, -1, 2), (2, 0, 1), (-1, -2, -1)]),
+    ((9, 7), (4, 2), [(0, 0), (1, 0), (0, -1), (1, 1), (-2, 1), (2, 2)]),
+    ((9, 7, 7), (4, 4, 2), [(0, 0, 0), (1, 1, 1), (-2, 1, 0), (1, -1, 2), (2, 0, 1), (-1, -2, -1)]),
 ])
-def test_walk_drops_stepped_out_mass(shape, org, offs):
+def test_walk_drops_stepped_out_mass(monkeypatch, shape, org, offs):
     # mass on the box's corners, stepped by diagonal jumps past two faces at
     # once: what leaves the box is dropped, not wrapped into another row,
-    # and does not come back at the next step
-    offs = np.array(offs, dtype=np.int64)
-    ws = np.array([0.3, 0.1, 0.1, 0.2, 0.2, 0.1])
+    # and does not come back at the next step.  The box, off centre, holds
+    # two steps of the kernel, whose reach is the halo's width
+    monkeypatch.setattr(exact_engine, "TAIL_TOL", 0.0)
+    ws = [0.3, 0.1, 0.1, 0.2, 0.2, 0.1]
+    p = LatticePMF.from_points(len(shape), {tuple(x): str(w) for x, w in zip(offs, ws)})
+    st = exact_engine._Stepper((p,), 2, exact_engine.DEFAULT_MEM_LIMIT, 24)
+    assert (st.shape, st.origin) == (shape, org)
     corners = list(itertools.product(*((0, s - 1) for s in shape)))
     start = SignedLatticeFn.from_points(
         len(shape), {tuple(c - o for c, o in zip(x, org)): i + 1 for i, x in enumerate(corners)})
     expect = np.zeros(shape)
     for x, w in zip(corners, range(1, len(corners) + 1)):
         expect[x] = w
-    reach = int(np.abs(offs).max())
-    for k, cur, _ in exact_engine._walk(shape, org, reach, start, offs, ws, 2):
+    for k, cur in st.walk(start, 2):
         assert np.abs(cur - expect).max() < 1e-15
-        expect = direct_step(expect, offs, ws)
+        expect = direct_step(expect, np.array(offs), np.array(ws))
 
 
 def _unfolded(monkeypatch, fn):
@@ -654,7 +657,7 @@ def test_fourier_law_where_fft_samples_failed(request, monkeypatch, name, n):
     law = perturbed_fourier(spec, n).pmf
     assert law.total() == pytest.approx(1.0, abs=1e-12)
     assert law.weights.min() >= 0.0
-    _, shape, _, _ = exact_engine._box((spec.p, spec.q), n, 0, exact_engine.DEFAULT_MEM_LIMIT)
+    _, shape, _, _ = exact_engine._box((spec.p, spec.q), n)
     assert sizes == [tuple(s | 1 for s in shape)] * 2  # p's samples and a's, on no wider a grid
 
 

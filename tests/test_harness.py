@@ -261,7 +261,7 @@ def test_worker_count_charges_the_pool_load(unit_cov_2d, monkeypatch):
     assert hz._worker_count(cells, 2, 2 * each + hz.POOL_LOAD_BYTES) == 2
     box = exact_engine._hull_box((unit_cov_2d.p, unit_cov_2d.q), 64)
     cells = math.prod(h - l + 1 for l, h in box)
-    laws = hz.LAW_POINT_BYTES * 18
+    laws = hz.LAW_POINT_BYTES * 18 + 2 * 4 * GUIDE_BINS + hz.GUIDE_BUILD_BYTES
     assert hz._worker_count(cells, 2, exact_engine.DEFAULT_MEM_LIMIT - laws) == 2
 
 
@@ -353,7 +353,7 @@ def test_simulate_first_worker_within_guard(unit_cov_2d, monkeypatch, trials):
     finally:
         tracemalloc.stop()
     points = sum(np.count_nonzero(f.weights) for f in (unit_cov_2d.p, unit_cov_2d.q))
-    laws = hz.LAW_POINT_BYTES * points
+    laws = hz.LAW_POINT_BYTES * points + 2 * 4 * GUIDE_BINS + hz.GUIDE_BUILD_BYTES
     assert budgets == [16 * (4 * n + 1) ** 2 + hz.CHUNK_TRIAL_BYTES * trials + laws]
     assert peak <= budgets[0] + (256 << 10)
 
@@ -425,8 +425,38 @@ def test_simulate_charges_the_law_tables(monkeypatch):
     finally:
         tracemalloc.stop()
     assert emp.counts.shape == (32769,)
-    assert budgets == [16 * 32769 + hz.CHUNK_TRIAL_BYTES * 10 + hz.LAW_POINT_BYTES * 2 * 32769]
+    laws = hz.LAW_POINT_BYTES * 2 * 32769 + 2 * 4 * GUIDE_BINS + hz.GUIDE_BUILD_BYTES
+    assert budgets == [16 * 32769 + hz.CHUNK_TRIAL_BYTES * 10 + laws]
     assert peak <= budgets[0] + (256 << 10)
+
+
+def test_simulate_charges_the_guide_build(lazy_pert, monkeypatch):
+    # a 21-cell box, 10 trials and two 3-point laws: the guides' arrays of
+    # GUIDE_BINS entries are nearly all the run holds, so the guard must
+    # charge them with no slack.  Charged per point alone, the run passed a
+    # 64 KiB cap and peaked at 189 KB
+    import lltwalk.harness as hz
+
+    simulate(lazy_pert, 10, 10, seed=3)  # first use imports numpy.random
+    budgets = []
+    guard = exact_engine._guard_cells
+
+    def recording_guard(shape, itemsize, mem_limit, extra=0):
+        budgets.append(math.prod(shape) * itemsize + extra)
+        guard(shape, itemsize, mem_limit, extra)
+
+    monkeypatch.setattr(exact_engine, "_guard_cells", recording_guard)
+    tracemalloc.start()
+    try:
+        simulate(lazy_pert, 10, 10, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    laws = hz.LAW_POINT_BYTES * 6 + 2 * 4 * GUIDE_BINS + hz.GUIDE_BUILD_BYTES
+    assert budgets == [16 * 21 + hz.CHUNK_TRIAL_BYTES * 10 + laws]
+    assert peak <= budgets[0]
+    with pytest.raises(ResourceLimit):
+        simulate(lazy_pert, 10, 10, seed=3, mem_limit=64 << 10)
 
 
 def test_simulate_refuses_a_chunk_past_the_cap(lazy_pert):
@@ -646,7 +676,7 @@ def test_compare_rows_independent_of_tail_box(lazy_pert, monkeypatch, route):
         ref = compare(lazy_pert, [n], window=2.0 * n, route=route, crosscheck=False)
     assert [row["x"] for row in report_rows(got)] == [[x] for x in range(-n, n + 1)]
     assert [row["x"] for row in report_rows(ref)] == [[x] for x in range(-n, n + 1)]
-    lo, shape, _, bound = exact_engine._box((lazy_pert.p, lazy_pert.q), n, 0, 1 << 62)
+    lo, shape, _, bound = exact_engine._box((lazy_pert.p, lazy_pert.q), n)
     assert shape[0] < 2 * n + 1 and 0.0 < bound <= exact_engine.TAIL_TOL
     assert all(row["exact"] == 0.0 for row in report_rows(got)
                if not lo[0] <= row["x"][0] < lo[0] + shape[0])

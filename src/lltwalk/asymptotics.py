@@ -63,12 +63,13 @@ def llt_gaussian_leading(B, n: int, x) -> float:
 
 
 def perturbation_correction_many(spec: WalkSpec, n: int, X: np.ndarray) -> np.ndarray:
-    """Vectorized additive correction for the perturbed chain."""
+    """Relative correction of the perturbed chain over rows of X, vectorized.
+
+    The additive correction is the lattice Gaussian times this factor.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    gauss = gaussian_leading_many(spec.B, n, X)
     if spec.nu == 1:
-        rel = (spec.d[0] / spec.sigma2) * np.sign(X[:, 0])
-        return gauss * rel
+        return (spec.d[0] / spec.sigma2) * np.sign(X[:, 0])
     if spec.nu == 2:
         Binv = np.linalg.inv(spec.B)
         det = float(np.linalg.det(spec.B))
@@ -76,8 +77,7 @@ def perturbation_correction_many(spec: WalkSpec, n: int, X: np.ndarray) -> np.nd
         den = np.einsum("ij,jk,ik->i", X, Binv, X)
         if np.any(den == 0):
             raise OriginUndefined("correction is singular at x = 0 in two dimensions")
-        rel = (1.0 / math.pi) / math.sqrt(det) * num / den
-        return gauss * rel
+        return (1.0 / math.pi) / math.sqrt(det) * num / den
     return np.zeros(X.shape[0])
 
 
@@ -89,8 +89,9 @@ def perturbation_correction(spec: WalkSpec, n: int, x) -> float:
     OriginUndefined in two dimensions, where the reports use
     :func:`lltwalk.harness.predict` and its correction of 0.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return float(perturbation_correction_many(spec, n, x[np.newaxis, :])[0])
+    X = np.atleast_1d(np.asarray(x, dtype=float))[np.newaxis, :]
+    gauss = gaussian_leading_many(spec.B, n, X)
+    return float(gauss[0] * perturbation_correction_many(spec, n, X)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,11 @@ from .walk_model import validate_walk_spec
 # 151 B in 2-D (n = 1024) and 176 B in 3-D (n = 96) on Python 3.11 and
 # numpy 2.4; 86 to 186 B in CSV and TSV
 LAW_CELL_BYTES = 234
+# tracemalloc peak of returns_text per row of the first-return table, with 7%
+# to spare: JSON 334 B at n_max = 8192 (four blocks of rows) and 320 B at
+# 100000 on lazy_pert_1d, Python 3.11 and numpy 2.4; 208 to 237 B in CSV
+# and TSV.  The %.3e column is formatted value by value
+RETURN_ROW_BYTES = 358
 
 
 def _emit(text: str, out: str | None):
@@ -222,7 +227,9 @@ def _cmd_identities(args) -> int:
 
 def _cmd_returns(args) -> int:
     spec = load_walk_spec(args.spec)
-    f, fp = exact_engine.first_return_probs(spec, args.n_max, mem_limit=args.mem_limit_mb << 20)
+    mem = args.mem_limit_mb << 20
+    exact_engine._guard_cells((args.n_max,), RETURN_ROW_BYTES, mem)  # the table, before the walk
+    f, fp = exact_engine.first_return_probs(spec, args.n_max, mem_limit=mem)
     _emit(io_text.returns_text(f, fp, args.format), args.out)
     worst = float(np.abs(f - fp).max())
     print(f"max |f_n - f'_n| = {worst:.3e}", file=sys.stderr)

@@ -33,7 +33,9 @@ from ._kernels import (
     KsumPlan, dp_step, ksum_plan, origin_returns, pow_binary, shift_groups, weighted_power_sum,
 )
 from .errors import CrossCheckError, NotNormalized, ResourceLimit
-from .spectral import TorusGrid, charfn_grid, charfn_peak_bytes, half_shape, invert_charfn
+from .spectral import (
+    TorusGrid, charfn_grid, charfn_peak_bytes, half_pairs, half_shape, invert_charfn,
+)
 from .walk_model import LatticeFn, LatticePMF, WalkSpec, common_box, perturbation
 
 DEFAULT_MEM_LIMIT = 2 << 30  # bytes; generous but finite
@@ -365,37 +367,23 @@ def _forward(p: LatticePMF, a: LatticeFn, hull, n: int, mem_limit: int):
     return _law(st.lo, law), st.bound
 
 
-def _pair_slabs(shape):
-    """Slices of a half layout of ``shape`` that hold each +-j pair of cells once.
-
-    A cell with j_nu >= 1 on the last axis has its mirror -j outside the
-    layout; plane j_nu = 0 holds both cells of each of its pairs.  So the
-    slabs are j_nu >= 1, then within plane 0, axis by axis from the last,
-    the cells with j_i in 1..h_i and every later axis 0; the origin, its
-    own mirror, comes last.  They hold (M + 1) / 2 cells of the grid's M.
-    """
-    nu = len(shape)
-    slabs = [(Ellipsis, slice(1, None))]
-    for ax in reversed(range(nu - 1)):
-        slabs.append((slice(None),) * ax + (slice(1, shape[ax] // 2 + 1),) + (0,) * (nu - 1 - ax))
-    return slabs + [(0,) * nu]
-
-
 def _sorted_pairs(z: np.ndarray):
-    """The cells of ``_pair_slabs`` as one flat array sorted by |z|, descending, and the sort's order.
+    """The pair cells of ``half_pairs``, flat and sorted by |z|, descending, and their flat indices.
 
     z is real.  The sort key is the uint64 (|z|'s bits << 1) | z's sign bit,
     z's bits rotated left by one, which orders |z| as the floats do and
     splits each tie +-x, negative first; cells left tied are equal, so
     any sort gives the same sorted values.
     """
-    cells = np.concatenate([np.ravel(z[s]) for s in _pair_slabs(z.shape)])
+    keep = half_pairs(z.shape)[0]
+    cells = z[keep]
     bits = cells.view(np.uint64)
     key = bits << 1
     key |= bits >> 63
     np.invert(key, out=key)  # descending
     order = key.argsort()
-    return cells[order], order
+    del key
+    return cells[order], np.flatnonzero(keep)[order]
 
 
 def _pair_returns(cells: np.ndarray, n: int, plan: KsumPlan | None = None) -> np.ndarray:
@@ -414,46 +402,26 @@ def _pair_returns(cells: np.ndarray, n: int, plan: KsumPlan | None = None) -> np
     return r
 
 
-def _mirror_plane0(w: np.ndarray) -> None:
-    """Fill the cells of plane j_nu = 0 left out by ``_pair_slabs`` from their mirrors, in place.
-
-    On each level of plane 0 the cells j_i in h_i+1..m_i-1 (every later
-    axis 0) are the mirrors -j of the slab j_i in 1..h_i: the earlier axes
-    read at -j mod m, and j_i = h+1+t at h-t.  So w comes out exactly even
-    on plane 0.
-    """
-    nu = w.ndim
-    for ax in range(nu - 1):
-        plane = w[(slice(None),) * (ax + 1) + (0,) * (nu - 1 - ax)]
-        h = plane.shape[-1] // 2
-        neg = [-np.arange(s) % s for s in plane.shape[:-1]]
-        plane[..., h + 1:] = plane[np.ix_(*neg, np.arange(h, 0, -1))]
-
-
-def _correction_sum(cells: np.ndarray, order: np.ndarray, shape, n: int,
+def _correction_sum(cells: np.ndarray, index: np.ndarray, shape, n: int,
                     plan: KsumPlan | None = None) -> np.ndarray:
     """W = sum_k r_k z^(n-1-k) on the half layout of ``shape``, k-sums cut off.
 
     z is the transform of a symmetric p, real and even, and ``cells`` and
-    ``order`` are ``_sorted_pairs(z)``: each +-j pair of cells once, sorted
+    ``index`` are ``_sorted_pairs(z)``: each +-j pair of cells once, sorted
     by |z|, descending, so the k-sums run on about half the grid
     (``_pair_returns``).  W goes back to the half layout, and plane 0's
     mirror cells take their images' values.  Each r_k is off by less than
     KSUM_TOL / n and W by less than 2 KSUM_TOL (see ``_kernels``).  Both
-    k-sums take ``plan``, ``ksum_plan(cells, n)`` by default.  ``cells``
-    is overwritten.
+    k-sums take ``plan``, ``ksum_plan(cells, n)`` by default.
     """
     plan = ksum_plan(cells, n) if plan is None else plan
     r = _pair_returns(cells, n, plan)
-    # W goes back to the slabs' order in the sorted copy's buffer
-    cells[order] = weighted_power_sum(cells, r, plan)
+    sums = weighted_power_sum(cells, r, plan)  # W comes after: the guard's k-sum phase holds none
     w = np.empty(shape)
-    start = 0
-    for s in _pair_slabs(shape):
-        cut = np.shape(w[s])
-        w[s] = cells[start:start + math.prod(cut)].reshape(cut)
-        start += math.prod(cut)
-    _mirror_plane0(w)
+    flat = w.reshape(-1)
+    flat[index] = sums
+    _, left, image = half_pairs(shape)
+    flat[left] = flat[image]
     return w
 
 
@@ -481,8 +449,8 @@ def _fourier(p: LatticePMF, a: LatticeFn, hull, n: int, mem_limit: int):
         # The largest phase, in bytes.  The inversion then copies the law to
         # its box through the fancy index's iterator buffer, np.getbufsize()
         # complex elements.  a's samples come while W and p^n are held.  The
-        # k-sums hold 40 bytes a cell (p's samples, the sorted cells, their
-        # order and two kernel arrays) and 32 n: r_k and, in
+        # k-sums hold 41 bytes a cell (p's samples, the pair mask, the sorted
+        # cells, their flat indices and two kernel arrays) and 32 n: r_k and, in
         # _kernels._active_prefix, the roots, their prefix lengths and the
         # concatenated result.  Their plan adds ``plan_bytes``: its power
         # table and block buffers (KsumPlan.nbytes).  The first transform
@@ -490,7 +458,7 @@ def _fourier(p: LatticePMF, a: LatticeFn, hull, n: int, mem_limit: int):
         inversion = grid * cells + 16 * np.getbufsize()
         if not perturbed:
             return max(inversion, charfn_peak_bytes(p, sizes)) + load
-        ksums = 40 * cells + 32 * n + plan_bytes
+        ksums = 41 * cells + 32 * n + plan_bytes
         return max(inversion, 16 * cells + charfn_peak_bytes(a, sizes), ksums) + load
 
     # p's samples, and the k-sums' sort and plan, come before the guard only
@@ -505,13 +473,13 @@ def _fourier(p: LatticePMF, a: LatticeFn, hull, n: int, mem_limit: int):
             drift = float(np.abs(z.imag).max())
             raise CrossCheckError(f"transform of p has imaginary part {drift!r}")
         if perturbed:
-            pairs, order = _sorted_pairs(z)
+            pairs, index = _sorted_pairs(z)
             plan = ksum_plan(pairs, n)
     _guard_cells(half, grid, mem_limit, need(0 if plan is None else plan.nbytes) - grid * cells)
 
     if perturbed:
-        w = _correction_sum(pairs, order, half, n, plan)
-        del pairs, order, plan
+        w = _correction_sum(pairs, index, half, n, plan)
+        del pairs, index, plan
         total = pow_binary(z, n)
         del z
         w = w * charfn_grid(a, sizes).values

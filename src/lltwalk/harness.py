@@ -364,7 +364,7 @@ def predict(spec: WalkSpec, n: int, X, coeffs: EdgeworthCoeffs | None = None):
         factor = edgeworth_factor_many(coeffs, n, X)
         return gauss, corr, gauss * (factor - 1.0), gauss * factor
     defined = X.any(axis=1) if spec.nu == 2 else np.ones(len(X), dtype=bool)
-    corr[defined] = perturbation_correction_many(spec, n, X[defined])
+    corr[defined] = gauss[defined] * perturbation_correction_many(spec, n, X[defined])
     return gauss, corr, np.zeros(len(X)), gauss + corr
 
 

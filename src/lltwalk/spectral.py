@@ -70,6 +70,25 @@ def half_shape(sizes) -> tuple:
     return (*sizes[:-1], sizes[-1] // 2 + 1)
 
 
+def half_pairs(shape):
+    """Each +-j pair of the full grid once, on the half layout of ``shape`` (odd sizes).
+
+    Returns (keep, left, image).  The boolean mask ``keep`` holds every
+    cell with j_nu >= 1, whose mirror -j lies outside the layout, and, from
+    each pair in plane j_nu = 0, which holds both its cells, the one with
+    the smaller flat index: (M + 1) / 2 cells of the grid's M, the origin,
+    its own mirror, among them.  ``left`` holds the flat indices of plane
+    0's other cells and ``image`` those of their mirrors, which are kept.
+    """
+    plane = np.arange(math.prod(shape[:-1])).reshape(shape[:-1])
+    mirror = np.ravel(plane[np.ix_(*[-np.arange(s) % s for s in shape[:-1]])]) * shape[-1]
+    plane = np.ravel(plane) * shape[-1]
+    out = mirror < plane
+    keep = np.ones(shape, dtype=bool)
+    keep.flat[plane[out]] = False
+    return keep, plane[out], mirror[out]
+
+
 @functools.lru_cache(maxsize=32)
 def _unit_roots(m: int) -> np.ndarray:
     """e^{2 pi i k / m} for k = 0..m-1 (m odd), read-only and kept for the next call.

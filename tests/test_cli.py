@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from lltwalk import exact_engine
-from lltwalk.cli import LAW_CELL_BYTES, main
+from lltwalk.cli import LAW_CELL_BYTES, RETURN_ROW_BYTES, main
 from lltwalk.harness import _prediction_columns
-from lltwalk.io_text import distribution_text, predictions_text
+from lltwalk.io_text import distribution_text, predictions_text, returns_text
 from lltwalk.walk_model import SignedLatticeFn
 
 from conftest import config_path, fresh_python
@@ -238,6 +238,28 @@ def test_exact_writer_memory_within_guard(unit_cov_2d):
     assert peak <= cells * LAW_CELL_BYTES + (256 << 10)
 
 
+def test_returns_writer_memory_within_guard(lazy_pert):
+    f, fp = exact_engine.first_return_probs(lazy_pert, 8192)
+    tracemalloc.start()
+    try:
+        returns_text(f, fp, "json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= len(f) * RETURN_ROW_BYTES + (256 << 10)
+
+
+def test_returns_table_guarded_before_the_walk(capsys, monkeypatch):
+    # 100000 rows of JSON need about 34 MiB: refused before any step
+    monkeypatch.setattr(exact_engine, "first_return_probs", None)
+    rc = main(["returns", "--spec", config_path("lazy_pert_1d.cfg"), "--n-max", "100000",
+               "--format", "json", "--mem-limit-mb", "8"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("resource limit: needs 34 MiB for shape (100000,)")
+    assert captured.out == ""
+
+
 def test_predictions_header_names_the_callers_n(unit_cov_2d):
     empty = _prediction_columns(unit_cov_2d, 64, np.empty((0, 2)), None)
     assert predictions_text(empty, 64, 2).splitlines()[0] == "# n=64 nu=2"
@@ -328,6 +350,17 @@ def test_identities_no_convergence_exit_code(capsys):
     rc = main(["identities", "--x", "1.0", "--tol", "1e-13"])
     assert rc == 3
     assert "NoConvergence" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("x", ["1e4", "1e6", "1e10", "1e300"])
+def test_identities_past_float_range_exit_code(capsys, x):
+    # the Laguerre recurrences overflow at large x: each side past the float
+    # range is a failing check, with no warning and no traceback
+    rc = main(["identities", "--x", x])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.err == "cross-check failure: CrossCheckError: identity suite has failing checks\n"
+    assert "[FAIL] inverse series" in captured.out
 
 
 def test_exact_unperturbed_law(tmp_path):

@@ -11,7 +11,7 @@ from lltwalk import load_walk_spec
 from lltwalk.errors import Periodic
 from lltwalk import exact_engine
 from lltwalk.exact_engine import _box
-from lltwalk.spectral import charfn_grid
+from lltwalk.spectral import charfn_grid, half_pairs
 
 from conftest import CONFIGS, direct_step, step_every_row
 
@@ -514,24 +514,26 @@ def test_sorted_pairs_match_the_stable_sort(name):
     spec = load_walk_spec(CONFIGS / name)
     n = {1: 8192, 2: 512, 3: 48}[spec.nu]
     z = charfn_grid(spec.p, route_sizes(spec, n)).values.real
-    cells = np.concatenate([np.ravel(z[s]) for s in exact_engine._pair_slabs(z.shape)])
-    pairs, order = exact_engine._sorted_pairs(z)
+    keep = half_pairs(z.shape)[0]
+    cells = z[keep]
+    pairs, index = exact_engine._sorted_pairs(z)
     assert np.array_equal(pairs, cells[np.argsort(-np.abs(cells), kind="stable")])
-    assert np.array_equal(pairs, cells[order])
+    assert np.array_equal(np.sort(index), np.flatnonzero(keep))
+    assert np.array_equal(pairs, z.ravel()[index])
 
 
 def test_sorted_pairs_split_ties_by_sign():
-    # a 1-D half layout: the pair cells are z[1:], then the origin
+    # a 1-D half layout: every cell is a pair cell
     z = np.array([1.0, 0.5, -0.25, -0.5, 0.25, 0.5, -0.0, 0.0])
-    pairs, order = exact_engine._sorted_pairs(z)
+    pairs, index = exact_engine._sorted_pairs(z)
     assert pairs.tolist() == [1.0, -0.5, 0.5, 0.5, -0.25, 0.25, -0.0, 0.0]
     assert np.signbit(pairs).tolist() == [False, True, False, False, True, False, True, False]
-    assert np.array_equal(pairs, np.append(z[1:], z[0])[order])
+    assert np.array_equal(pairs, z[index])
 
 
 @pytest.mark.parametrize("fixture,n", [("unit_cov_2d", 64), ("aniso_2d", 64), ("spec3d", 12)])
 def test_correction_sum_even_on_plane_zero(request, fixture, n):
-    # W is computed on the pair slabs and mirrored into the rest of plane 0:
+    # W is computed on the pair cells and mirrored into the rest of plane 0:
     # there it is exactly even.  Every cell matches the compensated sum over
     # the full grid, with the full grid's cut-off returns: the route's W is
     # within 2 KSUM_TOL of the exact sum and the reference within KSUM_TOL

@@ -6,7 +6,7 @@ import pytest
 
 from lltwalk import LatticePMF, charfn_grid, edgeworth_coeffs, invert_charfn, load_walk_spec
 from lltwalk.errors import GridTooSmall, NotSymmetric, OrderTooHigh
-from lltwalk.spectral import TorusGrid, half_shape, unit_frame_terms
+from lltwalk.spectral import TorusGrid, half_pairs, half_shape, unit_frame_terms
 from lltwalk.walk_model import SignedLatticeFn
 
 from conftest import CONFIGS
@@ -266,3 +266,27 @@ def test_per_axis_sizes_round_trip(aniso_2d):
         charfn_grid(f, (5, 4))
     with pytest.raises(GridTooSmall):
         TorusGrid(sizes=(5, 3), values=np.ones((5, 3), dtype=complex))
+
+
+@pytest.mark.parametrize("nu", [1, 2, 3, 4])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_half_pairs_keep_each_pair_once(nu, data):
+    sizes = tuple(data.draw(st.lists(st.integers(0, 5).map(lambda k: 2 * k + 1),
+                                     min_size=nu, max_size=nu)))
+    shape = half_shape(sizes)
+    keep, left, image = half_pairs(shape)
+    assert keep.shape == shape and keep.sum() == (math.prod(sizes) + 1) // 2
+    # on the full grid, a cell or its mirror -j is kept, both only at the origin
+    full = np.zeros(sizes, dtype=bool)
+    full[..., :shape[-1]] = keep
+    mirrored = full[np.ix_(*[-np.arange(s) % s for s in sizes])]
+    assert np.all(full | mirrored)
+    assert np.flatnonzero(full & mirrored).tolist() == [0]
+    # the cells left out lie on plane 0, and each one's image is its mirror, kept
+    assert np.array_equal(np.sort(left), np.flatnonzero(~keep))
+    js = np.unravel_index(left, shape)
+    assert np.all(js[-1] == 0)
+    mirror = np.ravel_multi_index(tuple(-j % s for j, s in zip(js, sizes)), shape)
+    assert np.array_equal(image, mirror)
+    assert keep.flat[image].all()

@@ -15,6 +15,7 @@ from .exact_engine import (
     max_abs_difference,
     perturbed_distribution,
     perturbed_forward,
+    perturbed_forward_many,
     perturbed_fourier,
     perturbed_via_representation,
 )
@@ -80,6 +81,7 @@ __all__ = [
     "perturbation_correction",
     "perturbed_distribution",
     "perturbed_forward",
+    "perturbed_forward_many",
     "perturbed_fourier",
     "perturbed_via_representation",
     "sign_expansion_partial",

@@ -34,12 +34,17 @@ LAW_CELL_BYTES = 234
 RETURN_ROW_BYTES = 358
 
 
-def _emit(text: str, out: str | None):
+def _emit(blocks, out: str | None):
+    """Write a report's ``io_text.Blocks``, or a str, to ``out`` or stdout as it is formatted."""
+    if isinstance(blocks, str):
+        blocks = [blocks.encode()]
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        with open(out, "wb") as fh:
+            fh.writelines(blocks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.flush()  # text already written goes first
+        sys.stdout.buffer.writelines(blocks)
+        sys.stdout.buffer.flush()
 
 
 def _parse_n_list(s: str):
@@ -72,8 +77,9 @@ def _check_counts(args):
             raise ValidationError(f"--{name.replace('_', '-')} must be {rule}, got {value}")
     if args.cmd == "compare":
         ns = _parse_n_list(args.n_list)
-        if not ns or ns[0] < 1 or sorted(ns) != ns:
-            raise ValidationError(f"--n-list must be ascending values >= 1, got {args.n_list!r}")
+        if not ns or ns[0] < 1 or any(b <= a for a, b in zip(ns, ns[1:])):
+            raise ValidationError(
+                f"--n-list must be strictly ascending values >= 1, got {args.n_list!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -167,15 +173,16 @@ def _cmd_exact(args) -> int:
         dist = dists["fourier"]
     else:
         dist = exact_engine.perturbed_distribution(spec, args.n, route=args.route, mem_limit=mem)
-    exact_engine._guard_cells((int(np.count_nonzero(dist.pmf.weights)),), LAW_CELL_BYTES, mem)
-    _emit(io_text.distribution_text(dist, args.format), args.out)
+    exact_engine._guard_cells((int(np.count_nonzero(dist.pmf.weights)),), LAW_CELL_BYTES, mem,
+                              io_text.BLOCK_BYTES)
+    _emit(io_text.distribution_blocks(dist, args.format), args.out)
     return 0
 
 
 def _cmd_asymptotic(args) -> int:
     spec = load_walk_spec(args.spec, L=args.order)
     preds = harness.window_predictions(spec, args.n, args.window)
-    _emit(io_text.predictions_text(preds, args.n, spec.nu, args.format), args.out)
+    _emit(io_text.predictions_blocks(preds, args.n, spec.nu, args.format), args.out)
     return 0
 
 
@@ -189,8 +196,7 @@ def _cmd_compare(args) -> int:
         crosscheck=not args.no_crosscheck,
         mem_limit=args.mem_limit_mb << 20,
     )
-    text = rep.to_json() if args.format == "json" else rep.to_csv()
-    _emit(text, args.out)
+    _emit(io_text.report_blocks(rep, args.format), args.out)
     print(f"slopes: {rep.slopes}", file=sys.stderr)
     if rep.route_deviation:
         worst = max(rep.route_deviation.values())
@@ -206,14 +212,14 @@ def _cmd_simulate(args) -> int:
     spec = load_walk_spec(args.spec)
     emp = harness.simulate(spec, args.n, args.trials, args.seed,
                            mem_limit=args.mem_limit_mb << 20)
-    _emit(io_text.empirical_text(emp, args.format), args.out)
+    _emit(io_text.empirical_blocks(emp, args.format), args.out)
     return 0
 
 
 def _cmd_coeffs(args) -> int:
     spec = load_walk_spec(args.spec, L=args.order)
     coeffs = edgeworth_coeffs(spec.p, spec.L)
-    _emit(io_text.coeffs_text(coeffs, args.format), args.out)
+    _emit(io_text.coeffs_blocks(coeffs, args.format), args.out)
     return 0
 
 
@@ -228,9 +234,10 @@ def _cmd_identities(args) -> int:
 def _cmd_returns(args) -> int:
     spec = load_walk_spec(args.spec)
     mem = args.mem_limit_mb << 20
-    exact_engine._guard_cells((args.n_max,), RETURN_ROW_BYTES, mem)  # the table, before the walk
+    # the table, before the walk
+    exact_engine._guard_cells((args.n_max,), RETURN_ROW_BYTES, mem, io_text.BLOCK_BYTES)
     f, fp = exact_engine.first_return_probs(spec, args.n_max, mem_limit=mem)
-    _emit(io_text.returns_text(f, fp, args.format), args.out)
+    _emit(io_text.returns_blocks(f, fp, args.format), args.out)
     worst = float(np.abs(f - fp).max())
     print(f"max |f_n - f'_n| = {worst:.3e}", file=sys.stderr)
     if worst > args.check_tol:

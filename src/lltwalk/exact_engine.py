@@ -205,10 +205,14 @@ class _Stepper:
     the box (8 bytes a box cell), and the guard charges the larger of the
     two phases: folded, the law can outweigh the layout, which holds about
     a quarter of the box in 3-D.  The law is then zeroed and renormalized
-    in place (``_law``), once the route has dropped the walks' buffers.
+    in place (``_law``), once the route has dropped the walks' buffers.  A
+    route that also unfolds laws mid-walk charges the largest of them,
+    ``snapshot`` bytes, on top of every cell of the layout.  ``nbytes`` is
+    the guard's charge.
     """
 
-    def __init__(self, laws, n: int, mem_limit: int, cell_bytes: int, held: int = 0):
+    def __init__(self, laws, n: int, mem_limit: int, cell_bytes: int, held: int = 0,
+                 snapshot: int = 0):
         p = laws[0]
         self.lo, self.shape, org, self.bound = _box((*laws, _delta(p.dim)), n)
         reach = max(f.radius for f in laws)
@@ -220,8 +224,9 @@ class _Stepper:
         padded, margin = _layout(pshape, reach)
         layout = math.prod(padded) + 2 * margin
         law = 8 * held * layout + 8 * math.prod(self.shape) if held else 0
-        _guard_cells(padded, cell_bytes, mem_limit,
-                     2 * margin * cell_bytes + max(0, law - cell_bytes * layout))
+        extra = 2 * margin * cell_bytes + max(snapshot, law - cell_bytes * layout)
+        _guard_cells(padded, cell_bytes, mem_limit, extra)
+        self.nbytes = math.prod(padded) * cell_bytes + extra
         self._org, self._widths, self._perm, self._reach = org, widths, perm, reach
         self._pshape, self._padded, self._margin = pshape, padded, margin
         self._groups = shift_groups(offs[:, perm], ws, padded)
@@ -288,27 +293,36 @@ class _Stepper:
                     rows = dst[margin:margin + size].reshape(padded[0], width)
                     rows[:first] = rows[2 * first:first:-1]
 
-    def unfold(self, *parts):
-        """The sum of the folded ``parts`` on the box, every folded axis mirrored.
+    def unfold(self, *parts, box=None, walking: bool = False):
+        """The sum of the folded ``parts`` on ``box``, every folded axis mirrored.
 
-        The sum goes into the first part, and each orthant of the box
-        (x_i >= 0 or x_i < 0 on each folded axis) is one copy of its cells
-        x_i >= 0, reversed where x_i < 0: the law is exactly even on every
-        folded axis.  With no fold this is the parts' sum.  The walks are
-        done: the scratch goes before the law is built.
+        ``box`` is (lower corner, shape) of a box within the stepper's, by
+        default the stepper's own.  The sum goes into the first part, and
+        each orthant of the box (x_i >= 0 or x_i < 0 on each folded axis) is
+        one copy of its cells x_i >= 0, reversed where x_i < 0: the law is
+        exactly even on every folded axis.  With no fold this is the parts'
+        sum.  Once the walks are done the scratch goes before the law is
+        built; ``walking`` keeps it for the steps to come, and then the one
+        part, a walk's state, is only read.
         """
-        self._scratch = None
+        if not walking:
+            self._scratch = None
+        lo, shape = box or (self.lo, self.shape)
         acc = parts[0]
         for part in parts[1:]:
             acc += part
         # per axis, the (box, folded box) slices of each orthant
         pieces = [()]
-        for ax, o in enumerate(self._org):
-            w = self._widths.get(ax)
-            sides = ([(slice(None), slice(None))] if w is None else
-                     [(slice(o, None), slice(w, None)), (slice(0, o), slice(w + o, w, -1))])
+        for ax, (l, size) in enumerate(zip(lo, shape)):
+            o, w = -l, self._widths.get(ax)
+            if w is None:
+                at = self._org[ax] - o
+                sides = [(slice(None), slice(at, at + size))]
+            else:
+                sides = [(slice(o, None), slice(w, w + size - o)),
+                         (slice(0, o), slice(w + o, w, -1))]
             pieces = [p + (side,) for p in pieces for side in sides]
-        out = np.empty(self.shape)
+        out = np.empty(shape)
         for piece in pieces:
             dst, src = zip(*piece)
             np.copyto(out[dst], acc[src])
@@ -346,25 +360,49 @@ def _law(lo, w: np.ndarray) -> LatticePMF:
 # the two pipelines: forward stepping and the torus grid
 # ---------------------------------------------------------------------------
 
-def _forward(p: LatticePMF, a: LatticeFn, hull, n: int, mem_limit: int):
-    """Step from the origin n times by p; mass at the origin also moves by a.
+def _forward(p: LatticePMF, a: LatticeFn, hull, ns, mem_limit: int):
+    """Step from the origin by p; mass at the origin also moves by a.
 
-    The box holds n steps of ``hull`` and the origin, where the walk starts,
-    cut at the tail box; mass stepped past it is dropped.  Returns the law
-    and the box's tail bound.
+    One walk, on the box of the last n of the strictly ascending ``ns``,
+    serves every n: yields, per n, (law, tail bound, the walk's charge in
+    bytes).  Each law is on n's own box (``_box``: n steps of ``hull`` and
+    the origin, cut at the tail box), with a run of n steps' cells and
+    bound.  The walk's box holds n's, and its state at n is n's law
+    wherever n's box is not cut: within n steps no mass reaches a cut of
+    the larger box.  Where it is cut, the walk keeps the mass a run of n
+    steps drops past the cut, the mass of paths that pass it, within the
+    bound.  Mass stepped past the walk's box is dropped.
     """
-    # two buffers + scratch; the last buffer as the law is unfolded
-    st = _Stepper((*hull, a), n, mem_limit, 24, held=1)
+    if any(m >= k for m, k in zip(ns, ns[1:])):
+        raise ValueError("n values must be strictly ascending")
+    if not ns:
+        return
+    laws = (*hull, a)
+    boxes = [_box((*laws, _delta(p.dim)), n) for n in ns]
+    # two buffers + scratch; the last buffer as the last law is unfolded; and
+    # all of them beside each earlier law as it is unfolded and checked (the
+    # checks' masks take 1 byte a cell, one at a time)
+    mid = max((9 * math.prod(shape) for _, shape, _, _ in boxes[:-1]), default=0)
+    st = _Stepper(laws, ns[-1], mem_limit, 24, held=1, snapshot=mid)
     a_idx, a_ws = st.index(a)
     m0 = 0.0
-    for _, cur in st.walk(_delta(p.dim), n):
-        # transition from the origin differs from p by exactly a = q - p
-        if m0 != 0.0:
-            cur[a_idx] += m0 * a_ws
-        m0 = cur[st.origin]
-    law = st.unfold(cur)  # the law without the stepper's halo
-    del cur
-    return _law(st.lo, law), st.bound
+    walk = st.walk(_delta(p.dim), ns[-1])
+    for n, (lo, shape, _, bound) in zip(ns, boxes):
+        for k, cur in walk:
+            # transition from the origin differs from p by exactly a = q - p
+            if m0 != 0.0:
+                cur[a_idx] += m0 * a_ws
+            m0 = cur[st.origin]
+            if k == n:
+                break
+        last = n == ns[-1]
+        if last:
+            walk.close()  # the other buffer goes
+        law = st.unfold(cur, box=(lo, shape), walking=not last)  # without the stepper's halo
+        if last:
+            del cur
+        yield _law(lo, law), bound, st.nbytes
+        del law
 
 
 def _sorted_pairs(z: np.ndarray):
@@ -514,11 +552,11 @@ def convolve_power(
         return _delta(p.dim)
     if n == 1:
         return p
-    try:
-        pipeline = {"fft": _fourier, "direct": _forward}[method]
-    except KeyError:
-        raise ValueError(f"unknown method {method!r}") from None
-    return pipeline(p, perturbation(p, p), (p,), n, mem_limit)[0]
+    if method == "fft":
+        return _fourier(p, perturbation(p, p), (p,), n, mem_limit)[0]
+    if method == "direct":
+        return next(_forward(p, perturbation(p, p), (p,), [n], mem_limit))[0]
+    raise ValueError(f"unknown method {method!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -529,8 +567,24 @@ def perturbed_forward(
     spec: WalkSpec, n: int, mem_limit: int = DEFAULT_MEM_LIMIT
 ) -> ExactDistribution:
     """Forward recursion: origin mass exits by q, the rest steps by p."""
-    pmf, bound = _forward(spec.p, spec.a, (spec.p, spec.q), n, mem_limit)
-    return ExactDistribution(n=n, pmf=pmf, route="dp", tail_bound=bound)
+    return next(perturbed_forward_many(spec, [n], mem_limit))[0]
+
+
+def perturbed_forward_many(spec: WalkSpec, ns, mem_limit: int = DEFAULT_MEM_LIMIT):
+    """The forward recursion at each n of the strictly ascending ``ns``, by one walk.
+
+    Yields (ExactDistribution, bytes): each n's law, on the box and with
+    the tail bound of a run of n steps, and the walk's charge against
+    ``mem_limit``, which it holds until its last n.  Each law equals a run
+    of n steps' wherever n's box is not cut, and is within its tail bound
+    of it elsewhere (``_forward``).
+    """
+    ns = [int(n) for n in ns]
+    walk = _forward(spec.p, spec.a, (spec.p, spec.q), ns, mem_limit)
+    for n in ns:
+        pmf, bound, held = next(walk)
+        yield ExactDistribution(n=n, pmf=pmf, route="dp", tail_bound=bound), held
+        del pmf  # before the walk goes on
 
 
 def perturbed_via_representation(

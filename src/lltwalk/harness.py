@@ -472,11 +472,19 @@ def compare(
     specs, at expansion order spec.L).  The scaled error column is
     n^{nu/2} * abs_err, whose decay in n is the measurable content of the
     limit theorems.  With ``crosscheck``, each n up to CROSSCHECK_MAX_N is
-    also computed by a second route and the deviation recorded.
+    also computed by a second route and the deviation recorded.  The ``dp``
+    route, as a route or as the cross-check, is one walk over every n it
+    serves (``exact_engine.perturbed_forward_many``), advanced as the loop
+    reaches each n; its buffers stay while the other route runs at that n.
+
+    Each n's window is guarded, before its routes run, with the rows of
+    every n before it, the walk and one block of the report's writer; each
+    route other than the walk runs under the cap less the walk and the
+    rows of every n before.
     """
     n_list = [int(n) for n in n_list]
-    if sorted(n_list) != n_list:
-        raise ValueError("n_list must be ascending")
+    if any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ValueError("n_list must be strictly ascending")
 
     flavors = ["gaussian", "edgeworth" if spec.unperturbed else "corrected"]
     rep = ConvergenceReport(
@@ -491,23 +499,40 @@ def compare(
         },
     )
 
+    checked = {n for n in n_list if crosscheck and n <= CROSSCHECK_MAX_N}
+    other = "dp" if route != "dp" else "fourier"
+    walked = [n for n in n_list if route == "dp" or n in checked]  # the n the dp walk serves
+    walk, walk_bytes = None, 0
     rows = 0
     parts = []
     for n in n_list:
         # rows cover the window within n steps' reach, whatever the tail box;
         # past the box the exact law reads 0, within dist.tail_bound of the truth.
-        # They are guarded, with the rows of every n before, before the route runs
+        # They are guarded, with what compare holds, before the routes run
+        earlier = rows * REPORT_ROW_BYTES
         X = _window_points(exact_engine._hull_box((spec.p, spec.q), n),
                            _window_radius(spec, n, window),
-                           mem_limit - rows * REPORT_ROW_BYTES, REPORT_ROW_BYTES)
+                           mem_limit - earlier - walk_bytes - io_text.BLOCK_BYTES, REPORT_ROW_BYTES)
         rows += len(X)
-        dist = exact_engine.perturbed_distribution(spec, n, route=route, mem_limit=mem_limit)
-        if crosscheck and n <= CROSSCHECK_MAX_N:
-            other = "dp" if route != "dp" else "fourier"
-            alt = exact_engine.perturbed_distribution(spec, n, route=other, mem_limit=mem_limit)
-            rep.route_deviation[n] = exact_engine.max_abs_difference(dist.pmf, alt.pmf)
+        dists = {}
+        if n in walked:
+            if walk is None:
+                walk = exact_engine.perturbed_forward_many(spec, walked, mem_limit - earlier)
+            dists["dp"], walk_bytes = next(walk)
+        for r in (route, other) if n in checked else (route,):
+            if r not in dists:
+                dists[r] = exact_engine.perturbed_distribution(
+                    spec, n, route=r, mem_limit=mem_limit - earlier - walk_bytes)
+        if n in checked:
+            rep.route_deviation[n] = exact_engine.max_abs_difference(dists[route].pmf,
+                                                                      dists[other].pmf)
+        if walked and n == walked[-1]:
+            walk.close()  # the walk's buffers go
+            walk_bytes = 0
         lo = X.min(axis=0)
-        law = box_values(dist.pmf.weights, dist.pmf.offset, lo, tuple(X.max(axis=0) - lo + 1))
+        pmf = dists[route].pmf
+        law = box_values(pmf.weights, pmf.offset, lo, tuple(X.max(axis=0) - lo + 1))
+        del dists, pmf  # the laws go before the next n's routes run
         exact_vals = law[tuple((X - lo).T)]
         gauss, _, _, total = predict(spec, n, X)
 

@@ -1,10 +1,13 @@
 """CSV, TSV and JSON renderers for every report the CLI writes.
 
-Each renderer hands its small payload and its rows, as columns, to
-``_json`` or ``_table``.  Both write the rows from the columns through
-``_body``: each row is a fixed list of literal pieces with one cell between
-each two, and ``_json`` takes its pieces from one ``json.dumps`` of a row
-whose leaves are sentinels.  JSON is byte for byte what
+Each renderer (``*_blocks``) hands its small payload and its rows, as
+columns, to ``_json`` or ``_table``.  Both write the rows from the columns
+through ``_body``: each row is a fixed list of literal pieces with one cell
+between each two, and ``_json`` takes its pieces from one ``json.dumps`` of
+a row whose leaves are sentinels.  A renderer returns its output as
+``Blocks``, UTF-8 bytes a block of rows at a time, formatted as they are
+read, so a writer holds one block's text; each ``*_text`` function returns
+the joined string.  JSON is byte for byte what
 ``json.dumps(indent=2, sort_keys=True)`` writes: floats in shortest repr
 form, with ``NaN``, ``Infinity`` and ``-Infinity`` for the non-finite ones.
 CSV and TSV write floats as ``%.17g``.  No format writes a timestamp, so a
@@ -45,6 +48,12 @@ _BOOLS = {False: "false", True: "true"}
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json.dumps's spellings
 _PAD = b"\xff"  # pads every cell to its column's width; translate drops it
 _BLOCK_CELLS = 1 << 13  # cells per block of rows: bounds the temporaries of formatting
+# tracemalloc peak of a streamed writer past its per-row charge (the CLI's
+# LAW_CELL_BYTES, RETURN_ROW_BYTES and harness.REPORT_ROW_BYTES), with 7% to
+# spare: one block's temporaries and the rows' own columns outweigh the rows'
+# charge up to 333 KB (returns in JSON at 704 rows; compare's report up to
+# 231 KB, exact's law up to 130 KB) on Python 3.11 and numpy 2.4
+BLOCK_BYTES = 352 << 10
 _GATHER_CELLS = 1 << 10  # float cells per gather of their text
 _TIE = 1e-9  # least distance, in units of the last digit, of a proven rounding from a boundary
 _LO, _HI = 1e-290, 1e290  # the magnitudes the fast float path takes
@@ -331,12 +340,13 @@ def _column(col, fmt: str):
     return list(map(json.dumps if fmt == "json" else fmt.__mod__, col))
 
 
-def _body(pieces: list, columns: list, fmts: list) -> str:
-    """Each row as pieces[0] + cell 0 + pieces[1] + ... + cell k + pieces[k + 1], concatenated.
+def _body(pieces: list, columns: list, fmts: list):
+    """Each row as pieces[0] + cell 0 + pieces[1] + ... + cell k + pieces[k + 1], a block at a time.
 
-    Cell i is column i's value in ``fmts[i]`` ("json" or a %-format).  A block
-    of rows at a time, the cells and pieces are copied into the columns of one
-    byte matrix, whose padding one ``translate`` drops.
+    Cell i is column i's value in ``fmts[i]`` ("json" or a %-format).  The
+    cells and pieces of a block of rows are copied into the columns of one
+    byte matrix, whose padding one ``translate`` drops; each block is
+    yielded as the rows' UTF-8 bytes.
     """
     cols = [_column(c, f) for c, f in zip(columns, fmts)]
     rows = len(cols[0]) if cols else 0
@@ -347,7 +357,6 @@ def _body(pieces: list, columns: list, fmts: list) -> str:
         if isinstance(c, np.ndarray):
             groups.setdefault((c.dtype.kind, f), []).append(i)
     step = max(1, _BLOCK_CELLS // max(1, len(cols)))
-    out = []
     for a in range(0, rows, step):
         b = min(rows, a + step)
         cells = [None if isinstance(c, np.ndarray) else _text_cells(c[a:b]) for c in cols]
@@ -365,11 +374,11 @@ def _body(pieces: list, columns: list, fmts: list) -> str:
             if cell is not None:
                 mat[:, at:at + cell.shape[1]] = cell
                 at += cell.shape[1]
-        out.append(mat.tobytes().translate(None, _PAD))
+        text = mat.tobytes()
         del mat, cells
-    text = b"".join(out)
-    del out
-    return text.decode("utf-8", "surrogatepass")
+        text = text.translate(None, _PAD)
+        yield text
+        del text  # written: it goes before the next block is formatted
 
 
 # -- renderers -----------------------------------------------------------------------
@@ -383,14 +392,36 @@ def _sentinels(shape):
     return f"\x00{shape}"
 
 
-def _json(key: str, shape, columns, **payload) -> str:
+class Blocks:
+    """A report's UTF-8 bytes, one block of rows at a time, formatted as they are read.
+
+    ``write(*args)`` yields the blocks, and each pass over a Blocks formats
+    them afresh, holding one block at a time.  ``encode`` joins one pass, the
+    bytes ``str(blocks).encode()`` would give, and ``str`` is the report's text.
+    """
+
+    def __init__(self, write, *args):
+        self._write, self._args = write, args
+
+    def __iter__(self):
+        return self._write(*self._args)
+
+    def encode(self) -> bytes:
+        return b"".join(self)
+
+    def __str__(self) -> str:
+        return self.encode().decode("utf-8", "surrogatepass")
+
+
+def _json(key: str, shape, columns, **payload) -> Blocks:
     """The payload plus its rows at ``key``, as ``json.dumps(indent=2, sort_keys=True)``.
 
     ``shape`` is one row with each leaf replaced by the index of its column
     in ``columns``, and every row has that shape.  The row is dumped once
     with sentinel leaves, at the depth of the rows; the text between the
     sentinels is the row's literal pieces, and each sentinel's cell is its
-    column's value as json.dumps writes it.
+    column's value as json.dumps writes it.  Each row starts with its
+    separator, whose comma the first row drops.
     """
     head, tail = json.dumps(
         {"schema_version": SCHEMA_VERSION, **payload, key: _SLOT}, indent=2, sort_keys=True
@@ -398,29 +429,44 @@ def _json(key: str, shape, columns, **payload) -> str:
     # the rows sit at depth 2: strip the one-row list's "[\n    " and "\n  ]"
     row = json.dumps([_sentinels(shape)], indent=2, sort_keys=True).replace("\n", "\n  ")[6:-4]
     parts = _LEAF.split(row)
-    sep = ",\n    "
-    pieces = [*parts[:-1:2], parts[-1] + sep]
+    pieces = [",\n    " + parts[0], *parts[2:-1:2], parts[-1]]
     leaves = [columns[int(i)] for i in parts[1::2]]
-    body = _body(pieces, leaves, ["json"] * len(leaves))[:-len(sep)]
-    return f"{head}[\n    {body}\n  ]{tail}\n" if body else f"{head}[]{tail}\n"
+    return Blocks(_json_blocks, head, tail, pieces, leaves)
 
 
-def _table(fmt: str, header: str | None, names, formats, columns) -> str:
+def _json_blocks(head: str, tail: str, pieces: list, columns: list):
+    blocks = _body(pieces, columns, ["json"] * len(columns))
+    first = next(blocks, b"")
+    if not first:
+        yield f"{head}[]{tail}\n".encode()
+        return
+    yield f"{head}[".encode()
+    yield memoryview(first)[1:]  # the first row's separator opens the list: its comma goes
+    del first
+    yield from blocks
+    yield f"\n  ]{tail}\n".encode()
+
+
+def _table(fmt: str, header: str | None, names, formats, columns) -> Blocks:
     """A '# ...' header line (if any), the column names, then one line per row.
 
     ``formats`` holds one %-format per column, such as ``%d`` or ``%.17g``.
     """
     sep = "," if fmt == "csv" else "\t"
-    head = [header] if header else []
-    body = _body(["", *[sep] * (len(columns) - 1), "\n"], columns, formats)
-    return "\n".join([*head, sep.join(names)]) + "\n" + body
+    head = "\n".join([*([header] if header else []), sep.join(names)]) + "\n"
+    return Blocks(_table_blocks, head, ["", *[sep] * (len(columns) - 1), "\n"], columns, formats)
+
+
+def _table_blocks(head: str, pieces: list, columns: list, fmts: list):
+    yield head.encode()
+    yield from _body(pieces, columns, fmts)
 
 
 def _coords(nu: int) -> list:
     return [f"x{i+1}" for i in range(nu)]
 
 
-def distribution_text(dist, fmt: str = "csv") -> str:
+def distribution_blocks(dist, fmt: str = "csv") -> Blocks:
     """One row per support point, coordinates then mass, lexicographic order."""
     nu = dist.pmf.dim
     axes, mass = nonzero_columns(dist.pmf.weights, dist.pmf.offset)
@@ -430,7 +476,7 @@ def distribution_text(dist, fmt: str = "csv") -> str:
                   ["%d"] * nu + ["%.17g"], [*axes, mass])
 
 
-def empirical_text(emp, fmt: str = "csv") -> str:
+def empirical_blocks(emp, fmt: str = "csv") -> Blocks:
     nu = emp.counts.ndim
     axes, counts = nonzero_columns(emp.counts, emp.offset)
     if fmt == "json":
@@ -443,7 +489,7 @@ def empirical_text(emp, fmt: str = "csv") -> str:
 _TERMS = ("gaussian_leading", "perturbation_correction", "edgeworth_terms", "total")
 
 
-def predictions_text(cols: dict, n: int, nu: int, fmt: str = "csv") -> str:
+def predictions_blocks(cols: dict, n: int, nu: int, fmt: str = "csv") -> Blocks:
     """Window predictions at step count n, from columns x1..xnu, one per term and within_horizon."""
     axes = [cols[c] for c in _coords(nu)]
     terms = [cols[t] for t in _TERMS]
@@ -456,7 +502,7 @@ def predictions_text(cols: dict, n: int, nu: int, fmt: str = "csv") -> str:
                   ["%d"] * nu + ["%.17g"] * len(_TERMS) + ["%d"], [*axes, *terms, horizon])
 
 
-def coeffs_text(coeffs, fmt: str = "csv") -> str:
+def coeffs_blocks(coeffs, fmt: str = "csv") -> Blocks:
     entries = sorted(coeffs.m.items())
     alphas = [a for a, _ in entries]
     values = [float(v) for _, v in entries]
@@ -471,7 +517,7 @@ def coeffs_text(coeffs, fmt: str = "csv") -> str:
                   ["%s", "%.17g", "%s"], [labels, values, [e or "" for e in exact]])
 
 
-def returns_text(f_pert, f_unpert, fmt: str = "csv") -> str:
+def returns_blocks(f_pert, f_unpert, fmt: str = "csv") -> Blocks:
     f = np.asarray(f_pert, dtype=np.float64)
     g = np.asarray(f_unpert, dtype=np.float64)
     with np.errstate(invalid="ignore"):  # inf - inf is nan, as for Python floats
@@ -482,7 +528,7 @@ def returns_text(f_pert, f_unpert, fmt: str = "csv") -> str:
                   ["%d", "%.17g", "%.17g", "%.3e"], cols)
 
 
-def report_text(rep, fmt: str = "csv") -> str:
+def report_blocks(rep, fmt: str = "csv") -> Blocks:
     """A ConvergenceReport: its summary and rows, or one line per (n, x)."""
     keys = ["exact"] + [k for f in rep.flavors for k in (f, f"{f}_abs_err", f"{f}_scaled_err")]
     names = ["n", *_coords(rep.nu), *keys]
@@ -504,3 +550,30 @@ def report_text(rep, fmt: str = "csv") -> str:
             meta=rep.meta,
         )
     return _table(fmt, None, names, ["%d"] * (1 + rep.nu) + ["%.17g"] * len(keys), cols)
+
+
+# -- the reports as strings ----------------------------------------------------------
+
+
+def distribution_text(dist, fmt: str = "csv") -> str:
+    return str(distribution_blocks(dist, fmt))
+
+
+def empirical_text(emp, fmt: str = "csv") -> str:
+    return str(empirical_blocks(emp, fmt))
+
+
+def predictions_text(cols: dict, n: int, nu: int, fmt: str = "csv") -> str:
+    return str(predictions_blocks(cols, n, nu, fmt))
+
+
+def coeffs_text(coeffs, fmt: str = "csv") -> str:
+    return str(coeffs_blocks(coeffs, fmt))
+
+
+def returns_text(f_pert, f_unpert, fmt: str = "csv") -> str:
+    return str(returns_blocks(f_pert, f_unpert, fmt))
+
+
+def report_text(rep, fmt: str = "csv") -> str:
+    return str(report_blocks(rep, fmt))

@@ -148,8 +148,16 @@ def abel_richardson(coefs: np.ndarray, eps_list=(0.02, 0.01, 0.005), tol: float 
 
 
 def _abel_cutoff(eps: float) -> int:
-    """Series length so the dropped geometric tail is below _ABEL_TAIL."""
-    return max(64, int(math.log(_ABEL_TAIL) / math.log(1.0 - eps)) + 1)
+    """Series length so the dropped geometric tail is below _ABEL_TAIL.
+
+    DegreeTooLarge past _MAX_LAGUERRE terms, and where eps is too small for
+    the length to be a float: it is infinite at eps = 0, and past float
+    range at the least eps.
+    """
+    terms = math.log(_ABEL_TAIL) / math.log1p(-eps) if eps > 0 else math.inf
+    if not terms <= _MAX_LAGUERRE:
+        raise DegreeTooLarge(f"degree {terms:.3g} beyond guard {_MAX_LAGUERRE}")
+    return max(64, int(terms) + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,12 @@ def spec3d():
     return load_walk_spec(CONFIGS / "lazy_pert_3d.cfg")
 
 
+@pytest.fixture(scope="session")
+def spec4d():
+    """The 4-D lazy axis walk whose exit law moves 1/20 from -e1 to e1."""
+    return load_walk_spec(CONFIGS / "lazy_pert_4d.cfg")
+
+
 def config_path(name: str) -> str:
     return str(CONFIGS / name)
 

@@ -6,8 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lltwalk import exact_engine
-from lltwalk.cli import LAW_CELL_BYTES, RETURN_ROW_BYTES, main
+from lltwalk import exact_engine, io_text
+from lltwalk.cli import LAW_CELL_BYTES, RETURN_ROW_BYTES, _emit, main
 from lltwalk.harness import _prediction_columns
 from lltwalk.io_text import distribution_text, predictions_text, returns_text
 from lltwalk.walk_model import SignedLatticeFn
@@ -115,6 +115,7 @@ def test_resource_limit_exit_code(capsys):
 @pytest.mark.parametrize("argv", [
     ["compare", "--n-list", "64,16"],
     ["compare", "--n-list", "0,4"],
+    ["compare", "--n-list", "8,8"],
     ["simulate", "--n", "5", "--trials", "0"],
     ["simulate", "--n", "-2", "--trials", "10"],
     ["simulate", "--n", "3", "--trials", "10", "--seed", "-1"],
@@ -172,6 +173,18 @@ def test_identities_eps_beyond_abel_series_guard(capsys):
     # eps = 1e-9 needs ~8e10 Abel-series terms; laguerre_table's degree
     # guard refuses them before anything is allocated
     rc = main(["identities", "--eps", "1e-9"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: DegreeTooLarge: degree")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("eps", ["1e-17", "1e-300", "1e-323", "5e-324"])
+def test_identities_eps_below_float_resolution_exit_code(capsys, eps):
+    # 1 - eps rounds to 1 below about 1.1e-16, and at the least eps the
+    # series length is past float range (5e-324 / 2 is 0.0): each is an eps
+    # too small for the Abel series, refused like 1e-9
+    rc = main(["identities", "--eps", eps])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: DegreeTooLarge: degree")
@@ -247,6 +260,49 @@ def test_returns_writer_memory_within_guard(lazy_pert):
     finally:
         tracemalloc.stop()
     assert peak <= len(f) * RETURN_ROW_BYTES + (256 << 10)
+
+
+def _warm_peak(run) -> int:
+    """run()'s tracemalloc peak, after one untraced call loads the writer's tables."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("rows", [64, 512])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_small_tables_within_their_charge(lazy_pert, tmp_path, rows, fmt):
+    # one block's temporaries are most of a small table's peak: the per-row
+    # charges with the one block term hold it with no slack, streamed to a
+    # file or joined
+    f, fp = exact_engine.first_return_probs(lazy_pert, rows)
+    charge = rows * RETURN_ROW_BYTES + io_text.BLOCK_BYTES
+    assert _warm_peak(lambda: _emit(io_text.returns_blocks(f, fp, fmt), tmp_path / "f")) <= charge
+    assert _warm_peak(lambda: returns_text(f, fp, fmt)) <= charge
+    dist = exact_engine.perturbed_fourier(lazy_pert, 2 * rows)  # about 1.3 * rows cells
+    charge = int(np.count_nonzero(dist.pmf.weights)) * LAW_CELL_BYTES + io_text.BLOCK_BYTES
+    path = tmp_path / "e"
+    assert _warm_peak(lambda: _emit(io_text.distribution_blocks(dist, fmt), path)) <= charge
+    assert _warm_peak(lambda: distribution_text(dist, fmt)) <= charge
+
+
+@pytest.mark.parametrize("argv", [
+    ["exact", "--spec", config_path("unit_cov_2d.cfg"), "--n", "64", "--format", "json"],
+    ["returns", "--spec", config_path("unit_cov_2d.cfg"), "--n-max", "64"],
+    ["compare", "--spec", config_path("unit_cov_2d.cfg"), "--n-list", "16,32", "--format", "json"],
+    ["identities"],
+])
+def test_stdout_and_out_write_the_same_bytes(tmp_path, capsysbinary, argv):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 0
+    capsysbinary.readouterr()
+    print("text first", end="")  # written through sys.stdout before the report's bytes
+    assert main(argv) == 0
+    assert capsysbinary.readouterr().out == b"text first" + out.read_bytes()
 
 
 def test_returns_table_guarded_before_the_walk(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import deque
 import tracemalloc
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from lltwalk import (
     first_return_probs,
     max_abs_difference,
     perturbed_forward,
+    perturbed_forward_many,
     perturbed_fourier,
     perturbed_via_representation,
     validate_walk_spec,
@@ -127,6 +129,18 @@ def test_route_equivalence_3d(spec3d):
     assert worst < 1e-12
 
 
+@pytest.mark.parametrize("n", [4, 8, 12])
+def test_routes_and_identities_in_4d(spec4d, n):
+    # the three routes, P_n(0) = p^{*n}(0) and the first-return identity in 4-D
+    dists, worst = cross_check(spec4d, n)
+    assert worst < exact_engine.ROUTE_TOL
+    origin = convolve_power(spec4d.p, n).value_at([0] * 4)
+    for d in dists.values():
+        assert d.value_at([0] * 4) == pytest.approx(origin, abs=1e-12)
+    f, fp = first_return_probs(spec4d, n)
+    assert np.abs(f - fp).max() < 1e-12
+
+
 def test_route_equivalence_aniso_2d(aniso_2d):
     # diagonal steps, B != I, and a box cut to unequal sides
     n = 256
@@ -228,6 +242,36 @@ def test_first_return_identity(lazy_pert, unit_cov_2d):
     assert np.abs(f - fp).max() < 1e-12
     f2, fp2 = first_return_probs(unit_cov_2d, 20)
     assert np.abs(f2 - fp2).max() < 1e-12
+
+
+@pytest.mark.parametrize("name", ["lazy_pert", "lazy_sym", "reach2", "unit_cov_2d", "aniso_2d",
+                                  "spec3d"])
+def test_forward_snapshots_match_separate_runs(request, monkeypatch, name):
+    spec = request.getfixturevalue(name)
+    ns = [0, 1, 2, 48, 96] + ([192] if spec.nu == 3 else [])
+    steps = []
+    step = exact_engine.dp_step
+    monkeypatch.setattr(exact_engine, "dp_step", lambda *args: steps.append(1) or step(*args))
+    snaps = list(perturbed_forward_many(spec, ns))
+    assert len(steps) == ns[-1]  # one walk serves every n
+    assert len({held for _, held in snaps}) == 1
+    for n, (dist, _) in zip(ns, snaps):
+        ref = perturbed_forward(spec, n)
+        assert (dist.n, dist.route, dist.tail_bound) == (n, "dp", ref.tail_bound)
+        assert np.array_equal(dist.pmf.offset, ref.pmf.offset)
+        assert dist.pmf.weights.shape == ref.pmf.weights.shape
+        if ref.tail_bound == 0.0 or n == ns[-1]:
+            # n's box is the full support, or the walk's own box: the same steps
+            assert np.array_equal(dist.pmf.weights, ref.pmf.weights)
+        else:
+            # n's box is cut: the walk keeps what a run of n steps drops past it
+            assert max_abs_difference(dist.pmf, ref.pmf) <= ref.tail_bound
+
+
+@pytest.mark.parametrize("ns", [[4, 4], [8, 4], [-1, 4]])
+def test_forward_snapshots_need_strictly_ascending_n(lazy_pert, ns):
+    with pytest.raises(ValueError):
+        next(perturbed_forward_many(lazy_pert, ns))
 
 
 def test_resource_limit(lazy_pert):
@@ -509,7 +553,8 @@ def traced_peak_and_budget(monkeypatch, run):
 @pytest.mark.parametrize(
     "route",
     ["dp", "repr", "first_return", "direct", "fourier", "fft", "fourier_1d", "fourier_1d_wide_blocks",
-     "dp_3d", "repr_3d", "first_return_3d", "dp_unfolded", "repr_unfolded"],
+     "dp_3d", "repr_3d", "first_return_3d", "dp_unfolded", "repr_unfolded", "dp_many",
+     "dp_many_3d", "dp_many_unfolded"],
 )
 def test_stepper_route_memory_within_guard(unit_cov_2d, lazy_pert, spec3d, aniso_2d, monkeypatch,
                                            route):
@@ -536,6 +581,11 @@ def test_stepper_route_memory_within_guard(unit_cov_2d, lazy_pert, spec3d, aniso
         # no fold: the layout holds the whole box
         "dp_unfolded": lambda: perturbed_forward(aniso_2d, n),
         "repr_unfolded": lambda: perturbed_via_representation(aniso_2d, n),
+        # a law unfolded mid-walk beside every buffer of the walk; each law
+        # goes as the next is built
+        "dp_many": lambda: deque(perturbed_forward_many(unit_cov_2d, [32, n - 8, n]), 0),
+        "dp_many_3d": lambda: deque(perturbed_forward_many(spec3d, [8, 36, 40]), 0),
+        "dp_many_unfolded": lambda: deque(perturbed_forward_many(aniso_2d, [n - 8, n]), 0),
     }[route]
     peak, budget = traced_peak_and_budget(monkeypatch, run)
     assert 0.8 * budget < peak <= budget + _FIXED_SLACK

@@ -13,10 +13,12 @@ from lltwalk import (
     LatticePMF,
     asymptotic_prediction,
     chi_squared_check,
+    cli,
     compare,
     convolve_power,
     edgeworth_coeffs,
     exact_engine,
+    io_text,
     llt_edgeworth,
     perturbed_fourier,
     simulate,
@@ -710,6 +712,79 @@ def test_compare_window_past_float_square(lazy_pert):
 def test_compare_requires_ascending(lazy_pert):
     with pytest.raises(ValueError):
         compare(lazy_pert, [32, 8])
+    with pytest.raises(ValueError):  # a repeated n would write its rows twice
+        compare(lazy_pert, [8, 8])
+
+
+def test_compare_walks_once_for_every_n(unit_cov_2d, monkeypatch):
+    # the dp cross-check at 64, 96 and 128 is one walk of 128 steps
+    steps = []
+    step = exact_engine.dp_step
+    monkeypatch.setattr(exact_engine, "dp_step", lambda *args: steps.append(1) or step(*args))
+    rep = compare(unit_cov_2d, [64, 96, 128])
+    assert len(steps) == 128
+    assert sorted(rep.route_deviation) == [64, 96, 128]
+    for n, dev in rep.route_deviation.items():
+        want = exact_engine.max_abs_difference(exact_engine.perturbed_fourier(unit_cov_2d, n).pmf,
+                                               exact_engine.perturbed_forward(unit_cov_2d, n).pmf)
+        # the walk's law at a cut n is within the tail bound of a run of n steps
+        assert abs(dev - want) <= exact_engine.perturbed_forward(unit_cov_2d, n).tail_bound
+
+
+@pytest.mark.parametrize("fixture,ns", [("unit_cov_2d", [32, 48, 64]), ("spec3d", [8, 16, 24]),
+                                        ("spec4d", [4, 8, 12])])
+def test_compare_dp_rows_are_separate_runs(request, fixture, ns):
+    # with --route dp every n's law comes from one walk; each n's exact
+    # column is a separate dp run's law, bit for bit where n's box is the
+    # full support or the walk's own, and within n's tail bound elsewhere
+    spec = request.getfixturevalue(fixture)
+    rep = compare(spec, ns, route="dp")
+    assert sorted(rep.route_deviation) == ns
+    assert max(rep.route_deviation.values()) < exact_engine.ROUTE_TOL
+    for n in ns:
+        rows = [row for row in report_rows(rep) if row["n"] == n]
+        ref = exact_engine.perturbed_forward(spec, n)
+        got = np.array([row["exact"] for row in rows])
+        want = np.array([ref.value_at(row["x"]) for row in rows])
+        if ref.tail_bound == 0.0 or n == ns[-1]:
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= ref.tail_bound
+
+
+@pytest.mark.parametrize("window", [None, 3.0])
+@pytest.mark.parametrize("fixture,ns,route", [("unit_cov_2d", [32, 64], "fourier"),
+                                              ("unit_cov_2d", [32, 64], "dp"),
+                                              ("spec3d", [8, 16, 24], "fourier"),
+                                              ("spec3d", [8, 16, 24], "dp")])
+def test_compare_with_crosscheck_within_its_guards(request, monkeypatch, tmp_path, fixture, ns,
+                                                   route, window):
+    # every guard charges what compare already holds (the rows of earlier
+    # n, the walk, one block of the writer) by the cap it is handed: each
+    # claims cap - (its cap) + its need.  The walk's buffers stay while the
+    # torus route runs, and the report streams to its file.  A small window
+    # leaves the routes the largest claims
+    spec = request.getfixturevalue(fixture)
+    cap = exact_engine.DEFAULT_MEM_LIMIT
+    claims = []
+    guard = exact_engine._guard_cells
+
+    def recording_guard(shape, itemsize, mem_limit, extra=0):
+        claims.append(cap - mem_limit + math.prod(shape) * itemsize + extra)
+        guard(shape, itemsize, mem_limit, extra)
+
+    monkeypatch.setattr(exact_engine, "_guard_cells", recording_guard)
+    compare(spec, ns[:1], window, route)  # loads numpy.fft and the writer's tables
+    claims.clear()
+    tracemalloc.start()
+    try:
+        rep = compare(spec, ns, window, route)
+        cli._emit(io_text.report_blocks(rep, "json"), tmp_path / "r.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted(rep.route_deviation) == ns
+    assert peak <= max(claims) + (256 << 10)
 
 
 @pytest.mark.parametrize("window", [-1.0, math.nan, math.inf])
@@ -758,7 +833,7 @@ def test_compare_guards_every_window_before_its_route(unit_cov_2d, monkeypatch):
     monkeypatch.setattr(exact_engine, "perturbed_distribution",
                         lambda spec, n, **kw: ran.append(n) or route(spec, n, **kw))
     side = 2 * math.floor(default_window(unit_cov_2d, 64)) + 1
-    cap = side**2 * REPORT_ROW_BYTES + 4096
+    cap = side**2 * REPORT_ROW_BYTES + io_text.BLOCK_BYTES + 4096
     assert compare(unit_cov_2d, [64], crosscheck=False, mem_limit=cap).n_list == [64]
     ran.clear()
     with pytest.raises(ResourceLimit, match="^needs"):

@@ -173,7 +173,7 @@ def test_json_rows_match_stdlib(case):
     rows = [_fill(shape, columns, i) for i in range(len(columns[0]))]
     payload = {"B": [[1.0, 0.0], [0.0, 1.0]], "z": None, "a": 'quoted "name"',
                "meta": {"k": math.nan}}
-    assert io_text._json("m", shape, columns, **payload) == _ref_json(**payload, m=rows)
+    assert str(io_text._json("m", shape, columns, **payload)) == _ref_json(**payload, m=rows)
 
 
 # -- every renderer against its per-row reference, in every format ---------------

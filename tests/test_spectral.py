@@ -208,7 +208,7 @@ def test_round_trip_random_functions(weights, shift):
 
 VALID_CONFIGS = sorted(p.name for p in CONFIGS.glob("*.cfg") if p.name != "periodic_1d.cfg")
 # the torus route's per-axis grid sizes at a tail-box n for each dimension
-SAMPLE_N = {1: 1024, 2: 128, 3: 40}
+SAMPLE_N = {1: 1024, 2: 128, 3: 40, 4: 12}
 # measured: at most 1.27 ulps of sum |f| (lazy_pert_3d's p at n = 40); an
 # FFT of the padded box was off by up to 7.7 (unit_cov_2d's a at n = 128)
 SAMPLE_ULPS = 2

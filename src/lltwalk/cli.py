@@ -9,6 +9,7 @@ returns.  Exit codes: 0 success, 1 validation or usage error, 2 resource limit,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -245,6 +246,12 @@ def _cmd_returns(args) -> int:
     return 0
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``main``'s parser, built on its first call and reused: a parse changes nothing in it."""
+    return build_parser()
+
+
 _COMMANDS = {
     "exact": _cmd_exact,
     "asymptotic": _cmd_asymptotic,
@@ -258,7 +265,7 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         _check_counts(args)
         return _COMMANDS[args.cmd](args)
     except (ValidationError, OSError) as exc:

@@ -378,16 +378,20 @@ def _forward(p: LatticePMF, a: LatticeFn, hull, ns, mem_limit: int):
     if not ns:
         return
     laws = (*hull, a)
-    boxes = [_box((*laws, _delta(p.dim)), n) for n in ns]
+    boxes = []  # (lo, shape, tail bound) of each n's box
+    for n in ns[:-1]:
+        lo, shape, _, bound = _box((*laws, _delta(p.dim)), n)
+        boxes.append((lo, shape, bound))
     # two buffers + scratch; the last buffer as the last law is unfolded; and
     # all of them beside each earlier law as it is unfolded and checked (the
     # checks' masks take 1 byte a cell, one at a time)
-    mid = max((9 * math.prod(shape) for _, shape, _, _ in boxes[:-1]), default=0)
+    mid = max((9 * math.prod(shape) for _, shape, _ in boxes), default=0)
     st = _Stepper(laws, ns[-1], mem_limit, 24, held=1, snapshot=mid)
+    boxes.append((st.lo, st.shape, st.bound))  # the last n's box is the stepper's
     a_idx, a_ws = st.index(a)
     m0 = 0.0
     walk = st.walk(_delta(p.dim), ns[-1])
-    for n, (lo, shape, _, bound) in zip(ns, boxes):
+    for n, (lo, shape, bound) in zip(ns, boxes):
         for k, cur in walk:
             # transition from the origin differs from p by exactly a = q - p
             if m0 != 0.0:

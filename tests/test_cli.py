@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lltwalk import exact_engine, io_text
+from lltwalk import cli, exact_engine, io_text
 from lltwalk.cli import LAW_CELL_BYTES, RETURN_ROW_BYTES, _emit, main
 from lltwalk.harness import _prediction_columns
 from lltwalk.io_text import distribution_text, predictions_text, returns_text
@@ -564,3 +564,67 @@ def test_identities_in_fresh_interpreter():
     proc = fresh_python("import sys; from lltwalk.cli import main; sys.exit(main(['identities']))")
     assert proc.returncode == 0, proc.stderr
     assert "FAIL" not in proc.stdout and "PASS" in proc.stdout
+
+
+def _run(argv, out, capsysbinary):
+    """main(argv + --out out): (exit code, report bytes, stderr bytes)."""
+    rc = main([*argv, "--out", str(out)])
+    return rc, out.read_bytes(), capsysbinary.readouterr().err
+
+
+_SHARED = [
+    ["exact", "--spec", CFG, "--n", "64"],
+    ["compare", "--spec", CFG, "--n-list", "16,32"],
+]
+
+
+def test_shared_parser_calls_match_first_calls(tmp_path, capsysbinary):
+    # each call made first, on a freshly built parser
+    first = []
+    for argv in _SHARED:
+        cli._parser.cache_clear()
+        first.append(_run(argv, tmp_path / "first", capsysbinary))
+    cli._parser.cache_clear()
+    # one parser, then through a usage error, a resource limit and --help
+    assert main(["exact", "--spec", CFG, "--n", "5", "--route", "bogus"]) == 1
+    assert main(["exact", "--spec", CFG, "--n", "6", "--mem-limit-mb", "0",
+                 "--out", os.devnull]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--help"])
+    assert exc.value.code == 0
+    capsysbinary.readouterr()
+    for argv, want in zip(_SHARED, first):
+        assert _run(argv, tmp_path / "again", capsysbinary) == want
+    assert cli._parser.cache_info().misses == 1
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    real, built = cli.build_parser, []
+
+    def build():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", build)
+    cli._parser.cache_clear()
+    assert main(["coeffs", "--spec", CFG]) == 0
+    assert main(["exact", "--spec", CFG]) == 1
+    assert main(["exact", "--spec", CFG, "--n", "4", "--out", os.devnull]) == 0
+    assert len(built) == 1
+
+
+def test_cli_import_builds_no_parser():
+    # the parser is built by the first main call, not at import
+    proc = fresh_python(
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def count(self, *a, **k):\n"
+        "    built.append(1)\n"
+        "    init(self, *a, **k)\n"
+        "argparse.ArgumentParser.__init__ = count\n"
+        "import lltwalk.cli\n"
+        "print(len(built), lltwalk.cli._parser.cache_info().currsize)"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 0"

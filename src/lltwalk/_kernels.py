@@ -81,28 +81,33 @@ KSUM_BLOCK_CELLS = 1 << 14  # cells of the power table and of each block product
 KSUM_TABLE_ROWS = 64        # rows of the power table, so no term carries more than 63 table steps
 
 
-def shift_groups(offs: np.ndarray, ws: np.ndarray, shape) -> tuple:
+ShiftGroups = namedtuple("ShiftGroups", "groups margin")
+
+
+def shift_groups(offs: np.ndarray, ws: np.ndarray, shape) -> ShiftGroups:
     """The kernel (offs, ws) as dp_step's groups on a C-ordered array of ``shape``.
 
     Each offset becomes its flat shift, the dot product with the array's
     strides in elements, and offsets of equal weight share one group, in
-    order of first appearance: a tuple of (weight, shifts) pairs.
+    order of first appearance: ``groups`` is a tuple of (weight, shifts)
+    pairs, and ``margin`` the largest |shift|, the least margin dp_step takes.
     """
     strides = np.array([math.prod(shape[ax + 1:]) for ax in range(len(shape))], dtype=np.int64)
     shifts = np.asarray(offs, dtype=np.int64).reshape(len(ws), len(shape)) @ strides
     groups: dict = {}
     for s, w in zip(shifts, ws):
         groups.setdefault(float(w), []).append(int(s))
-    return tuple((w, tuple(shifts)) for w, shifts in groups.items())
+    return ShiftGroups(tuple((w, tuple(shifts)) for w, shifts in groups.items()),
+                       int(np.abs(shifts).max(initial=0)))
 
 
-def dp_step(cur: np.ndarray, out: np.ndarray, groups, scratch: np.ndarray) -> np.ndarray:
-    """out[i] = sum over (w, shifts) in groups of w * sum_s cur[m + i - s].
+def dp_step(cur: np.ndarray, out: np.ndarray, kernel: ShiftGroups, scratch: np.ndarray) -> np.ndarray:
+    """out[i] = sum over (w, shifts) in kernel.groups of w * sum_s cur[m + i - s].
 
     One step of the forward recursion on a flat layout: ``cur`` is the span
     the step reads and ``out`` the span it writes, both 1-D, and
     m = (cur.size - out.size) / 2 is the margin of ``cur`` on each side of
-    ``out``, at least the largest |shift|.  Each group's shifted spans are
+    ``out``, at least ``kernel.margin``.  Each group's shifted spans are
     added in order and multiplied by its weight once, in ``scratch``
     (out.size cells or more) for all but the first group, which is
     written into ``out``; the groups are then added in order.  Every
@@ -110,10 +115,10 @@ def dp_step(cur: np.ndarray, out: np.ndarray, groups, scratch: np.ndarray) -> np
     """
     size = out.size
     m, odd = divmod(cur.size - size, 2)
-    if odd or m < max(abs(s) for _, shifts in groups for s in shifts):
+    if odd or m < kernel.margin:
         raise ValueError("cur must extend past out by the largest |shift| on each side")
     acc = out
-    for w, (s, *rest) in groups:
+    for w, (s, *rest) in kernel.groups:
         if rest:
             np.add(cur[m - s:m - s + size], cur[m - rest[0]:m - rest[0] + size], out=acc)
             for s in rest[1:]:

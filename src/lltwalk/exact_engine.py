@@ -105,11 +105,11 @@ def _tail(p: LatticePMF, reach: int, n: int):
     out = []
     for x in offs.T:
         t = _T_GRID / max(np.abs(x).max(), 1)  # keeps t x within [-64, 64]
-        # ln phi as log1p of sum p (e^{tx} - 1), exact to an ulp at small t
-        up, down = np.zeros_like(t), np.zeros_like(t)
-        for c, w in zip(x, ws):
-            up += w * np.expm1(c * t)
-            down += w * np.expm1(-c * t)
+        # ln phi as log1p of sum p (e^{tx} - 1), exact to an ulp at small t;
+        # add.reduce over axis 0 adds the support's rows in order
+        ct = np.multiply.outer(x, t)
+        up = np.add.reduce(ws[:, None] * np.expm1(ct), axis=0)
+        down = np.add.reduce(ws[:, None] * np.expm1(-ct), axis=0)
         log_phi = np.log1p(np.maximum(up, down))
         s = math.ceil(reach + ((log_c - math.log(TAIL_TOL) + n * log_phi) / t).min())
         out.append((s, math.exp((log_c + n * log_phi - t * (s - reach)).min())))
@@ -168,17 +168,24 @@ def _layout(shape, reach: int):
     return padded, reach * sum(math.prod(padded[ax:]) for ax in range(1, len(padded) + 1))
 
 
-def _fold_axes(*laws) -> tuple:
-    """The axes the stepper may fold: every law is even on each, as it is stepped.
+def _parity(f: LatticeFn, ax: int) -> int:
+    """1 if f is even on axis ``ax`` (f = 0 included), -1 if it is odd, 0 if neither.
 
-    A law is even on an axis when its box is centred there and its float
-    weights equal their mirror image, ``np.array_equal(w, np.flip(w, ax))``.
-    The floats decide, not the exact weights: ``_unit_sum`` folds its
-    residual into +-x orbits, which need not be even axis by axis.
+    That is, f's box is centred there and its float weights equal their
+    mirror image ``np.flip(w, ax)``, or its negation.  The floats decide, not
+    the exact weights: ``_unit_sum`` folds its residual into +-x orbits,
+    which need not be even axis by axis.
     """
-    return tuple(ax for ax in range(laws[0].dim) if all(
-        f.box[ax][0] == -f.box[ax][1] and np.array_equal(f.weights, np.flip(f.weights, ax))
-        for f in laws))
+    if f.box[ax][0] != -f.box[ax][1]:
+        return 0
+    mirror = np.flip(f.weights, ax)
+    return 1 if np.array_equal(f.weights, mirror) else -1 if np.array_equal(f.weights, -mirror) else 0
+
+
+def _fold_axes(*laws) -> tuple:
+    """The axes the stepper may fold: p = ``laws[0]`` is even on each, every other law even or odd."""
+    return tuple(ax for ax in range(laws[0].dim)
+                 if _parity(laws[0], ax) == 1 and all(_parity(f, ax) for f in laws[1:]))
 
 
 class _Stepper:
@@ -187,14 +194,16 @@ class _Stepper:
     ``laws`` are the step law p, which every walk steps by, and then every
     law a walk starts from or adds; the box holds max(n, 1) steps of their
     hull and the origin, cut at the tail box (``_box``: ``lo``, ``shape``
-    and ``bound``).  The stepper folds the box on the axes where every law
-    is even (``_fold_axes``).  On a folded axis i the box keeps the cells
-    x_i >= -w_i, where w_i is p's reach along i: a step of the cells
-    x_i >= 0 reads no further, and the w_i mirror cells below 0 are copies
-    of x_i = 1..w_i.  The laws a route starts from or adds lie there too:
-    q = p + a and q(-x) = p(x) - a(x) are nonnegative, so |a| <= p and
-    neither a nor q reaches past p.  ``origin`` is the origin's index on
-    the folded box, which with no fold is the box itself.
+    and ``bound``).  The stepper folds the box on the axes where p is even
+    and every other law even or odd (``_fold_axes``), so that each walk's
+    state keeps its start law's parity.  On a folded axis i the box keeps
+    the cells x_i >= -w_i, where w_i is p's reach along i: a step of the
+    cells x_i >= 0 reads no further, and the w_i mirror cells below 0 are
+    copies of x_i = 1..w_i, negated where the walk is odd.  The laws a
+    route starts from or adds lie there too: q = p + a and q(-x) = p(x) -
+    a(x) are nonnegative, so |a| <= p and neither a nor q reaches past p.
+    ``origin`` is the origin's index on the folded box, which with no fold
+    is the box itself.
 
     Each walk's state lives in one of two flat buffers laid out by
     ``_layout`` with the folded axes first, and one ``dp_step`` scratch
@@ -225,6 +234,9 @@ class _Stepper:
         layout = math.prod(padded) + 2 * margin
         law = 8 * held * layout + 8 * math.prod(self.shape) if held else 0
         extra = 2 * margin * cell_bytes + max(snapshot, law - cell_bytes * layout)
+        if any(_parity(f, ax) < 0 for f in laws[1:] for ax in widths):
+            # an odd walk's ufuncs on strided views take iterator buffers, 3 operands' at most
+            extra += 24 * np.getbufsize()
         _guard_cells(padded, cell_bytes, mem_limit, extra)
         self.nbytes = math.prod(padded) * cell_bytes + extra
         self._org, self._widths, self._perm, self._reach = org, widths, perm, reach
@@ -237,15 +249,26 @@ class _Stepper:
         pts, ws = f.support
         return tuple((pts + self.origin).T), ws
 
-    def walk(self, start: LatticeFn, steps: int):
+    def odd_axes(self, f: LatticeFn) -> tuple:
+        """The folded axes on which f is odd; ValueError if f is neither even nor odd on one."""
+        signs = {ax: _parity(f, ax) for ax in self._widths}
+        if not all(signs.values()):
+            raise ValueError("a walk's law must be even or odd on every folded axis")
+        return tuple(ax for ax, sign in signs.items() if sign < 0)
+
+    def walk(self, start: LatticeFn, steps: int, horizon: bool = False):
         """Step ``start`` ``steps`` times by p, mass past the box dropped.
 
         Yields (k, cur) for k = 0..steps: ``cur`` is the state after k steps
         on the folded box, a view in the box's axis order of one of the
         walk's two buffers, and is exactly zero past start.radius + k * reach
         of ``origin``.  Changes the caller makes to ``cur`` within that
-        window before resuming are kept; on a folded box they must be even,
-        every mirror cell changed as its image.
+        window before resuming are kept; on a folded box they must keep
+        start's parity (``odd_axes``), every mirror cell changed as its
+        image, negated on an odd axis, whose x_i = 0 plane stays 0.  With
+        ``horizon`` only the origin's value is kept: a step leaves the rows
+        past (steps - k - 1) * reach of the origin's row, which can no
+        longer reach it, holding an earlier state's values.
 
         A step writes the rows (axis 0 of the layout) of the next window at
         the full padded width, by one ``dp_step`` on the span they read,
@@ -255,17 +278,23 @@ class _Stepper:
         of stepping every row.  On a folded box a step covers the cells
         x_i >= 0 and then refills the mirror cells from x_i = 1..w_i, the
         inner folded axes in the stepped rows first and then axis 0, whose
-        mirror cells are whole rows: every law it steps is even on the
-        folded axes, so this is the full box's walk with each mirror cell
-        read from its image.
+        mirror cells are whole rows.  On an odd axis they take the negated
+        image, and the x_i = 0 plane, which the full box's summation order
+        leaves at roundoff, is set to 0.  Every state keeps start's parity,
+        so this is the full box's walk with each mirror cell read from its
+        image.
         """
         pshape, padded, margin = self._pshape, self._padded, self._margin
         size = math.prod(padded)
         width = size // padded[0]  # cells per row, halo included
         widths = [self._widths.get(ax, 0) for ax in self._perm]
-        halo = [(slice(None),) * ax + (slice(pshape[ax], None),) for ax in range(1, len(pshape))]
-        mirror = [((slice(None),) * ax + (slice(0, w),), (slice(None),) * ax + (slice(2 * w, w, -1),))
+        odd = self.odd_axes(start)
+        odd = [ax in odd for ax in self._perm]
+        lead = [(slice(None),) * ax for ax in range(len(pshape))]
+        halo = [lead[ax] + (slice(pshape[ax], None),) for ax in range(1, len(pshape))]
+        mirror = [(lead[ax] + (slice(0, w),), lead[ax] + (slice(2 * w, w, -1),), odd[ax])
                   for ax, w in enumerate(widths) if ax and w]
+        planes = [lead[ax] + (w,) for ax, w in enumerate(widths) if ax and odd[ax]]
         first = widths[0]  # axis 0's mirror rows
         o = self.origin[self._perm[0]]  # the origin's row
         bufs = [np.zeros(size + 2 * margin) for _ in range(2)]
@@ -279,7 +308,8 @@ class _Stepper:
             yield k, boxes[k % 2]
             if k < steps:
                 rad += self._reach
-                a, b = max(0, o - rad, first), min(pshape[0], o + rad + 1)
+                near = min(rad, (steps - k - 1) * self._reach) if horizon else rad
+                a, b = max(0, o - near, first), min(pshape[0], o + near + 1)
                 src, dst = bufs[k % 2], bufs[1 - k % 2]
                 lo, hi = margin + a * width, margin + b * width
                 dp_step(src[lo - margin:hi + margin], dst[lo:hi], self._groups, self._scratch)
@@ -287,45 +317,59 @@ class _Stepper:
                     rows = dst[lo:hi].reshape(b - a, *padded[1:])
                     for face in halo:
                         rows[face] = 0.0
-                    for to, image in mirror:
-                        rows[to] = rows[image]
+                    for plane in planes:
+                        rows[plane] = 0.0
+                    for to, image, neg in mirror:
+                        if neg:
+                            np.negative(rows[image], out=rows[to])
+                        else:
+                            rows[to] = rows[image]
                 if first:
                     rows = dst[margin:margin + size].reshape(padded[0], width)
-                    rows[:first] = rows[2 * first:first:-1]
+                    if odd[0]:
+                        np.negative(rows[2 * first:first:-1], out=rows[:first])
+                        rows[o] = 0.0
+                    else:
+                        rows[:first] = rows[2 * first:first:-1]
 
-    def unfold(self, *parts, box=None, walking: bool = False):
-        """The sum of the folded ``parts`` on ``box``, every folded axis mirrored.
+    def unfold(self, part, odd=(), box=None, walking: bool = False, out=None):
+        """The folded ``part`` on ``box``, every folded axis mirrored, negated on ``odd``'s.
 
         ``box`` is (lower corner, shape) of a box within the stepper's, by
-        default the stepper's own.  The sum goes into the first part, and
-        each orthant of the box (x_i >= 0 or x_i < 0 on each folded axis) is
-        one copy of its cells x_i >= 0, reversed where x_i < 0: the law is
-        exactly even on every folded axis.  With no fold this is the parts'
-        sum.  Once the walks are done the scratch goes before the law is
-        built; ``walking`` keeps it for the steps to come, and then the one
-        part, a walk's state, is only read.
+        default the stepper's own.  Each orthant of the box (x_i >= 0 or
+        x_i < 0 on each folded axis) is one copy of the part's cells
+        x_i >= 0, reversed where x_i < 0 and there negated on each axis of
+        ``odd``: the law is exactly even, or odd, on every folded axis.
+        With no fold this is the part itself.  With ``out`` the law is
+        added to ``out``, cell by cell.  Once the walks are done the scratch
+        goes before the law is built; ``walking`` keeps it for the steps to
+        come, and then the part, a walk's state, is only read.
         """
         if not walking:
             self._scratch = None
         lo, shape = box or (self.lo, self.shape)
-        acc = parts[0]
-        for part in parts[1:]:
-            acc += part
-        # per axis, the (box, folded box) slices of each orthant
-        pieces = [()]
+        # per axis, the (box, folded box, negated) slices of each orthant
+        pieces = [((), (), False)]
         for ax, (l, size) in enumerate(zip(lo, shape)):
             o, w = -l, self._widths.get(ax)
             if w is None:
                 at = self._org[ax] - o
-                sides = [(slice(None), slice(at, at + size))]
+                sides = [(slice(None), slice(at, at + size), False)]
             else:
-                sides = [(slice(o, None), slice(w, w + size - o)),
-                         (slice(0, o), slice(w + o, w, -1))]
-            pieces = [p + (side,) for p in pieces for side in sides]
-        out = np.empty(shape)
-        for piece in pieces:
-            dst, src = zip(*piece)
-            np.copyto(out[dst], acc[src])
+                sides = [(slice(o, None), slice(w, w + size - o), False),
+                         (slice(0, o), slice(w + o, w, -1), ax in odd)]
+            pieces = [(dst + (d,), src + (s,), neg ^ n) for dst, src, neg in pieces
+                      for d, s, n in sides]
+        fresh = out is None
+        out = np.empty(shape) if fresh else out
+        for dst, src, neg in pieces:
+            view = out[dst]
+            if not fresh:
+                (np.subtract if neg else np.add)(view, part[src], out=view)
+            elif neg:
+                np.negative(part[src], out=view)
+            else:
+                np.copyto(view, part[src])  # unbuffered, where a ufunc on strided views is not
         return out
 
 
@@ -604,26 +648,27 @@ def perturbed_via_representation(
     ``dp`` route drops it.  p averages, so each rounding is carried forward
     without growth and the sum needs no compensation.  Requires the
     antisymmetry of a (which WalkSpec guarantees): paths revisiting the
-    origin then contribute nothing to the correction.
+    origin then contribute nothing to the correction.  The stepper folds
+    every axis p is even on where a is even or odd, and S, which keeps a's
+    parity, is unfolded with it and added to the unfolded u.
     """
     perturbed = n > 0 and spec.a.weights.any()
     # u's last buffer, the S walk's two + the scratch the walks share; u's
     # and S's last buffers as the law is unfolded
-    st = _Stepper((spec.p, spec.q, spec.a), n, mem_limit, 32, held=1 + perturbed)
+    st = _Stepper((spec.p, spec.a), n, mem_limit, 32, held=1 + perturbed)
     a_idx, a_ws = st.index(spec.a)
     r = []
     for _, u in st.walk(_delta(spec.nu), n):
         r.append(u[st.origin])
-    parts = [u]
     if perturbed:
         for k, s in st.walk(spec.a, n - 1):
             if k:
                 s[a_idx] += r[k] * a_ws
-        parts.append(s)
-        del s
-    del u  # parts holds the walks' last buffers
-    law = st.unfold(*parts)  # the law, without the stepper's halo
-    del parts  # the buffers go before the law is checked
+    law = st.unfold(u)  # the law, without the stepper's halo
+    del u
+    if perturbed:
+        st.unfold(s, st.odd_axes(spec.a), out=law)
+        del s  # the buffers go before the law is checked
     return ExactDistribution(n=n, pmf=_law(st.lo, law), route="repr", tail_bound=st.bound)
 
 
@@ -699,15 +744,19 @@ def first_return_probs(
     theory (the antisymmetric part of the exit law integrates to zero
     against symmetric return paths); the suite checks 1e-12.  The recursion
     runs on the tail box of n_max steps, so each value is within that box's
-    tail bound of its full-support value.
+    tail bound of its full-support value.  Each walk has its own stepper,
+    folded on its own laws: the walk from p folds every axis p is even on.
+    p's fold holds the walk from q's, so the guard of q's stepper, the
+    first, is the larger.  Both walks read only the origin, so each steps
+    within its horizon (``_Stepper.walk``).
     """
-    st = _Stepper((spec.p, spec.q), n_max, mem_limit, 24)
-
-    def taboo(first_step: LatticeFn) -> np.ndarray:
+    def taboo(*laws) -> np.ndarray:
+        # the walk from laws[-1], on the fold of its own laws
+        st = _Stepper(laws, n_max, mem_limit, 24)
         f = np.empty(n_max)
-        for m, cur in st.walk(first_step, n_max - 1):
+        for m, cur in st.walk(laws[-1], n_max - 1, horizon=True):
             f[m] = cur[st.origin]
             cur[st.origin] = 0.0
         return f
 
-    return taboo(spec.q), taboo(spec.p)
+    return taboo(spec.p, spec.q), taboo(spec.p)

@@ -292,7 +292,18 @@ def _float_cells(x: np.ndarray, shortest: bool) -> np.ndarray:
 
 
 def _int_cells(v: np.ndarray) -> np.ndarray:
-    """The decimal text of each int64 of v, one padded row each."""
+    """The decimal text of each int64 of v, one padded row each.
+
+    When v spans fewer values than it has, [lo, hi] is formatted once and
+    its rows gathered: lo and hi set the width and the sign column alike.
+    """
+    lo, hi = (int(v.min()), int(v.max())) if v.size else (0, 0)
+    if hi - lo < v.size:
+        return _int_text(lo + np.arange(hi - lo + 1, dtype=np.int64))[v - lo]
+    return _int_text(v)
+
+
+def _int_text(v: np.ndarray) -> np.ndarray:
     groups, _ = _digit_table()
     neg = v < 0
     mag = v.astype(np.uint64)

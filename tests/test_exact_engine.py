@@ -491,6 +491,96 @@ def test_folded_convolve_power_matches_full_box_stepping(unit_cov_2d, monkeypatc
     assert np.array_equal(got.weights, np.flip(np.flip(got.weights, 0), 1))
 
 
+@pytest.mark.parametrize("name, n", [("lazy_pert", 40), ("unit_cov_2d", 96), ("spec3d", 16),
+                                     ("spec4d", 8)])
+def test_odd_folded_walk_matches_full_box_stepping(request, monkeypatch, name, n):
+    # repr's S walk steps a, odd on x1: its mirror cells take the negated
+    # image and its x1 = 0 plane is held at exact zero, where the full box's
+    # summation order leaves roundoff of up to 4.3e-20 there.  The states
+    # then differ by at most 4.3e-19 (measured), on walks whose largest value is 0.05
+    spec = request.getfixturevalue(name)
+
+    def stepper():
+        return exact_engine._Stepper((spec.p, spec.a), n, exact_engine.DEFAULT_MEM_LIMIT, 32)
+
+    st, ref = stepper(), _unfolded(monkeypatch, stepper)
+    assert st.odd_axes(spec.a) == (0,) and ref.odd_axes(spec.a) == ()
+    for (k, cur), (_, full) in zip(st.walk(spec.a, n), ref.walk(spec.a, n)):
+        assert not cur[st.origin[0]].any()
+        law = st.unfold(cur, (0,), walking=True)
+        assert np.array_equal(law, -np.flip(law, 0))
+        assert np.abs(law - full).max() <= 1e-18
+
+
+def test_walk_rejects_a_law_neither_even_nor_odd(unit_cov_2d):
+    st = exact_engine._Stepper((unit_cov_2d.p, unit_cov_2d.a), 4, exact_engine.DEFAULT_MEM_LIMIT, 32)
+    with pytest.raises(ValueError, match="even or odd"):
+        next(st.walk(unit_cov_2d.q, 4))
+
+
+_CONFIG_SPECS = ["lazy_pert", "lazy_sym", "reach2", "unit_cov_2d", "aniso_2d", "spec3d", "spec4d"]
+
+
+@pytest.mark.parametrize("name, n", [("lazy_pert", 1000), ("lazy_sym", 1000), ("reach2", 2048),
+                                     ("unit_cov_2d", 96), ("aniso_2d", 256), ("spec3d", 40),
+                                     ("spec4d", 12), ("spec4d", 32)])
+def test_repr_on_its_odd_fold_matches_dp(request, name, n):
+    # repr folds every axis p is even on, its S walk odd where a is; dp
+    # folds only where a is even too
+    spec = request.getfixturevalue(name)
+    got = perturbed_via_representation(spec, n)
+    ref = perturbed_forward(spec, n)
+    assert got.pmf.box == ref.pmf.box
+    assert max_abs_difference(got.pmf, ref.pmf) <= exact_engine.ROUTE_TOL
+
+
+@pytest.mark.parametrize("name, n", [*((name, 96) for name in _CONFIG_SPECS[:5]),
+                                     ("spec3d", 40), ("spec4d", 16)])
+def test_first_return_horizon_is_bit_for_bit(request, monkeypatch, name, n):
+    # both walks read only the origin, so the rows a step leaves past the
+    # horizon change no bit of f or f'; unit_cov_2d's p walk folds x1 too
+    spec = request.getfixturevalue(name)
+    if name == "unit_cov_2d":
+        assert exact_engine._fold_axes(spec.p) == (0, 1)
+    cells = []
+    step = exact_engine.dp_step
+    monkeypatch.setattr(exact_engine, "dp_step", lambda *args: cells.append(args[1].size) or step(*args))
+    got = first_return_probs(spec, n)
+    stepped = sum(cells)
+    walk = exact_engine._Stepper.walk
+    monkeypatch.setattr(exact_engine._Stepper, "walk",
+                        lambda self, start, steps, horizon=False: walk(self, start, steps))
+    ref = first_return_probs(spec, n)
+    assert stepped < sum(cells) - stepped
+    for g, r in zip(got, ref):
+        assert np.array_equal(g, r)
+
+
+def _tail_by_support_point(p, reach, n):
+    """``_tail`` with its sums taken one support point at a time, a row each."""
+    offs, ws = p.support
+    log_c = math.log(2 * (2 * n + 1))
+    out = []
+    for x in offs.T:
+        t = exact_engine._T_GRID / max(np.abs(x).max(), 1)
+        up, down = np.zeros_like(t), np.zeros_like(t)
+        for c, w in zip(x, ws):
+            up += w * np.expm1(c * t)
+            down += w * np.expm1(-c * t)
+        log_phi = np.log1p(np.maximum(up, down))
+        s = math.ceil(reach + ((log_c - math.log(exact_engine.TAIL_TOL) + n * log_phi) / t).min())
+        out.append((s, math.exp((log_c + n * log_phi - t * (s - reach)).min())))
+    return out
+
+
+@pytest.mark.parametrize("name", _CONFIG_SPECS)
+def test_tail_matches_a_sum_per_support_point(request, name):
+    spec = request.getfixturevalue(name)
+    for n in (1, 7, 64, 96, 1024, 8192, 13568):
+        assert exact_engine._tail(spec.p, spec.radius, n) == _tail_by_support_point(
+            spec.p, spec.radius, n)
+
+
 _THIRTEENTHS = {(0, 0): "1/13", **dict.fromkeys([(1, 0), (-1, 0), (0, 1), (0, -1)], "1/13"),
                 **dict.fromkeys([(1, 1), (-1, -1), (1, -1), (-1, 1)], "2/13")}
 
@@ -529,8 +619,12 @@ def test_unfolded_walks_step_the_full_box(aniso_2d, lazy_pert, unit_cov_2d):
 _FIXED_SLACK = 64 << 10
 
 
-def traced_peak_and_budget(monkeypatch, run):
-    """run()'s tracemalloc peak and the budget of the one guard it passes."""
+def traced_peak_and_budget(monkeypatch, run, guards=1):
+    """run()'s tracemalloc peak and the largest budget of the ``guards`` guards it passes.
+
+    Guards past the first belong to phases that run after the one before
+    has dropped its arrays, so the peak is that of the largest.
+    """
     budgets = []
     guard = exact_engine._guard_cells
 
@@ -546,18 +640,18 @@ def traced_peak_and_budget(monkeypatch, run):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    (budget,) = budgets
-    return peak, budget
+    assert len(budgets) == guards
+    return peak, max(budgets)
 
 
 @pytest.mark.parametrize(
     "route",
     ["dp", "repr", "first_return", "direct", "fourier", "fft", "fourier_1d", "fourier_1d_wide_blocks",
-     "dp_3d", "repr_3d", "first_return_3d", "dp_unfolded", "repr_unfolded", "dp_many",
-     "dp_many_3d", "dp_many_unfolded"],
+     "dp_3d", "repr_3d", "first_return_3d", "repr_4d", "first_return_4d", "dp_unfolded",
+     "repr_unfolded", "dp_many", "dp_many_3d", "dp_many_unfolded"],
 )
-def test_stepper_route_memory_within_guard(unit_cov_2d, lazy_pert, spec3d, aniso_2d, monkeypatch,
-                                           route):
+def test_stepper_route_memory_within_guard(unit_cov_2d, lazy_pert, spec3d, spec4d, aniso_2d,
+                                           monkeypatch, route):
     n = 96
     if route == "fourier_1d_wide_blocks":
         # the k-sums' block buffers at 1 MiB each, well past the fixed slack,
@@ -578,6 +672,9 @@ def test_stepper_route_memory_within_guard(unit_cov_2d, lazy_pert, spec3d, aniso
         "dp_3d": lambda: perturbed_forward(spec3d, 40),
         "repr_3d": lambda: perturbed_via_representation(spec3d, 40),
         "first_return_3d": lambda: first_return_probs(spec3d, 40),
+        # every axis folds for repr, x1 odd in its S walk
+        "repr_4d": lambda: perturbed_via_representation(spec4d, 16),
+        "first_return_4d": lambda: first_return_probs(spec4d, 16),
         # no fold: the layout holds the whole box
         "dp_unfolded": lambda: perturbed_forward(aniso_2d, n),
         "repr_unfolded": lambda: perturbed_via_representation(aniso_2d, n),
@@ -587,7 +684,8 @@ def test_stepper_route_memory_within_guard(unit_cov_2d, lazy_pert, spec3d, aniso
         "dp_many_3d": lambda: deque(perturbed_forward_many(spec3d, [8, 36, 40]), 0),
         "dp_many_unfolded": lambda: deque(perturbed_forward_many(aniso_2d, [n - 8, n]), 0),
     }[route]
-    peak, budget = traced_peak_and_budget(monkeypatch, run)
+    # the first-return walks from q and from p each build their own stepper
+    peak, budget = traced_peak_and_budget(monkeypatch, run, 2 if "first_return" in route else 1)
     assert 0.8 * budget < peak <= budget + _FIXED_SLACK
 
 

@@ -337,3 +337,24 @@ def test_ordinary_floats_take_the_fast_path():
     for shortest in (True, False):
         assert io_text._float_digits(x, shortest)[2].mean() > 0.999
     _check_floats(x.tolist())
+
+
+_INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
+
+
+@pytest.mark.parametrize("values", [
+    [], [0], [7, 7, 7], [-1, 0, 1, -1], [9, 10, 11, 12, 10, 9], [-100, -99, -100, -98, -97, -99],
+    [_INT64_MIN, _INT64_MIN + 1, _INT64_MIN], [_INT64_MAX, _INT64_MAX - 1, _INT64_MAX],
+    [_INT64_MIN, 0, _INT64_MAX], [-10**k for k in range(19)] + [10**k - 1 for k in range(1, 19)],
+    np.random.default_rng(3).integers(-5, 130, 4096).tolist(),
+])
+def test_int_cells_match_str(monkeypatch, values):
+    # a block spanning fewer values than it has formats [lo, hi] once and
+    # gathers its rows; any other block formats each value
+    formatted = []
+    int_text = io_text._int_text
+    monkeypatch.setattr(io_text, "_int_text", lambda v: formatted.append(v.size) or int_text(v))
+    v = np.array(values, np.int64)
+    assert _texts(io_text._int_cells(v)) == [str(x) for x in values]
+    gathered = bool(values) and max(values) - min(values) < len(values)
+    assert formatted == [max(values) - min(values) + 1 if gathered else len(values)]

@@ -45,7 +45,7 @@ def test_dp_step_boundary_truncation():
 def test_dp_step_groups_offsets_of_equal_weight():
     groups = K.shift_groups(np.array([[0, 0], [1, 0], [-1, 0], [0, 1]]),
                             np.array([0.5, 0.25, 0.25, 0.125]), (5, 7))
-    assert groups == ((0.5, (0,)), (0.25, (7, -7)), (0.125, (1,)))
+    assert groups == K.ShiftGroups(((0.5, (0,)), (0.25, (7, -7)), (0.125, (1,))), 7)
 
 
 def test_dp_step_rejects_a_margin_short_of_a_shift():

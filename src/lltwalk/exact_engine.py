@@ -288,8 +288,8 @@ class _Stepper:
         size = math.prod(padded)
         width = size // padded[0]  # cells per row, halo included
         widths = [self._widths.get(ax, 0) for ax in self._perm]
-        odd = self.odd_axes(start)
-        odd = [ax in odd for ax in self._perm]
+        odd_axes = self.odd_axes(start)
+        odd = [ax in odd_axes for ax in self._perm]  # in the layout's axis order
         lead = [(slice(None),) * ax for ax in range(len(pshape))]
         halo = [lead[ax] + (slice(pshape[ax], None),) for ax in range(1, len(pshape))]
         mirror = [(lead[ax] + (slice(0, w),), lead[ax] + (slice(2 * w, w, -1),), odd[ax])

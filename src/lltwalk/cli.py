@@ -16,23 +16,12 @@ import time
 
 import numpy as np
 
-from . import exact_engine, harness, io_text
+from . import errors, exact_engine, harness, io_text
 from .errors import CrossCheckError, NoConvergence, ResourceLimit, ValidationError
 from .spectral import _MAX_ORDER, edgeworth_coeffs
 from .special_fn import identity_suite
 from .specfile import load_walk_spec
 from .walk_model import validate_walk_spec
-
-# tracemalloc peak of distribution_text per nonzero cell of the law, with 7%
-# to spare: JSON 218 B in 1-D (n = 65536, 3921 cells, one block of rows),
-# 151 B in 2-D (n = 1024) and 176 B in 3-D (n = 96) on Python 3.11 and
-# numpy 2.4; 86 to 186 B in CSV and TSV
-LAW_CELL_BYTES = 234
-# tracemalloc peak of returns_text per row of the first-return table, with 7%
-# to spare: JSON 334 B at n_max = 8192 (four blocks of rows) and 320 B at
-# 100000 on lazy_pert_1d, Python 3.11 and numpy 2.4; 208 to 237 B in CSV
-# and TSV.  The %.3e column is formatted value by value
-RETURN_ROW_BYTES = 358
 
 
 def _emit(blocks, out: str | None):
@@ -46,13 +35,6 @@ def _emit(blocks, out: str | None):
         sys.stdout.flush()  # text already written goes first
         sys.stdout.buffer.writelines(blocks)
         sys.stdout.buffer.flush()
-
-
-def _parse_n_list(s: str):
-    try:
-        return [int(tok) for tok in s.replace(",", " ").split()]
-    except ValueError:
-        raise ValidationError(f"bad n list {s!r}") from None
 
 
 def _check_counts(args):
@@ -77,10 +59,14 @@ def _check_counts(args):
         if value is not None and not ok(value):
             raise ValidationError(f"--{name.replace('_', '-')} must be {rule}, got {value}")
     if args.cmd == "compare":
-        ns = _parse_n_list(args.n_list)
+        try:
+            ns = [int(tok) for tok in args.n_list.replace(",", " ").split()]
+        except ValueError:
+            raise ValidationError(f"bad n list {args.n_list!r}") from None
         if not ns or ns[0] < 1 or any(b <= a for a, b in zip(ns, ns[1:])):
             raise ValidationError(
                 f"--n-list must be strictly ascending values >= 1, got {args.n_list!r}")
+        args.n_list = ns  # parsed once: compare reads the list
 
 
 class _Parser(argparse.ArgumentParser):
@@ -174,8 +160,8 @@ def _cmd_exact(args) -> int:
         dist = dists["fourier"]
     else:
         dist = exact_engine.perturbed_distribution(spec, args.n, route=args.route, mem_limit=mem)
-    exact_engine._guard_cells((int(np.count_nonzero(dist.pmf.weights)),), LAW_CELL_BYTES, mem,
-                              io_text.BLOCK_BYTES)
+    cells = int(np.count_nonzero(dist.pmf.weights))
+    errors.guard_memory("exact_writer", cells * io_text.LAW_CELL_BYTES + io_text.BLOCK_BYTES, mem)
     _emit(io_text.distribution_blocks(dist, args.format), args.out)
     return 0
 
@@ -191,7 +177,7 @@ def _cmd_compare(args) -> int:
     spec = load_walk_spec(args.spec, L=args.order)
     rep = harness.compare(
         spec,
-        _parse_n_list(args.n_list),
+        args.n_list,
         window=args.window,
         route=args.route,
         crosscheck=not args.no_crosscheck,
@@ -236,7 +222,7 @@ def _cmd_returns(args) -> int:
     spec = load_walk_spec(args.spec)
     mem = args.mem_limit_mb << 20
     # the table, before the walk
-    exact_engine._guard_cells((args.n_max,), RETURN_ROW_BYTES, mem, io_text.BLOCK_BYTES)
+    errors.guard_memory("returns_writer", args.n_max * io_text.RETURN_ROW_BYTES + io_text.BLOCK_BYTES, mem)
     f, fp = exact_engine.first_return_probs(spec, args.n_max, mem_limit=mem)
     _emit(io_text.returns_blocks(f, fp, args.format), args.out)
     worst = float(np.abs(f - fp).max())

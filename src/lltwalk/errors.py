@@ -77,6 +77,20 @@ class ResourceLimit(LltWalkError):
     """An exact computation would exceed the configured memory cap."""
 
 
+# every phase a memory guard charges, named in the ResourceLimit it raises
+MEMORY_PHASES = ("dp", "repr", "first_return", "fourier", "simulate", "window",
+                 "exact_writer", "returns_writer")
+
+
+def guard_memory(phase: str, need: int, mem_limit: int) -> None:
+    """Raise ResourceLimit, naming ``phase``, if its peak of ``need`` bytes passes ``mem_limit``."""
+    if phase not in MEMORY_PHASES:
+        raise ValueError(f"undeclared memory phase {phase!r}")
+    if need > mem_limit:
+        mib = need / 2**20 if need < 2**1000 else float("inf")  # a float division would overflow
+        raise ResourceLimit(f"needs {mib:.0f} MiB for phase {phase}, cap is {mem_limit / 2**20:.0f} MiB")
+
+
 class CrossCheckError(LltWalkError):
     """Two independently computed results disagree beyond tolerance."""
 

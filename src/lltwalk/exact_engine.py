@@ -23,16 +23,18 @@ cut moves the law by at most the reported ``tail_bound``.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import errors
 from ._kernels import (
     KsumPlan, dp_step, ksum_plan, origin_returns, pow_binary, shift_groups, weighted_power_sum,
 )
-from .errors import CrossCheckError, NotNormalized, ResourceLimit
+from .errors import CrossCheckError, NotNormalized
 from .spectral import (
     TorusGrid, charfn_grid, charfn_peak_bytes, half_pairs, half_shape, invert_charfn,
 )
@@ -73,19 +75,8 @@ class ExactDistribution:
 
 
 # ---------------------------------------------------------------------------
-# boxes, memory guards and the zero-halo stepper
+# boxes and the zero-halo stepper
 # ---------------------------------------------------------------------------
-
-def _guard_cells(shape, itemsize: int, mem_limit: int, extra: int = 0):
-    """Raise ResourceLimit if ``shape`` cells of ``itemsize`` bytes plus ``extra`` pass the cap."""
-    need = math.prod(shape) * itemsize + extra
-    if need > mem_limit:
-        mib = need / 2**20 if need < 2**1000 else math.inf  # a float division would overflow
-        raise ResourceLimit(
-            f"needs {mib:.0f} MiB for shape {tuple(shape)}, "
-            f"cap is {mem_limit / 2**20:.0f} MiB"
-        )
-
 
 def _tail(p: LatticePMF, reach: int, n: int):
     """Per axis, (s, bound): the tail box's half-width and the mass it may lose.
@@ -114,6 +105,11 @@ def _tail(p: LatticePMF, reach: int, n: int):
         s = math.ceil(reach + ((log_c - math.log(TAIL_TOL) + n * log_phi) / t).min())
         out.append((s, math.exp((log_c + n * log_phi - t * (s - reach)).min())))
     return out
+
+
+def _tail_bytes(p: LatticePMF) -> int:
+    """``_tail``'s peak: four arrays of p's support points by the grid of t, five of the grid."""
+    return 8 * _T_GRID.size * (4 * int(np.count_nonzero(p.weights)) + 5)
 
 
 def _hull_box(fns, n: int):
@@ -208,20 +204,21 @@ class _Stepper:
     Each walk's state lives in one of two flat buffers laid out by
     ``_layout`` with the folded axes first, and one ``dp_step`` scratch
     (the padded layout's cells) serves every walk of the route, in turn.
-    The guard charges ``cell_bytes`` per cell of that layout, halo and
-    margin included.  A route that returns a law holds ``held`` of the
-    walks' buffers (8 bytes a layout cell) as ``unfold`` builds the law on
-    the box (8 bytes a box cell), and the guard charges the larger of the
-    two phases: folded, the law can outweigh the layout, which holds about
-    a quarter of the box in 3-D.  The law is then zeroed and renormalized
-    in place (``_law``), once the route has dropped the walks' buffers.  A
-    route that also unfolds laws mid-walk charges the largest of them,
-    ``snapshot`` bytes, on top of every cell of the layout.  ``nbytes`` is
-    the guard's charge.
+    The walks take ``cell_bytes`` per cell of that layout, halo and margin
+    included.  A route that returns a law holds ``held`` of the walks'
+    buffers (8 bytes a layout cell) as ``unfold`` builds the law on the box
+    (8 bytes a box cell): folded, the law can outweigh the layout, which
+    holds about a quarter of the box in 3-D.  An odd walk is added to the
+    law last, beside its one buffer, by ufuncs on strided views that take
+    numpy's iterator buffers, 3 operands' at most.  The law is then zeroed
+    and renormalized in place (``_law``) once the walks' buffers are gone.
+    A route that also unfolds laws mid-walk charges the largest of them,
+    ``snapshot`` bytes, on top of the walks' cells.  ``nbytes``, charged
+    under ``phase``, is the largest phase, the tail box's scan included.
     """
 
-    def __init__(self, laws, n: int, mem_limit: int, cell_bytes: int, held: int = 0,
-                 snapshot: int = 0):
+    def __init__(self, laws, n: int, mem_limit: int, phase: str, cell_bytes: int,
+                 held: int = 0, snapshot: int = 0):
         p = laws[0]
         self.lo, self.shape, org, self.bound = _box((*laws, _delta(p.dim)), n)
         reach = max(f.radius for f in laws)
@@ -231,14 +228,12 @@ class _Stepper:
         perm = (*widths, *(ax for ax in range(p.dim) if ax not in widths))  # folded axes first
         pshape = [org[ax] + widths[ax] + 1 if ax in widths else self.shape[ax] for ax in perm]
         padded, margin = _layout(pshape, reach)
-        layout = math.prod(padded) + 2 * margin
-        law = 8 * held * layout + 8 * math.prod(self.shape) if held else 0
-        extra = 2 * margin * cell_bytes + max(snapshot, law - cell_bytes * layout)
-        if any(_parity(f, ax) < 0 for f in laws[1:] for ax in widths):
-            # an odd walk's ufuncs on strided views take iterator buffers, 3 operands' at most
-            extra += 24 * np.getbufsize()
-        _guard_cells(padded, cell_bytes, mem_limit, extra)
-        self.nbytes = math.prod(padded) * cell_bytes + extra
+        layout, box = math.prod(padded) + 2 * margin, math.prod(self.shape)
+        odd = any(_parity(f, ax) < 0 for f in laws[1:] for ax in widths)
+        self.nbytes = max(_tail_bytes(p), cell_bytes * layout + snapshot,
+                          8 * held * layout + 8 * box if held else 0,
+                          8 * layout + 8 * box + 24 * np.getbufsize() if odd else 0)
+        errors.guard_memory(phase, self.nbytes, mem_limit)
         self._org, self._widths, self._perm, self._reach = org, widths, perm, reach
         self._pshape, self._padded, self._margin = pshape, padded, margin
         self._groups = shift_groups(offs[:, perm], ws, padded)
@@ -430,7 +425,7 @@ def _forward(p: LatticePMF, a: LatticeFn, hull, ns, mem_limit: int):
     # all of them beside each earlier law as it is unfolded and checked (the
     # checks' masks take 1 byte a cell, one at a time)
     mid = max((9 * math.prod(shape) for _, shape, _ in boxes), default=0)
-    st = _Stepper(laws, ns[-1], mem_limit, 24, held=1, snapshot=mid)
+    st = _Stepper(laws, ns[-1], mem_limit, "dp", 24, held=1, snapshot=mid)
     boxes.append((st.lo, st.shape, st.bound))  # the last n's box is the stepper's
     a_idx, a_ws = st.index(a)
     m0 = 0.0
@@ -543,9 +538,9 @@ def _fourier(p: LatticePMF, a: LatticeFn, hull, n: int, mem_limit: int):
         # in a process also loads numpy.fft.
         inversion = grid * cells + 16 * np.getbufsize()
         if not perturbed:
-            return max(inversion, charfn_peak_bytes(p, sizes)) + load
+            return max(_tail_bytes(p), inversion, charfn_peak_bytes(p, sizes)) + load
         ksums = 41 * cells + 32 * n + plan_bytes
-        return max(inversion, 16 * cells + charfn_peak_bytes(a, sizes), ksums) + load
+        return max(_tail_bytes(p), inversion, 16 * cells + charfn_peak_bytes(a, sizes), ksums) + load
 
     # p's samples, and the k-sums' sort and plan, come before the guard only
     # when the route fits the cap but for the plan, whose bytes they size
@@ -561,7 +556,7 @@ def _fourier(p: LatticePMF, a: LatticeFn, hull, n: int, mem_limit: int):
         if perturbed:
             pairs, index = _sorted_pairs(z)
             plan = ksum_plan(pairs, n)
-    _guard_cells(half, grid, mem_limit, need(0 if plan is None else plan.nbytes) - grid * cells)
+    errors.guard_memory("fourier", need(0 if plan is None else plan.nbytes), mem_limit)
 
     if perturbed:
         w = _correction_sum(pairs, index, half, n, plan)
@@ -654,8 +649,8 @@ def perturbed_via_representation(
     """
     perturbed = n > 0 and spec.a.weights.any()
     # u's last buffer, the S walk's two + the scratch the walks share; u's
-    # and S's last buffers as the law is unfolded
-    st = _Stepper((spec.p, spec.a), n, mem_limit, 32, held=1 + perturbed)
+    # and S's last buffers as u is unfolded, and S's alone as S is added
+    st = _Stepper((spec.p, spec.a), n, mem_limit, "repr", 32, held=1 + perturbed)
     a_idx, a_ws = st.index(spec.a)
     r = []
     for _, u in st.walk(_delta(spec.nu), n):
@@ -722,15 +717,10 @@ def cross_check(
     deviation exceeds tol.
     """
     dists = {r: perturbed_distribution(spec, n, route=r, mem_limit=mem_limit) for r in ROUTES}
-    worst = 0.0
-    names = list(dists)
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            worst = max(worst, max_abs_difference(dists[names[i]].pmf, dists[names[j]].pmf))
+    worst = max(max_abs_difference(f.pmf, g.pmf) for f, g in itertools.combinations(dists.values(), 2))
     if worst > tol:
-        raise CrossCheckError(
-            f"routes {names} disagree by {worst:.3e} (tolerance {tol:.1e}) at n={n}"
-        )
+        raise CrossCheckError(f"routes {list(dists)} disagree by {worst:.3e} "
+                              f"(tolerance {tol:.1e}) at n={n}")
     return dists, worst
 
 
@@ -752,7 +742,7 @@ def first_return_probs(
     """
     def taboo(*laws) -> np.ndarray:
         # the walk from laws[-1], on the fold of its own laws
-        st = _Stepper(laws, n_max, mem_limit, 24)
+        st = _Stepper(laws, n_max, mem_limit, "first_return", 24)
         f = np.empty(n_max)
         for m, cur in st.walk(laws[-1], n_max - 1, horizon=True):
             f[m] = cur[st.origin]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import exact_engine, io_text
+from . import errors, exact_engine, io_text
 from .asymptotics import (
     edgeworth_factor_many,
     gaussian_leading_many,
@@ -226,8 +226,8 @@ def simulate(
     # both laws' points and guides, and one guide's build at a time
     laws = (LAW_POINT_BYTES * sum(np.count_nonzero(law.weights) for law in (spec.p, spec.q))
             + 2 * GUIDE_BINS * np.dtype(dtype).itemsize + GUIDE_BUILD_BYTES)
-    exact_engine._guard_cells(shape, 16, mem_limit,
-                              CHUNK_TRIAL_BYTES * min(SIM_CHUNK, trials) + laws)
+    errors.guard_memory("simulate", 16 * cells + CHUNK_TRIAL_BYTES * min(SIM_CHUNK, trials) + laws,
+                        mem_limit)
     lo = np.array([l for l, _ in box], dtype=np.int64)
     strides = np.cumprod((1, *shape[:0:-1]), dtype=np.int64)[::-1]  # C order
     origin = int(-lo @ strides)
@@ -339,7 +339,7 @@ def _window_points(box, radius: float, mem_limit: int = exact_engine.DEFAULT_MEM
     """
     r = math.floor(radius)
     bounds = [(max(lo, -r), min(hi, r)) for lo, hi in box]
-    exact_engine._guard_cells([hi - lo + 1 for lo, hi in bounds], cell_bytes, mem_limit)
+    errors.guard_memory("window", math.prod(hi - lo + 1 for lo, hi in bounds) * cell_bytes, mem_limit)
     grids = np.meshgrid(*[np.arange(lo, hi + 1) for lo, hi in bounds], indexing="ij")
     X = np.stack([g.ravel() for g in grids], axis=1)
     # radius * radius, unlike radius ** 2, reads inf past 1e154 rather than raising

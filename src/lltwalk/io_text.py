@@ -48,12 +48,22 @@ _BOOLS = {False: "false", True: "true"}
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json.dumps's spellings
 _PAD = b"\xff"  # pads every cell to its column's width; translate drops it
 _BLOCK_CELLS = 1 << 13  # cells per block of rows: bounds the temporaries of formatting
-# tracemalloc peak of a streamed writer past its per-row charge (the CLI's
-# LAW_CELL_BYTES, RETURN_ROW_BYTES and harness.REPORT_ROW_BYTES), with 7% to
-# spare: one block's temporaries and the rows' own columns outweigh the rows'
-# charge up to 333 KB (returns in JSON at 704 rows; compare's report up to
-# 231 KB, exact's law up to 130 KB) on Python 3.11 and numpy 2.4
+# tracemalloc peak of a streamed writer past its per-row charge (LAW_CELL_BYTES,
+# RETURN_ROW_BYTES and harness.REPORT_ROW_BYTES), with 7% to spare: one
+# block's temporaries and the rows' own columns outweigh the rows' charge up
+# to 333 KB (returns in JSON at 704 rows; compare's report up to 231 KB,
+# exact's law up to 130 KB) on Python 3.11 and numpy 2.4
 BLOCK_BYTES = 352 << 10
+# tracemalloc peak of distribution_text per nonzero cell of the law, with 7%
+# to spare: JSON 218 B in 1-D (n = 65536, 3921 cells, one block of rows),
+# 151 B in 2-D (n = 1024) and 176 B in 3-D (n = 96) on Python 3.11 and
+# numpy 2.4; 86 to 186 B in CSV and TSV
+LAW_CELL_BYTES = 234
+# tracemalloc peak of returns_text per row of the first-return table, with 7%
+# to spare: JSON 334 B at n_max = 8192 (four blocks of rows) and 320 B at
+# 100000 on lazy_pert_1d, Python 3.11 and numpy 2.4; 208 to 237 B in CSV
+# and TSV.  The %.3e column is formatted value by value
+RETURN_ROW_BYTES = 358
 _GATHER_CELLS = 1 << 10  # float cells per gather of their text
 _TIE = 1e-9  # least distance, in units of the last digit, of a proven rounding from a boundary
 _LO, _HI = 1e-290, 1e290  # the magnitudes the fast float path takes

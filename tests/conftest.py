@@ -4,14 +4,16 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lltwalk import LatticePMF, load_walk_spec, parse_spec_text, validate_walk_spec
-from lltwalk import _kernels, exact_engine
+from lltwalk import _kernels, errors, exact_engine
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+VALID_CONFIGS = sorted(p.name for p in CONFIGS.glob("*.cfg") if p.name != "periodic_1d.cfg")
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -102,12 +104,13 @@ def config_path(name: str) -> str:
 
 # the test process has imported scipy and numpy's submodules itself, so
 # start-up and first loads are checked in a fresh interpreter that finds
-# lltwalk where this suite does
-_SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+# lltwalk, and this module, where this suite does
+_TESTS = pathlib.Path(__file__).resolve().parent
+_SRC = _TESTS.parent / "src"
 
 
 def fresh_python(code: str) -> subprocess.CompletedProcess:
-    path = os.pathsep.join(filter(None, [str(_SRC), os.environ.get("PYTHONPATH")]))
+    path = os.pathsep.join(filter(None, [str(_SRC), str(_TESTS), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": path},
@@ -115,6 +118,30 @@ def fresh_python(code: str) -> subprocess.CompletedProcess:
         text=True,
         timeout=120,
     )
+
+
+def traced_guards(run, cap=exact_engine.DEFAULT_MEM_LIMIT):
+    """run()'s tracemalloc peak and the (phase, bytes) of every memory guard it passes.
+
+    A guard's bytes are its claim on ``cap``, the cap ``run`` is handed:
+    its need and, where its caller hands it a smaller limit, what the
+    caller holds, ``cap - mem_limit``.
+    """
+    claims = []
+    guard = errors.guard_memory
+
+    def record(phase, need, mem_limit):
+        claims.append((phase, cap - mem_limit + need))
+        guard(phase, need, mem_limit)
+
+    errors.guard_memory = record
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1], claims
+    finally:
+        tracemalloc.stop()
+        errors.guard_memory = guard
 
 
 def direct_step(cur, offs, ws):

@@ -1,18 +1,19 @@
 import json
 import os
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from lltwalk import cli, exact_engine, io_text
-from lltwalk.cli import LAW_CELL_BYTES, RETURN_ROW_BYTES, _emit, main
-from lltwalk.harness import _prediction_columns
-from lltwalk.io_text import distribution_text, predictions_text, returns_text
+from lltwalk import cli, errors, exact_engine, io_text, load_walk_spec, simulate
+from lltwalk.cli import _emit, main
+from lltwalk.harness import _prediction_columns, window_predictions
+from lltwalk.io_text import (
+    LAW_CELL_BYTES, RETURN_ROW_BYTES, distribution_text, predictions_text, returns_text,
+)
 from lltwalk.walk_model import SignedLatticeFn
 
-from conftest import config_path, fresh_python
+from conftest import VALID_CONFIGS, config_path, fresh_python, traced_guards
 
 
 def test_exact_happy_path(tmp_path, capsys):
@@ -200,10 +201,12 @@ def test_identities_eps_below_float_resolution_exit_code(capsys, eps):
 ])
 def test_oversized_box_exit_code(capsys, argv):
     # the window's box is guarded before it is built, and a box too large
-    # for a float byte count still gets a message
+    # for a float byte count still gets a message, which names the phase
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("resource limit: needs")
+    phase = "window" if argv[0] == "asymptotic" else "fourier"
+    assert f" MiB for phase {phase}, cap is " in err
     assert "Traceback" not in err
 
 
@@ -221,6 +224,7 @@ def test_simulate_refusal_independent_of_cpus(capsys, monkeypatch):
     assert seen[0] == seen[1]
     assert seen[0][0] == 2
     assert seen[0][1].startswith("resource limit: needs")
+    assert " MiB for phase simulate, cap is " in seen[0][1]
 
 
 @pytest.mark.parametrize("argv", [
@@ -235,6 +239,8 @@ def test_report_past_the_cap_exit_code(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("resource limit: needs")
+    phase = {"compare": "window", "exact": "exact_writer"}[argv[0]]
+    assert f" MiB for phase {phase}, cap is " in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
 
@@ -242,35 +248,20 @@ def test_report_past_the_cap_exit_code(capsys, argv):
 def test_exact_writer_memory_within_guard(unit_cov_2d):
     dist = exact_engine.perturbed_fourier(unit_cov_2d, 1024)
     cells = int(np.count_nonzero(dist.pmf.weights))
-    tracemalloc.start()
-    try:
-        distribution_text(dist, "json")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_guards(lambda: distribution_text(dist, "json"))
     assert peak <= cells * LAW_CELL_BYTES + (256 << 10)
 
 
 def test_returns_writer_memory_within_guard(lazy_pert):
     f, fp = exact_engine.first_return_probs(lazy_pert, 8192)
-    tracemalloc.start()
-    try:
-        returns_text(f, fp, "json")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_guards(lambda: returns_text(f, fp, "json"))
     assert peak <= len(f) * RETURN_ROW_BYTES + (256 << 10)
 
 
 def _warm_peak(run) -> int:
     """run()'s tracemalloc peak, after one untraced call loads the writer's tables."""
     run()
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return traced_guards(run)[0]
 
 
 @pytest.mark.parametrize("rows", [64, 512])
@@ -312,7 +303,7 @@ def test_returns_table_guarded_before_the_walk(capsys, monkeypatch):
                "--format", "json", "--mem-limit-mb", "8"])
     assert rc == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("resource limit: needs 34 MiB for shape (100000,)")
+    assert captured.err.startswith("resource limit: needs 34 MiB for phase returns_writer")
     assert captured.out == ""
 
 
@@ -628,3 +619,50 @@ def test_cli_import_builds_no_parser():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0 0"
+
+
+def test_guard_refuses_an_undeclared_phase():
+    with pytest.raises(ValueError, match="undeclared memory phase 'walk'"):
+        errors.guard_memory("walk", 0, 1)
+
+
+_SWEEP_NS = {1: (64, 1024), 2: (16, 64), 3: (8, 24), 4: (4, 12)}  # two sizes per dimension
+
+
+def _phase_run(phase, spec, name, n, monkeypatch):
+    """A call that passes ``phase``'s guards alone: a writer's law or table is made beforehand."""
+    common = ["--spec", config_path(name), "--format", "json", "--out", os.devnull]
+    if phase == "exact_writer":
+        dist = exact_engine.perturbed_fourier(spec, n)
+        monkeypatch.setattr(exact_engine, "perturbed_distribution", lambda *a, **k: dist)
+        return lambda: main(["exact", "--n", str(n), *common])
+    if phase == "returns_writer":
+        laws = exact_engine.first_return_probs(spec, n)
+        monkeypatch.setattr(exact_engine, "first_return_probs", lambda *a, **k: laws)
+        return lambda: main(["returns", "--n-max", str(n), *common])
+    return {
+        "dp": lambda: exact_engine.perturbed_forward(spec, n),
+        "repr": lambda: exact_engine.perturbed_via_representation(spec, n),
+        "first_return": lambda: exact_engine.first_return_probs(spec, n),
+        "fourier": lambda: exact_engine.perturbed_fourier(spec, n),
+        "simulate": lambda: simulate(spec, n, 4096, seed=3),
+        "window": lambda: predictions_text(window_predictions(spec, n), n, spec.nu, "json"),
+    }[phase]
+
+
+@pytest.mark.parametrize("phase", errors.MEMORY_PHASES)
+@pytest.mark.parametrize("size", [0, 1])
+@pytest.mark.parametrize("name", VALID_CONFIGS)
+def test_every_phase_within_its_guard(monkeypatch, name, size, phase):
+    # each declared phase, on every valid config, peaks within the bytes its
+    # guard charged and the slack of its own test: 64 KiB for the routes,
+    # 256 KiB for the simulator and the reports.  A first untraced run loads
+    # numpy.fft, numpy.random and the writers' tables
+    spec = load_walk_spec(config_path(name))
+    n = _SWEEP_NS[spec.nu][size]
+    run = _phase_run(phase, spec, name, n, monkeypatch)
+    run()
+    peak, claims = traced_guards(run)
+    assert {p for p, _ in claims} == {phase}
+    slack = (64 if phase in exact_engine.ROUTES + ("first_return",) else 256) << 10
+    assert peak <= max(b for _, b in claims) + slack

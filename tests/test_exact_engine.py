@@ -1,7 +1,6 @@
 import itertools
 import math
 from collections import deque
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +24,7 @@ from lltwalk.errors import CrossCheckError, ResourceLimit
 from lltwalk.io_text import distribution_text
 from lltwalk.walk_model import SignedLatticeFn
 
-from conftest import config_path, direct_step, fresh_python, step_every_row
+from conftest import config_path, direct_step, fresh_python, step_every_row, traced_guards
 
 
 def test_convolve_power_lazy_n2(lazy_p):
@@ -409,7 +408,7 @@ def test_walk_matches_full_box_stepping(unit_cov_2d, monkeypatch):
     n = 12
     p = unit_cov_2d.p
     monkeypatch.setattr(exact_engine, "_fold_axes", lambda *laws: ())  # the whole box
-    st = exact_engine._Stepper((p,), n, exact_engine.DEFAULT_MEM_LIMIT, 24)
+    st = exact_engine._Stepper((p,), n, exact_engine.DEFAULT_MEM_LIMIT, "dp", 24)
     offs, ws = p.support
     full = np.zeros(st.shape)
     full[st.origin] = 1.0
@@ -433,7 +432,7 @@ def test_walk_drops_stepped_out_mass(monkeypatch, shape, org, offs):
     monkeypatch.setattr(exact_engine, "TAIL_TOL", 0.0)
     ws = [0.3, 0.1, 0.1, 0.2, 0.2, 0.1]
     p = LatticePMF.from_points(len(shape), {tuple(x): str(w) for x, w in zip(offs, ws)})
-    st = exact_engine._Stepper((p,), 2, exact_engine.DEFAULT_MEM_LIMIT, 24)
+    st = exact_engine._Stepper((p,), 2, exact_engine.DEFAULT_MEM_LIMIT, "dp", 24)
     assert (st.shape, st.origin) == (shape, org)
     corners = list(itertools.product(*((0, s - 1) for s in shape)))
     start = SignedLatticeFn.from_points(
@@ -501,7 +500,7 @@ def test_odd_folded_walk_matches_full_box_stepping(request, monkeypatch, name, n
     spec = request.getfixturevalue(name)
 
     def stepper():
-        return exact_engine._Stepper((spec.p, spec.a), n, exact_engine.DEFAULT_MEM_LIMIT, 32)
+        return exact_engine._Stepper((spec.p, spec.a), n, exact_engine.DEFAULT_MEM_LIMIT, "repr", 32)
 
     st, ref = stepper(), _unfolded(monkeypatch, stepper)
     assert st.odd_axes(spec.a) == (0,) and ref.odd_axes(spec.a) == ()
@@ -513,7 +512,8 @@ def test_odd_folded_walk_matches_full_box_stepping(request, monkeypatch, name, n
 
 
 def test_walk_rejects_a_law_neither_even_nor_odd(unit_cov_2d):
-    st = exact_engine._Stepper((unit_cov_2d.p, unit_cov_2d.a), 4, exact_engine.DEFAULT_MEM_LIMIT, 32)
+    st = exact_engine._Stepper((unit_cov_2d.p, unit_cov_2d.a), 4, exact_engine.DEFAULT_MEM_LIMIT,
+                               "repr", 32)
     with pytest.raises(ValueError, match="even or odd"):
         next(st.walk(unit_cov_2d.q, 4))
 
@@ -619,31 +619,6 @@ def test_unfolded_walks_step_the_full_box(aniso_2d, lazy_pert, unit_cov_2d):
 _FIXED_SLACK = 64 << 10
 
 
-def traced_peak_and_budget(monkeypatch, run, guards=1):
-    """run()'s tracemalloc peak and the largest budget of the ``guards`` guards it passes.
-
-    Guards past the first belong to phases that run after the one before
-    has dropped its arrays, so the peak is that of the largest.
-    """
-    budgets = []
-    guard = exact_engine._guard_cells
-
-    def recording_guard(shape, itemsize, mem_limit, extra=0):
-        budgets.append(math.prod(shape) * itemsize + extra)
-        guard(shape, itemsize, mem_limit, extra)
-
-    monkeypatch.setattr(exact_engine, "_guard_cells", recording_guard)
-    np.fft.fft  # numpy loads its fft module (about 120 KiB) on first use, not per call
-    tracemalloc.start()
-    try:
-        run()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(budgets) == guards
-    return peak, max(budgets)
-
-
 @pytest.mark.parametrize(
     "route",
     ["dp", "repr", "first_return", "direct", "fourier", "fft", "fourier_1d", "fourier_1d_wide_blocks",
@@ -684,17 +659,22 @@ def test_stepper_route_memory_within_guard(unit_cov_2d, lazy_pert, spec3d, spec4
         "dp_many_3d": lambda: deque(perturbed_forward_many(spec3d, [8, 36, 40]), 0),
         "dp_many_unfolded": lambda: deque(perturbed_forward_many(aniso_2d, [n - 8, n]), 0),
     }[route]
-    # the first-return walks from q and from p each build their own stepper
-    peak, budget = traced_peak_and_budget(monkeypatch, run, 2 if "first_return" in route else 1)
+    np.fft.fft  # numpy loads its fft module (about 120 KiB) on first use, not per call
+    peak, claims = traced_guards(run)
+    # the first-return walks from q and from p each build and guard their
+    # own stepper, the second once the first has dropped its arrays
+    assert len(claims) == (2 if "first_return" in route else 1)
+    budget = max(b for _, b in claims)
     assert 0.8 * budget < peak <= budget + _FIXED_SLACK
 
 
 @pytest.mark.parametrize("n", [1024, 4096, 8192])
-def test_fourier_1d_memory_within_guard_without_slack(lazy_pert, monkeypatch, n):
+def test_fourier_1d_memory_within_guard_without_slack(lazy_pert, n):
     # the 1-D tail grid holds 473 to 1363 cells here, so numpy's iterator
     # buffers for the block products (3 x 8192 floats, 192 KiB) outweigh
     # it: left out of the guard, they put the peak up to 1.57 times past it
-    peak, budget = traced_peak_and_budget(monkeypatch, lambda: perturbed_fourier(lazy_pert, n))
+    np.fft.fft  # loaded before tracing, so the budget charges no load
+    peak, [(_, budget)] = traced_guards(lambda: perturbed_fourier(lazy_pert, n))
     assert peak <= budget
 
 
@@ -703,9 +683,8 @@ def test_fourier_builds_one_plan_and_charges_it(lazy_pert, monkeypatch, n):
     # the guard and both k-sums read one plan; the k-sums' phase is the
     # route's largest here, so a plan 1 MiB heavier puts the guard's budget
     # up by exactly 1 MiB
-    plans, budgets = [], []
+    plans, laws, budgets = [], [], []
     plan_of = exact_engine.ksum_plan
-    guard = exact_engine._guard_cells
 
     def recording_plan(z, n, extra=0):
         plan = plan_of(z, n)
@@ -713,17 +692,13 @@ def test_fourier_builds_one_plan_and_charges_it(lazy_pert, monkeypatch, n):
         plans.append(plan)
         return plan
 
-    def recording_guard(shape, itemsize, mem_limit, extra=0):
-        budgets.append(math.prod(shape) * itemsize + extra)
-        guard(shape, itemsize, mem_limit, extra)
-
-    monkeypatch.setattr(exact_engine, "_guard_cells", recording_guard)
     monkeypatch.setattr(_kernels, "ksum_plan", None)  # the k-sums build none of their own
     np.fft.fft  # loaded before both runs, so neither budget charges its load
     for extra in (0, 1 << 20):
         monkeypatch.setattr(exact_engine, "ksum_plan", lambda z, n: recording_plan(z, n, extra))
-        law = perturbed_fourier(lazy_pert, n).pmf
-        assert law.total() == pytest.approx(1.0, abs=1e-12)
+        _, claims = traced_guards(lambda: laws.append(perturbed_fourier(lazy_pert, n).pmf))
+        budgets += [b for _, b in claims]
+    assert all(law.total() == pytest.approx(1.0, abs=1e-12) for law in laws)
     assert len(plans) == len(budgets) == 2
     assert plans[0].blocks and plans[0].nbytes > 0
     assert budgets[1] - budgets[0] == 1 << 20
@@ -733,22 +708,17 @@ def test_fourier_guard_charges_numpy_fft_load():
     # the tests above load numpy.fft before tracing; a fresh interpreter traces
     # the route's first transform, which loads it (about 120 KiB that stay)
     proc = fresh_python(
-        "import math, tracemalloc\n"
+        "import sys\n"
+        "from conftest import traced_guards\n"
         "from lltwalk import exact_engine, load_walk_spec\n"
         f"spec = load_walk_spec({config_path('lazy_pert_1d.cfg')!r})\n"
-        "budgets = []\n"
-        "guard = exact_engine._guard_cells\n"
-        "def recording_guard(shape, itemsize, mem_limit, extra=0):\n"
-        "    budgets.append(math.prod(shape) * itemsize + extra)\n"
-        "    guard(shape, itemsize, mem_limit, extra)\n"
-        "exact_engine._guard_cells = recording_guard\n"
-        "tracemalloc.start()\n"
-        "exact_engine.perturbed_fourier(spec, 1024)\n"
-        "print(tracemalloc.get_traced_memory()[1], max(budgets))\n"
+        "loaded = 'numpy.fft' in sys.modules\n"
+        "peak, [(_, budget)] = traced_guards(lambda: exact_engine.perturbed_fourier(spec, 1024))\n"
+        "print(loaded, peak, budget)\n"
     )
     assert proc.returncode == 0, proc.stderr
-    peak, budget = map(int, proc.stdout.split())
-    assert peak <= budget
+    loaded, peak, budget = proc.stdout.split()
+    assert loaded == "False" and int(peak) <= int(budget)
 
 
 def test_fourier_weights_clamped_nonnegative(lazy_pert):

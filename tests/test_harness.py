@@ -2,7 +2,6 @@ import hashlib
 import json
 import math
 import sys
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -38,6 +37,8 @@ from lltwalk.harness import (
 from lltwalk.io_text import predictions_text
 from lltwalk.specfile import parse_spec_text
 from lltwalk.walk_model import common_box
+
+from conftest import traced_guards
 
 from conftest import CONFIGS, UNEQUAL_REACH, config_path, fresh_python, nonzero_cells, report_rows
 
@@ -321,12 +322,7 @@ def test_simulate_memory_within_guard(unit_cov_2d, monkeypatch):
     n = 200
     cells = (4 * n + 1) ** 2
     budget = 2 * 16 * cells + hz.CHUNK_TRIAL_BYTES * hz.SIM_CHUNK
-    tracemalloc.start()
-    try:
-        hz.simulate(unit_cov_2d, n, 1300, seed=3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_guards(lambda: hz.simulate(unit_cov_2d, n, 1300, seed=3))
     assert peak <= budget + (256 << 10)
 
 
@@ -340,24 +336,12 @@ def test_simulate_first_worker_within_guard(unit_cov_2d, monkeypatch, trials):
     monkeypatch.setattr(hz, "_usable_cpus", lambda: 1)
     n = 20
     hz.simulate(unit_cov_2d, 2, 10, seed=3)  # first use imports numpy.random
-    budgets = []
-    guard = exact_engine._guard_cells
-
-    def recording_guard(shape, itemsize, mem_limit, extra=0):
-        budgets.append(math.prod(shape) * itemsize + extra)
-        guard(shape, itemsize, mem_limit, extra)
-
-    monkeypatch.setattr(exact_engine, "_guard_cells", recording_guard)
-    tracemalloc.start()
-    try:
-        hz.simulate(unit_cov_2d, n, trials, seed=3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, claims = traced_guards(lambda: hz.simulate(unit_cov_2d, n, trials, seed=3))
     points = sum(np.count_nonzero(f.weights) for f in (unit_cov_2d.p, unit_cov_2d.q))
     laws = hz.LAW_POINT_BYTES * points + 2 * 4 * GUIDE_BINS + hz.GUIDE_BUILD_BYTES
-    assert budgets == [16 * (4 * n + 1) ** 2 + hz.CHUNK_TRIAL_BYTES * trials + laws]
-    assert peak <= budgets[0] + (256 << 10)
+    budget = 16 * (4 * n + 1) ** 2 + hz.CHUNK_TRIAL_BYTES * trials + laws
+    assert claims == [("simulate", budget)]
+    assert peak <= budget + (256 << 10)
 
 
 # the two valid laws that cost a chunk the most per trial: nearly every trial
@@ -390,12 +374,7 @@ def test_simulate_full_chunk_within_guard(monkeypatch, text, reach):
         assert (guide == np.iinfo(np.int32).min).all()
     n = 2
     hz.simulate(spec, 1, 10, seed=3)  # first use imports numpy.random
-    tracemalloc.start()
-    try:
-        hz.simulate(spec, n, hz.SIM_CHUNK, seed=3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_guards(lambda: hz.simulate(spec, n, hz.SIM_CHUNK, seed=3))
     assert peak <= 16 * (2 * reach * n + 1) + hz.CHUNK_TRIAL_BYTES * hz.SIM_CHUNK + (256 << 10)
 
 
@@ -412,27 +391,16 @@ def test_simulate_charges_the_law_tables(monkeypatch):
     law = LatticePMF(dim=1, offset=np.array([-16384]), weights=np.full(32769, 1 / 32769))
     spec = types.SimpleNamespace(p=law, q=law)
     hz.simulate(spec, 1, 10, seed=3)  # first use imports numpy.random
-    budgets = []
-    guard = exact_engine._guard_cells
-
-    def recording_guard(shape, itemsize, mem_limit, extra=0):
-        budgets.append(math.prod(shape) * itemsize + extra)
-        guard(shape, itemsize, mem_limit, extra)
-
-    monkeypatch.setattr(exact_engine, "_guard_cells", recording_guard)
-    tracemalloc.start()
-    try:
-        emp = hz.simulate(spec, 1, 10, seed=3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert emp.counts.shape == (32769,)
+    emps = []
+    peak, claims = traced_guards(lambda: emps.append(hz.simulate(spec, 1, 10, seed=3)))
+    assert emps[0].counts.shape == (32769,)
     laws = hz.LAW_POINT_BYTES * 2 * 32769 + 2 * 4 * GUIDE_BINS + hz.GUIDE_BUILD_BYTES
-    assert budgets == [16 * 32769 + hz.CHUNK_TRIAL_BYTES * 10 + laws]
-    assert peak <= budgets[0] + (256 << 10)
+    budget = 16 * 32769 + hz.CHUNK_TRIAL_BYTES * 10 + laws
+    assert claims == [("simulate", budget)]
+    assert peak <= budget + (256 << 10)
 
 
-def test_simulate_charges_the_guide_build(lazy_pert, monkeypatch):
+def test_simulate_charges_the_guide_build(lazy_pert):
     # a 21-cell box, 10 trials and two 3-point laws: the guides' arrays of
     # GUIDE_BINS entries are nearly all the run holds, so the guard must
     # charge them with no slack.  Charged per point alone, the run passed a
@@ -440,23 +408,11 @@ def test_simulate_charges_the_guide_build(lazy_pert, monkeypatch):
     import lltwalk.harness as hz
 
     simulate(lazy_pert, 10, 10, seed=3)  # first use imports numpy.random
-    budgets = []
-    guard = exact_engine._guard_cells
-
-    def recording_guard(shape, itemsize, mem_limit, extra=0):
-        budgets.append(math.prod(shape) * itemsize + extra)
-        guard(shape, itemsize, mem_limit, extra)
-
-    monkeypatch.setattr(exact_engine, "_guard_cells", recording_guard)
-    tracemalloc.start()
-    try:
-        simulate(lazy_pert, 10, 10, seed=3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, claims = traced_guards(lambda: simulate(lazy_pert, 10, 10, seed=3))
     laws = hz.LAW_POINT_BYTES * 6 + 2 * 4 * GUIDE_BINS + hz.GUIDE_BUILD_BYTES
-    assert budgets == [16 * 21 + hz.CHUNK_TRIAL_BYTES * 10 + laws]
-    assert peak <= budgets[0]
+    budget = 16 * 21 + hz.CHUNK_TRIAL_BYTES * 10 + laws
+    assert claims == [("simulate", budget)]
+    assert peak <= budget
     with pytest.raises(ResourceLimit):
         simulate(lazy_pert, 10, 10, seed=3, mem_limit=64 << 10)
 
@@ -692,13 +648,9 @@ def test_compare_rows_independent_of_tail_box(lazy_pert, monkeypatch, route):
 def test_window_points_cost_the_window_not_the_box():
     # compare passes the full n-step support, 16385 a side at 2-D n = 4096
     box = [(-10**6, 10**6)]
-    tracemalloc.start()
-    try:
-        pts = _window_points(box, 3.5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert pts.ravel().tolist() == [-3, -2, -1, 0, 1, 2, 3]
+    pts = []
+    peak, _ = traced_guards(lambda: pts.append(_window_points(box, 3.5)))
+    assert pts[0].ravel().tolist() == [-3, -2, -1, 0, 1, 2, 3]
     assert peak < 1 << 16
 
 
@@ -757,34 +709,23 @@ def test_compare_dp_rows_are_separate_runs(request, fixture, ns):
                                               ("unit_cov_2d", [32, 64], "dp"),
                                               ("spec3d", [8, 16, 24], "fourier"),
                                               ("spec3d", [8, 16, 24], "dp")])
-def test_compare_with_crosscheck_within_its_guards(request, monkeypatch, tmp_path, fixture, ns,
-                                                   route, window):
+def test_compare_with_crosscheck_within_its_guards(request, tmp_path, fixture, ns, route, window):
     # every guard charges what compare already holds (the rows of earlier
     # n, the walk, one block of the writer) by the cap it is handed: each
     # claims cap - (its cap) + its need.  The walk's buffers stay while the
     # torus route runs, and the report streams to its file.  A small window
     # leaves the routes the largest claims
     spec = request.getfixturevalue(fixture)
-    cap = exact_engine.DEFAULT_MEM_LIMIT
-    claims = []
-    guard = exact_engine._guard_cells
-
-    def recording_guard(shape, itemsize, mem_limit, extra=0):
-        claims.append(cap - mem_limit + math.prod(shape) * itemsize + extra)
-        guard(shape, itemsize, mem_limit, extra)
-
-    monkeypatch.setattr(exact_engine, "_guard_cells", recording_guard)
     compare(spec, ns[:1], window, route)  # loads numpy.fft and the writer's tables
-    claims.clear()
-    tracemalloc.start()
-    try:
-        rep = compare(spec, ns, window, route)
-        cli._emit(io_text.report_blocks(rep, "json"), tmp_path / "r.json")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert sorted(rep.route_deviation) == ns
-    assert peak <= max(claims) + (256 << 10)
+    reps = []
+
+    def run():
+        reps.append(compare(spec, ns, window, route))
+        cli._emit(io_text.report_blocks(reps[0], "json"), tmp_path / "r.json")
+
+    peak, claims = traced_guards(run)
+    assert sorted(reps[0].route_deviation) == ns
+    assert peak <= max(b for _, b in claims) + (256 << 10)
 
 
 @pytest.mark.parametrize("window", [-1.0, math.nan, math.inf])
@@ -801,12 +742,8 @@ def test_window_memory_within_guard(request, fixture, window):
     # prints at full length
     spec, n = request.getfixturevalue(fixture), 10**6
     budget = (2 * window + 1) ** spec.nu * WINDOW_CELL_BYTES
-    tracemalloc.start()
-    try:
-        predictions_text(window_predictions(spec, n, window), n, spec.nu, "json")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_guards(
+        lambda: predictions_text(window_predictions(spec, n, window), n, spec.nu, "json"))
     assert peak <= budget + (256 << 10)
 
 
@@ -815,14 +752,14 @@ def test_compare_report_memory_within_guard(request, fixture, n, window):
     # JSON is the larger format; in 2-D the window holds every cell of the
     # n-step box (16641 rows), so rows and guarded cells coincide
     spec = request.getfixturevalue(fixture)
-    tracemalloc.start()
-    try:
-        rep = compare(spec, [n], window=window)
-        rep.to_json()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= len(rep.columns["n"]) * REPORT_ROW_BYTES + (256 << 10)
+    reps = []
+
+    def run():
+        reps.append(compare(spec, [n], window=window))
+        reps[0].to_json()
+
+    peak, _ = traced_guards(run)
+    assert peak <= len(reps[0].columns["n"]) * REPORT_ROW_BYTES + (256 << 10)
 
 
 def test_compare_guards_every_window_before_its_route(unit_cov_2d, monkeypatch):

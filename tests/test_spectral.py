@@ -9,7 +9,7 @@ from lltwalk.errors import GridTooSmall, NotSymmetric, OrderTooHigh
 from lltwalk.spectral import TorusGrid, half_pairs, half_shape, unit_frame_terms
 from lltwalk.walk_model import SignedLatticeFn
 
-from conftest import CONFIGS
+from conftest import CONFIGS, VALID_CONFIGS
 
 
 def lambda_axis(m: int) -> np.ndarray:
@@ -206,7 +206,6 @@ def test_round_trip_random_functions(weights, shift):
         assert back.value_at(pt) == pytest.approx(w, abs=1e-12 * max(1, max(weights)))
 
 
-VALID_CONFIGS = sorted(p.name for p in CONFIGS.glob("*.cfg") if p.name != "periodic_1d.cfg")
 # the torus route's per-axis grid sizes at a tail-box n for each dimension
 SAMPLE_N = {1: 1024, 2: 128, 3: 40, 4: 12}
 # measured: at most 1.27 ulps of sum |f| (lazy_pert_3d's p at n = 40); an

@@ -158,6 +158,7 @@ def _cmd_exact(args) -> int:
             file=sys.stderr,
         )
         dist = dists["fourier"]
+        del dists  # the other routes' laws go before the writer
     else:
         dist = exact_engine.perturbed_distribution(spec, args.n, route=args.route, mem_limit=mem)
     cells = int(np.count_nonzero(dist.pmf.weights))

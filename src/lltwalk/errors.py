@@ -78,7 +78,7 @@ class ResourceLimit(LltWalkError):
 
 
 # every phase a memory guard charges, named in the ResourceLimit it raises
-MEMORY_PHASES = ("dp", "repr", "first_return", "fourier", "simulate", "window",
+MEMORY_PHASES = ("dp", "repr", "first_return", "fourier", "cross_check", "simulate", "window",
                  "exact_writer", "returns_writer")
 
 

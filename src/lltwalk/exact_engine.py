@@ -16,9 +16,9 @@ on a grid wide enough that the result is recovered exactly (the sampled
 transform is a trigonometric polynomial below the grid bandwidth).
 
 Every route, the first-return recursion and both convolution powers work
-on one box per (laws, n): the n-step support cut at a certified tail box
-(``_box``), past which the law holds at most TAIL_TOL per cut axis.  The
-cut moves the law by at most the reported ``tail_bound``.
+on one box per (p, n): the n-step support of the step law p cut at a
+certified tail box (``_box``), past which the law holds at most TAIL_TOL
+per cut axis.  The cut moves the law by at most the reported ``tail_bound``.
 """
 
 from __future__ import annotations
@@ -112,40 +112,39 @@ def _tail_bytes(p: LatticePMF) -> int:
     return 8 * _T_GRID.size * (4 * int(np.count_nonzero(p.weights)) + 5)
 
 
-def _hull_box(fns, n: int):
-    """Per-axis (lo, hi) bounds of max(n, 1) steps of the hull of ``fns``: the full support."""
+def _hull_box(p: LatticePMF, n: int):
+    """Per-axis (lo, hi) bounds of max(n, 1) steps of p: the full support."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     m = max(n, 1)
-    return [(m * min(f.box[ax][0] for f in fns), m * max(f.box[ax][1] for f in fns))
-            for ax in range(fns[0].dim)]
+    return [(m * lo, m * hi) for lo, hi in p.box]
 
 
-def _box(fns, n: int):
-    """Box holding max(n, 1) steps of the hull of ``fns``, cut at the tail box.
+def _box(p: LatticePMF, n: int, mem_limit: int = DEFAULT_MEM_LIMIT, phase: str = "dp"):
+    """Box holding max(n, 1) steps of p, cut at the tail box.
 
-    ``fns[0]`` is the step law p, and each axis keeps the hull's extent
-    within the half-width s of ``_tail``.  Why the cut costs at most the
-    bound, pointwise, on every route: by Doob's maximal inequality a p-walk
-    passes s - reach along an axis within n steps with probability at most
-    phi(t)^n e^{-t (s - reach)} per side; a path of the perturbed chain,
-    split at its last origin visit before it passes s (P_j(0) = r_j <= 1),
-    is one jump of at most ``reach`` and then a p-walk; and by Poisson
-    summation the torus aliases onto the box only mass from past s.  The
-    factor 2 (2n + 1) counts both sides and every split.  Returns (lower
-    corner, shape, index of the origin, tail bound), the bound summed over
-    the cut axes (0.0 when none is cut).
+    p's box holds every law of a validated spec: q = p + a and its mirror
+    q(-x) = p(x) - a(x) are nonnegative, so |a| <= p.  Each axis keeps the
+    hull's extent within the half-width s of ``_tail``, whose scan is
+    charged, ``_tail_bytes(p)`` under ``phase``, before it runs.  Why the
+    cut costs at most the bound, pointwise, on every route: by Doob's
+    maximal inequality a p-walk passes s - reach along an axis within n
+    steps with probability at most phi(t)^n e^{-t (s - reach)} per side; a
+    path of the perturbed chain, split at its last origin visit before it
+    passes s (P_j(0) = r_j <= 1), is one jump of at most ``reach`` and then
+    a p-walk; and by Poisson summation the torus aliases onto the box only
+    mass from past s.  The factor 2 (2n + 1) counts both sides and every
+    split.  Returns (lower corner, shape, tail bound), the bound summed
+    over the cut axes (0.0 when none is cut).
     """
-    reach = max(f.radius for f in fns)
-    lo, hi = map(list, zip(*_hull_box(fns, n)))
+    lo, hi = map(list, zip(*_hull_box(p, n)))
+    errors.guard_memory(phase, _tail_bytes(p), mem_limit)
     bound = 0.0
-    for ax, (s, b) in enumerate(_tail(fns[0], reach, n)):
+    for ax, (s, b) in enumerate(_tail(p, p.radius, n)):
         if s < max(hi[ax], -lo[ax]):
             lo[ax], hi[ax] = max(lo[ax], -s), min(hi[ax], s)
             bound += b
-    shape = tuple(h - l + 1 for l, h in zip(lo, hi))
-    org = tuple(-l for l in lo)
-    return lo, shape, org, bound
+    return lo, tuple(h - l + 1 for l, h in zip(lo, hi)), bound
 
 
 def _layout(shape, reach: int):
@@ -188,18 +187,15 @@ class _Stepper:
     """One route's zero-halo stepper: walks by p on the tail box, mass past it dropped.
 
     ``laws`` are the step law p, which every walk steps by, and then every
-    law a walk starts from or adds; the box holds max(n, 1) steps of their
-    hull and the origin, cut at the tail box (``_box``: ``lo``, ``shape``
-    and ``bound``).  The stepper folds the box on the axes where p is even
-    and every other law even or odd (``_fold_axes``), so that each walk's
-    state keeps its start law's parity.  On a folded axis i the box keeps
-    the cells x_i >= -w_i, where w_i is p's reach along i: a step of the
-    cells x_i >= 0 reads no further, and the w_i mirror cells below 0 are
-    copies of x_i = 1..w_i, negated where the walk is odd.  The laws a
-    route starts from or adds lie there too: q = p + a and q(-x) = p(x) -
-    a(x) are nonnegative, so |a| <= p and neither a nor q reaches past p.
-    ``origin`` is the origin's index on the folded box, which with no fold
-    is the box itself.
+    law a walk starts from or adds.  The box is ``_box``'s ``box``, widened
+    to the origin where an off-centre p's misses it (``lo``, ``shape`` and
+    ``bound``).  The stepper folds the box on the axes where p is even and
+    every other law even or odd (``_fold_axes``), so that each walk's state
+    keeps its start law's parity.  On a folded axis i the box keeps the
+    cells x_i >= -w_i, where w_i is p's reach along i: a step of the cells
+    x_i >= 0 reads no further, and the w_i mirror cells below 0 are copies
+    of x_i = 1..w_i, negated where the walk is odd.  ``origin`` is the
+    origin's index on the folded box, which with no fold is the box itself.
 
     Each walk's state lives in one of two flat buffers laid out by
     ``_layout`` with the folded axes first, and one ``dp_step`` scratch
@@ -214,27 +210,29 @@ class _Stepper:
     and renormalized in place (``_law``) once the walks' buffers are gone.
     A route that also unfolds laws mid-walk charges the largest of them,
     ``snapshot`` bytes, on top of the walks' cells.  ``nbytes``, charged
-    under ``phase``, is the largest phase, the tail box's scan included.
+    under ``phase``, is the largest phase; ``_box`` charged the tail scan.
     """
 
-    def __init__(self, laws, n: int, mem_limit: int, phase: str, cell_bytes: int,
+    def __init__(self, laws, box, mem_limit: int, phase: str, cell_bytes: int,
                  held: int = 0, snapshot: int = 0):
         p = laws[0]
-        self.lo, self.shape, org, self.bound = _box((*laws, _delta(p.dim)), n)
-        reach = max(f.radius for f in laws)
+        lo, shape, self.bound = box
+        self.lo = [min(l, 0) for l in lo]
+        self.shape = tuple(max(l + s, 1) - m for l, s, m in zip(lo, shape, self.lo))
+        org = tuple(-l for l in self.lo)
         offs, ws = p.support
         widths = {ax: int(np.abs(offs[:, ax]).max(initial=0)) for ax in _fold_axes(*laws)}
         self.origin = tuple(widths.get(ax, o) for ax, o in enumerate(org))
         perm = (*widths, *(ax for ax in range(p.dim) if ax not in widths))  # folded axes first
         pshape = [org[ax] + widths[ax] + 1 if ax in widths else self.shape[ax] for ax in perm]
-        padded, margin = _layout(pshape, reach)
+        padded, margin = _layout(pshape, p.radius)
         layout, box = math.prod(padded) + 2 * margin, math.prod(self.shape)
         odd = any(_parity(f, ax) < 0 for f in laws[1:] for ax in widths)
-        self.nbytes = max(_tail_bytes(p), cell_bytes * layout + snapshot,
+        self.nbytes = max(cell_bytes * layout + snapshot,
                           8 * held * layout + 8 * box if held else 0,
                           8 * layout + 8 * box + 24 * np.getbufsize() if odd else 0)
         errors.guard_memory(phase, self.nbytes, mem_limit)
-        self._org, self._widths, self._perm, self._reach = org, widths, perm, reach
+        self._org, self._widths, self._perm, self._reach = org, widths, perm, p.radius
         self._pshape, self._padded, self._margin = pshape, padded, margin
         self._groups = shift_groups(offs[:, perm], ws, padded)
         self._scratch = np.empty(math.prod(padded))
@@ -399,34 +397,30 @@ def _law(lo, w: np.ndarray) -> LatticePMF:
 # the two pipelines: forward stepping and the torus grid
 # ---------------------------------------------------------------------------
 
-def _forward(p: LatticePMF, a: LatticeFn, hull, ns, mem_limit: int):
-    """Step from the origin by p; mass at the origin also moves by a.
+def _forward(p: LatticePMF, q: LatticePMF, a: LatticeFn, ns, mem_limit: int):
+    """Step from the origin by p; mass at the origin moves by q, that is, also by a = q - p.
 
     One walk, on the box of the last n of the strictly ascending ``ns``,
-    serves every n: yields, per n, (law, tail bound, the walk's charge in
-    bytes).  Each law is on n's own box (``_box``: n steps of ``hull`` and
-    the origin, cut at the tail box), with a run of n steps' cells and
-    bound.  The walk's box holds n's, and its state at n is n's law
-    wherever n's box is not cut: within n steps no mass reaches a cut of
-    the larger box.  Where it is cut, the walk keeps the mass a run of n
-    steps drops past the cut, the mass of paths that pass it, within the
-    bound.  Mass stepped past the walk's box is dropped.
+    serves every n: yields, per n, (the ``dp`` route's ExactDistribution,
+    the walk's charge in bytes).  Each law is on n's own box (``_box``),
+    with a run of n steps' cells and bound.  The walk's box holds n's, and
+    its state at n is n's law wherever n's box is not cut: within n steps no
+    mass reaches a cut of the larger box.  Where it is cut, the walk keeps
+    the mass a run of n steps drops past the cut, the mass of paths that
+    pass it, within the bound.  Mass stepped past the walk's box is dropped.
     """
     if any(m >= k for m, k in zip(ns, ns[1:])):
         raise ValueError("n values must be strictly ascending")
     if not ns:
         return
-    laws = (*hull, a)
-    boxes = []  # (lo, shape, tail bound) of each n's box
-    for n in ns[:-1]:
-        lo, shape, _, bound = _box((*laws, _delta(p.dim)), n)
-        boxes.append((lo, shape, bound))
+    boxes = [_box(p, n, mem_limit, "dp") for n in ns]  # (lo, shape, tail bound) of each n's box
     # two buffers + scratch; the last buffer as the last law is unfolded; and
     # all of them beside each earlier law as it is unfolded and checked (the
     # checks' masks take 1 byte a cell, one at a time)
-    mid = max((9 * math.prod(shape) for _, shape, _ in boxes), default=0)
-    st = _Stepper(laws, ns[-1], mem_limit, "dp", 24, held=1, snapshot=mid)
-    boxes.append((st.lo, st.shape, st.bound))  # the last n's box is the stepper's
+    mid = max((9 * math.prod(shape) for _, shape, _ in boxes[:-1]), default=0)
+    # q, neither even nor odd where a is odd, keeps the walk, of mixed parity there, unfolded
+    st = _Stepper((p, q, a), boxes[-1], mem_limit, "dp", 24, held=1, snapshot=mid)
+    boxes[-1] = (st.lo, st.shape, st.bound)  # the last n's box is the stepper's
     a_idx, a_ws = st.index(a)
     m0 = 0.0
     walk = st.walk(_delta(p.dim), ns[-1])
@@ -444,7 +438,7 @@ def _forward(p: LatticePMF, a: LatticeFn, hull, ns, mem_limit: int):
         law = st.unfold(cur, box=(lo, shape), walking=not last)  # without the stepper's halo
         if last:
             del cur
-        yield _law(lo, law), bound, st.nbytes
+        yield ExactDistribution(n=n, pmf=_law(lo, law), route="dp", tail_bound=bound), st.nbytes
         del law
 
 
@@ -506,18 +500,18 @@ def _correction_sum(cells: np.ndarray, index: np.ndarray, shape, n: int,
     return w
 
 
-def _fourier(p: LatticePMF, a: LatticeFn, hull, n: int, mem_limit: int):
+def _fourier(p: LatticePMF, a: LatticeFn, n: int, mem_limit: int):
     """p^{*n} + a * sum_k r_k p^{*(n-1-k)} on a torus grid, inverted exactly.
 
     r_k = p^{*k}(0) are the unperturbed origin returns; with a = 0 this is
     the convolution power p^{*n}.  The grid's size on each axis is the
-    smallest odd one covering the box of n steps of ``hull`` cut at the
-    tail box, so the law's mass past the box aliases onto it; the box's
+    smallest odd one covering the box of n steps of p cut at the tail box
+    (``_box``), so the law's mass past the box aliases onto it; the box's
     tail bound, returned with the law, covers that.  Every grid is the
     half layout (``spectral.TorusGrid``): the law is real.
     """
     perturbed = n > 0 and a.weights.any()
-    lo, shape, _, bound = _box(hull, n)
+    lo, shape, bound = _box(p, n, mem_limit, "fourier")
     sizes = tuple(s | 1 for s in shape)
     half = half_shape(sizes)
     cells = math.prod(half)
@@ -538,9 +532,9 @@ def _fourier(p: LatticePMF, a: LatticeFn, hull, n: int, mem_limit: int):
         # in a process also loads numpy.fft.
         inversion = grid * cells + 16 * np.getbufsize()
         if not perturbed:
-            return max(_tail_bytes(p), inversion, charfn_peak_bytes(p, sizes)) + load
+            return max(inversion, charfn_peak_bytes(p, sizes)) + load
         ksums = 41 * cells + 32 * n + plan_bytes
-        return max(_tail_bytes(p), inversion, 16 * cells + charfn_peak_bytes(a, sizes), ksums) + load
+        return max(inversion, 16 * cells + charfn_peak_bytes(a, sizes), ksums) + load
 
     # p's samples, and the k-sums' sort and plan, come before the guard only
     # when the route fits the cap but for the plan, whose bytes they size
@@ -596,9 +590,9 @@ def convolve_power(
     if n == 1:
         return p
     if method == "fft":
-        return _fourier(p, perturbation(p, p), (p,), n, mem_limit)[0]
+        return _fourier(p, perturbation(p, p), n, mem_limit)[0]
     if method == "direct":
-        return next(_forward(p, perturbation(p, p), (p,), [n], mem_limit))[0]
+        return next(_forward(p, p, perturbation(p, p), [n], mem_limit))[0].pmf
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -618,16 +612,9 @@ def perturbed_forward_many(spec: WalkSpec, ns, mem_limit: int = DEFAULT_MEM_LIMI
 
     Yields (ExactDistribution, bytes): each n's law, on the box and with
     the tail bound of a run of n steps, and the walk's charge against
-    ``mem_limit``, which it holds until its last n.  Each law equals a run
-    of n steps' wherever n's box is not cut, and is within its tail bound
-    of it elsewhere (``_forward``).
+    ``mem_limit``, which it holds until its last n (``_forward``).
     """
-    ns = [int(n) for n in ns]
-    walk = _forward(spec.p, spec.a, (spec.p, spec.q), ns, mem_limit)
-    for n in ns:
-        pmf, bound, held = next(walk)
-        yield ExactDistribution(n=n, pmf=pmf, route="dp", tail_bound=bound), held
-        del pmf  # before the walk goes on
+    return _forward(spec.p, spec.q, spec.a, [int(n) for n in ns], mem_limit)
 
 
 def perturbed_via_representation(
@@ -650,7 +637,8 @@ def perturbed_via_representation(
     perturbed = n > 0 and spec.a.weights.any()
     # u's last buffer, the S walk's two + the scratch the walks share; u's
     # and S's last buffers as u is unfolded, and S's alone as S is added
-    st = _Stepper((spec.p, spec.a), n, mem_limit, "repr", 32, held=1 + perturbed)
+    st = _Stepper((spec.p, spec.a), _box(spec.p, n, mem_limit, "repr"), mem_limit, "repr", 32,
+                  held=1 + perturbed)
     a_idx, a_ws = st.index(spec.a)
     r = []
     for _, u in st.walk(_delta(spec.nu), n):
@@ -671,7 +659,7 @@ def perturbed_fourier(
     spec: WalkSpec, n: int, mem_limit: int = DEFAULT_MEM_LIMIT
 ) -> ExactDistribution:
     """Frequency-domain assembly of the same decomposition, inverted exactly."""
-    pmf, bound = _fourier(spec.p, spec.a, (spec.p, spec.q), n, mem_limit)
+    pmf, bound = _fourier(spec.p, spec.a, n, mem_limit)
     return ExactDistribution(n=n, pmf=pmf, route="fourier", tail_bound=bound)
 
 
@@ -697,12 +685,13 @@ def perturbed_distribution(
 # ---------------------------------------------------------------------------
 
 def max_abs_difference(f: LatticeFn, g: LatticeFn) -> float:
-    """Max pointwise |f - g| over the union of the two boxes."""
+    """Max pointwise |f - g| over the union of the two boxes; on one box, by one difference."""
     if f.dim != g.dim:
         raise ValueError("dimension mismatch")
-    fv, gv = common_box((f.weights, f.offset), (g.weights, g.offset))
-    fv -= gv
-    return float(np.abs(fv).max())
+    same = f.weights.shape == g.weights.shape and np.array_equal(f.offset, g.offset)
+    fv, gv = (f.weights, g.weights) if same else common_box((f.weights, f.offset), (g.weights, g.offset))
+    diff = fv - gv
+    return float(np.abs(diff, out=diff).max())
 
 
 def cross_check(
@@ -714,9 +703,16 @@ def cross_check(
     """Run all three routes and compare pointwise.
 
     Returns (dists, max_pairwise_deviation); raises CrossCheckError when the
-    deviation exceeds tol.
+    deviation exceeds tol.  Each route runs under the cap less the laws
+    before it; the comparisons hold the three laws, on one box, and one
+    difference of a law's size (phase ``cross_check``).
     """
-    dists = {r: perturbed_distribution(spec, n, route=r, mem_limit=mem_limit) for r in ROUTES}
+    dists, held = {}, 0
+    for r in ROUTES:
+        dists[r] = perturbed_distribution(spec, n, route=r, mem_limit=mem_limit - held)
+        held += dists[r].pmf.weights.nbytes
+    errors.guard_memory("cross_check", held + max(d.pmf.weights.nbytes for d in dists.values()),
+                        mem_limit)
     worst = max(max_abs_difference(f.pmf, g.pmf) for f, g in itertools.combinations(dists.values(), 2))
     if worst > tol:
         raise CrossCheckError(f"routes {list(dists)} disagree by {worst:.3e} "
@@ -734,15 +730,17 @@ def first_return_probs(
     theory (the antisymmetric part of the exit law integrates to zero
     against symmetric return paths); the suite checks 1e-12.  The recursion
     runs on the tail box of n_max steps, so each value is within that box's
-    tail bound of its full-support value.  Each walk has its own stepper,
-    folded on its own laws: the walk from p folds every axis p is even on.
-    p's fold holds the walk from q's, so the guard of q's stepper, the
-    first, is the larger.  Both walks read only the origin, so each steps
-    within its horizon (``_Stepper.walk``).
+    tail bound of its full-support value.  Both walks share that box, and
+    each has its own stepper, folded on its own laws: the walk from p
+    folds every axis p is even on.  p's fold holds the walk from q's, so
+    the guard of q's stepper, the first, is the larger.  Both walks read
+    only the origin, so each steps within its horizon (``_Stepper.walk``).
     """
+    box = _box(spec.p, n_max, mem_limit, "first_return")
+
     def taboo(*laws) -> np.ndarray:
         # the walk from laws[-1], on the fold of its own laws
-        st = _Stepper(laws, n_max, mem_limit, "first_return", 24)
+        st = _Stepper(laws, box, mem_limit, "first_return", 24)
         f = np.empty(n_max)
         for m, cur in st.walk(laws[-1], n_max - 1, horizon=True):
             f[m] = cur[st.origin]

@@ -198,8 +198,8 @@ def simulate(
     and the step is the one at ``searchsorted(cdf, u, side="right")`` of the
     law in force, u = (w >> 11) * 2^-53 the double ``Generator.random``
     makes of w.  Each trial's position is one flat index into the dense
-    counts box, the n-step hull box of p and q, held in int32 when the box
-    has fewer than 2^31 cells (:func:`_position_dtype`).  The first step is
+    counts box, the n-step hull box of p (which holds q's), held in int32
+    when the box has fewer than 2^31 cells (:func:`_position_dtype`).  The first step is
     q's for every trial; after it, every trial takes p's step for w by
     guide table, then the trials at the origin retake theirs from q with
     the same w.
@@ -219,7 +219,7 @@ def simulate(
         raise ValueError("trials must be >= 1")
     if not 0 <= seed < 1 << 128:
         raise ValueError(f"seed must be in [0, 2**128), got {seed}")
-    box = exact_engine._hull_box((spec.p, spec.q), n)
+    box = exact_engine._hull_box(spec.p, n)
     shape = tuple(h - l + 1 for l, h in box)
     cells = math.prod(shape)
     dtype = _position_dtype(cells)
@@ -510,7 +510,7 @@ def compare(
         # past the box the exact law reads 0, within dist.tail_bound of the truth.
         # They are guarded, with what compare holds, before the routes run
         earlier = rows * REPORT_ROW_BYTES
-        X = _window_points(exact_engine._hull_box((spec.p, spec.q), n),
+        X = _window_points(exact_engine._hull_box(spec.p, n),
                            _window_radius(spec, n, window),
                            mem_limit - earlier - walk_bytes - io_text.BLOCK_BYTES, REPORT_ROW_BYTES)
         rows += len(X)

@@ -245,6 +245,69 @@ def test_report_past_the_cap_exit_code(capsys, argv):
     assert captured.out == ""
 
 
+def _wide_walk_text() -> str:
+    """A 1-D walk uniform on -2048..2048, 4097 points, whose exit law moves q(-1)'s mass to 1."""
+    xs = range(-2048, 2049)
+    q = {x: "2/4097" if x == 1 else "0" if x == -1 else "1/4097" for x in xs}
+    return "\n".join(["dim = 1", *(f"p {x} = 1/4097" for x in xs), *(f"q {x} = {w}" for x, w in q.items())])
+
+
+def test_tail_scan_refused_before_it_runs(tmp_path, capsys, monkeypatch):
+    # the tail box's scan holds four arrays of the 1024 t by p's support
+    # points, about 134 MB for 4097 points: each route's guard refuses it,
+    # naming the route, before it allocates anything of that size
+    path = tmp_path / "wide.cfg"
+    path.write_text(_wide_walk_text())
+    spec = load_walk_spec(path)
+    monkeypatch.setattr(cli, "load_walk_spec", lambda *args, **kwargs: spec)  # loaded once
+    cap = 64 << 20
+    assert exact_engine._tail_bytes(spec.p) > 2 * cap
+    for argv, phase in [(["exact", "--n", "4"], "fourier"),
+                        (["exact", "--n", "4", "--route", "dp"], "dp"),
+                        (["exact", "--n", "4", "--route", "repr"], "repr"),
+                        (["returns", "--n-max", "4"], "first_return")]:
+        rcs = []
+        argv = [*argv, "--spec", str(path), "--mem-limit-mb", "64", "--out", os.devnull]
+        peak, claims = traced_guards(lambda: rcs.append(main(argv)), cap)
+        assert rcs == [2]
+        assert claims[-1] == (phase, exact_engine._tail_bytes(spec.p))
+        assert peak < cap
+        err = capsys.readouterr().err
+        assert err.startswith(f"resource limit: needs 128 MiB for phase {phase}, cap is 64 MiB")
+
+
+def test_returns_scans_the_tail_box_once(monkeypatch):
+    # both first-return walks run on one box, from one scan
+    calls = []
+    tail = exact_engine._tail
+    monkeypatch.setattr(exact_engine, "_tail", lambda *args: calls.append(1) or tail(*args))
+    assert main(["returns", "--spec", config_path("unit_cov_2d.cfg"), "--n-max", "64",
+                 "--out", os.devnull]) == 0
+    assert len(calls) == 1
+
+
+# unit_cov_2d at n = 256: every route alone needs under 3 MiB, but the
+# torus route, run beside the two laws before it, and the comparison need
+# about 4.6 MiB
+CROSS_CHECK_CAP_MB = 4
+
+
+def test_cross_check_refused_past_what_it_holds(unit_cov_2d, capsys):
+    # a cap between the largest single-route guard and the cross-check's
+    # traced peak: each later route is charged the laws already held
+    n, cap = 256, CROSS_CHECK_CAP_MB << 20
+    np.fft.fft  # loaded before tracing
+    single = max(b for r in exact_engine.ROUTES for _, b in traced_guards(
+        lambda: exact_engine.perturbed_distribution(unit_cov_2d, n, route=r))[1])
+    peak, _ = traced_guards(lambda: exact_engine.cross_check(unit_cov_2d, n))
+    assert single < cap < peak
+    assert main(["exact", "--spec", config_path("unit_cov_2d.cfg"), "--n", str(n), "--route", "all",
+                 "--mem-limit-mb", str(CROSS_CHECK_CAP_MB), "--out", os.devnull]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit: needs")
+    assert " MiB for phase fourier, cap is " in err
+
+
 def test_exact_writer_memory_within_guard(unit_cov_2d):
     dist = exact_engine.perturbed_fourier(unit_cov_2d, 1024)
     cells = int(np.count_nonzero(dist.pmf.weights))
@@ -630,8 +693,14 @@ _SWEEP_NS = {1: (64, 1024), 2: (16, 64), 3: (8, 24), 4: (4, 12)}  # two sizes pe
 
 
 def _phase_run(phase, spec, name, n, monkeypatch):
-    """A call that passes ``phase``'s guards alone: a writer's law or table is made beforehand."""
+    """A call that passes ``phase``'s guards alone: a writer's law or table, or the laws the
+    cross-check compares, is made beforehand."""
     common = ["--spec", config_path(name), "--format", "json", "--out", os.devnull]
+    if phase == "cross_check":
+        dists = {r: exact_engine.perturbed_distribution(spec, n, route=r) for r in exact_engine.ROUTES}
+        monkeypatch.setattr(exact_engine, "perturbed_distribution",
+                            lambda spec, n, route, mem_limit: dists[route])
+        return lambda: exact_engine.cross_check(spec, n)
     if phase == "exact_writer":
         dist = exact_engine.perturbed_fourier(spec, n)
         monkeypatch.setattr(exact_engine, "perturbed_distribution", lambda *a, **k: dist)
@@ -655,8 +724,8 @@ def _phase_run(phase, spec, name, n, monkeypatch):
 @pytest.mark.parametrize("name", VALID_CONFIGS)
 def test_every_phase_within_its_guard(monkeypatch, name, size, phase):
     # each declared phase, on every valid config, peaks within the bytes its
-    # guard charged and the slack of its own test: 64 KiB for the routes,
-    # 256 KiB for the simulator and the reports.  A first untraced run loads
+    # guard charged and the slack of its own test: 64 KiB for the routes and
+    # their cross-check, 256 KiB for the simulator and the reports.  A first untraced run loads
     # numpy.fft, numpy.random and the writers' tables
     spec = load_walk_spec(config_path(name))
     n = _SWEEP_NS[spec.nu][size]
@@ -664,5 +733,5 @@ def test_every_phase_within_its_guard(monkeypatch, name, size, phase):
     run()
     peak, claims = traced_guards(run)
     assert {p for p, _ in claims} == {phase}
-    slack = (64 if phase in exact_engine.ROUTES + ("first_return",) else 256) << 10
+    slack = (64 if phase in exact_engine.ROUTES + ("first_return", "cross_check") else 256) << 10
     assert peak <= max(b for _, b in claims) + slack

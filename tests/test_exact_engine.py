@@ -12,6 +12,7 @@ from lltwalk import (
     convolve_power,
     cross_check,
     first_return_probs,
+    load_walk_spec,
     max_abs_difference,
     perturbed_forward,
     perturbed_forward_many,
@@ -24,7 +25,7 @@ from lltwalk.errors import CrossCheckError, ResourceLimit
 from lltwalk.io_text import distribution_text
 from lltwalk.walk_model import SignedLatticeFn
 
-from conftest import config_path, direct_step, fresh_python, step_every_row, traced_guards
+from conftest import VALID_CONFIGS, config_path, direct_step, fresh_python, step_every_row, traced_guards
 
 
 def test_convolve_power_lazy_n2(lazy_p):
@@ -334,7 +335,7 @@ def test_fourier_rejects_complex_transform_of_p():
     p = LatticePMF.from_points(1, {0: "1/2", 1: "1/2"})
     a = SignedLatticeFn.from_points(1, {1: "1/10", -1: "-1/10"})
     with pytest.raises(CrossCheckError, match="imaginary"):
-        exact_engine._fourier(p, a, (p,), 4, exact_engine.DEFAULT_MEM_LIMIT)
+        exact_engine._fourier(p, a, 4, exact_engine.DEFAULT_MEM_LIMIT)
 
 
 # Sizes where every axis of the box is cut at the tail box.
@@ -374,7 +375,7 @@ def test_route_within_tail_bound_of_full_support(request, monkeypatch, name, n, 
 @pytest.mark.parametrize("name, n", TAIL_CASES)
 def test_first_returns_within_tail_bound_of_full_support(request, monkeypatch, name, n):
     spec = request.getfixturevalue(name)
-    bound = exact_engine._box((spec.p, spec.q), n)[3]
+    bound = exact_engine._box(spec.p, n)[2]
     assert 0.0 < bound <= spec.nu * exact_engine.TAIL_TOL
     got = first_return_probs(spec, n)
     ref = _on_full_support(monkeypatch, lambda: first_return_probs(spec, n))
@@ -386,7 +387,7 @@ def test_first_returns_within_tail_bound_of_full_support(request, monkeypatch, n
 @pytest.mark.parametrize("method", ["fft", "direct"])
 def test_convolve_power_within_tail_bound_of_full_support(request, monkeypatch, name, n, method):
     p = request.getfixturevalue(name).p
-    bound = exact_engine._box((p,), n)[3]
+    bound = exact_engine._box(p, n)[2]
     assert 0.0 < bound <= p.dim * exact_engine.TAIL_TOL
     got = convolve_power(p, n, method=method)
     ref = _on_full_support(monkeypatch, lambda: convolve_power(p, n, method=method))
@@ -408,7 +409,7 @@ def test_walk_matches_full_box_stepping(unit_cov_2d, monkeypatch):
     n = 12
     p = unit_cov_2d.p
     monkeypatch.setattr(exact_engine, "_fold_axes", lambda *laws: ())  # the whole box
-    st = exact_engine._Stepper((p,), n, exact_engine.DEFAULT_MEM_LIMIT, "dp", 24)
+    st = exact_engine._Stepper((p,), exact_engine._box(p, n), exact_engine.DEFAULT_MEM_LIMIT, "dp", 24)
     offs, ws = p.support
     full = np.zeros(st.shape)
     full[st.origin] = 1.0
@@ -432,7 +433,7 @@ def test_walk_drops_stepped_out_mass(monkeypatch, shape, org, offs):
     monkeypatch.setattr(exact_engine, "TAIL_TOL", 0.0)
     ws = [0.3, 0.1, 0.1, 0.2, 0.2, 0.1]
     p = LatticePMF.from_points(len(shape), {tuple(x): str(w) for x, w in zip(offs, ws)})
-    st = exact_engine._Stepper((p,), 2, exact_engine.DEFAULT_MEM_LIMIT, "dp", 24)
+    st = exact_engine._Stepper((p,), exact_engine._box(p, 2), exact_engine.DEFAULT_MEM_LIMIT, "dp", 24)
     assert (st.shape, st.origin) == (shape, org)
     corners = list(itertools.product(*((0, s - 1) for s in shape)))
     start = SignedLatticeFn.from_points(
@@ -500,7 +501,8 @@ def test_odd_folded_walk_matches_full_box_stepping(request, monkeypatch, name, n
     spec = request.getfixturevalue(name)
 
     def stepper():
-        return exact_engine._Stepper((spec.p, spec.a), n, exact_engine.DEFAULT_MEM_LIMIT, "repr", 32)
+        return exact_engine._Stepper((spec.p, spec.a), exact_engine._box(spec.p, n),
+                                     exact_engine.DEFAULT_MEM_LIMIT, "repr", 32)
 
     st, ref = stepper(), _unfolded(monkeypatch, stepper)
     assert st.odd_axes(spec.a) == (0,) and ref.odd_axes(spec.a) == ()
@@ -512,8 +514,8 @@ def test_odd_folded_walk_matches_full_box_stepping(request, monkeypatch, name, n
 
 
 def test_walk_rejects_a_law_neither_even_nor_odd(unit_cov_2d):
-    st = exact_engine._Stepper((unit_cov_2d.p, unit_cov_2d.a), 4, exact_engine.DEFAULT_MEM_LIMIT,
-                               "repr", 32)
+    st = exact_engine._Stepper((unit_cov_2d.p, unit_cov_2d.a), exact_engine._box(unit_cov_2d.p, 4),
+                               exact_engine.DEFAULT_MEM_LIMIT, "repr", 32)
     with pytest.raises(ValueError, match="even or odd"):
         next(st.walk(unit_cov_2d.q, 4))
 
@@ -579,6 +581,46 @@ def test_tail_matches_a_sum_per_support_point(request, name):
     for n in (1, 7, 64, 96, 1024, 8192, 13568):
         assert exact_engine._tail(spec.p, spec.radius, n) == _tail_by_support_point(
             spec.p, spec.radius, n)
+
+
+def _multi_law_box(laws, n):
+    """The tail box as built from a tuple of laws, p first: n steps of their hull, cut at p's tail."""
+    m = max(n, 1)
+    lo = [m * min(f.box[ax][0] for f in laws) for ax in range(laws[0].dim)]
+    hi = [m * max(f.box[ax][1] for f in laws) for ax in range(laws[0].dim)]
+    bound = 0.0
+    for ax, (s, b) in enumerate(exact_engine._tail(laws[0], max(f.radius for f in laws), n)):
+        if s < max(hi[ax], -lo[ax]):
+            lo[ax], hi[ax] = max(lo[ax], -s), min(hi[ax], s)
+            bound += b
+    return lo, tuple(h - l + 1 for l, h in zip(lo, hi)), bound
+
+
+@pytest.mark.parametrize("name", VALID_CONFIGS)
+def test_box_of_p_is_the_multi_law_box(name):
+    # q and a lie within p's box (|a| <= p), and p's box holds the origin,
+    # so the box of p alone is each route's box of its laws and the origin
+    spec = load_walk_spec(config_path(name))
+    p, delta = spec.p, exact_engine._delta(spec.nu)
+    for n in (0, 1, 4, 7, 8, 12, 16, 24, 64, 1024):
+        for laws in [(p, spec.q), (p, spec.q, spec.a, delta), (p, spec.a, delta), (p, spec.q, delta),
+                     (p, delta)]:
+            assert exact_engine._box(p, n) == _multi_law_box(laws, n)
+        m = max(n, 1)
+        assert exact_engine._hull_box(p, n) == [(m * min(l, ql), m * max(h, qh))
+                                               for (l, h), (ql, qh) in zip(p.box, spec.q.box)]
+
+
+@pytest.mark.parametrize("name, n", [("unit_cov_2d", 96), ("unit_cov_2d", 256), ("aniso_2d", 128),
+                                     ("spec3d", 24)])
+def test_cross_check_within_its_guards(request, name, n):
+    # each later route is charged the laws before it, and the comparison
+    # the three laws and one difference
+    spec = request.getfixturevalue(name)
+    np.fft.fft  # loaded before tracing
+    peak, claims = traced_guards(lambda: cross_check(spec, n))
+    assert [p for p, _ in claims][-1] == "cross_check"
+    assert peak <= max(b for _, b in claims) + _FIXED_SLACK
 
 
 _THIRTEENTHS = {(0, 0): "1/13", **dict.fromkeys([(1, 0), (-1, 0), (0, 1), (0, -1)], "1/13"),
@@ -661,9 +703,11 @@ def test_stepper_route_memory_within_guard(unit_cov_2d, lazy_pert, spec3d, spec4
     }[route]
     np.fft.fft  # numpy loads its fft module (about 120 KiB) on first use, not per call
     peak, claims = traced_guards(run)
-    # the first-return walks from q and from p each build and guard their
-    # own stepper, the second once the first has dropped its arrays
-    assert len(claims) == (2 if "first_return" in route else 1)
+    # each n's tail scan is guarded first; the first-return walks from q and
+    # from p then each build and guard their own stepper on one box, the
+    # second once the first has dropped its arrays
+    scans = {"dp_many": 3, "dp_many_3d": 3, "dp_many_unfolded": 2}.get(route, 1)
+    assert len(claims) == scans + (2 if "first_return" in route else 1)
     budget = max(b for _, b in claims)
     assert 0.8 * budget < peak <= budget + _FIXED_SLACK
 
@@ -674,7 +718,7 @@ def test_fourier_1d_memory_within_guard_without_slack(lazy_pert, n):
     # buffers for the block products (3 x 8192 floats, 192 KiB) outweigh
     # it: left out of the guard, they put the peak up to 1.57 times past it
     np.fft.fft  # loaded before tracing, so the budget charges no load
-    peak, [(_, budget)] = traced_guards(lambda: perturbed_fourier(lazy_pert, n))
+    peak, [_, (_, budget)] = traced_guards(lambda: perturbed_fourier(lazy_pert, n))  # scan, route
     assert peak <= budget
 
 
@@ -696,8 +740,8 @@ def test_fourier_builds_one_plan_and_charges_it(lazy_pert, monkeypatch, n):
     np.fft.fft  # loaded before both runs, so neither budget charges its load
     for extra in (0, 1 << 20):
         monkeypatch.setattr(exact_engine, "ksum_plan", lambda z, n: recording_plan(z, n, extra))
-        _, claims = traced_guards(lambda: laws.append(perturbed_fourier(lazy_pert, n).pmf))
-        budgets += [b for _, b in claims]
+        _, [_, (_, budget)] = traced_guards(lambda: laws.append(perturbed_fourier(lazy_pert, n).pmf))
+        budgets.append(budget)  # the route's, after its tail scan's
     assert all(law.total() == pytest.approx(1.0, abs=1e-12) for law in laws)
     assert len(plans) == len(budgets) == 2
     assert plans[0].blocks and plans[0].nbytes > 0
@@ -713,7 +757,7 @@ def test_fourier_guard_charges_numpy_fft_load():
         "from lltwalk import exact_engine, load_walk_spec\n"
         f"spec = load_walk_spec({config_path('lazy_pert_1d.cfg')!r})\n"
         "loaded = 'numpy.fft' in sys.modules\n"
-        "peak, [(_, budget)] = traced_guards(lambda: exact_engine.perturbed_fourier(spec, 1024))\n"
+        "peak, [_, (_, budget)] = traced_guards(lambda: exact_engine.perturbed_fourier(spec, 1024))\n"
         "print(loaded, peak, budget)\n"
     )
     assert proc.returncode == 0, proc.stderr
@@ -775,7 +819,7 @@ def test_fourier_law_where_fft_samples_failed(request, monkeypatch, name, n):
     law = perturbed_fourier(spec, n).pmf
     assert law.total() == pytest.approx(1.0, abs=1e-12)
     assert law.weights.min() >= 0.0
-    _, shape, _, _ = exact_engine._box((spec.p, spec.q), n)
+    _, shape, _ = exact_engine._box(spec.p, n)
     assert sizes == [tuple(s | 1 for s in shape)] * 2  # p's samples and a's, on no wider a grid
 
 

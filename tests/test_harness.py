@@ -262,7 +262,7 @@ def test_worker_count_charges_the_pool_load(unit_cov_2d, monkeypatch):
     assert hz._worker_count(cells, 2, 2 * each) == 1
     assert hz._worker_count(cells, 2, 2 * each + hz.POOL_LOAD_BYTES - 1) == 1
     assert hz._worker_count(cells, 2, 2 * each + hz.POOL_LOAD_BYTES) == 2
-    box = exact_engine._hull_box((unit_cov_2d.p, unit_cov_2d.q), 64)
+    box = exact_engine._hull_box(unit_cov_2d.p, 64)
     cells = math.prod(h - l + 1 for l, h in box)
     laws = hz.LAW_POINT_BYTES * 18 + 2 * 4 * GUIDE_BINS + hz.GUIDE_BUILD_BYTES
     assert hz._worker_count(cells, 2, exact_engine.DEFAULT_MEM_LIMIT - laws) == 2
@@ -634,7 +634,7 @@ def test_compare_rows_independent_of_tail_box(lazy_pert, monkeypatch, route):
         ref = compare(lazy_pert, [n], window=2.0 * n, route=route, crosscheck=False)
     assert [row["x"] for row in report_rows(got)] == [[x] for x in range(-n, n + 1)]
     assert [row["x"] for row in report_rows(ref)] == [[x] for x in range(-n, n + 1)]
-    lo, shape, _, bound = exact_engine._box((lazy_pert.p, lazy_pert.q), n)
+    lo, shape, bound = exact_engine._box(lazy_pert.p, n)
     assert shape[0] < 2 * n + 1 and 0.0 < bound <= exact_engine.TAIL_TOL
     assert all(row["exact"] == 0.0 for row in report_rows(got)
                if not lo[0] <= row["x"][0] < lo[0] + shape[0])

@@ -210,7 +210,7 @@ def test_compensated_reference_within_an_ulp(lazy_pert):
 
 def route_sizes(spec, n):
     """The fourier route's grid sizes for n steps: the tail box's side on each axis, made odd."""
-    _, shape, _, _ = _box((spec.p, spec.q), n)
+    _, shape, _ = _box(spec.p, n)
     return tuple(s | 1 for s in shape)
 
 

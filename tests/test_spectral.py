@@ -235,7 +235,7 @@ def test_exact_phase_samples_match_longdouble(name):
     from lltwalk.exact_engine import _box
 
     spec = load_walk_spec(CONFIGS / name)
-    _, shape, _, _ = _box((spec.p, spec.q), SAMPLE_N[spec.nu])
+    _, shape, _ = _box(spec.p, SAMPLE_N[spec.nu])
     sizes = tuple(s | 1 for s in shape)
     for f in (spec.p, spec.a):
         if not f.weights.any():
